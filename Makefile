@@ -6,7 +6,7 @@
 
 PYENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test verify bench bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-kernels bench-cache bench-serve bench-obs bench-planner experiments examples serve-sim clean
+.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-kernels bench-cache bench-serve bench-obs bench-planner experiments examples serve-sim clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -77,6 +77,13 @@ cache-smoke:
 # included, hung sockets not); see docs/serving.md.
 serve-smoke:
 	$(PYENV) python scripts/serve_smoke.py
+
+# Benchmark selftest (~20 s): BENCHMARK.json matches bench/metrics.py,
+# the generators, percentile and span arithmetic and the oracle are
+# right, no descendant process outlives a run, and a small copy of each
+# in-process workload runs end to end in both modes (bench/README.md).
+bench-selftest:
+	python3 -m bench --selftest
 
 # Planner smoke: startup micro-calibration + calibration-file
 # round-trip, a differential mini-sweep (planner-chosen plans must be

@@ -168,12 +168,14 @@ class ResultFrame:
     """A successful answer; ``value`` is shaped by ``mode``.
 
     ``count`` → ``int``; ``checksum`` → ``(count, xor)``; ``ids`` →
-    tuple of ids (the server sends them sorted ascending).
+    tuple of ids (the server sends them sorted ascending).  The encoder
+    also takes an ``int64`` array for ``ids`` and writes it as it is;
+    decoding always yields the tuple.
     """
 
     request_id: int
     mode: str
-    value: Union[int, Tuple[int, int], Tuple[int, ...]]
+    value: Union[int, Tuple[int, int], Tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -310,16 +312,13 @@ class _Cursor:
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise ProtocolError(
-                f"truncated frame: wanted {n} bytes at offset {self.pos}, "
-                f"payload is {len(self.data)} bytes"
-            )
+            raise _truncated(n, self.pos, len(self.data))
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -334,6 +333,64 @@ class _Cursor:
             )
 
 
+def _truncated(want: int, at: int, size: int) -> ProtocolError:
+    return ProtocolError(
+        f"truncated frame: wanted {want} bytes at offset {at}, "
+        f"payload is {size} bytes"
+    )
+
+
+_QUERY_BODY = _HEADER.size + _QUERY_HEAD.size  # offset of the tenant id
+
+
+def _decode_query(payload: bytes, version: int) -> QueryFrame:
+    """The QUERY body, read at computed offsets: the frame the server
+    decodes once per request, so it skips the cursor's slice per field.
+    Checks, and their order, are the cursor's."""
+    size = len(payload)
+    if size < _QUERY_BODY:
+        raise _truncated(_QUERY_HEAD.size, _HEADER.size, size)
+    request_id, tenant_len = _QUERY_HEAD.unpack_from(payload, _HEADER.size)
+    pos = _QUERY_BODY + tenant_len
+    if pos > size:
+        raise _truncated(tenant_len, _QUERY_BODY, size)
+    try:
+        tenant = payload[_QUERY_BODY:pos].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"tenant id is not utf-8: {exc}") from None
+    if pos + _QUERY_TAIL.size > size:
+        raise _truncated(_QUERY_TAIL.size, pos, size)
+    st, end, mode_code, deadline_ms = _QUERY_TAIL.unpack_from(payload, pos)
+    pos += _QUERY_TAIL.size
+    trace = None
+    if version >= 2:
+        if pos >= size:
+            raise _truncated(1, pos, size)
+        flags = payload[pos]
+        pos += 1
+        if flags & ~_QFLAG_KNOWN:
+            raise ProtocolError(f"unknown query flags 0x{flags:02X}")
+        if flags & QFLAG_TRACE:
+            if pos + _TRACE_WIRE_SIZE > size:
+                raise _truncated(_TRACE_WIRE_SIZE, pos, size)
+            try:
+                trace = TraceContext.from_wire(
+                    payload[pos : pos + _TRACE_WIRE_SIZE]
+                )
+            except ValueError as exc:
+                raise ProtocolError(f"bad trace context: {exc}") from None
+            pos += _TRACE_WIRE_SIZE
+    if pos != size:
+        raise ProtocolError(f"{size - pos} trailing bytes after frame body")
+    if mode_code == MODE_DEFAULT:
+        mode = None
+    else:
+        mode = MODE_NAMES.get(mode_code)
+        if mode is None:
+            raise ProtocolError(f"unknown mode code {mode_code}")
+    return QueryFrame(request_id, tenant, st, end, mode, deadline_ms, trace)
+
+
 def decode_payload(payload: bytes) -> Frame:
     """Decode one frame payload (the bytes after the length prefix).
 
@@ -341,49 +398,16 @@ def decode_payload(payload: bytes) -> Frame:
     :class:`ProtocolError`, which is what lets the server turn arbitrary
     hostile bytes into one typed error path.
     """
-    cur = _Cursor(payload)
-    magic, version, ftype = cur.unpack(_HEADER)
+    if len(payload) < _HEADER.size:
+        raise _truncated(_HEADER.size, 0, len(payload))
+    magic, version, ftype = _HEADER.unpack_from(payload)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic 0x{magic:04X} (want 0x{MAGIC:04X})")
     if version not in SUPPORTED_VERSIONS:
         raise ProtocolError(f"unsupported protocol version {version}")
     if ftype == FRAME_QUERY:
-        request_id, tenant_len = cur.unpack(_QUERY_HEAD)
-        try:
-            tenant = cur.take(tenant_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"tenant id is not utf-8: {exc}") from None
-        st, end, mode_code, deadline_ms = cur.unpack(_QUERY_TAIL)
-        trace = None
-        if version >= 2:
-            (flags,) = cur.take(1)
-            if flags & ~_QFLAG_KNOWN:
-                raise ProtocolError(f"unknown query flags 0x{flags:02X}")
-            if flags & QFLAG_TRACE:
-                try:
-                    trace = TraceContext.from_wire(
-                        cur.take(_TRACE_WIRE_SIZE)
-                    )
-                except ValueError as exc:
-                    raise ProtocolError(
-                        f"bad trace context: {exc}"
-                    ) from None
-        cur.done()
-        if mode_code == MODE_DEFAULT:
-            mode = None
-        elif mode_code in MODE_NAMES:
-            mode = MODE_NAMES[mode_code]
-        else:
-            raise ProtocolError(f"unknown mode code {mode_code}")
-        return QueryFrame(
-            request_id=request_id,
-            tenant=tenant,
-            st=st,
-            end=end,
-            mode=mode,
-            deadline_ms=deadline_ms,
-            trace=trace,
-        )
+        return _decode_query(payload, version)
+    cur = _Cursor(payload, _HEADER.size)
     if ftype == FRAME_RESULT:
         request_id, mode_code = cur.unpack(_RESULT_HEAD)
         if mode_code not in MODE_NAMES:
@@ -401,8 +425,9 @@ def decode_payload(payload: bytes) -> Frame:
         (n,) = cur.unpack(_U32)
         raw = cur.take(8 * n)
         cur.done()
-        ids = np.frombuffer(raw, dtype=">i8").astype(np.int64)
-        return ResultFrame(request_id, mode, tuple(int(v) for v in ids))
+        return ResultFrame(
+            request_id, mode, tuple(np.frombuffer(raw, dtype=">i8").tolist())
+        )
     if ftype == FRAME_ERROR:
         request_id, code, msg_len = cur.unpack(_ERROR_HEAD)
         if code not in ERROR_NAMES:

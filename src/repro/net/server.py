@@ -33,6 +33,12 @@ Traffic controls, in the order a query meets them:
    with the query into the service, whose flusher drops it unexecuted
    (typed ``DEADLINE_EXCEEDED``) if the deadline passes while staged.
 
+The request path costs per *read chunk* and per *flush*, not per request:
+a read loop parses every complete frame out of what the socket had, the
+futures a flush resolves share one loop wake-up, and each connection's
+writer does one ``write`` + ``drain()`` per burst of replies before the
+burst's quota slots are released (``docs/serving.md``, "Request path").
+
 Every request is answered exactly once (``RESULT`` or a typed
 ``ERROR``) unless its connection is gone; shutdown
 (:meth:`QueryServer.stop`) drains in-flight work through
@@ -51,7 +57,8 @@ import asyncio
 import struct
 import threading
 import time
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +75,6 @@ from repro.verify.faults import SITE_NET_ACCEPT, SITE_NET_DECODE, FaultPlan
 from repro.net.admission import TenantAdmission
 from repro.net.protocol import (
     ErrorFrame,
-    Frame,
     MAX_FRAME,
     PingFrame,
     PongFrame,
@@ -82,6 +88,33 @@ from repro.net.protocol import (
 __all__ = ["QueryServer", "ServerHandle", "serve_in_thread"]
 
 _LEN = struct.Struct(">I")
+#: Most bytes one socket read takes, and the reply backlog at which a
+#: connection's reader stops consuming until its writer has caught up.
+_CHUNK = 1 << 16
+_CLOSING = ("closing", "server is shutting down")
+
+
+class _Conn:
+    """One connection: its streams and the replies queued for its writer."""
+
+    __slots__ = (
+        "task", "reader", "writer", "out", "slots", "backlog", "pending",
+        "wake", "flushed", "read_closed",
+    )
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ):
+        self.task = asyncio.current_task()  #: the connection's handler
+        self.reader = reader
+        self.writer = writer
+        self.out: list = []  #: encoded replies the writer has not taken yet
+        self.slots = 0  #: quota slots the replies in ``out`` still hold
+        self.backlog = 0  #: reply bytes queued or written, not yet drained
+        self.pending = 0  #: submitted queries not answered yet
+        self.wake = asyncio.Event()  #: ``out`` has replies, or reads ended
+        self.flushed = asyncio.Event()  #: the writer has caught up
+        self.read_closed = False
 
 
 class QueryServer:
@@ -107,9 +140,10 @@ class QueryServer:
     max_frame:
         Upper bound on accepted frame payloads, bytes.
     request_timeout:
-        Hard bound (seconds) on waiting for a submitted query's future;
-        on expiry the client gets a typed ``INTERNAL`` error instead of
-        a hung socket.  Generous by default — the service's own deadline
+        Hard bound (seconds) on waiting for a submitted query's future,
+        checked by a periodic sweep (so up to a quarter of it late); on
+        expiry the client gets a typed ``INTERNAL`` error instead of a
+        hung socket.  Generous by default — the service's own deadline
         and drain bounds fire long before it.
     fault_plan:
         Optional :class:`FaultPlan`; fires ``net.accept`` per accepted
@@ -161,12 +195,19 @@ class QueryServer:
         self._owns_service = owns_service
 
         self._server: Optional[asyncio.base_events.Server] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight = 0
-        self._slot_free: Optional[asyncio.Condition] = None
+        self._slot_free: Optional[asyncio.Event] = None
+        #: future -> (conn, frame, t0, ctx) of each query not answered yet.
+        self._outstanding: dict = {}
+        #: Resolved futures, appended by the thread that resolved them and
+        #: emptied on the loop by :meth:`_deliver`.
+        self._done: deque = deque()
+        self._wake_scheduled = False
+        self._sweeper: Optional[asyncio.TimerHandle] = None
         self._closing = False
         self._stopped: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
-        self._writers: set = set()
+        self._conns: set = set()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -183,11 +224,13 @@ class QueryServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._slot_free = asyncio.Condition()
+        self._loop = asyncio.get_running_loop()
+        self._slot_free = asyncio.Event()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self._requested_port
         )
+        self._sweep()
         return self
 
     async def serve_forever(self) -> None:
@@ -213,29 +256,32 @@ class QueryServer:
             self._server.close()
             await self._server.wait_closed()
         if self._slot_free is not None:
-            async with self._slot_free:
-                self._slot_free.notify_all()  # wake blocked admissions
+            self._slot_free.set()  # wake blocked admissions
         # Drain the service first: this resolves every in-flight future
         # (results, or errors once the timeout bound trips).  While this
-        # coroutine waits in the executor, the per-request tasks run on
-        # the loop and write their final responses.
+        # coroutine waits in the executor, the loop delivers the bursts
+        # and the connections' writers send the final responses.
         if self._owns_service:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self.service.close(drain=drain, timeout=timeout)
             )
-        # Wait for the in-flight count to hit zero (responses written),
-        # bounded; idle read loops never finish on their own and are
-        # cancelled below instead.
+        # Wait for the in-flight count to hit zero and every queued reply
+        # to be written, bounded; idle read loops never finish on their
+        # own and are cancelled below instead.
         waited = 0.0
-        while self._inflight > 0 and waited < max(timeout, 0.1):
+        while waited < max(timeout, 0.1) and (
+            self._inflight > 0 or any(c.backlog for c in self._conns)
+        ):
             await asyncio.sleep(0.01)
             waited += 0.01
-        for task in list(self._conn_tasks):
-            task.cancel()
-        for writer in list(self._writers):
-            self._close_writer(writer)
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=1.0)
+        handlers = [conn.task for conn in self._conns]
+        for conn in list(self._conns):
+            conn.task.cancel()
+            self._close_writer(conn.writer)
+        if handlers:
+            await asyncio.wait(handlers, timeout=1.0)
+        if self._sweeper is not None:
+            self._sweeper.cancel()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -253,11 +299,11 @@ class QueryServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
+        conn = _Conn(reader, writer)
+        self._conns.add(conn)
         ob = obs.active()
         counted = False
+        write_task = None
         try:
             if self._closing:
                 return
@@ -268,7 +314,19 @@ class QueryServer:
             if ob is not None:
                 ob.record_net_connection(+1)
                 counted = True
-            await self._read_loop(reader, writer)
+            write_task = asyncio.ensure_future(self._write_loop(conn))
+            goodbye = await self._read_loop(conn)
+            # The read side is done (EOF, framing error or shutdown);
+            # in-flight answers still get written — the writer returns
+            # once the last one is out, which the timeout sweep bounds —
+            # and a framing error's reply goes last, because a client
+            # takes it to end the connection.
+            conn.read_closed = True
+            conn.wake.set()
+            await write_task
+            if goodbye is not None:
+                writer.write(goodbye)
+                await writer.drain()
         except asyncio.CancelledError:
             pass  # server shutdown cancelled an idle read loop
         except Exception:
@@ -276,170 +334,172 @@ class QueryServer:
             # (or an injected fault) may take the acceptor down.
             pass
         finally:
+            self._close_writer(writer)  # from here _queue() only releases
+            if write_task is not None and not write_task.done():
+                write_task.cancel()
+                await asyncio.wait([write_task])
+            self._release(conn.slots)  # replies queued, never written
+            conn.slots = 0
             if counted:
                 ob2 = obs.active()
                 if ob2 is not None:
                     ob2.record_net_connection(-1)
-            self._close_writer(writer)
-            self._writers.discard(writer)
-            self._conn_tasks.discard(task)
+            self._conns.discard(conn)
 
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        request_tasks: set = set()
-        try:
-            while not self._closing:
-                try:
-                    prefix = await reader.readexactly(_LEN.size)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                ):
-                    return  # peer went away (or sent a truncated prefix)
-                (length,) = _LEN.unpack(prefix)
+    async def _read_loop(self, conn: _Conn) -> Optional[bytes]:
+        """Parse and dispatch every complete frame of each chunk the
+        socket yields.  Returns the encoded ``bad_request`` reply when a
+        framing error ended the stream, else ``None``."""
+        read = conn.reader.read
+        buf = b""
+        while not self._closing:
+            if conn.backlog >= _CHUNK:
+                # The peer is not reading its replies: stop reading its
+                # requests until the writer's drain() has returned.
+                conn.flushed.clear()
+                await conn.flushed.wait()
+            try:
+                chunk = await read(_CHUNK)
+            except (ConnectionResetError, BrokenPipeError):
+                return None
+            if not chunk:
+                return None  # peer went away, perhaps mid-frame
+            buf = buf + chunk if buf else chunk
+            pos, size = 0, len(buf)
+            while size - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(buf, pos)
                 if length > self.max_frame:
-                    # Reject before reading the body: a hostile length
+                    # Reject before the body arrives: a hostile length
                     # prefix must not make the server buffer it.
-                    self._record_decode_error()
-                    await self._send(
-                        writer,
-                        write_lock,
-                        ErrorFrame(
-                            0,
-                            "bad_request",
-                            f"frame of {length} bytes exceeds the "
-                            f"{self.max_frame}-byte bound",
-                        ),
+                    return self._framing_error(
+                        f"frame of {length} bytes exceeds the "
+                        f"{self.max_frame}-byte bound"
                     )
-                    return
-                try:
-                    payload = await reader.readexactly(length)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                ):
-                    return
+                if size - pos - _LEN.size < length:
+                    break
+                pos += _LEN.size + length
                 try:
                     if self._fault_plan is not None:
                         self._fault_plan.fire(SITE_NET_DECODE)
-                    frame = decode_payload(payload)
+                    frame = decode_payload(buf[pos - length : pos])
                 except ProtocolError as exc:
-                    self._record_decode_error()
-                    await self._send(
-                        writer, write_lock, ErrorFrame(0, "bad_request", str(exc))
-                    )
-                    return
+                    return self._framing_error(str(exc))
                 except Exception as exc:  # injected net.decode fault
-                    self._record_decode_error()
-                    await self._send(
-                        writer,
-                        write_lock,
-                        ErrorFrame(
-                            0, "bad_request", f"decode failed: {exc}"
-                        ),
-                    )
-                    return
-                if isinstance(frame, PingFrame):
-                    await self._send(
-                        writer, write_lock, PongFrame(frame.request_id)
-                    )
-                    continue
-                if not isinstance(frame, QueryFrame):
-                    await self._send(
-                        writer,
-                        write_lock,
-                        ErrorFrame(
-                            getattr(frame, "request_id", 0),
-                            "bad_request",
+                    return self._framing_error(f"decode failed: {exc}")
+                if type(frame) is not QueryFrame:
+                    reply = PongFrame(frame.request_id)
+                    if not isinstance(frame, PingFrame):
+                        reply = ErrorFrame(
+                            frame.request_id, "bad_request",
                             f"unexpected {type(frame).__name__} from client",
-                        ),
-                    )
+                        )
+                    self._queue(conn, encode_frame(reply))
                     continue
-                task = await self._admit_and_dispatch(
-                    frame, writer, write_lock
-                )
-                if task is not None:
-                    request_tasks.add(task)
-                    task.add_done_callback(request_tasks.discard)
-        finally:
-            if request_tasks:
-                # The connection's read side is done (EOF or framing
-                # error); in-flight answers still get written.
-                await asyncio.wait(
-                    list(request_tasks), timeout=self.request_timeout
-                )
+                t0 = self._clock()
+                ctx = self._trace_context(frame)
+                refusal = self._screen(frame)
+                while refusal is None and self._inflight >= self.max_inflight:
+                    # Block policy: the rest of the buffer and the socket
+                    # wait until a written burst of replies frees a slot.
+                    self._slot_free.clear()
+                    await self._slot_free.wait()
+                    if self._closing:
+                        refusal = _CLOSING
+                if refusal is None:
+                    refusal = self._submit(conn, frame, t0, ctx)
+                if refusal is not None:
+                    self._answer(conn, frame, *refusal, t0, ctx)
+            buf = buf[pos:]
+        return None
+
+    def _framing_error(self, message: str) -> bytes:
+        ob = obs.active()
+        if ob is not None:
+            ob.record_net_decode_error()
+        return encode_frame(ErrorFrame(0, "bad_request", message))
+
+    async def _write_loop(self, conn: _Conn) -> None:
+        """The connection's only writer: one ``write`` and one
+        ``drain()`` per burst of queued replies.  The burst's quota slots
+        are released after ``drain()`` returns, so a peer that stops
+        reading its answers keeps holding quota."""
+        out, writer = conn.out, conn.writer
+        while True:
+            if not out:
+                conn.flushed.set()
+                if conn.read_closed and not conn.pending:
+                    return
+                conn.wake.clear()
+                await conn.wake.wait()
+                continue
+            data, slots = b"".join(out), conn.slots
+            out.clear()
+            conn.slots = 0
+            try:
+                writer.write(data)
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError, RuntimeError):
+                pass  # peer is gone; nothing left to answer
+            finally:
+                conn.backlog -= len(data)
+                self._release(slots)
+
+    def _queue(self, conn: _Conn, data: bytes, slots: int = 0) -> None:
+        """Hand an encoded reply to *conn*'s writer; *slots* is 1 when it
+        answers a submitted query, whose quota slot it then holds."""
+        conn.pending -= slots
+        if conn.writer.is_closing():  # peer lost, or the handler is done
+            self._release(slots)
+        else:
+            conn.out.append(data)
+            conn.slots += slots
+            conn.backlog += len(data)
+        conn.wake.set()
+
+    def _release(self, slots: int) -> None:
+        if slots:
+            self._inflight -= slots
+            self._slot_free.set()
 
     # ------------------------------------------------------------------ #
     # the request path
     # ------------------------------------------------------------------ #
 
-    async def _admit_and_dispatch(
-        self,
-        frame: QueryFrame,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> Optional[asyncio.Task]:
-        """Run the traffic controls; returns the response task (or None
-        when the query was answered synchronously with an error)."""
-        t0 = self._clock()
-        ctx = self._trace_context(frame)
+    def _screen(self, frame: QueryFrame) -> Optional[Tuple[str, str]]:
+        """The traffic controls ahead of the quota wait: the (code,
+        message) *frame* is refused with, or ``None`` to go on."""
         if self._closing:
-            await self._respond_error(
-                frame, writer, write_lock, "closing",
-                "server is shutting down", t0, ctx=ctx,
-            )
-            return None
+            return _CLOSING
         if frame.st > frame.end:
-            await self._respond_error(
-                frame, writer, write_lock, "bad_request",
-                f"query must have st <= end (got [{frame.st}, {frame.end}])",
-                t0, ctx=ctx,
+            return "bad_request", (
+                f"query must have st <= end (got [{frame.st}, {frame.end}])"
             )
-            return None
         if frame.mode is not None and frame.mode != self.service.mode:
-            await self._respond_error(
-                frame, writer, write_lock, "bad_request",
+            return "bad_request", (
                 f"server executes mode {self.service.mode!r}, "
-                f"not {frame.mode!r}",
-                t0, ctx=ctx,
+                f"not {frame.mode!r}"
             )
-            return None
         if self.admission is not None and not self.admission.try_admit(
             frame.tenant
         ):
-            await self._respond_error(
-                frame, writer, write_lock, "rate_limited",
-                f"tenant {frame.tenant!r} is over its admission rate", t0,
-                ctx=ctx,
+            return "rate_limited", (
+                f"tenant {frame.tenant!r} is over its admission rate"
             )
-            return None
         # Global in-flight quota — the wire face of the service's
         # bounded staging queue.
-        if self._inflight >= self.max_inflight:
-            if self.backpressure == "reject":
-                await self._respond_error(
-                    frame, writer, write_lock, "overload",
-                    f"{self._inflight} queries in flight "
-                    f"(quota {self.max_inflight})",
-                    t0, ctx=ctx,
-                )
-                return None
-            async with self._slot_free:
-                while self._inflight >= self.max_inflight:
-                    if self._closing:
-                        break
-                    await self._slot_free.wait()
-            if self._closing:
-                await self._respond_error(
-                    frame, writer, write_lock, "closing",
-                    "server is shutting down", t0, ctx=ctx,
-                )
-                return None
-        self._inflight += 1
+        full = self._inflight >= self.max_inflight
+        if full and self.backpressure == "reject":
+            return "overload", (
+                f"{self._inflight} queries in flight "
+                f"(quota {self.max_inflight})"
+            )
+        return None
+
+    def _submit(
+        self, conn: _Conn, frame: QueryFrame, t0: float, ctx
+    ) -> Optional[Tuple[str, str]]:
+        """Take a slot and stage *frame* in the service; the (code,
+        message) of a synchronous failure, else ``None``."""
         deadline = (
             t0 + frame.deadline_ms / 1000.0 if frame.deadline_ms else None
         )
@@ -447,94 +507,100 @@ class QueryServer:
             future = self.service.submit(
                 frame.st, frame.end, deadline=deadline, trace=ctx
             )
-        except BaseException as exc:
-            await self._release_slot()
-            await self._respond_error(
-                frame, writer, write_lock, *_classify(exc), t0, ctx=ctx
-            )
-            return None
-        return asyncio.ensure_future(
-            self._respond_when_done(
-                frame, future, writer, write_lock, t0, ctx=ctx
-            )
-        )
+        except Exception as exc:
+            return _classify(exc)
+        self._inflight += 1
+        conn.pending += 1
+        self._outstanding[future] = (conn, frame, t0, ctx)
+        future.add_done_callback(self._on_done)
+        return None
 
-    async def _release_slot(self) -> None:
-        async with self._slot_free:
-            self._inflight -= 1
-            self._slot_free.notify()
-
-    async def _respond_when_done(
-        self,
-        frame: QueryFrame,
-        future,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        t0: float,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
-        try:
+    def _on_done(self, future) -> None:
+        """Done-callback of every submitted future, on whichever thread
+        resolved it (the flusher, as a rule): queue it and make sure one
+        loop wake-up is on its way for the whole burst."""
+        self._done.append(future)
+        # _deliver lowers the flag before it empties the queue, so a
+        # future appended while the flag reads True is still seen.
+        if not self._wake_scheduled:
+            self._wake_scheduled = True
             try:
-                value = await asyncio.wait_for(
-                    asyncio.wrap_future(future), self.request_timeout
-                )
-            except asyncio.TimeoutError:
-                await self._respond_error(
-                    frame, writer, write_lock, "internal",
-                    f"no result within {self.request_timeout:g}s", t0,
-                    ctx=ctx,
-                )
-                return
-            except BaseException as exc:
-                await self._respond_error(
-                    frame, writer, write_lock, *_classify(exc), t0, ctx=ctx
-                )
-                return
-            mode = self.service.mode
+                self._loop.call_soon_threadsafe(self._deliver)
+            except RuntimeError:
+                pass  # the loop is closed: the server stopped first
+
+    def _deliver(self) -> None:
+        """Encode the reply of every future resolved since the last
+        wake-up and queue it on its connection."""
+        self._wake_scheduled = False
+        done, outstanding = self._done, self._outstanding
+        mode = self.service.mode
+        max_frame = max(self.max_frame, MAX_FRAME)
+        now = self._clock()
+        while done:
+            future = done.popleft()
+            request = outstanding.pop(future, None)
+            if request is None:
+                continue  # the timeout sweep answered it; drop the result
+            conn, frame, t0, ctx = request
+            exc = future.exception()
+            if exc is not None:
+                self._answer(conn, frame, *_classify(exc), t0, ctx, slots=1)
+                continue
+            value = future.result()
             if mode == "ids":
-                value = tuple(
-                    int(v) for v in np.sort(np.asarray(value, dtype=np.int64))
-                )
+                value = np.sort(np.asarray(value, dtype=np.int64))
             elif mode == "checksum":
                 value = (int(value[0]), int(value[1]))
             else:
                 value = int(value)
-            await self._send(
-                writer, write_lock, ResultFrame(frame.request_id, mode, value)
-            )
-            self._record_request(frame, "ok", self._clock() - t0, ctx=ctx)
-        finally:
-            await self._release_slot()
+            try:
+                data = encode_frame(
+                    ResultFrame(frame.request_id, mode, value),
+                    max_frame=max_frame,
+                )
+            except ProtocolError as exc:
+                self._answer(
+                    conn, frame, "internal", f"result not sent: {exc}",
+                    t0, ctx, slots=1,
+                )
+                continue
+            self._queue(conn, data, 1)
+            self._record_request(frame, "ok", now - t0, ctx=ctx)
 
-    async def _respond_error(
+    def _sweep(self) -> None:
+        """``request_timeout``, as one periodic pass over the outstanding
+        requests instead of a timer each."""
+        self._sweeper = self._loop.call_later(
+            min(1.0, self.request_timeout / 4), self._sweep
+        )
+        cutoff = self._clock() - self.request_timeout
+        for future in [
+            f for f, r in self._outstanding.items() if r[2] <= cutoff
+        ]:
+            conn, frame, t0, ctx = self._outstanding.pop(future)
+            self._answer(
+                conn, frame, "internal",
+                f"no result within {self.request_timeout:g}s",
+                t0, ctx, slots=1,
+            )
+
+    def _answer(
         self,
+        conn: _Conn,
         frame: QueryFrame,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
         code: str,
         message: str,
         t0: float,
-        *,
-        ctx: Optional[TraceContext] = None,
+        ctx: Optional[TraceContext],
+        slots: int = 0,
     ) -> None:
-        await self._send(
-            writer, write_lock, ErrorFrame(frame.request_id, code, message)
+        """Answer *frame* with a typed error."""
+        self._queue(
+            conn, encode_frame(ErrorFrame(frame.request_id, code, message)),
+            slots,
         )
         self._record_request(frame, code, self._clock() - t0, ctx=ctx)
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame: Frame,
-    ) -> None:
-        data = encode_frame(frame, max_frame=max(self.max_frame, MAX_FRAME))
-        try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            pass  # peer is gone; nothing left to answer
 
     # ------------------------------------------------------------------ #
     # instrumentation
@@ -588,11 +654,6 @@ class QueryServer:
             span_id=span_id,
             trace_ids=trace_ids,
         )
-
-    def _record_decode_error(self) -> None:
-        ob = obs.active()
-        if ob is not None:
-            ob.record_net_decode_error()
 
     def __repr__(self) -> str:
         state = "closing" if self._closing else (

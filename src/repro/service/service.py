@@ -321,9 +321,8 @@ class BatchingQueryService:
                 self._has_room.wait()
                 if self._closing:
                     raise ServiceClosedError("service is shut down")
-            item = _Pending(
-                int(q_st), int(q_end), self._clock(), deadline, trace
-            )
+                now = self._clock()  # the wait is not formation delay
+            item = _Pending(int(q_st), int(q_end), now, deadline, trace)
             self._pending.append(item)
             self.metrics.record_submitted(len(self._pending))
             self._has_work.notify()

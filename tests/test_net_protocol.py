@@ -10,7 +10,9 @@ Two layers:
   prefix, bad magic, wrong version, oversized length prefix, garbage
   body) gets a typed ``bad_request`` error and a closed connection,
   the server survives to answer a fresh client, and no connection is
-  leaked (the active-connections gauge returns to zero).
+  leaked (the active-connections gauge returns to zero).  The server
+  parses frames out of whatever each read returns, so one pipelined
+  stream must be answered identically however the bytes are cut.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.net import (
     encode_frame,
     serve_in_thread,
 )
+from repro.obs.tracecontext import TraceContext
 from repro.service import BatchingQueryService
 
 _U64 = st.integers(0, (1 << 64) - 1)
@@ -61,6 +64,8 @@ _query_frames = st.builds(
     end=_I64,
     mode=st.sampled_from([None, "count", "ids", "checksum"]),
     deadline_ms=st.integers(0, (1 << 32) - 1),
+    trace=st.none()
+    | st.builds(TraceContext, st.integers(1, (1 << 64) - 1), _U64, st.booleans()),
 )
 
 _result_frames = st.one_of(
@@ -128,6 +133,21 @@ def test_ids_accepts_numpy_arrays():
     assert decoded.value == (3, 1, 2)
 
 
+@given(st.lists(_I64, max_size=50).map(sorted), _U64)
+def test_ids_array_encodes_to_the_tuple_encoding_bytes(ids, rid):
+    """The server hands ``encode_frame`` the sorted int64 array itself;
+    the bytes are those the per-element tuple path has always written
+    (spelled out here field by field), and decode still yields a tuple."""
+    body = struct.pack(">HBBQBI", MAGIC, VERSION, 0x02, rid, 1, len(ids))
+    body += b"".join(struct.pack(">q", v) for v in ids)
+    wire = struct.pack(">I", len(body)) + body
+    assert encode_frame(ResultFrame(rid, "ids", tuple(ids))) == wire
+    array = np.asarray(ids, dtype=np.int64)
+    assert encode_frame(ResultFrame(rid, "ids", array)) == wire
+    decoded, _ = decode_frame(wire)
+    assert decoded.value == tuple(ids) and type(decoded.value) is tuple
+
+
 # --------------------------------------------------------------------- #
 # malformed input: ProtocolError and nothing else
 # --------------------------------------------------------------------- #
@@ -177,6 +197,51 @@ def test_oversized_length_prefix_rejected():
     big = ResultFrame(1, "ids", tuple(range(MAX_FRAME // 8 + 10)))
     with pytest.raises(ProtocolError):
         encode_frame(big)
+
+
+def _query_payload(version=VERSION, tenant=b"t", mode=0, flags=b"\x00",
+                   extra=b""):
+    return (
+        struct.pack(">HBBQB", MAGIC, version, 0x01, 9, len(tenant)) + tenant
+        + struct.pack(">qqBI", 1, 2, mode, 0)
+        + (flags if version >= 2 else b"") + extra
+    )
+
+
+_TRACE = TraceContext(5, 6, True).to_wire()
+
+QUERY_REJECTIONS = {
+    "bad magic": b"\x00\x00" + _query_payload()[2:],
+    "unsupported protocol version": _query_payload(version=7),
+    "unknown query flags 0x02": _query_payload(flags=b"\x02"),
+    "unknown mode code 9": _query_payload(mode=9),
+    "tenant id is not utf-8": _query_payload(tenant=b"\xff\xfe"),
+    "1 trailing bytes": _query_payload(extra=b"\x00"),
+    "17 trailing bytes": _query_payload(extra=_TRACE),  # flag bit not set
+    "1 trailing bytes after": _query_payload(version=1, extra=b"\x00"),
+    "bad trace context": _query_payload(flags=b"\x01", extra=_TRACE[:-1] + b"\x80"),
+    "wanted 17 bytes at offset 36": _query_payload(flags=b"\x01", extra=_TRACE[:5]),
+    "wanted 1 bytes at offset 35": _query_payload()[:-1],
+    "wanted 21 bytes at offset 14": _query_payload()[:30],
+    "wanted 1 bytes at offset 13": _query_payload()[:13],
+    "wanted 9 bytes at offset 4": _query_payload()[:10],
+    "wanted 4 bytes at offset 0": _query_payload()[:3],
+}
+
+
+@pytest.mark.parametrize("why", sorted(QUERY_REJECTIONS))
+def test_query_decoder_names_each_rejection(why):
+    """The QUERY decoder reads at computed offsets; every way a frame can
+    be wrong is still refused, with the message that names it."""
+    with pytest.raises(ProtocolError, match=why):
+        decode_payload(QUERY_REJECTIONS[why])
+
+
+def test_query_decoder_accepts_what_it_should():
+    assert decode_payload(_query_payload(version=1)) == QueryFrame(9, "t", 1, 2, "count")
+    traced = decode_payload(_query_payload(flags=b"\x01", extra=_TRACE))
+    assert traced.trace == TraceContext(5, 6, True)
+    assert decode_payload(_query_payload(mode=255)).mode is None
 
 
 @given(st.binary(max_size=300))
@@ -277,3 +342,80 @@ def test_decode_errors_are_counted(server):
     client.close()
     after = obs.active().registry.find(obs.NET_DECODE_ERRORS)
     assert after is not None and int(after.value) == before + 1
+
+
+# --------------------------------------------------------------------- #
+# one pipelined stream, however the bytes are cut
+# --------------------------------------------------------------------- #
+
+_INTERVALS = [(0, 3), (4, 9), (10, 15)]
+_STREAM = [(rid % 16, min(15, rid % 16 + rid % 5)) for rid in range(1, 301)]
+_EXPECTED = {
+    rid: sum(s <= end and st <= e for s, e in _INTERVALS)
+    for rid, (st, end) in enumerate(_STREAM, start=1)
+}
+
+
+def _stream_frames():
+    return [
+        encode_frame(QueryFrame(request_id=rid, st=st, end=end))
+        for rid, (st, end) in enumerate(_STREAM, start=1)
+    ]
+
+
+def _read_replies(client, count):
+    replies = {}
+    for _ in range(count):
+        frame = client.recv_frame()
+        assert isinstance(frame, ResultFrame), frame
+        assert frame.request_id not in replies
+        replies[frame.request_id] = frame.value
+    return replies
+
+
+def test_chunking_invariance(server):
+    """The same 300-frame stream as one segment, one byte at a time, and
+    cut at every offset of one frame (the head answered before the tail
+    is sent, so the cut really is a read boundary) gets the same replies."""
+    frames = _stream_frames()
+    stream = b"".join(frames)
+    cut_frame = 150
+    base = sum(len(f) for f in frames[:cut_frame])
+    deliveries = [[stream], [stream[i : i + 1] for i in range(len(stream))]]
+    deliveries += [
+        [stream[: base + k], stream[base + k :]]
+        for k in range(1, len(frames[cut_frame]))
+    ]
+    for segments in deliveries:
+        with QueryClient(server.host, server.port) as client:
+            replies = {}
+            if len(segments) == 2:
+                client.send_raw(segments[0])
+                replies = _read_replies(client, cut_frame)
+                segments = segments[1:]
+            for segment in segments:
+                client.send_raw(segment)
+            replies.update(_read_replies(client, len(frames) - len(replies)))
+        assert replies == _EXPECTED
+    assert _wait_no_connections() == 0
+
+
+def test_malformed_frame_mid_chunk_answers_what_came_before(server):
+    """One segment: 50 valid queries, a frame with a bad magic, 10 more
+    queries.  Every query ahead of the bad frame is answered, then comes
+    the connection-level ``bad_request`` and the hang-up; nothing after
+    the bad frame is read."""
+    frames = _stream_frames()
+    segment = b"".join(frames[:50]) + MALFORMED["bad-magic"] + b"".join(
+        frames[50:60]
+    )
+    with QueryClient(server.host, server.port) as client:
+        client.send_raw(segment)
+        replies = _read_replies(client, 50)
+        last = client.recv_frame()
+        with pytest.raises(ConnectionClosedError):
+            client.recv_frame()
+    assert replies == {rid: _EXPECTED[rid] for rid in range(1, 51)}
+    assert isinstance(last, ErrorFrame)
+    assert (last.request_id, last.code) == (0, "bad_request")
+    assert _wait_no_connections() == 0

@@ -9,9 +9,13 @@ proves the *control plane* of the serving front end:
 * deadline propagation observable from the outside via the
   ``repro_net_deadline_dropped_total`` counter,
 * reject-mode backpressure: typed ``OVERLOAD`` for the query over quota
-  while the accepted in-flight query still completes, and
+  while the accepted in-flight query still completes,
+* the per-flush reply path: a result too large for a frame, the
+  ``request_timeout`` sweep, a client that stops reading its answers
+  (slots are held until ``drain()`` returns), and
 * clean drain on server close — in-flight work is answered, the close
-  is bounded, and idle connections never stall it.
+  is bounded (also in the middle of a pipelined burst), and idle
+  connections never stall it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -27,11 +32,19 @@ from repro.core.strategies import run_strategy
 from repro.net import (
     ConnectionClosedError,
     DeadlineExceededError,
+    ErrorFrame,
+    InternalServerError,
+    MAX_FRAME,
     OverloadError,
+    PingFrame,
+    PongFrame,
     QueryClient,
+    QueryFrame,
     RateLimitedError,
+    ResultFrame,
     TenantAdmission,
     TokenBucket,
+    encode_frame,
     serve_in_thread,
 )
 from repro.service import BatchingQueryService
@@ -264,6 +277,123 @@ def test_reject_mode_sheds_typed_while_inflight_completes():
 
 
 # --------------------------------------------------------------------- #
+# the per-flush reply path
+# --------------------------------------------------------------------- #
+
+
+def _point_index(copies: int) -> HintIndex:
+    """*copies* identical intervals [5, 5]: [0, 15] returns them all."""
+    return HintIndex(
+        IntervalCollection(np.full(copies, 5), np.full(copies, 5)), m=4
+    )
+
+
+def _queries(rids, st=0, end=15) -> bytes:
+    return b"".join(
+        encode_frame(QueryFrame(request_id=rid, st=st, end=end))
+        for rid in rids
+    )
+
+
+def test_result_larger_than_a_frame_gets_a_typed_error():
+    """140k ids need a 1.07 MiB RESULT frame.  The request is answered
+    INTERNAL, naming the size and the bound; the connection stays open
+    and the one quota slot is free again for the next query."""
+    service = BatchingQueryService(
+        _point_index(140_000), mode="ids", max_batch=1, max_delay_ms=1.0
+    )
+    handle = serve_in_thread(service, owns_service=True, max_inflight=1)
+    try:
+        with QueryClient(handle.host, handle.port, timeout=WAIT) as client:
+            with pytest.raises(InternalServerError) as caught:
+                client.query(0, 15)
+            assert "(1120017 bytes)" in str(caught.value)
+            assert f"{MAX_FRAME}-byte" in str(caught.value)
+            assert client.query(0, 4) == ()
+    finally:
+        handle.close()
+
+
+def test_timeout_sweep_answers_once_and_drops_the_late_result():
+    """A request stuck behind a 0.6 s flush is answered INTERNAL by the
+    sweep of a 0.2 s ``request_timeout``; its slot is released when that
+    answer is written, and the result that arrives later goes nowhere —
+    the next frame on the connection is the PONG, not a stale RESULT."""
+    service = BatchingQueryService(
+        _SlowBackend(_small_index(), 0.6),
+        mode="count",
+        max_batch=1,
+        max_delay_ms=1.0,
+    )
+    handle = serve_in_thread(
+        service, owns_service=True, request_timeout=0.2
+    )
+    ok_before = _counter(obs.NET_REQUESTS, status="ok")
+    try:
+        with QueryClient(handle.host, handle.port, timeout=WAIT) as client:
+            t0 = time.monotonic()
+            with pytest.raises(InternalServerError, match="within 0.2s"):
+                client.query(0, 15)
+            assert 0.2 <= time.monotonic() - t0 < 0.5
+            time.sleep(0.6)  # the flush finishes; its result is dropped
+            assert handle.server._inflight == 0
+            client.send_raw(encode_frame(PingFrame(99)))
+            assert client.recv_frame() == PongFrame(99)
+    finally:
+        handle.close()
+    assert _counter(obs.NET_REQUESTS, status="ok") == ok_before
+
+
+def _wait_stalled(service, quiet_s: float = 0.3) -> int:
+    """Block until no query has been submitted for *quiet_s*."""
+    seen, since = service.metrics.submitted, time.monotonic()
+    while time.monotonic() - since < quiet_s:
+        time.sleep(0.02)
+        if service.metrics.submitted != seen:
+            seen, since = service.metrics.submitted, time.monotonic()
+    return seen
+
+
+@pytest.mark.parametrize("policy", ["block", "reject"])
+def test_client_that_stops_reading_holds_its_slots(policy):
+    """60 queries of 400 kB of ids each (24 MB, several times what the
+    kernel buffers for a socket), from a client that reads nothing until
+    all are sent.  Once the kernel's buffers are full the writer
+    sits in ``drain()`` and its burst keeps its slots: block mode stops
+    consuming the socket, reject mode sheds typed OVERLOAD.  When the
+    client reads again every request has exactly one answer."""
+    total, quota = 60, 4
+    service = BatchingQueryService(
+        _point_index(50_000), mode="ids", max_batch=quota, max_delay_ms=1.0
+    )
+    handle = serve_in_thread(
+        service, owns_service=True, max_inflight=quota, backpressure=policy
+    )
+    before = service.metrics.submitted  # the series is process-wide
+    try:
+        with QueryClient(handle.host, handle.port, timeout=WAIT) as client:
+            for rid in range(1, total + 1, quota):
+                client.send_raw(_queries(range(rid, rid + quota)))
+                time.sleep(0.005)
+            submitted = _wait_stalled(service) - before
+            assert handle.server._inflight == quota
+            if policy == "block":
+                assert submitted < total
+            answers = [client.recv_frame() for _ in range(total)]
+    finally:
+        handle.close()
+    assert sorted(f.request_id for f in answers) == list(range(1, total + 1))
+    results = [f for f in answers if isinstance(f, ResultFrame)]
+    assert all(len(f.value) == 50_000 for f in results)
+    shed = [f for f in answers if isinstance(f, ErrorFrame)]
+    assert all(f.code == "overload" for f in shed)
+    if policy == "block":
+        assert not shed
+    else:
+        assert shed and len(results) >= submitted
+
+
+# --------------------------------------------------------------------- #
 # clean drain on close
 # --------------------------------------------------------------------- #
 
@@ -308,3 +438,37 @@ def test_close_is_fast_with_idle_connections():
             client.query(0, 15)
     finally:
         client.close()
+
+
+def test_close_during_a_pipelined_burst_answers_everything_it_read():
+    """close() lands in the middle of 3000 pipelined queries.  Whatever
+    the server read before it stopped is answered — a result, or a typed
+    ``closing`` — so the answered ids are exactly 1..K, and K covers
+    every query the service admitted."""
+    service = BatchingQueryService(
+        _SlowBackend(_small_index(), 0.02),
+        mode="count",
+        max_batch=64,
+        max_delay_ms=1.0,
+    )
+    handle = serve_in_thread(service, owns_service=True, max_inflight=256)
+    before = service.metrics.submitted  # the series is process-wide
+    answers = []
+    with QueryClient(handle.host, handle.port, timeout=WAIT) as client:
+        client.send_raw(_queries(range(1, 3001)))
+        answers.append(client.recv_frame())  # the burst is under way
+        closer = _Probe(lambda: handle.close(drain=True, timeout=WAIT))
+        with pytest.raises(ConnectionClosedError):
+            while True:
+                answers.append(client.recv_frame())
+        closer.join_and_check()
+    assert sorted(f.request_id for f in answers) == list(
+        range(1, len(answers) + 1)
+    )
+    assert service.metrics.submitted - before <= len(answers) < 3000
+    for frame in answers:
+        if isinstance(frame, ResultFrame):
+            assert frame.value == 3
+        else:
+            assert isinstance(frame, ErrorFrame) and frame.code == "closing"
+    assert handle.server._inflight == 0 and not handle.server._outstanding
