@@ -42,7 +42,11 @@ DEFAULT_ALPHA = 1.8
 DEFAULT_SEED = 7
 DEFAULT_REPS = 5
 DEFAULT_NOISE = 0.15
-DEFAULT_BUDGET_S = 0.5
+#: A ceiling, not a duration: calibration stops when the plans are done.
+#: The budget is checked between modes and the gate has ids rows, so it
+#: must cover all three modes (~1 s on a 2-core box; at 0.5 s the ids mode
+#: was skipped whole there and its rows ran the prior).
+DEFAULT_BUDGET_S = 3.0
 
 FIELDS = (
     "workload",
@@ -126,7 +130,7 @@ def run(args) -> list:
     index.precompute_aux()
     rng = np.random.default_rng(args.seed + 4)
 
-    engine = ExecutionEngine(index, backend="auto-static")
+    engine = ExecutionEngine(index, backend="auto")
     statics = plan_space(BackendCaps.from_index(index, workers=engine.workers))
 
     obs.configure(enabled=True)

@@ -15,8 +15,9 @@ Each row records the median batch latency over ``--reps`` runs, the
 derived queries/second, and the speedup against the single-index
 baseline of the same mode.  Results are machine-dependent: the gains on
 a single core come from the shallower, cache-resident per-shard
-hierarchies (see ``docs/sharding.md``); on multi-core hosts the thread
-pool multiplies them.
+hierarchies (see ``docs/sharding.md``).  The sharded index runs its
+shard jobs inline; ``--workers N`` (N > 1) measures it under an
+:class:`~repro.engine.ExecutionEngine` ``threads`` backend instead.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def run(args) -> list:
     import numpy as np  # noqa: F401  (keeps import errors early and obvious)
 
     from repro import HintIndex, run_strategy
+    from repro.engine import ExecutionEngine
     from repro.shard import ShardedHint
     from repro.workloads import generate_synthetic
     from repro.workloads.queries import data_following_queries
@@ -112,11 +114,17 @@ def run(args) -> list:
         print(f"{mode:>9}: single-index {t_single * 1e3:8.1f} ms")
         for k in args.ks:
             sharded = ShardedHint(
-                coll, k=k, m=args.m, boundaries=args.boundaries,
-                workers=args.workers,
+                coll, k=k, m=args.m, boundaries=args.boundaries
             )
+            workers = args.workers or 1
+            engine = None
+            target = sharded
+            if workers > 1:
+                target = engine = ExecutionEngine(
+                    sharded, backend="threads", workers=workers
+                )
             t = _median_seconds(
-                lambda: sharded.execute(batch, strategy=args.strategy, mode=mode),
+                lambda: target.execute(batch, strategy=args.strategy, mode=mode),
                 args.reps,
             )
             speedup = t_single / t
@@ -126,7 +134,7 @@ def run(args) -> list:
                     backend="sharded",
                     k=k,
                     boundaries=args.boundaries,
-                    workers=sharded.workers,
+                    workers=workers,
                     median_ms=round(t * 1e3, 3),
                     throughput_qps=round(len(batch) / t),
                     speedup_vs_single=round(speedup, 3),
@@ -136,7 +144,8 @@ def run(args) -> list:
                 f"{mode:>9}: k={k:<3} {t * 1e3:8.1f} ms   {speedup:5.2f}x "
                 f"(shard m: {[s.index.m for s in sharded.shards]})"
             )
-            sharded.close()
+            if engine is not None:
+                engine.close()
     return rows
 
 
@@ -160,7 +169,11 @@ def main(argv=None) -> int:
                         choices=("equal", "balanced"))
     parser.add_argument("--strategy", default="partition-based")
     parser.add_argument("--modes", nargs="+", default=["count", "checksum"])
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="run the sharded side on an engine thread pool of this size "
+        "(default: inline on the calling thread)",
+    )
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(

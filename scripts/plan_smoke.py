@@ -101,7 +101,6 @@ def main() -> int:
         if got != want:
             fail(f"planner result mismatch [{mode}] on ShardedHint")
     pxs.close()
-    sharded.close()
     print("differential sweep ok (single + sharded, all modes)")
 
     # -- 4. fault leg: a throwing planner loses no batch --------------- #

@@ -51,7 +51,6 @@ FAILED = "repro_service_failed_total"
 REJECTED = "repro_service_rejected_total"
 DEADLINE_DROPPED = "repro_service_deadline_dropped_total"
 FLUSHES = "repro_service_flushes_total"
-PARALLEL_FLUSHES = "repro_service_parallel_flushes_total"
 INDEX_SWAPS = "repro_service_index_swaps_total"
 QUEUE_DEPTH = "repro_service_queue_depth"
 QUEUE_DEPTH_MAX = "repro_service_queue_depth_max"
@@ -76,7 +75,6 @@ class ServiceSnapshot:
     rejected: int
     flushes: int
     flushes_by_reason: Dict[str, int]
-    parallel_flushes: int
     index_swaps: int
     queue_depth: int
     max_queue_depth: int
@@ -96,8 +94,7 @@ class ServiceSnapshot:
             + " ".join(
                 f"{reason}={count}"
                 for reason, count in sorted(self.flushes_by_reason.items())
-            )
-            + f" parallel={self.parallel_flushes}",
+            ),
             f"queue      depth={self.queue_depth} max={self.max_queue_depth}",
             f"index      swaps={self.index_swaps}",
             f"batch size mean={self.mean_batch_size:.1f} histogram="
@@ -179,9 +176,6 @@ class ServiceMetrics:
             )
             for reason in FLUSH_REASONS
         }
-        self._c_parallel = registry.counter(
-            PARALLEL_FLUSHES, help="Flushes routed through parallel_batch."
-        )
         self._c_swaps = registry.counter(
             INDEX_SWAPS, help="Atomic index swaps installed."
         )
@@ -228,7 +222,6 @@ class ServiceMetrics:
         batch_size: int,
         latency: float,
         *,
-        parallel: bool = False,
         failed: bool = False,
         queue_depth: int = 0,
     ) -> None:
@@ -239,8 +232,6 @@ class ServiceMetrics:
         bucket = batch_size_bucket(batch_size)
         with self._lock:
             self._c_flushes[reason].inc()
-            if parallel:
-                self._c_parallel.inc()
             if failed:
                 self._c_failed.inc(batch_size)
             else:
@@ -289,10 +280,6 @@ class ServiceMetrics:
         return {reason: c.value for reason, c in self._c_flushes.items()}
 
     @property
-    def parallel_flushes(self) -> int:
-        return self._c_parallel.value
-
-    @property
     def index_swaps(self) -> int:
         return self._c_swaps.value
 
@@ -332,7 +319,6 @@ class ServiceMetrics:
                 rejected=self._c_rejected.value,
                 flushes=flushes,
                 flushes_by_reason=flushes_by_reason,
-                parallel_flushes=self._c_parallel.value,
                 index_swaps=self._c_swaps.value,
                 queue_depth=int(self._g_depth.value),
                 max_queue_depth=int(self._g_depth_max.value),

@@ -121,26 +121,16 @@ def _cmd_query(args) -> int:
 def _cmd_serve_sim(args) -> int:
     """Replay a workload as a Poisson arrival stream through the service."""
     import repro.obs as obs
-    from repro.service import BatchingQueryService, QueueFullError
+    from repro.service import QueueFullError
     from repro.workloads.queries import data_following_queries
-    from repro.workloads.synthetic import generate_synthetic
 
     if args.metrics_json is not None:
         # The dump needs the plane live for the whole replay; the
-        # ServiceMetrics adapter below then publishes into the same
-        # process-wide registry the dump snapshots.
+        # ServiceMetrics adapter of the service then publishes into the
+        # same process-wide registry the dump snapshots.
         obs.configure(enabled=True)
-
-    if args.index is not None:
-        index = load_index(args.index)
-        m = index.m
-        coll = None
-    else:
-        coll = generate_synthetic(
-            args.cardinality, args.domain, args.alpha, args.sigma, seed=args.seed
-        ).normalized(args.m)
-        index = HintIndex(coll, m=args.m)
-        m = args.m
+    index, coll = _serve_index(args)
+    m = index.m
     domain = 1 << m
     if args.queries_file is not None:
         data = np.loadtxt(args.queries_file, dtype=np.int64, comments="#", ndmin=2)
@@ -165,28 +155,9 @@ def _cmd_serve_sim(args) -> int:
     if args.rate <= 0:
         print("--rate must be positive", file=sys.stderr)
         return 1
-    engine = None
-    backend = index
-    if args.backend is not None:
-        from repro.engine import ExecutionEngine
-
-        engine = ExecutionEngine(
-            index, backend=args.backend, workers=args.workers
-        )
-        backend = engine
     rng = np.random.default_rng(args.seed + 2)
     offsets = np.cumsum(rng.exponential(1.0 / args.rate, size=len(batch)))
-    service = BatchingQueryService(
-        backend,
-        strategy=args.strategy,
-        mode="count",
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        max_queue=args.max_queue,
-        backpressure=args.backpressure,
-        parallel_threshold=args.parallel_threshold,
-        workers=args.workers,
-    )
+    service, engine = _build_serve_service(args, index)
     futures = []
     rejected = 0
     t0 = time.perf_counter()
@@ -229,23 +200,29 @@ def _cmd_serve_sim(args) -> int:
     return 0
 
 
-def _build_serve_service(args):
-    """Index + optional engine backend + batching service from CLI args.
-
-    Shared by ``serve`` and the smoke/bench harnesses; returns
-    ``(service, engine_or_None)``.
-    """
-    from repro.service import BatchingQueryService
+def _serve_index(args):
+    """The prebuilt ``--index`` or a synthetic one: ``(index, collection)``
+    (no collection for a prebuilt index)."""
     from repro.workloads.synthetic import generate_synthetic
 
     if args.index is not None:
-        index = load_index(args.index)
-    else:
-        coll = generate_synthetic(
-            args.cardinality, args.domain, args.alpha, args.sigma,
-            seed=args.seed,
-        ).normalized(args.m)
-        index = HintIndex(coll, m=args.m)
+        return load_index(args.index), None
+    coll = generate_synthetic(
+        args.cardinality, args.domain, args.alpha, args.sigma, seed=args.seed
+    ).normalized(args.m)
+    return HintIndex(coll, m=args.m), coll
+
+
+def _build_serve_service(args, index):
+    """Optional engine backend + batching service over *index* from CLI
+    args.
+
+    Shared by ``serve``, ``serve-sim`` and the ``trace`` burst; returns
+    ``(service, engine_or_None)``.  Parallel flushes come from the
+    engine ``--backend`` installs — the service has no knob of its own.
+    """
+    from repro.service import BatchingQueryService
+
     engine = None
     backend = index
     if args.backend is not None:
@@ -263,8 +240,6 @@ def _build_serve_service(args):
         max_delay_ms=args.max_delay_ms,
         max_queue=args.max_queue,
         backpressure=args.backpressure,
-        parallel_threshold=args.parallel_threshold,
-        workers=args.workers,
     )
     return service, engine
 
@@ -278,7 +253,7 @@ def _cmd_serve(args) -> int:
 
     if args.metrics_json is not None:
         obs.configure(enabled=True)
-    service, engine = _build_serve_service(args)
+    service, engine = _build_serve_service(args, _serve_index(args)[0])
     admission = None
     if args.admit_rate is not None:
         admission = TenantAdmission(args.admit_rate, args.admit_burst)
@@ -487,7 +462,7 @@ def _trace_burst(args) -> list:
     )
 
     ob = obs.configure(enabled=True)
-    service, engine = _build_serve_service(args)
+    service, engine = _build_serve_service(args, _serve_index(args)[0])
     handle = serve_in_thread(service, owns_service=True)
     try:
         rng = np.random.default_rng(args.seed + 3)
@@ -713,9 +688,7 @@ def _cmd_shard_sim(args) -> int:
     index = HintIndex(coll, m=m)
     t_single_build = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sharded = ShardedHint(
-        coll, k=args.k, m=m, boundaries=args.boundaries, workers=args.workers
-    )
+    sharded = ShardedHint(coll, k=args.k, m=m, boundaries=args.boundaries)
     t_shard_build = time.perf_counter() - t0
     executor = sharded
     engine = None
@@ -729,7 +702,8 @@ def _cmd_shard_sim(args) -> int:
     print(
         f"shard-sim: {len(coll):,} intervals (m={m}), {len(batch):,} "
         f"queries, k={args.k} ({args.boundaries} cuts), "
-        f"strategy {args.strategy}, backend {args.backend or 'direct'}"
+        f"strategy {args.strategy}, "
+        f"backend {args.backend or 'direct (shards inline on this thread)'}"
     )
     print(
         f"build: single {t_single_build:.2f}s, sharded {t_shard_build:.2f}s "
@@ -764,7 +738,6 @@ def _cmd_shard_sim(args) -> int:
     )
     if engine is not None:
         engine.close()
-    sharded.close()
     return 1 if failures else 0
 
 
@@ -1045,16 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--backpressure", default="block",
                        choices=("block", "reject"))
     p_sim.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=None,
-        help="flushes this large run through parallel_batch",
-    )
-    p_sim.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker threads/processes (default: cpu count)",
+        help="engine worker threads/processes with --backend "
+        "(default: cpu count)",
     )
     p_sim.add_argument(
         "--backend",
@@ -1071,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the observability plane for the replay and write its "
         "JSON snapshot here (readable by `stats --input`)",
     )
-    p_sim.set_defaults(fn=_cmd_serve_sim)
+    p_sim.set_defaults(fn=_cmd_serve_sim, mode="count")
 
     p_srv = sub.add_parser(
         "serve",
@@ -1104,8 +1072,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--max-queue", type=int, default=8192)
     p_srv.add_argument("--backpressure", default="block",
                        choices=("block", "reject"))
-    p_srv.add_argument("--parallel-threshold", type=int, default=None)
-    p_srv.add_argument("--workers", type=int, default=None)
+    p_srv.add_argument(
+        "--workers", type=int, default=None,
+        help="engine worker threads/processes with --backend",
+    )
     p_srv.add_argument(
         "--backend",
         default=None,
@@ -1263,8 +1233,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--workers", type=int, default=2)
     p_trace.add_argument("--seed", type=int, default=0)
-    # The burst reuses _build_serve_service; pin the knobs it expects
-    # but that make no sense to expose here.
+    # The burst reuses _serve_index/_build_serve_service; pin the knobs
+    # they expect but that make no sense to expose here.
     p_trace.set_defaults(
         fn=_cmd_trace,
         index=None,
@@ -1277,7 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
         max_delay_ms=2.0,
         max_queue=8192,
         backpressure="block",
-        parallel_threshold=None,
     )
 
     p_top = sub.add_parser(
@@ -1349,7 +1318,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="result mode of the timed runs",
     )
     p_shard.add_argument(
-        "--workers", type=int, default=None, help="shard thread pool size"
+        "--workers", type=int, default=None,
+        help="engine worker count with --backend",
     )
     p_shard.add_argument(
         "--repeat", type=int, default=3, help="timing repetitions (best-of)"
@@ -1359,7 +1329,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=("serial", "threads", "processes", "compiled", "threads+compiled", "auto"),
         help="run the sharded side through an ExecutionEngine with this "
-        "backend (default: the index's own thread pool)",
+        "backend (default: the bare index, shards inline)",
     )
     p_shard.add_argument("--seed", type=int, default=0)
     p_shard.set_defaults(fn=_cmd_shard_sim)

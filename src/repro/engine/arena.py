@@ -399,7 +399,6 @@ def _attach_sharded(body: dict, big: np.ndarray, only: Optional[set]):
         cuts=np.asarray(body["cuts"], dtype=np.int64),
         num_intervals=int(body["num_intervals"]),
         storage_optimized=bool(body["storage_optimized"]),
-        workers=1,
     )
     return sharded
 

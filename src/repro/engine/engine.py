@@ -9,10 +9,10 @@ to run it:
     The sequential strategy call — lowest constant cost, and on a
     single-core machine the fastest option for everything.
 ``threads``
-    The existing chunked thread path
-    (:func:`~repro.core.parallel.parallel_batch`, or the sharded
-    index's own pool) — real parallelism only where the numpy hot loops
-    release the GIL.
+    The chunked thread path on the engine's own pool
+    (:func:`~repro.core.parallel.parallel_batch`, or one job per shard
+    of a sharded index) — real parallelism only where the numpy hot
+    loops release the GIL.
 ``processes``
     A persistent process pool sharing the index through a
     :class:`~repro.engine.arena.SharedIndexArena` — workers attach the
@@ -31,17 +31,12 @@ to run it:
     GIL-bound work the process backend existed for, without arena or
     pickle costs.
 ``auto``
-    The adaptive policy: the static threshold prior (see
-    ``auto-static``) until the engine's
-    :class:`~repro.planner.policy.OnlineBackendPolicy` has observed
-    enough per-backend latencies for the batch's (strategy, mode, size
-    bucket), then the observed-fastest backend.  Every executed batch
-    — whatever chose its backend — trains the policy.
-``auto-static``
-    The original threshold policy alone (batch size, strategy, result
-    mode, kernel availability, core count; see :meth:`_choose`), never
-    adapting.  This is the planner's fallback and the ``auto`` policy's
-    cold-start behaviour.
+    The static threshold rule
+    (:func:`~repro.planner.policy.static_backend_choice`: batch size,
+    strategy, result mode, kernel availability, core count).  It is the
+    planner's prior and fallback; the engine itself learns nothing —
+    a caller that wants a measured choice pins the backend per batch,
+    which is what :class:`~repro.planner.PlannedExecutor` does.
 
 Because the surface matches ``ShardedHint.execute``, a
 :class:`~repro.service.BatchingQueryService` installs an engine through
@@ -84,11 +79,7 @@ from repro.engine.worker import (
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
 from repro.kernels.compiled import compiled_run
-from repro.planner.policy import (
-    GIL_BOUND_STRATEGIES,
-    OnlineBackendPolicy,
-    static_backend_choice,
-)
+from repro.planner.policy import static_backend_choice
 from repro.shard.sharded import ShardedHint
 from repro.verify.faults import SITE_DISPATCH, FaultPlan, InjectedFault
 
@@ -99,29 +90,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: Backend names accepted by :class:`ExecutionEngine`.
 BACKENDS = (
     "auto",
-    "auto-static",
     "serial",
     "threads",
     "processes",
     "compiled",
     "threads+compiled",
 )
-
-#: Kept as an alias — the canonical set lives with the static policy in
-#: :mod:`repro.planner.policy` so the engine and the planner cannot
-#: drift.
-_GIL_BOUND_STRATEGIES = GIL_BOUND_STRATEGIES
-
-
-class _InlineMap:
-    """Executor-shaped shim whose ``map`` runs inline on the caller.
-
-    Passed to ``ShardedHint.execute`` to force genuinely serial
-    execution without touching the index's own pool configuration.
-    """
-
-    def map(self, fn, iterable):
-        return [fn(item) for item in iterable]
 
 
 class ExecutionEngine:
@@ -157,8 +131,6 @@ class ExecutionEngine:
         Optional :class:`~repro.verify.faults.FaultPlan`; the
         :data:`~repro.verify.faults.SITE_DISPATCH` site fires right
         before every process-pool dispatch.
-    serial_cutoff, process_cutoff, thread_cutoff:
-        ``auto``-policy thresholds (batch sizes); see :meth:`_choose`.
     probation_batches:
         After a pool failure, the number of clean batches the engine
         must serve in-process before it attempts a pool rebuild.
@@ -181,13 +153,13 @@ class ExecutionEngine:
         mp_context=None,
         shard_affinity: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        serial_cutoff: int = 128,
-        process_cutoff: int = 512,
-        thread_cutoff: int = 2048,
         probation_batches: int = 32,
         max_pool_failures: int = 3,
-        backend_policy: Optional[OnlineBackendPolicy] = None,
     ):
+        if backend == "auto-static":
+            # The pre-planner name of the static rule, which is all that
+            # "auto" is now; bench/stacks.py still constructs with it.
+            backend = "auto"
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -202,16 +174,8 @@ class ExecutionEngine:
         self.backend = backend
         self.workers = resolve_workers(workers)
         self.shard_affinity = bool(shard_affinity)
-        self.serial_cutoff = int(serial_cutoff)
-        self.process_cutoff = int(process_cutoff)
-        self.thread_cutoff = int(thread_cutoff)
         self.probation_batches = int(probation_batches)
         self.max_pool_failures = int(max_pool_failures)
-        #: The ``auto`` policy's observed-latency ledger; every executed
-        #: batch trains it (see :class:`OnlineBackendPolicy`).
-        self.backend_policy = (
-            backend_policy if backend_policy is not None else OnlineBackendPolicy()
-        )
         self._fault_plan = fault_plan
         self._cpus = os.cpu_count() or 1
         if mp_context is None or isinstance(mp_context, str):
@@ -276,15 +240,10 @@ class ExecutionEngine:
         """Resolve the backend for one batch.
 
         Fixed backends resolve to themselves (``processes`` degrades to
-        ``threads`` while the pool is broken or on probation).
-        ``auto-static`` is the original threshold policy
-        (:func:`~repro.planner.policy.static_backend_choice` — note it
+        ``threads`` while the pool is broken or on probation); ``auto``
+        is :func:`~repro.planner.policy.static_backend_choice` — note it
         only prefers ``threads+compiled`` when the JIT kernels are live
-        *and not* on the GIL-holding NumPy fallback); ``auto`` starts
-        from the same prior and deviates once the engine's
-        :class:`~repro.planner.policy.OnlineBackendPolicy` has observed
-        a measurably faster backend for the batch's (strategy, mode,
-        size bucket).
+        *and not* on the GIL-holding NumPy fallback.
         """
         backend = override if override is not None else self.backend
         if backend not in BACKENDS:
@@ -294,36 +253,10 @@ class ExecutionEngine:
         if backend == "processes":
             self._ensure_processes()
             return "processes" if self.processes_available else "threads"
-        if backend not in ("auto", "auto-static"):
+        if backend != "auto":
             return backend
-        static = self._static_choice(n, strategy, mode)
-        if backend == "auto-static":
-            return static
-        try:
-            learned = self.backend_policy.choose(n, strategy, mode, static)
-        except Exception:
-            learned = None  # a broken policy must never fail the batch
-        if learned is None or learned == static:
-            return static
-        if learned not in BACKENDS or learned in ("auto", "auto-static"):
-            return static
-        if learned == "processes":
-            self._ensure_processes()
-            if not self.processes_available:
-                return static
-        return learned
-
-    def _static_choice(self, n: int, strategy: str, mode: str) -> str:
-        """The threshold prior (the ``auto-static`` backend)."""
         return static_backend_choice(
-            n,
-            strategy,
-            mode,
-            cpus=self._cpus,
-            serial_cutoff=self.serial_cutoff,
-            process_cutoff=self.process_cutoff,
-            thread_cutoff=self.thread_cutoff,
-            processes_up=self._processes_up,
+            n, strategy, mode, cpus=self._cpus, processes_up=self._processes_up
         )
 
     def _processes_up(self) -> bool:
@@ -342,7 +275,6 @@ class ExecutionEngine:
         mode: str = "count",
         backend: Optional[str] = None,
         executor=None,
-        runners=None,
     ) -> BatchResult:
         """Evaluate *batch*; results in caller order, any backend.
 
@@ -351,11 +283,8 @@ class ExecutionEngine:
         modes, same ordering contract — so the engine drops into a
         :class:`~repro.service.BatchingQueryService` via ``swap_index``
         unchanged.  ``backend`` overrides the engine's configured
-        backend for this one call; ``executor`` is forwarded to the
-        thread path (externally managed pools); ``runners`` is the
-        sharded per-shard runner chooser (see
-        :meth:`ShardedHint.execute`), forwarded on the in-process paths
-        and ignored for a plain :class:`HintIndex`.
+        backend for this one call; ``executor`` replaces the engine's
+        own pool on the thread path (externally managed pools).
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -375,16 +304,11 @@ class ExecutionEngine:
         try:
             resolved = self._choose(n, strategy, mode, backend)
             ob = obs.active()
-            t0 = perf_counter()
             if ob is None:
-                result, ran_on = self._run(
-                    batch, strategy, mode, resolved, executor, runners
-                )
+                result, ran_on = self._run(batch, strategy, mode, resolved, executor)
                 self._note_outcome(resolved, ran_on)
-                self.backend_policy.observe(
-                    ran_on, strategy, mode, n, perf_counter() - t0
-                )
                 return result
+            t0 = perf_counter()
             with ob.span(
                 "engine.execute",
                 backend=resolved,
@@ -392,15 +316,11 @@ class ExecutionEngine:
                 queries=n,
                 mode=mode,
             ) as sp:
-                result, ran_on = self._run(
-                    batch, strategy, mode, resolved, executor, runners
-                )
+                result, ran_on = self._run(batch, strategy, mode, resolved, executor)
                 if ran_on != resolved:
                     sp.attrs["degraded_to"] = ran_on
             self._note_outcome(resolved, ran_on)
-            dt = perf_counter() - t0
-            self.backend_policy.observe(ran_on, strategy, mode, n, dt)
-            ob.record_engine_batch(ran_on, n, dt)
+            ob.record_engine_batch(ran_on, n, perf_counter() - t0)
             return result
         finally:
             with self._cond:
@@ -422,7 +342,7 @@ class ExecutionEngine:
             elif self._pool_failures and not self._procs_broken and not degraded_now:
                 self._clean_batches += 1
 
-    def _run(self, batch, strategy, mode, resolved, executor, runners=None):
+    def _run(self, batch, strategy, mode, resolved, executor):
         """Dispatch to *resolved*; returns ``(result, backend_that_ran)``."""
         if resolved == "processes":
             try:
@@ -438,48 +358,36 @@ class ExecutionEngine:
                 # good after max_pool_failures consecutive failures.
                 self._degrade(exc)
         if resolved == "compiled":
-            return self._execute_compiled(batch, strategy, mode, runners), "compiled"
+            return self._execute_compiled(batch, strategy, mode), "compiled"
         if resolved == "threads+compiled":
             return (
                 self._execute_threads(
-                    batch, strategy, mode, executor, runner=compiled_run,
-                    runners=runners,
+                    batch, strategy, mode, executor, runner=compiled_run
                 ),
                 "threads+compiled",
             )
         if resolved == "threads" or resolved == "processes":
-            return (
-                self._execute_threads(
-                    batch, strategy, mode, executor, runners=runners
-                ),
-                "threads",
-            )
-        return self._execute_serial(batch, strategy, mode, runners), "serial"
+            return self._execute_threads(batch, strategy, mode, executor), "threads"
+        return self._execute_serial(batch, strategy, mode), "serial"
 
-    def _execute_serial(self, batch, strategy, mode, runners=None) -> BatchResult:
+    def _execute_serial(self, batch, strategy, mode) -> BatchResult:
         if self._is_sharded:
-            return self._index.execute(
-                batch, strategy=strategy, mode=mode, executor=_InlineMap(),
-                runners=runners,
-            )
+            return self._index.execute(batch, strategy=strategy, mode=mode)
         return run_strategy(strategy, self._index, batch, mode=mode)
 
-    def _execute_compiled(self, batch, strategy, mode, runners=None) -> BatchResult:
+    def _execute_compiled(self, batch, strategy, mode) -> BatchResult:
         """The kernel path, serially in the calling thread."""
         if self._is_sharded:
             return self._index.execute(
-                batch,
-                strategy=strategy,
-                mode=mode,
-                executor=_InlineMap(),
-                runner=compiled_run,
-                runners=runners,
+                batch, strategy=strategy, mode=mode, runner=compiled_run
             )
         return compiled_run(strategy, self._index, batch, mode=mode)
 
     def _execute_threads(
-        self, batch, strategy, mode, executor=None, runner=None, runners=None
+        self, batch, strategy, mode, executor=None, runner=None
     ) -> BatchResult:
+        if executor is None:
+            executor = self._threads()
         if self._is_sharded:
             return self._index.execute(
                 batch,
@@ -487,7 +395,6 @@ class ExecutionEngine:
                 mode=mode,
                 executor=executor,
                 runner=runner,
-                runners=runners,
             )
         return parallel_batch(
             self._index,
@@ -495,7 +402,7 @@ class ExecutionEngine:
             strategy=strategy,
             workers=self.workers,
             mode=mode,
-            executor=executor if executor is not None else self._threads(),
+            executor=executor,
             runner=runner,
         )
 

@@ -638,12 +638,12 @@ class Observability:
 
     def record_planner_fallback(self, reason: str) -> None:
         """The planner failed to decide and the batch degraded to the
-        static ``auto-static`` policy (no batch is ever lost)."""
+        engine's static ``auto`` rule (no batch is ever lost)."""
         self.registry.counter(
             PLANNER_FALLBACKS,
             labels={"reason": reason},
-            help="Batches degraded to the auto-static policy after a "
-            "planner failure, by reason.",
+            help="Batches degraded to the engine's static auto rule after "
+            "a planner failure, by reason.",
         ).inc()
 
     def record_fault(self, site: str, action: str) -> None:

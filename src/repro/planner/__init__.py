@@ -10,8 +10,8 @@ into a measured decision:
 * :mod:`~repro.planner.costmodel` — the calibrated linear cost model
   with EWMA online drift correction, persisted to
   ``results/planner-calibration.json``;
-* :mod:`~repro.planner.policy` — the static threshold prior
-  (``auto-static``) and the engine's observed-latency ``auto`` policy;
+* :mod:`~repro.planner.policy` — the static threshold prior (what the
+  engine's ``auto`` backend evaluates when no plan pins a backend);
 * :mod:`~repro.planner.planner` — :class:`AdaptivePlanner`, the scorer
   (with bounded epsilon-greedy exploration and extent-split search);
 * :mod:`~repro.planner.executor` — :class:`PlannedExecutor`, the
@@ -34,7 +34,6 @@ from repro.planner.plan import BackendCaps, Plan, SplitPlan, plan_key, plan_spac
 from repro.planner.planner import AdaptivePlanner, Decision
 from repro.planner.policy import (
     GIL_BOUND_STRATEGIES,
-    OnlineBackendPolicy,
     cold_start_recommendation,
     static_backend_choice,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "Decision",
     "DEFAULT_CALIBRATION_PATH",
     "GIL_BOUND_STRATEGIES",
-    "OnlineBackendPolicy",
     "Plan",
     "PlanCost",
     "PlannedExecutor",

@@ -18,7 +18,7 @@ exactly as it does for an engine).  Per batch it:
    correction + the ``repro_planner_cost_error`` histogram).
 
 Any planner failure (including injected faults) degrades the batch to
-the engine's ``auto-static`` policy: a possibly slower plan, never a
+the engine's static ``auto`` rule: a possibly slower plan, never a
 lost batch.  A caller-pinned ``backend=`` bypasses the planner entirely
 — explicit control always wins.
 """
@@ -34,7 +34,7 @@ import numpy as np
 import repro.obs as obs
 from repro.analysis.batch_stats import batch_extents
 from repro.core.result import MODES, BatchResult
-from repro.core.strategies import STRATEGIES, run_strategy
+from repro.core.strategies import STRATEGIES
 from repro.engine import ExecutionEngine
 from repro.intervals.batch import QueryBatch
 from repro.planner.costmodel import DEFAULT_CALIBRATION_PATH, CostModel
@@ -110,7 +110,7 @@ class PlannedExecutor:
         self._engine = (
             engine
             if engine is not None
-            else ExecutionEngine(index, backend="auto-static", **engine_kwargs)
+            else ExecutionEngine(index, backend="auto", **engine_kwargs)
         )
         self.choose_strategy = bool(choose_strategy)
         self._fault_plan = fault_plan
@@ -120,22 +120,19 @@ class PlannedExecutor:
         if planner is not None:
             self.planner = planner
         else:
-            if model is None and reuse_calibration and model_path:
-                model = _try_load(model_path, index)
             caps = BackendCaps.from_index(
                 index,
                 workers=self._engine.workers,
                 processes_ok=False,
             )
+            if model is None and reuse_calibration and model_path:
+                model = _try_load(model_path, index, caps)
             self.planner = AdaptivePlanner(
                 index,
                 caps=caps,
                 model=model,
                 exploration=exploration,
                 seed=seed,
-                serial_cutoff=self._engine.serial_cutoff,
-                process_cutoff=self._engine.process_cutoff,
-                thread_cutoff=self._engine.thread_cutoff,
             )
         if calibrate and not self.planner.model.calibrated:
             self.calibrate(
@@ -206,8 +203,8 @@ class PlannedExecutor:
 
         ``backend=`` pins the engine backend and bypasses the planner
         (explicit control wins); otherwise the planner decides, and any
-        failure in deciding degrades to the static ``auto-static``
-        policy without losing the batch.
+        failure in deciding degrades to the engine's static ``auto``
+        rule without losing the batch.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -239,7 +236,7 @@ class PlannedExecutor:
                 ob.record_planner_fallback(type(exc).__name__)
             self.last_decision = None
             return self._engine.execute(
-                batch, strategy=strategy, mode=mode, backend="auto-static",
+                batch, strategy=strategy, mode=mode, backend="auto",
                 executor=executor,
             )
         self.last_decision = decision
@@ -258,7 +255,6 @@ class PlannedExecutor:
             mode=decision.mode,
             backend=plan.backend,
             executor=executor,
-            runners=self._shard_runners(plan),
         )
         self.planner.observe(
             plan, decision.mode, decision.n, decision.total_extent,
@@ -298,32 +294,12 @@ class PlannedExecutor:
                 mode=mode,
                 backend=plan.backend,
                 executor=executor,
-                runners=self._shard_runners(plan),
             )
             self.planner.observe(
                 plan, mode, len(sub), int(ext[idx].sum()), perf_counter() - t0
             )
             results.append((idx, res))
         return _merge_split(results, len(batch), mode)
-
-    def _shard_runners(self, plan: Plan):
-        """Per-shard runner chooser for sharded compiled plans.
-
-        On a sharded index a compiled plan does not have to compile
-        every shard: shards whose routed primary slice is below the
-        engine's serial cutoff run the plain interpreter (the kernel
-        fixed overhead dominates there) — the per-shard plan choice.
-        """
-        if plan.backend not in ("compiled", "threads+compiled"):
-            return None
-        if not getattr(self._engine, "_is_sharded", False):
-            return None
-        cutoff = self._engine.serial_cutoff
-
-        def choose(shard: int, n_primary: int):
-            return run_strategy if n_primary < cutoff else None
-
-        return choose
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -360,8 +336,9 @@ def _merge_split(results, n: int, mode: str) -> BatchResult:
     return BatchResult(counts, ids)
 
 
-def _try_load(path: str, index) -> Optional[CostModel]:
-    """Load a persisted calibration if it plausibly matches *index*."""
+def _try_load(path: str, index, caps: BackendCaps) -> Optional[CostModel]:
+    """Load a persisted calibration if it plausibly matches *index* and
+    was recorded on a machine with the same plan space."""
     if not os.path.exists(path):
         return None
     try:
@@ -376,4 +353,11 @@ def _try_load(path: str, index) -> Optional[CostModel]:
         0.5 <= meta["size"] / size <= 2.0
     ):
         return None  # the collection changed materially: recalibrate
+    machine = (model.meta or {}).get("machine") or {}
+    if machine and (machine.get("cpus"), machine.get("workers")) != (
+        caps.cpus, caps.workers
+    ):
+        # Other cores, other legal plans: a model missing one of them
+        # would leave every mode on the prior, so start fresh.
+        return None
     return model

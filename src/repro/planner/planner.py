@@ -3,12 +3,14 @@
 :class:`AdaptivePlanner` scores every legal :class:`~repro.planner.plan.
 Plan` for a batch with the calibrated :class:`~repro.planner.costmodel.
 CostModel` and picks the cheapest — falling back to the paper-rule /
-threshold prior (:mod:`repro.planner.policy`) for anything the model
-has not been calibrated on, so cold-start behaviour is exactly the old
-static policy.  Heterogeneous batches additionally consider a
-:class:`~repro.planner.plan.SplitPlan`: cut at an extent percentile and
-route each side to its own cheapest plan, accepted only when the
-predicted sum beats the best single plan by a margin.
+threshold prior (:mod:`repro.planner.policy`) whenever some legal plan
+for the batch's mode is still uncalibrated, so cold-start behaviour is
+exactly the static policy and a half-probed mode is never pinned to
+the plans that happened to be probed.  Heterogeneous batches
+additionally consider a :class:`~repro.planner.plan.SplitPlan`: cut at
+an extent percentile and route each side to its own cheapest plan,
+accepted only when the predicted sum beats the best single plan by a
+margin.
 
 Every decision runs inside a ``planner.decide`` span (attributes say
 which plan won, why, and at what predicted cost) and bumps the
@@ -33,13 +35,7 @@ from repro.analysis.batch_stats import ExtentSummary, batch_extents, summarize_e
 from repro.intervals.batch import QueryBatch
 from repro.planner.costmodel import CostModel
 from repro.planner.plan import BackendCaps, Plan, SplitPlan, plan_space
-from repro.planner.policy import (
-    DEFAULT_PROCESS_CUTOFF,
-    DEFAULT_SERIAL_CUTOFF,
-    DEFAULT_THREAD_CUTOFF,
-    cold_start_recommendation,
-    static_backend_choice,
-)
+from repro.planner.policy import cold_start_recommendation
 
 __all__ = ["AdaptivePlanner", "Decision"]
 
@@ -112,9 +108,6 @@ class AdaptivePlanner:
         min_split_batch: int = 512,
         min_heterogeneity: float = 2.0,
         strategies: Optional[Sequence[str]] = None,
-        serial_cutoff: int = DEFAULT_SERIAL_CUTOFF,
-        process_cutoff: int = DEFAULT_PROCESS_CUTOFF,
-        thread_cutoff: int = DEFAULT_THREAD_CUTOFF,
         seed: int = 0,
     ):
         if not 0.0 <= exploration < 1.0:
@@ -128,9 +121,6 @@ class AdaptivePlanner:
         self.min_split_batch = int(min_split_batch)
         self.min_heterogeneity = float(min_heterogeneity)
         self.strategies = tuple(strategies) if strategies is not None else None
-        self.serial_cutoff = int(serial_cutoff)
-        self.process_cutoff = int(process_cutoff)
-        self.thread_cutoff = int(thread_cutoff)
         self._rng = random.Random(seed)
         self._collection_size = int(getattr(index, "size", None) or len(index))
         self._decisions = 0
@@ -179,7 +169,10 @@ class AdaptivePlanner:
         scored.sort(key=lambda item: item[0])
         table = [(plan.key(mode), cost) for cost, plan in scored]
 
-        if not scored:
+        if len(scored) < len(plans):
+            # Some legal plan has no coefficients: "cheapest of the
+            # plans that happen to be calibrated" would pin the batch to
+            # whatever the probe budget reached, so the prior decides.
             decision = self._prior_decision(n, mode, strategy)
             decision.table = table
             decision.n, decision.total_extent = n, summary.total_extent
@@ -237,31 +230,20 @@ class AdaptivePlanner:
     def _prior_decision(self, n: int, mode: str, strategy: Optional[str]) -> Decision:
         """The cold-start plan: paper-rule strategy, threshold backend.
 
-        The backend is ``auto-static`` — the engine's own static policy
-        resolves it per batch, so pre-calibration behaviour (process
-        probation and all) is *exactly* the pre-planner engine.  The
-        nominal static pick still lands in the reason string for
-        explainability.
+        The backend is left as ``auto``: the engine resolves the static
+        rule per batch (it alone knows whether its process pool is up),
+        so pre-calibration behaviour is *exactly* the bare engine.
         """
         if strategy is not None:
             chosen, reason = strategy, "strategy pinned by caller"
         else:
             chosen, reason = cold_start_recommendation(self._collection_size, n)
-        nominal = static_backend_choice(
-            n,
-            chosen,
-            mode,
-            cpus=self.caps.cpus,
-            serial_cutoff=self.serial_cutoff,
-            process_cutoff=self.process_cutoff,
-            thread_cutoff=self.thread_cutoff,
-        )
         return Decision(
-            plan=Plan(strategy=chosen, backend="auto-static"),
+            plan=Plan(strategy=chosen, backend="auto"),
             mode=mode,
             source="prior",
             predicted_s=None,
-            reason=f"{reason}; static policy resolves to {nominal}",
+            reason=f"{reason}; backend by the engine's static rule",
         )
 
     def _consider_split(
@@ -402,26 +384,29 @@ class AdaptivePlanner:
         coefficient), then three probes spanning the feature space —
         two batch sizes at a narrow extent plus a wide-extent batch,
         best-of-two each — fitted into ``(fixed, per_query,
-        per_extent)``.  Probing stops when *budget_s* is exhausted;
-        un-probed plans simply stay on the prior.  Deterministic under
-        *seed*.
+        per_extent)``.  *budget_s* is checked between modes: a mode is
+        probed as a unit or not at all, because the model only decides
+        for a mode whose every plan is fitted (a skipped mode stays on
+        the prior).  Deterministic under *seed*.
         """
         rng = np.random.default_rng(seed)
         top = _domain_top(self._index)
         probes = _probe_batches(rng, top)
         t_start = perf_counter()
+        plans = plan_space(self.caps, strategies=self.strategies)
         for mode in modes:
-            plans = plan_space(self.caps, strategies=self.strategies)
+            if perf_counter() - t_start > budget_s:
+                break
             for plan in plans:
-                if perf_counter() - t_start > budget_s:
-                    break
                 t0 = perf_counter()
-                run_plan(plan, probes[0][0], mode)  # warm-up, untimed
+                run_plan(plan, probes[0][0], mode)  # warm-up, not a probe
                 warm_dt = perf_counter() - t0
                 # A plan too slow to probe twice within what remains of
-                # the budget stays on the prior (it would not win anyway).
+                # the budget (it would not win anyway) keeps its warm-up
+                # time as a flat fixed cost, so the mode is still whole.
                 remaining = budget_s - (perf_counter() - t_start)
                 if warm_dt * 2 * len(probes) > remaining and remaining < budget_s / 2:
+                    self.model.fit(plan.key(mode), [(0, 0, warm_dt)])
                     continue
                 samples: List[Tuple[int, int, float]] = []
                 for batch, total_extent in probes:

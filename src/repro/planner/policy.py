@@ -4,10 +4,9 @@ Two things live here, deliberately dependency-light (nothing from
 :mod:`repro.engine` or the rest of :mod:`repro.planner`, so the engine
 can import this module without a cycle):
 
-* :func:`static_backend_choice` — the threshold policy that used to be
-  hard-coded inside ``ExecutionEngine._choose``.  It is still the
-  behaviour of the ``auto-static`` backend, the fallback whenever the
-  adaptive path fails, and the cost model's prior before calibration.
+* :func:`static_backend_choice` — the threshold rule behind the
+  engine's ``auto`` backend: what runs when no calibrated plan pins a
+  backend (the planner's prior, and its fallback on a planner fault).
   It consults the *live* kernel state: ``threads+compiled`` is only
   preferred when the JIT kernels are genuinely available **and not**
   running on the pure-NumPy fallback — fallback kernels hold the GIL,
@@ -17,30 +16,22 @@ can import this module without a cycle):
   (Section 4 findings) that :func:`repro.core.advisor.recommend_strategy`
   wraps and the adaptive planner starts from, so the advisor and the
   planner can never disagree before calibration.
-
-:class:`OnlineBackendPolicy` is the engine-side adaptive layer: a
-per-(strategy, mode, size-bucket) latency ledger fed by every executed
-batch, which only overrides the static choice once it has seen enough
-samples of both the static pick and a measurably faster alternative.
-Cold start is therefore *exactly* the static policy.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.kernels import ops as kernel_ops
 
 __all__ = [
     "GIL_BOUND_STRATEGIES",
-    "DEFAULT_SERIAL_CUTOFF",
-    "DEFAULT_PROCESS_CUTOFF",
-    "DEFAULT_THREAD_CUTOFF",
+    "SERIAL_CUTOFF",
+    "PROCESS_CUTOFF",
+    "THREAD_CUTOFF",
     "static_backend_choice",
     "compiled_kernels_nogil",
     "cold_start_recommendation",
-    "OnlineBackendPolicy",
 ]
 
 #: Strategies whose per-query work is a Python-level loop: they hold the
@@ -53,12 +44,12 @@ GIL_BOUND_STRATEGIES = frozenset(
     {"query-based", "query-based-sorted", "level-based", "join-based"}
 )
 
-#: The ``auto-static`` thresholds (batch sizes), tuned once on the
+#: The static rule's thresholds (batch sizes), tuned once on the
 #: reference container; the calibrated cost model replaces them, these
 #: remain the prior.
-DEFAULT_SERIAL_CUTOFF = 128
-DEFAULT_PROCESS_CUTOFF = 512
-DEFAULT_THREAD_CUTOFF = 2048
+SERIAL_CUTOFF = 128
+PROCESS_CUTOFF = 512
+THREAD_CUTOFF = 2048
 
 
 def compiled_kernels_nogil() -> bool:
@@ -78,34 +69,32 @@ def static_backend_choice(
     mode: str,
     *,
     cpus: int,
-    serial_cutoff: int = DEFAULT_SERIAL_CUTOFF,
-    process_cutoff: int = DEFAULT_PROCESS_CUTOFF,
-    thread_cutoff: int = DEFAULT_THREAD_CUTOFF,
     processes_up: Optional[Callable[[], bool]] = None,
 ) -> str:
-    """The threshold ``auto`` policy (the ``auto-static`` backend).
+    """The threshold rule (the engine's ``auto`` backend).
 
-    * small batches (< *serial_cutoff*) and single-core machines always
-      run serial — no parallel backend can amortize its dispatch there;
+    * small batches (< :data:`SERIAL_CUTOFF`) and single-core machines
+      always run serial — no parallel backend can amortize its dispatch
+      there;
     * GIL-bound work (a Python-loop strategy, or ids-mode
-      materialization) of at least *process_cutoff* queries goes to
+      materialization) of at least :data:`PROCESS_CUTOFF` queries goes to
       ``threads+compiled`` when the JIT kernels are live (nogil machine
       code without arena/pickle costs) and to the process pool
       otherwise — *processes_up* is called lazily to start/probe the
       pool, so machines that never reach this branch never pay for it;
-    * remaining vectorized work of at least *thread_cutoff* queries
+    * remaining vectorized work of at least :data:`THREAD_CUTOFF` queries
       uses threads (numpy releases the GIL in the hot loops); anything
       else runs serial.
     """
-    if n < serial_cutoff or cpus <= 1:
+    if n < SERIAL_CUTOFF or cpus <= 1:
         return "serial"
     gil_bound = strategy in GIL_BOUND_STRATEGIES or mode == "ids"
-    if gil_bound and n >= process_cutoff:
+    if gil_bound and n >= PROCESS_CUTOFF:
         if compiled_kernels_nogil():
             return "threads+compiled"
         if processes_up is not None and processes_up():
             return "processes"
-    if n >= thread_cutoff:
+    if n >= THREAD_CUTOFF:
         return "threads"
     return "serial"
 
@@ -140,88 +129,3 @@ def cold_start_recommendation(
         "the paper's overall winner: per-level, per-partition evaluation "
         "shares partition probes across all relevant queries",
     )
-
-
-def _bucket(n: int) -> int:
-    """Power-of-two size bucket — pools observations across near sizes."""
-    return int(n).bit_length()
-
-
-class OnlineBackendPolicy:
-    """Observed-latency backend policy for the engine's ``auto`` mode.
-
-    Keeps a per-``(strategy, mode, size bucket, backend)`` running mean
-    of per-batch latency, fed by **every** batch the engine executes
-    (whatever chose the backend: this policy, the static prior, or an
-    explicit per-call override — benchmarks sweeping backends train it
-    for free).  :meth:`choose` deviates from the static prior only when
-    both the static pick and some alternative have at least
-    *min_samples* observations in the batch's bucket and the
-    alternative is faster by more than *improvement* — otherwise it
-    returns ``None`` and the caller falls back to
-    :func:`static_backend_choice`.  Cold start is therefore exactly the
-    static policy, which is what keeps pre-calibration behaviour (and
-    the seed tests) unchanged.
-
-    Thread-safe; the engine executes from many threads at once.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_samples: int = 5,
-        improvement: float = 0.85,
-        max_cells: int = 4096,
-    ):
-        self.min_samples = int(min_samples)
-        self.improvement = float(improvement)
-        self.max_cells = int(max_cells)
-        self._lock = threading.Lock()
-        # (strategy, mode, bucket, backend) -> [count, mean_seconds]
-        self._cells: Dict[Tuple[str, str, int, str], list] = {}
-
-    def observe(
-        self, backend: str, strategy: str, mode: str, n: int, seconds: float
-    ) -> None:
-        if n <= 0 or seconds < 0.0:
-            return
-        key = (strategy, mode, _bucket(n), backend)
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                if len(self._cells) >= self.max_cells:
-                    return  # bounded memory: stop admitting new cells
-                self._cells[key] = [1, float(seconds)]
-                return
-            cell[0] += 1
-            cell[1] += (float(seconds) - cell[1]) / cell[0]
-
-    def choose(
-        self, n: int, strategy: str, mode: str, static_pick: str
-    ) -> Optional[str]:
-        """The observed-fastest backend, or ``None`` to keep the prior."""
-        bucket = _bucket(n)
-        with self._lock:
-            ledger = {
-                backend: (cell[0], cell[1])
-                for (s, m, b, backend), cell in self._cells.items()
-                if s == strategy and m == mode and b == bucket
-            }
-        static = ledger.get(static_pick)
-        if static is None or static[0] < self.min_samples:
-            return None  # prior not measured yet: trust it
-        best_backend, best_mean = static_pick, static[1]
-        for backend, (count, mean) in ledger.items():
-            if backend == static_pick or count < self.min_samples:
-                continue
-            if mean < best_mean * self.improvement:
-                best_backend, best_mean = backend, mean
-        return None if best_backend == static_pick else best_backend
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Ledger dump for introspection/tests: key -> count/mean."""
-        with self._lock:
-            return {
-                f"{s}|{m}|b{b}|{backend}": {"count": c[0], "mean_s": c[1]}
-                for (s, m, b, backend), c in self._cells.items()
-            }

@@ -5,9 +5,11 @@ serving layer: many callers submit single ``(st, end)`` G-OVERLAPS
 queries, the service coalesces them into a
 :class:`~repro.intervals.QueryBatch`, and a background flusher executes
 each batch with a strategy from
-:data:`~repro.core.strategies.STRATEGIES` (or
-:func:`~repro.core.parallel.parallel_batch` once batches are large
-enough to be worth chunking).  Each caller receives a
+:data:`~repro.core.strategies.STRATEGIES`, through the installed
+backend's own ``execute()`` when it has one (an engine, a planner, a
+cache, a sharded index — how the batch runs is theirs to decide) and
+:func:`~repro.core.strategies.run_strategy` otherwise.  Each caller
+receives a
 :class:`concurrent.futures.Future` resolved with its own result.
 
 Admission follows the paper's footnote 5 — a batch is closed by
@@ -38,7 +40,6 @@ from typing import Callable, List, Optional
 
 import repro.obs as obs
 from repro.analysis.service_stats import ServiceMetrics
-from repro.core.parallel import parallel_batch, resolve_workers
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES, run_strategy
 from repro.intervals.batch import QueryBatch
@@ -152,16 +153,6 @@ class BatchingQueryService:
     backpressure:
         ``"block"`` (submitters wait for room) or ``"reject"``
         (:class:`QueueFullError` is raised immediately).
-    parallel_threshold:
-        Flushes of at least this many queries run through
-        :func:`~repro.core.parallel.parallel_batch` with *workers*
-        threads; ``None`` disables parallel execution.
-    workers:
-        Thread count for parallel flushes.  ``None`` (the default)
-        resolves to ``os.cpu_count()`` (at least 1) via
-        :func:`~repro.core.parallel.resolve_workers` — the same
-        machine-derived convention :class:`~repro.shard.ShardedHint`
-        uses for its pool.
     metrics:
         Optional externally owned :class:`ServiceMetrics` (a fresh one
         is created by default and exposed as :attr:`metrics`).
@@ -209,8 +200,6 @@ class BatchingQueryService:
         max_delay_ms: float = 5.0,
         max_queue: int = 8192,
         backpressure: str = "block",
-        parallel_threshold: Optional[int] = None,
-        workers: Optional[int] = None,
         metrics: Optional[ServiceMetrics] = None,
         clock: Callable[[], float] = time.monotonic,
         flush_policy=None,
@@ -237,9 +226,6 @@ class BatchingQueryService:
                 f"unknown backpressure policy {backpressure!r}; "
                 f"expected one of {BACKPRESSURE_POLICIES}"
             )
-        if parallel_threshold is not None and parallel_threshold < 1:
-            raise ValueError("parallel_threshold must be positive (or None)")
-        workers = resolve_workers(workers)
         self._index = index
         self.strategy = strategy
         self.mode = mode
@@ -247,10 +233,6 @@ class BatchingQueryService:
         self.max_delay = float(max_delay_ms) / 1000.0
         self.max_queue = int(max_queue)
         self.backpressure = backpressure
-        self.parallel_threshold = (
-            None if parallel_threshold is None else int(parallel_threshold)
-        )
-        self.workers = int(workers)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._clock = clock
         self.flush_policy = flush_policy
@@ -545,7 +527,6 @@ class BatchingQueryService:
         self, staged: List[_Pending], reason: str, depth: int, sp
     ) -> None:
         t0 = self._clock()
-        use_parallel = False
         # Deadline propagation: queries whose client deadline already
         # passed are dropped at batch-formation time — their callers
         # fail with DeadlineExceededError and the strategy never sees
@@ -582,29 +563,15 @@ class BatchingQueryService:
                 self._fault_plan.fire(SITE_FLUSH)
             index = self._index  # one atomic snapshot per flush
             batch = QueryBatch([q.st for q in staged], [q.end for q in staged])
-            use_parallel = (
-                self.parallel_threshold is not None
-                and len(batch) >= self.parallel_threshold
-            )
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_STRATEGY)
             execute = getattr(index, "execute", None)
             if execute is not None:
-                # Self-executing backend (e.g. repro.shard.ShardedHint):
-                # it owns its parallelism, so the service hands the whole
-                # batch over instead of chunking it here.  swap_index can
-                # therefore install a sharded backend with zero call-site
+                # Self-executing backend (engine, planner, cache,
+                # sharded index): how the batch runs is its decision,
+                # so swap_index can install one with zero call-site
                 # changes.
-                use_parallel = False
                 result = execute(batch, strategy=self.strategy, mode=self.mode)
-            elif use_parallel:
-                result = parallel_batch(
-                    index,
-                    batch,
-                    strategy=self.strategy,
-                    workers=self.workers,
-                    mode=self.mode,
-                )
             else:
                 result = run_strategy(self.strategy, index, batch, mode=self.mode)
         except BaseException as exc:  # route failures to the callers
@@ -614,7 +581,6 @@ class BatchingQueryService:
                 reason,
                 len(staged),
                 self._clock() - t0,
-                parallel=use_parallel,
                 failed=True,
                 queue_depth=depth,
             )
@@ -629,9 +595,7 @@ class BatchingQueryService:
                 # The caller cancelled (e.g. a disconnected network
                 # client); the result is simply discarded.
                 pass
-        self.metrics.record_flush(
-            reason, len(staged), latency, parallel=use_parallel, queue_depth=depth
-        )
+        self.metrics.record_flush(reason, len(staged), latency, queue_depth=depth)
 
     def _extract(self, result, pos: int):
         """Per-query view of a batch result, shaped by the service mode."""

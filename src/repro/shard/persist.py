@@ -71,7 +71,7 @@ def save_sharded(sharded: ShardedHint, path: PathLike) -> None:
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
 
 
-def load_sharded(path: PathLike, *, workers=None) -> ShardedHint:
+def load_sharded(path: PathLike) -> ShardedHint:
     """Load a sharded index previously written by :func:`save_sharded`.
 
     Raises
@@ -143,5 +143,4 @@ def load_sharded(path: PathLike, *, workers=None) -> ShardedHint:
         cuts=cuts,
         num_intervals=int(manifest["num_intervals"]),
         storage_optimized=bool(manifest.get("storage_optimized", True)),
-        workers=workers,
     )

@@ -44,9 +44,6 @@ re-normalized local domain.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import List, Optional, Sequence, Union
 
@@ -225,9 +222,6 @@ class ShardedHint:
         ``"balanced"`` (quantile cuts of the start endpoints), or an
         explicit sequence of ``k + 1`` strictly increasing cut points
         starting at 0 and ending at ``2**m``.
-    workers:
-        Thread count for :meth:`execute`; defaults to
-        ``min(k, cpu_count)``.  ``1`` disables threading.
     storage_optimized, debug_checks:
         Forwarded to every per-shard :class:`HintIndex`; with
         ``debug_checks`` the sharded routing invariants
@@ -252,7 +246,6 @@ class ShardedHint:
         *,
         m: Optional[int] = None,
         boundaries: Union[str, Sequence[int]] = "equal",
-        workers: Optional[int] = None,
         storage_optimized: bool = True,
         debug_checks: bool = False,
     ):
@@ -281,13 +274,6 @@ class ShardedHint:
             cuts = np.asarray(boundaries, dtype=np.int64)
         self._validate_cuts(cuts)
         self.cuts = cuts
-        if workers is None:
-            workers = min(self.k, os.cpu_count() or 1)
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.workers = int(workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self.shards: List[_Shard] = self._build(collection)
         if self.debug_checks:
             from repro.verify.invariants import verify_index
@@ -423,7 +409,6 @@ class ShardedHint:
         cuts: np.ndarray,
         num_intervals: int,
         storage_optimized: bool = True,
-        workers: Optional[int] = None,
     ) -> "ShardedHint":
         """Assemble an instance from prebuilt shards without rebuilding.
 
@@ -441,13 +426,6 @@ class ShardedHint:
         sharded._domain_top = (1 << sharded.m) - 1
         sharded.cuts = np.asarray(cuts, dtype=np.int64)
         sharded._validate_cuts(sharded.cuts)
-        if workers is None:
-            workers = min(sharded.k, os.cpu_count() or 1)
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        sharded.workers = int(workers)
-        sharded._pool = None
-        sharded._pool_lock = threading.Lock()
         sharded.shards = list(shards)
         return sharded
 
@@ -468,9 +446,8 @@ class ShardedHint:
         *,
         strategy: str = "partition-based",
         mode: str = "count",
-        executor: Optional[ThreadPoolExecutor] = None,
+        executor=None,
         runner=None,
-        runners=None,
     ) -> BatchResult:
         """Evaluate *batch* across the shards; results in caller order.
 
@@ -478,15 +455,13 @@ class ShardedHint:
         — same strategy names, same result modes, same ordering contract
         — so a :class:`~repro.service.BatchingQueryService` can install
         a sharded backend through ``swap_index`` with zero call-site
-        changes.  *runner* optionally substitutes a
-        ``run_strategy``-shaped callable for each shard's primary-slice
-        evaluation (the ``compiled`` engine backend's hook); replica and
-        spill probes are plain searchsorted cuts either way.  *runners*
-        refines that per shard: a ``(shard, n_primary) -> callable or
-        None`` chooser consulted for each shard's primary slice (the
-        planner's per-shard plan choice — e.g. compiled kernels only on
-        shards whose routed slice is large enough to amortize them);
-        ``None`` falls back to *runner* / :func:`run_strategy`.
+        changes.  The shard jobs run on the calling thread unless the
+        caller passes an *executor* (anything with ``map``; the engine
+        passes its pool for the thread backends).  *runner* optionally
+        substitutes a ``run_strategy``-shaped callable for each shard's
+        primary-slice evaluation (the ``compiled`` engine backend's
+        hook); replica and spill probes are plain searchsorted cuts
+        either way.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -502,13 +477,13 @@ class ShardedHint:
         ob = obs.active()
         if ob is None:
             return self._execute_inner(
-                batch, strategy, mode, executor, None, runner, runners
+                batch, strategy, mode, executor, None, runner
             )
         with ob.span(
             "shard.execute", strategy=strategy, queries=n, mode=mode, k=self.k
         ):
             return self._execute_inner(
-                batch, strategy, mode, executor, ob, runner, runners
+                batch, strategy, mode, executor, ob, runner
             )
 
     def _route(self, batch: QueryBatch):
@@ -581,11 +556,11 @@ class ShardedHint:
 
     def _execute_inner(
         self, batch: QueryBatch, strategy: str, mode: str, executor, ob,
-        runner=None, runners=None,
+        runner=None,
     ) -> BatchResult:
         n = len(batch)
         work, q_st, q_end, jobs = self._route(batch)
-        # Captured on the dispatching thread: shard sub-batches run on
+        # Captured on the dispatching thread: shard sub-batches may run on
         # pool threads, outside this thread's trace scope and span
         # stack, so trace ids and the parent (the open `shard.execute`
         # span) ride into the closure explicitly.
@@ -597,14 +572,12 @@ class ShardedHint:
             j, j0, j1, spill = job
             if ob is None:
                 return self._run_shard(
-                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner,
-                    runners,
+                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner
                 )
             t0 = perf_counter()
             with ob.recorder.trace_scope(trace_ids):
                 out = self._run_shard(
-                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner,
-                    runners,
+                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner
                 )
             ob.record_shard_batch(
                 j, j1 - j0, int(spill.size), perf_counter() - t0,
@@ -612,30 +585,24 @@ class ShardedHint:
             )
             return out
 
-        if len(jobs) <= 1 or self.workers == 1:
+        if executor is None or len(jobs) <= 1:
             partials = [run(job) for job in jobs]
-        elif executor is not None:
-            partials = list(executor.map(run, jobs))
         else:
-            partials = list(self._get_pool().map(run, jobs))
+            partials = list(executor.map(run, jobs))
 
         return self._merge(partials, work, n, mode)
 
     def _run_shard(self, j, j0, j1, spill, q_st, q_end, strategy, mode,
-                   runner=None, runners=None):
+                   runner=None):
         """Execute one shard's primary slice, replica probe and spills.
 
-        Runs on a worker thread; returns contributions only — all
+        May run on a worker thread; returns contributions only — all
         merging happens on the calling thread.
         """
         primary = rep_ks = sp_ks = None
         if j1 > j0:
             sub = self._primary_local_batch(j, j0, j1, q_st, q_end)
             exec_fn = runner if runner is not None else run_strategy
-            if runners is not None:
-                chosen = runners(j, j1 - j0)
-                if chosen is not None:
-                    exec_fn = chosen
             primary = exec_fn(strategy, self.shards[j].index, sub, mode=mode)
             rep_ks = self._probe_replicas(j, j0, j1, q_st)
         if spill.size:
@@ -702,29 +669,3 @@ class ShardedHint:
     def query_count(self, q_st: int, q_end: int) -> int:
         """Number of intervals G-overlapping ``[q_st, q_end]``."""
         return int(self.execute(QueryBatch([q_st], [q_end])).counts[0])
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the owned thread pool (idempotent)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def __enter__(self) -> "ShardedHint":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

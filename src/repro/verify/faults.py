@@ -75,9 +75,9 @@ SITE_NET_ACCEPT = "net.accept"
 SITE_NET_DECODE = "net.decode"
 #: :class:`~repro.planner.PlannedExecutor` is about to ask its
 #: :class:`~repro.planner.AdaptivePlanner` for a plan.  An injected
-#: failure exercises the degrade path: the batch runs under the static
-#: ``auto-static`` policy instead — a worse plan at most, never a lost
-#: or wrong batch.
+#: failure exercises the degrade path: the batch runs under the
+#: engine's static ``auto`` rule instead — a worse plan at most, never a
+#: lost or wrong batch.
 SITE_PLANNER_DECIDE = "planner.decide"
 
 #: All injection sites wired into the production code.

@@ -75,11 +75,14 @@ def _make_backend(kind: str, backend: str, coll: IntervalCollection, m: int):
     if kind == "dynamic":
         dyn = DynamicHint(coll, m=m, rebuild_threshold=64)
         return dyn, lambda: None
-    sharded = ShardedHint(coll, 3, m=m, workers=1 if backend == "serial" else 2)
-    if backend == "engine-auto":
-        eng = ExecutionEngine(sharded, backend="auto")
-        return eng, lambda: (eng.close(), sharded.close())
-    return sharded, sharded.close
+    sharded = ShardedHint(coll, 3, m=m)
+    if backend == "serial":
+        return sharded, lambda: None
+    if backend == "threads":
+        eng = ExecutionEngine(sharded, backend="threads", workers=2)
+        return eng, eng.close
+    eng = ExecutionEngine(sharded, backend="auto")
+    return eng, eng.close
 
 
 def _trial_data(trial: int, m: int):

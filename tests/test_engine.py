@@ -287,6 +287,44 @@ class TestAutoPolicy:
             assert engine._choose(5_000, "partition-based", "count", None) == "threads"
             assert engine._choose(500, "partition-based", "count", None) == "serial"
 
+    @pytest.mark.parametrize("spelling", ["auto", "auto-static"])
+    def test_auto_is_the_static_rule_and_never_drifts(self, workload, spelling):
+        """``auto`` resolves exactly ``static_backend_choice`` — before
+        and after the engine has executed batches on other backends (no
+        ledger learns from them) — and the pre-planner ``auto-static``
+        spelling is the same backend."""
+        from repro.planner.policy import static_backend_choice
+
+        table = [
+            (n, strategy, mode)
+            for n in (1, 127, 128, 511, 512, 2047, 2048, 50_000)
+            for strategy in ("partition-based", "query-based", "join-based")
+            for mode in ("count", "checksum", "ids")
+        ]
+        with ExecutionEngine(
+            workload["hint"], backend=spelling, workers=2
+        ) as engine:
+            assert engine.backend == "auto"
+
+            def resolved():
+                return [engine._choose(n, s, m, None) for n, s, m in table]
+
+            rule = [
+                static_backend_choice(
+                    n, s, m, cpus=engine._cpus,
+                    processes_up=engine._processes_up,
+                )
+                for n, s, m in table
+            ]
+            assert resolved() == rule
+            expected = oracle(workload, "partition-based", "count")
+            for i in range(50):
+                forced = ("serial", "threads", "compiled", "auto")[i % 4]
+                assert engine.execute(workload["batch"], backend=forced) == expected
+            assert resolved() == rule
+            assert not hasattr(engine, "backend_policy")
+        assert list_arena_segments() == []
+
     def test_override_beats_configured_backend(self, workload):
         with ExecutionEngine(workload["hint"], backend="serial") as engine:
             got = engine.execute(workload["batch"], backend="threads")
@@ -495,7 +533,6 @@ class TestEngineObservability:
 def test_backends_constant_is_exported():
     assert set(BACKENDS) == {
         "auto",
-        "auto-static",
         "serial",
         "threads",
         "processes",

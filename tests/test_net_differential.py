@@ -83,7 +83,7 @@ def test_socket_matches_oracle_every_strategy_and_mode(
 def test_socket_matches_oracle_sharded_backend(workload, mode):
     coll, _, _ = workload
     _serve_and_check(
-        ShardedHint(coll, k=3, m=M, workers=1),
+        ShardedHint(coll, k=3, m=M),
         workload,
         strategy="partition-based",
         mode=mode,
@@ -112,7 +112,7 @@ def test_swap_index_mid_traffic(workload):
     try:
         with QueryClient(handle.host, handle.port) as client:
             _check_against_oracle(client, batch, oracle, "ids")
-            service.swap_index(ShardedHint(coll, k=2, m=M, workers=1))
+            service.swap_index(ShardedHint(coll, k=2, m=M))
             _check_against_oracle(client, batch, oracle, "ids")
             service.swap_index(CachingExecutor(HintIndex(coll, m=M)))
             _check_against_oracle(client, batch, oracle, "ids")

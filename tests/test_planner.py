@@ -30,7 +30,6 @@ from repro.planner import (
 from repro.planner.plan import plan_key
 from repro.planner.policy import (
     GIL_BOUND_STRATEGIES,
-    OnlineBackendPolicy,
     cold_start_recommendation,
     compiled_kernels_nogil,
     static_backend_choice,
@@ -270,59 +269,6 @@ class TestColdStartRecommendation:
 
 
 # --------------------------------------------------------------------- #
-# the engine's online backend policy
-# --------------------------------------------------------------------- #
-
-
-class TestOnlineBackendPolicy:
-    def test_cold_start_returns_none(self):
-        policy = OnlineBackendPolicy()
-        assert policy.choose(100, "partition-based", "count", "serial") is None
-
-    def test_needs_static_pick_measured_first(self):
-        policy = OnlineBackendPolicy(min_samples=3)
-        for _ in range(5):
-            policy.observe("threads", "partition-based", "count", 100, 0.001)
-        # The alternative is well measured but the static pick is not.
-        assert policy.choose(100, "partition-based", "count", "serial") is None
-
-    def test_deviates_only_on_clear_improvement(self):
-        policy = OnlineBackendPolicy(min_samples=3, improvement=0.85)
-        for _ in range(3):
-            policy.observe("serial", "partition-based", "count", 100, 0.010)
-            policy.observe("threads", "partition-based", "count", 100, 0.009)
-        # 10% faster: inside the noise band, keep the prior.
-        assert policy.choose(100, "partition-based", "count", "serial") is None
-        for _ in range(6):
-            policy.observe("threads", "partition-based", "count", 100, 0.004)
-        assert (
-            policy.choose(100, "partition-based", "count", "serial") == "threads"
-        )
-
-    def test_buckets_isolate_sizes(self):
-        policy = OnlineBackendPolicy(min_samples=1)
-        policy.observe("serial", "p", "count", 100, 0.010)
-        policy.observe("threads", "p", "count", 100, 0.001)
-        # Same strategy, very different size: no observations there.
-        assert policy.choose(100_000, "p", "count", "serial") is None
-        assert policy.choose(100, "p", "count", "serial") == "threads"
-
-    def test_cell_count_is_bounded(self):
-        policy = OnlineBackendPolicy(max_cells=10)
-        for i in range(50):
-            policy.observe("serial", f"s{i}", "count", 100, 0.01)
-        assert len(policy.snapshot()) == 10
-
-    def test_snapshot_shape(self):
-        policy = OnlineBackendPolicy()
-        policy.observe("serial", "p", "ids", 100, 0.01)
-        snap = policy.snapshot()
-        (key,) = snap.keys()
-        assert key == "p|ids|b7|serial"
-        assert snap[key]["count"] == 1
-
-
-# --------------------------------------------------------------------- #
 # planner decisions
 # --------------------------------------------------------------------- #
 
@@ -354,7 +300,7 @@ class TestAdaptivePlanner:
         batch = _uniform_batch(rng, 64, 8)
         decision = planner.decide(batch, mode="count")
         assert decision.source == "prior"
-        assert decision.plan.backend == "auto-static"
+        assert decision.plan.backend == "auto"
         strategy, reason = cold_start_recommendation(len(small_hint), 64)
         assert decision.plan.strategy == strategy
         assert reason in decision.reason
@@ -381,6 +327,54 @@ class TestAdaptivePlanner:
         # The decision table is sorted cheapest-first and covers all plans.
         assert [k for k, _ in decision.table][0] == "partition-based|compiled|count"
         assert len(decision.table) == 3
+
+    def test_partially_calibrated_mode_stays_on_the_prior(self, small_hint, rng):
+        """A model holding only some of a mode's plans must not pin the
+        batch to them (PR 12: ``partition-based|serial|ids`` held for a
+        whole run); the model decides once every legal plan is fitted."""
+        model = CostModel()
+        model.fit("partition-based|serial|ids", [(64, 512, 0.010)])
+        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
+        planner = AdaptivePlanner(small_hint, caps=caps, model=model)
+        batch = _uniform_batch(rng, 64, 8)
+        decision = planner.decide(batch, mode="ids")
+        assert decision.source == "prior"
+        assert decision.plan.backend == "auto"
+        model.fit("partition-based|compiled|ids", [(64, 512, 0.001)])
+        model.fit("join-based|serial|ids", [(64, 512, 0.020)])
+        decision = planner.decide(batch, mode="ids")
+        assert decision.source == "model"
+        assert decision.plan == Plan("partition-based", "compiled")
+        # Per (mode, strategy set): a pinned strategy needs only its own
+        # plans, another mode is still uncalibrated.
+        pinned = planner.decide(batch, mode="ids", strategy="join-based")
+        assert pinned.source == "model"
+        assert planner.decide(batch, mode="count").source == "prior"
+
+    def test_calibration_finishes_or_skips_a_mode_as_a_unit(
+        self, small_hint, monkeypatch
+    ):
+        """The budget is checked between modes: the mode in flight when
+        it runs out is completed (plans too slow to probe keep their
+        warm-up time as a flat cost), later modes are not started."""
+        import repro.planner.planner as planner_module
+
+        now = [0.0]  # a fake clock: every plan run costs exactly 2 ms
+        monkeypatch.setattr(planner_module, "perf_counter", lambda: now[0])
+
+        def run_plan(plan, batch, mode):
+            now[0] += 0.002
+
+        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
+        planner = AdaptivePlanner(small_hint, caps=caps)
+        planner.calibrate(run_plan, budget_s=0.01)
+        keys = [plan.key("count") for plan in plan_space(caps)]
+        assert planner.model.keys() == sorted(keys)
+        probed, *flat = (planner.model.entry(key) for key in keys)
+        assert probed.probes == 3
+        for cost in flat:
+            assert cost.fixed_s >= 0.002
+            assert cost.per_query_s == cost.per_extent_s == 0.0
 
     def test_exploration_is_bounded_and_deterministic(self, small_hint, rng):
         def build(seed):
@@ -551,6 +545,26 @@ class TestPlannedExecutor:
         finally:
             px.close()
 
+    def test_calibration_from_another_machine_is_ignored(
+        self, small_hint, tmp_path
+    ):
+        """A file recorded with other cores lacks (or has extra) legal
+        plans; reusing it would leave every mode on the prior for good."""
+        path = str(tmp_path / "cal.json")
+        model = CostModel(
+            meta={
+                "index": {"kind": "HintIndex", "size": len(small_hint)},
+                "machine": {"cpus": 9999, "workers": 9999},
+            }
+        )
+        model.fit("partition-based|serial|count", [(10, 10, 0.01)])
+        model.save(path)
+        px = PlannedExecutor(small_hint, model_path=path)
+        try:
+            assert not px.planner.model.calibrated
+        finally:
+            px.close()
+
     def test_size_drift_invalidates_calibration(self, small_hint, tmp_path):
         path = str(tmp_path / "cal.json")
         model = CostModel(
@@ -593,20 +607,6 @@ class TestPlannedExecutor:
             assert len(result.counts) == 0
         finally:
             px.close()
-
-    def test_engine_auto_unchanged_pre_calibration(self, small_hint, rng):
-        """The engine's ``auto`` equals ``auto-static`` until the online
-        ledger has enough samples — the zero-regression cold start."""
-        from repro.engine import ExecutionEngine
-
-        engine = ExecutionEngine(small_hint)
-        try:
-            batch = _uniform_batch(rng, 200, 16)
-            assert engine._choose(
-                len(batch), "partition-based", "count", None
-            ) == engine._static_choice(len(batch), "partition-based", "count")
-        finally:
-            engine.close()
 
 
 # --------------------------------------------------------------------- #

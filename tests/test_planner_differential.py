@@ -4,7 +4,7 @@ Whatever the planner picks — prior, calibrated model, or an extent
 split — the result must be bit-identical to every static plan, across
 result modes and index kinds (single, sharded, dynamic-after-compact).
 The fault leg proves the degradation contract: a planner that throws
-mid-decide falls back to the static ``auto-static`` policy and loses
+mid-decide falls back to the engine's static ``auto`` rule and loses
 no batch, bumping ``repro_planner_fallbacks_total``.
 """
 
@@ -15,6 +15,7 @@ import pytest
 
 import repro.obs as obs
 from repro.core.strategies import STRATEGIES, run_strategy
+from repro.engine import ExecutionEngine
 from repro.hint.dynamic import DynamicHint
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
@@ -22,7 +23,7 @@ from repro.planner import CostModel, Plan, PlannedExecutor, SplitPlan
 from repro.planner.planner import Decision
 from repro.shard import ShardedHint
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan, InjectedFault
-from tests.conftest import random_collection
+from tests.conftest import oracle_result, random_collection
 
 M = 10
 TOP = (1 << M) - 1
@@ -158,6 +159,65 @@ class TestPlannerDifferential:
             )
             decision = Decision(plan=split, mode="ids", source="model")
             assert px._execute_split(batch, decision, None) == want
+        finally:
+            px.close()
+
+
+class TestDecisionPath:
+    """The planner chooses, the engine executes: every batch reaches the
+    engine's dispatch with the concrete backend its plan named."""
+
+    @pytest.mark.parametrize("kind", ["HintIndex", "ShardedHint"])
+    def test_engine_runs_the_backend_the_plan_named(
+        self, rng, collection, tmp_path, monkeypatch, kind
+    ):
+        if kind == "HintIndex":
+            index = HintIndex(collection, m=M)
+        else:
+            index = ShardedHint(collection, k=3, m=M)
+        seen = []
+        real_run = ExecutionEngine._run
+
+        def spy(engine, batch, strategy, mode, resolved, executor):
+            seen.append((strategy, resolved))
+            return real_run(engine, batch, strategy, mode, resolved, executor)
+
+        px = PlannedExecutor(
+            index,
+            model_path=str(tmp_path / "path.json"),
+            calibrate=True,
+            calibration_budget_s=30.0,  # a ceiling: every mode gets probed
+        )
+        monkeypatch.setattr(ExecutionEngine, "_run", spy)
+        try:
+            for mode in MODES:
+                for _ in range(3):
+                    batch = mixed_batch(rng)
+                    got = px.execute(batch, mode=mode)
+                    decision = px.last_decision
+                    assert decision.source == "model", (kind, mode)
+                    plans = (
+                        [decision.plan.narrow, decision.plan.wide]
+                        if decision.split
+                        else [decision.plan]
+                    )
+                    assert seen[-len(plans):] == [
+                        (p.strategy, p.backend) for p in plans
+                    ]
+                    oracle = oracle_result(collection, batch, M)
+                    assert np.array_equal(got.counts, oracle.counts)
+                    if mode == "ids":
+                        assert got == oracle
+                    if mode == "checksum":
+                        assert [
+                            got.query_checksum(i) for i in range(len(batch))
+                        ] == [
+                            oracle.query_checksum(i) for i in range(len(batch))
+                        ]
+            concrete = set(px.planner.caps.backends_for("partition-based"))
+            assert {backend for _, backend in seen} <= concrete
+            # Mechanism only: nothing below the planner learns per batch.
+            assert not hasattr(px.engine, "backend_policy")
         finally:
             px.close()
 

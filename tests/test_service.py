@@ -219,21 +219,26 @@ def test_alternative_strategies(setup, strategy):
         ]
 
 
-def test_parallel_execution_above_threshold(setup):
+def test_parallel_flushes_come_from_the_installed_engine(setup):
+    """The service has no parallelism knob: a bare index flushes through
+    ``run_strategy``, an installed engine through its backend, and both
+    answer identically."""
+    from repro.engine import ExecutionEngine
+
     coll, index = setup
     qs = _queries(9, 128)
-    with BatchingQueryService(
-        index,
-        max_batch=128,
-        max_delay_ms=NEVER_MS,
-        parallel_threshold=32,
-        workers=4,
-    ) as svc:
-        futures = [svc.submit(s, e) for s, e in qs]
-        results = [f.result(timeout=WAIT) for f in futures]
-    assert results == [index.query_count(s, e) for s, e in qs]
-    snap = svc.metrics.snapshot()
-    assert snap.parallel_flushes >= 1
+    answers = []
+    with ExecutionEngine(index, backend="threads", workers=4) as engine:
+        for backend in (index, engine):
+            with BatchingQueryService(
+                backend, max_batch=128, max_delay_ms=NEVER_MS
+            ) as svc:
+                futures = [svc.submit(s, e) for s, e in qs]
+                answers.append([f.result(timeout=WAIT) for f in futures])
+    assert answers[0] == answers[1] == [index.query_count(s, e) for s, e in qs]
+    with pytest.raises(TypeError, match="parallel_threshold"):
+        BatchingQueryService(index, parallel_threshold=32)
+    assert not hasattr(svc.metrics.snapshot(), "parallel_flushes")
 
 
 def test_execution_error_routed_to_futures(setup):
@@ -294,10 +299,6 @@ def test_constructor_validation(setup):
         BatchingQueryService(index, max_queue=0)
     with pytest.raises(ValueError, match="backpressure"):
         BatchingQueryService(index, backpressure="drop")
-    with pytest.raises(ValueError, match="parallel_threshold"):
-        BatchingQueryService(index, parallel_threshold=0)
-    with pytest.raises(ValueError, match="workers"):
-        BatchingQueryService(index, workers=0)
 
 
 def test_submit_validation(setup):
@@ -366,8 +367,6 @@ def test_stress_many_clients_with_concurrent_swap(setup):
         max_delay_ms=2,
         max_queue=4096,
         backpressure="block",
-        parallel_threshold=192,
-        workers=2,
     )
     errors = []
     collected = [[] for _ in range(n_threads)]

@@ -78,9 +78,7 @@ class TestDifferential:
     def test_all_strategies_all_modes(self, collection, index, k, boundaries):
         rng = np.random.default_rng(k * 31 + (boundaries == "balanced"))
         batch = spanning_batch(rng, 120)
-        sharded = ShardedHint(
-            collection, k=k, m=M, boundaries=boundaries, workers=1
-        )
+        sharded = ShardedHint(collection, k=k, m=M, boundaries=boundaries)
         for strategy in STRATEGIES:
             for mode in ("count", "checksum", "ids"):
                 expected = run_strategy(strategy, index, batch, mode=mode)
@@ -92,7 +90,7 @@ class TestDifferential:
         rng = np.random.default_rng(9)
         batch = spanning_batch(rng, 80)
         single = HintIndex(clustered, m=M)
-        sharded = ShardedHint(clustered, k=k, m=M, workers=1)
+        sharded = ShardedHint(clustered, k=k, m=M)
         # the clustered layout must actually leave shards empty
         assert any(len(s.index) == 0 for s in sharded.shards)
         for mode in ("count", "checksum", "ids"):
@@ -103,7 +101,7 @@ class TestDifferential:
     def test_matches_naive_oracle(self, collection):
         rng = np.random.default_rng(5)
         batch = spanning_batch(rng, 60)
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         expected = NaiveScan(collection).batch(
             batch.clipped(0, TOP), mode="ids"
         )
@@ -112,7 +110,7 @@ class TestDifferential:
     def test_caller_order_preserved(self, collection, index):
         st = np.array([500, 20, 800, 5, 300, 5])
         batch = QueryBatch(st, np.minimum(st + 99, TOP))
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         expected = run_strategy("partition-based", index, batch)
         assert sharded.execute(batch).counts.tolist() == (
             expected.counts.tolist()
@@ -120,7 +118,7 @@ class TestDifferential:
 
     def test_explicit_cuts(self, collection, index):
         cuts = [0, 100, 700, 1 << M]
-        sharded = ShardedHint(collection, k=3, m=M, boundaries=cuts, workers=1)
+        sharded = ShardedHint(collection, k=3, m=M, boundaries=cuts)
         rng = np.random.default_rng(11)
         batch = spanning_batch(rng, 50)
         for mode in ("count", "checksum", "ids"):
@@ -128,24 +126,37 @@ class TestDifferential:
                 "partition-based", index, batch, mode=mode
             )
 
-    def test_thread_pool_paths(self, collection, index):
-        """Owned pool, external executor and single-job inline path all
-        produce identical results."""
+    def test_runs_inline_unless_given_an_executor(self, collection, index):
+        """The index owns no pool: ``execute`` starts no thread, and an
+        explicit ``executor=`` is where the shard jobs then run."""
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         rng = np.random.default_rng(21)
+        sharded = ShardedHint(collection, k=4, m=M)
+        before = set(threading.enumerate())
+        for _ in range(20):
+            batch = spanning_batch(rng, 64)
+            assert sharded.execute(batch, mode="ids") == run_strategy(
+                "partition-based", index, batch, mode="ids"
+            )
+            assert not set(threading.enumerate()) - before  # none started
+        assert not hasattr(sharded, "workers")
+
+        ran_on = set()
+
+        def spy(strategy, shard_index, sub, *, mode):
+            ran_on.add(threading.current_thread().name)
+            return run_strategy(strategy, shard_index, sub, mode=mode)
+
         batch = spanning_batch(rng, 64)
         expected = run_strategy("partition-based", index, batch, mode="ids")
-        with ShardedHint(collection, k=4, m=M, workers=3) as sharded:
-            assert sharded.execute(batch, mode="ids") == expected
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                assert (
-                    sharded.execute(batch, mode="ids", executor=pool)
-                    == expected
-                )
-        # pool is shut down; a fresh execute must still work (re-created)
-        assert sharded.execute(batch, mode="ids") == expected
-        sharded.close()
+        with ThreadPoolExecutor(
+            max_workers=2, thread_name_prefix="test-shard-pool"
+        ) as pool:
+            got = sharded.execute(batch, mode="ids", executor=pool, runner=spy)
+        assert got == expected
+        assert ran_on and all(t.startswith("test-shard-pool") for t in ran_on)
 
 
 # --------------------------------------------------------------------- #
@@ -155,14 +166,14 @@ class TestDifferential:
 
 class TestSurface:
     def test_empty_batch_mode_correct(self, collection):
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         for mode in ("count", "checksum", "ids"):
             result = sharded.execute(QueryBatch([], []), mode=mode)
             assert len(result) == 0
             assert result.mode == mode
 
     def test_single_query_helpers(self, collection):
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         naive = NaiveScan(collection)
         for q_st, q_end in ((0, TOP), (100, 600), (511, 513)):
             assert sharded.query_count(q_st, q_end) == len(
@@ -181,16 +192,14 @@ class TestSurface:
             ShardedHint(collection, k=2, m=M, boundaries=[0, 1 << M])
         with pytest.raises(ValueError, match="strictly increasing"):
             ShardedHint(collection, k=2, m=M, boundaries=[0, 0, 1 << M])
-        with pytest.raises(ValueError, match="workers"):
-            ShardedHint(collection, k=2, m=M, workers=0)
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         with pytest.raises(ValueError, match="unknown strategy"):
             sharded.execute(QueryBatch([0], [1]), strategy="bogus")
         with pytest.raises(ValueError, match="result mode"):
             sharded.execute(QueryBatch([0], [1]), mode="bogus")
 
     def test_introspection(self, collection):
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         assert len(sharded) == len(collection)
         assert sharded.domain == (0, TOP)
         assert sharded.boundaries.tolist()[0] == 0
@@ -203,7 +212,7 @@ class TestSurface:
         assert "ShardedHint" in repr(sharded)
 
     def test_shard_of_routing(self, collection):
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         cuts = sharded.cuts
         for j in range(4):
             assert sharded.shard_of(int(cuts[j])) == j
@@ -218,15 +227,15 @@ class TestSurface:
 class TestVerify:
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_invariants_pass(self, collection, k):
-        sharded = ShardedHint(collection, k=k, m=M, workers=1)
+        sharded = ShardedHint(collection, k=k, m=M)
         report = verify_index(sharded, collection=collection, deep=True)
         assert report.checks > 0
 
     def test_debug_checks_build(self, collection):
-        ShardedHint(collection, k=2, m=M, workers=1, debug_checks=True)
+        ShardedHint(collection, k=2, m=M, debug_checks=True)
 
     def test_doctored_replicas_caught(self, collection):
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         target = next(
             s for s in sharded.shards if s.rep_ids.size
         )
@@ -238,9 +247,9 @@ class TestVerify:
 
 class TestPersist:
     def test_round_trip_exact(self, collection, index, tmp_path):
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         save_sharded(sharded, tmp_path / "sharded")
-        loaded = load_sharded(tmp_path / "sharded", workers=1)
+        loaded = load_sharded(tmp_path / "sharded")
         assert loaded.k == 4 and loaded.m == M
         assert loaded.cuts.tolist() == sharded.cuts.tolist()
         rng = np.random.default_rng(13)
@@ -256,7 +265,7 @@ class TestPersist:
             load_sharded(tmp_path)
 
     def test_bad_version(self, collection, tmp_path):
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         save_sharded(sharded, tmp_path / "s")
         manifest = tmp_path / "s" / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -266,14 +275,14 @@ class TestPersist:
             load_sharded(tmp_path / "s")
 
     def test_missing_shard_archive(self, collection, tmp_path):
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         save_sharded(sharded, tmp_path / "s")
         (tmp_path / "s" / "shard-001.npz").unlink()
         with pytest.raises(ValueError, match="shard-001"):
             load_sharded(tmp_path / "s")
 
     def test_inconsistent_manifest(self, collection, tmp_path):
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         save_sharded(sharded, tmp_path / "s")
         manifest = tmp_path / "s" / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -292,7 +301,7 @@ class TestServiceIntegration:
     def test_swap_index_zero_call_site_changes(self, collection, index):
         """A sharded backend installed through ``swap_index`` serves the
         same single-query traffic — no service-side changes."""
-        sharded = ShardedHint(collection, k=4, m=M, workers=1)
+        sharded = ShardedHint(collection, k=4, m=M)
         queries = [(0, TOP), (5, 120), (400, 900), (1000, 1020)]
         with BatchingQueryService(
             index, max_batch=1000, max_delay_ms=10_000_000
@@ -312,7 +321,7 @@ class TestObservability:
     def test_shard_series_recorded(self, collection):
         obs.configure(enabled=True)
         try:
-            sharded = ShardedHint(collection, k=4, m=M, workers=1)
+            sharded = ShardedHint(collection, k=4, m=M)
             rng = np.random.default_rng(3)
             sharded.execute(spanning_batch(rng, 40))
             snap = obs.registry().snapshot()
@@ -331,7 +340,7 @@ class TestObservability:
         # With the plane disabled there is no registry at all; execute
         # must not touch (or implicitly create) one.
         assert obs.active() is None
-        sharded = ShardedHint(collection, k=2, m=M, workers=1)
+        sharded = ShardedHint(collection, k=2, m=M)
         rng = np.random.default_rng(4)
         sharded.execute(spanning_batch(rng, 10))
         assert obs.active() is None
@@ -349,7 +358,7 @@ def test_random_workloads_exact(seed):
     top = (1 << m) - 1
     coll = random_collection(rng, int(rng.integers(0, 300)), top)
     k = int(rng.integers(1, 7))
-    sharded = ShardedHint(coll, k=k, m=m, workers=1)
+    sharded = ShardedHint(coll, k=k, m=m)
     index = HintIndex(coll, m=m)
     batch = random_batch(rng, 40, top)
     for mode in ("count", "checksum", "ids"):
