@@ -6,7 +6,7 @@
 
 PYENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-kernels bench-cache bench-serve bench-obs bench-planner experiments examples serve-sim clean
+.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-kernels bench-serve bench-obs bench-planner experiments examples serve-sim clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -108,11 +108,6 @@ bench-engine:
 # Alias focused on the compiled-kernel rows of the same sweep — the
 # bench-kernels CI job uploads the extended CSV (docs/kernels.md).
 bench-kernels: bench-engine
-
-# Result-cache hit-rate/throughput sweep over Zipfian query streams;
-# records results/cache.csv (uploaded as a CI artifact).
-bench-cache:
-	$(PYENV) python benchmarks/bench_cache.py --out results/cache.csv
 
 # Serving latency/goodput sweep: open-loop bursty load at multiples of
 # calibrated capacity through both backpressure policies; records

@@ -27,6 +27,13 @@ GAUGE_KEYS = COUNTER_KEYS
 HISTOGRAM_KEYS = {"name", "labels", "buckets", "counts", "sum", "count", "help"}
 SPAN_KEYS = {"capacity", "started", "finished", "dropped", "summary", "recent", "slow"}
 SPAN_LATENCY_METRIC = "repro_span_seconds"
+#: The result cache's counters (docs/observability.md); a snapshot of a
+#: run without a cache carries none of them.
+CACHE_COUNTERS = {
+    "repro_cache_hits_total", "repro_cache_shared_total",
+    "repro_cache_misses_total", "repro_cache_evictions_total",
+    "repro_cache_invalidations_total", "repro_cache_flushes_total",
+}
 
 
 def check(snapshot: dict) -> list:
@@ -73,6 +80,16 @@ def check(snapshot: dict) -> list:
                         sum(entry["counts"]) == entry["count"],
                         f"{where}: bucket counts must sum to count",
                     )
+        cache = {}  # series name -> total over its label sets
+        for c in metrics.get("counters", []):
+            if isinstance(c, dict) and str(c.get("name", "")).startswith("repro_cache_"):
+                cache[c["name"]] = cache.get(c["name"], 0) + c.get("value", 0)
+        unknown = cache.keys() - CACHE_COUNTERS
+        need(not unknown, f"unknown cache counters {sorted(unknown)}")
+        need(
+            cache.get("repro_cache_shared_total", 0) <= cache.get("repro_cache_hits_total", 0),
+            "repro_cache_shared_total exceeds repro_cache_hits_total (it is a subset)",
+        )
         # ISSUE 3 acceptance floor: a snapshot of a real run carries at
         # least one counter, one histogram, and span-derived latency.
         need(len(metrics.get("counters", [])) >= 1, "no counters in snapshot")

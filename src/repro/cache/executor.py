@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -64,9 +64,6 @@ from repro.verify.faults import SITE_CACHE_INVALIDATE, FaultPlan
 
 __all__ = ["CachingExecutor", "CacheCounters"]
 
-_EMPTY = np.empty(0, dtype=np.int64)
-_EMPTY.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class CacheCounters:
@@ -74,6 +71,9 @@ class CacheCounters:
 
     hits: int
     misses: int
+    #: The part of ``hits`` answered by another query of the same batch
+    #: (one shared execution), not by a resident entry.
+    shared: int
     evictions: int
     invalidated_entries: int
     invalidation_flushes: int
@@ -148,6 +148,7 @@ class CachingExecutor:
         self.fault_plan = fault_plan
         self._hits = 0
         self._misses = 0
+        self._shared = 0
         self._invalidated = 0
         self._flushes = 0
         self._install(backend)
@@ -311,7 +312,7 @@ class CachingExecutor:
     def _execute_inner(self, batch, strategy, mode, ob) -> BatchResult:
         n = len(batch)
         with self._lock:
-            pre = (self._hits, self._misses, self._results.evictions,
+            pre = (self._hits, self._misses, self._shared, self._results.evictions,
                    self._invalidated, self._flushes)
             self._maybe_invalidate()
             if self._top is not None:
@@ -319,51 +320,66 @@ class CachingExecutor:
                 q_end = np.clip(batch.end, 0, self._top)
             else:
                 q_st, q_end = batch.st, batch.end
-            st_list = q_st.tolist()
-            end_list = q_end.tolist()
-            payloads: List = [None] * n
-            miss_keys: List[Tuple[int, int]] = []
-            miss_positions: dict = {}
-            for pos in range(n):
-                key = (st_list[pos], end_list[pos], mode)
-                payload = self._results.get(key)
-                if payload is not None:
-                    payloads[pos] = payload
-                    self._hits += 1
-                    continue
-                qkey = (st_list[pos], end_list[pos])
-                if qkey in miss_positions:
-                    # Within-batch duplicate of a missed query: answered
-                    # from that miss's shared execution, no extra
-                    # backend work — counted as a hit.
-                    self._hits += 1
-                    miss_positions[qkey].append(pos)
-                else:
-                    self._misses += 1
-                    miss_positions[qkey] = [pos]
-                    miss_keys.append(qkey)
-            if miss_keys:
-                sub = QueryBatch(
-                    [k[0] for k in miss_keys], [k[1] for k in miss_keys]
-                )
-                miss_result = self._execute_misses(sub, strategy, mode)
-                for i, qkey in enumerate(miss_keys):
-                    payload = self._payload_of(miss_result, i, mode)
-                    self._results.put((qkey[0], qkey[1], mode), payload)
-                    for pos in miss_positions[qkey]:
-                        payloads[pos] = payload
-            result = self._assemble(payloads, batch.order, mode)
+            rows = self._results.lookup(q_st, q_end, mode)
+            hit_at = np.flatnonzero(rows >= 0)
+            miss_at = np.flatnonzero(rows < 0)
+            # Read the hits before the fill below, which may evict or
+            # displace one of them.
+            hit_columns = self._results.payloads(rows[hit_at], mode)
+            # One sort puts the batch's repeats of a missed query side by
+            # side: the first is the miss, the rest share its execution (no
+            # extra backend work — counted as hits), and the sub-batch
+            # reaches the backend already in start order.
+            m_st, m_end = q_st[miss_at], q_end[miss_at]
+            by_key = self._sort_keys(m_st, m_end)
+            m_st, m_end = m_st[by_key], m_end[by_key]
+            first = np.ones(miss_at.size, dtype=bool)
+            first[1:] = (m_st[1:] != m_st[:-1]) | (m_end[1:] != m_end[:-1])
+            u_st, u_end = m_st[first], m_end[first]
+            answer_of = np.empty(miss_at.size, dtype=np.intp)
+            answer_of[by_key] = np.cumsum(first) - 1
+            self._misses += u_st.size
+            self._shared += miss_at.size - u_st.size
+            self._hits += n - u_st.size
+            if u_st.size:
+                answered = self._execute_misses(QueryBatch(u_st, u_end), strategy, mode)
+            else:
+                answered = BatchResult.empty(mode)
+            miss_columns = self._payload_columns(answered, mode)
+            self._results.fill(u_st, u_end, mode, *miss_columns)
+            # Back to caller order with one scatter per column.
+            to_hits, to_misses = batch.order[hit_at], batch.order[miss_at]
+            columns = []
+            for hits, misses in zip(hit_columns, miss_columns):
+                if hits is not None:
+                    column = np.empty(n, dtype=hits.dtype)
+                    column[to_hits] = hits
+                    column[to_misses] = misses[answer_of]
+                    hits = column
+                columns.append(hits)
+            counts, checksums, ids = columns
+            result = BatchResult(
+                counts, None if ids is None else ids.tolist(), checksums=checksums
+            )
             if ob is not None:
                 ob.record_cache_batch(
                     hits=self._hits - pre[0],
                     misses=self._misses - pre[1],
-                    evictions=self._results.evictions - pre[2],
-                    invalidated=self._invalidated - pre[3],
-                    flushes=self._flushes - pre[4],
+                    shared=self._shared - pre[2],
+                    evictions=self._results.evictions - pre[3],
+                    invalidated=self._invalidated - pre[4],
+                    flushes=self._flushes - pre[5],
                     bytes_resident=self._results.bytes_resident,
                     entries=len(self._results),
                 )
             return result
+
+    def _sort_keys(self, st: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """The permutation into ``(st, end)`` order; clipped keys that pack
+        into one int64 take one sort instead of lexsort's two."""
+        if self._top is not None and self._top < 1 << 31:
+            return np.argsort(st * (self._top + 1) + end)
+        return np.lexsort((end, st))
 
     def _execute_misses(self, sub: QueryBatch, strategy: str, mode: str) -> BatchResult:
         if self._kind == "execute":
@@ -379,42 +395,15 @@ class CachingExecutor:
         return run_strategy(strategy, self._backend, sub, mode=mode)
 
     @staticmethod
-    def _payload_of(result: BatchResult, pos: int, mode: str):
-        if mode == "count":
-            return int(result.counts[pos])
-        if mode == "checksum":
-            return (int(result.counts[pos]), result.query_checksum(pos))
-        arr = np.asarray(result.ids(pos), dtype=np.int64)
-        try:
+    def _payload_columns(result: BatchResult, mode: str):
+        """*result* as the store's ``(counts, checksums, ids)`` columns;
+        the id arrays are frozen, every later hit shares them."""
+        if mode != "ids":
+            return result.counts, result.checksums, None
+        arrays = [result.ids(i) for i in range(len(result))]
+        for arr in arrays:
             arr.setflags(write=False)
-        except ValueError:  # non-owned writable base; keep a private copy
-            arr = arr.copy()
-            arr.setflags(write=False)
-        return arr
-
-    @staticmethod
-    def _assemble(payloads: List, order: np.ndarray, mode: str) -> BatchResult:
-        n = len(payloads)
-        counts = np.empty(n, dtype=np.int64)
-        if mode == "count":
-            for pos in range(n):
-                counts[int(order[pos])] = payloads[pos]
-            return BatchResult(counts)
-        if mode == "checksum":
-            sums = np.empty(n, dtype=np.int64)
-            for pos in range(n):
-                cnt, xor = payloads[pos]
-                caller = int(order[pos])
-                counts[caller] = cnt
-                sums[caller] = xor
-            return BatchResult(counts, checksums=sums)
-        ids: List[np.ndarray] = [_EMPTY] * n
-        for pos in range(n):
-            arr = payloads[pos]
-            caller = int(order[pos])
-            ids[caller] = arr
-            counts[caller] = arr.size
-        return BatchResult(counts, ids)
+        return result.counts, None, np.fromiter(arrays, dtype=object, count=len(arrays))
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -426,6 +415,7 @@ class CachingExecutor:
             return CacheCounters(
                 hits=self._hits,
                 misses=self._misses,
+                shared=self._shared,
                 evictions=self._results.evictions,
                 invalidated_entries=self._invalidated,
                 invalidation_flushes=self._flushes,

@@ -1,51 +1,86 @@
-"""The result tier: an LRU cache of per-query answers.
+"""The result tier: a columnar store of per-query answers, run a batch at a time.
 
 Entries are keyed by the *normalized* query — endpoints clipped into the
 backend's domain, exactly the normalization every index applies before
 probing — plus the result mode, because the three modes materialize
-different payloads (an ``int``, a ``(count, checksum)`` pair, an id
-array).  The strategy name is deliberately **not** part of the key: the
+different payloads (a count, a ``(count, checksum)`` pair, an id array).
+The strategy name is deliberately **not** part of the key: the
 repository-wide differential contract (``tests/test_differential.py``)
 guarantees every strategy returns identical answers, so a result cached
 under one strategy is valid for all of them.
 
-Residency is bounded in **bytes** (ids-mode payloads dominate, so an
-entry count alone would under-control memory) with an optional entry
-bound on top; eviction is plain LRU.  The cache itself is a dumb store —
-all invalidation logic lives in
+Layout: entries are rows of parallel NumPy columns (key hash, key start,
+key end, mode code, count, checksum, payload bytes, last-used batch stamp,
+and an object column for ids payloads), found through a direct-mapped
+index of row numbers that a multiplicative hash of the key addresses.  A
+whole batch is probed, read or filled by a handful of array operations
+and no per-query Python runs.  Two keys on one index slot do not chain:
+the later one displaces the earlier (counted as an eviction), which is
+kept rare by giving the index :data:`INDEX_SLOTS_PER_ROW` slots per row.
+Rows and index double together as the entries need them.
+
+Residency is bounded in **bytes** (ids-mode payloads dominate, so an entry
+count alone would under-control memory) with an optional entry bound on
+top, enforced once per :meth:`ResultCache.fill` by dropping the entries
+whose stamps are oldest — LRU at batch granularity.  The cache itself is a
+dumb store — all invalidation logic lives in
 :class:`~repro.cache.executor.CachingExecutor`, which knows when its
 backend mutated.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.result import MODES
+
 __all__ = ["ResultCache"]
 
-#: Fixed per-entry bookkeeping estimate (key tuple + dict slot + payload
-#: object headers); payload array bytes are added on top.
+#: Fixed per-entry residency estimate (a row of every column plus its
+#: share of the index); ids payload bytes are added on top.
 ENTRY_OVERHEAD_BYTES = 96
+#: Index slots per row: a new key finds its slot taken about one time in
+#: twenty, at four bytes a slot.
+INDEX_SLOTS_PER_ROW = 16
+
+#: column -> (dtype, value in a free row)
+_COLUMNS = {
+    "_hash": (np.uint64, 0), "_st": (np.int64, 0), "_end": (np.int64, 0),
+    "_mode": (np.int8, -1), "_count": (np.int64, 0), "_checksum": (np.int64, 0),
+    "_nbytes": (np.int64, 0), "_stamp": (np.int64, 0), "_ids": (object, None),
+}
+_MIN_ROWS = 64
+_MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
+_IDS = _MODE_CODE["ids"]
+_MIX_ST = np.uint64(0x9E3779B97F4A7C15)
+_MIX_END = np.uint64(0xC2B2AE3D27D4EB4F)
+_MIX_MODE = np.array([0x165667B19E3779F9 * c % (1 << 64) for c in range(len(MODES))], dtype=np.uint64)
+_HALF = np.uint64(32)
 
 
-def payload_nbytes(payload) -> int:
-    """Approximate residency cost of one cached payload."""
-    if isinstance(payload, np.ndarray):
-        return ENTRY_OVERHEAD_BYTES + int(payload.nbytes)
-    return ENTRY_OVERHEAD_BYTES
+def _key_hash(st: np.ndarray, end: np.ndarray, code: int) -> np.ndarray:
+    h = st.view(np.uint64) * _MIX_ST + end.view(np.uint64) * _MIX_END + _MIX_MODE[code]
+    h ^= h >> _HALF
+    h *= _MIX_ST
+    return h
 
 
 class ResultCache:
-    """LRU map ``(st, end, mode) -> payload`` with a byte budget.
+    """Hashed map ``(st, end, mode) -> payload`` with a byte budget.
+
+    One batch is one :meth:`lookup` (which starts a new stamp), one
+    :meth:`payloads` for the hits and one :meth:`fill` for the answers of
+    the misses.  Rows returned by :meth:`lookup` are valid until the next
+    :meth:`fill`, budget change or invalidation.
 
     Parameters
     ----------
     max_bytes:
-        Residency budget; entries are evicted (LRU first) while the
-        accounted total exceeds it.
+        Residency budget; the least recently used entries are evicted
+        while the accounted total exceeds it.
     max_entries:
         Optional additional bound on the entry count.
     """
@@ -57,45 +92,185 @@ class ResultCache:
             raise ValueError("max_entries must be positive (or None)")
         self.max_bytes = int(max_bytes)
         self.max_entries = None if max_entries is None else int(max_entries)
-        self._lru: "OrderedDict[Tuple[int, int, str], tuple]" = OrderedDict()
-        self._bytes = 0
         self.evictions = 0
+        self._clock = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """The empty store at its smallest size."""
+        for name, (dtype, _) in _COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self._free = np.empty(0, dtype=np.intp)
+        self._nfree = 0
+        self._entries = 0
+        self._bytes = 0
+        # (stamp, rows) per lookup and fill, oldest first: where to find
+        # the least recently used entries without scanning the columns.
+        self._log: deque = deque()
+        self._logged = 0
+        self._resize(_MIN_ROWS)
+
+    def _resize(self, rows: int) -> None:
+        """Extend every column to *rows* (a power of two) and re-index."""
+        old = self._mode.size
+        for name, (dtype, free) in _COLUMNS.items():
+            column = np.full(rows, free, dtype=dtype)
+            column[:old] = getattr(self, name)
+            setattr(self, name, column)
+        self._owner = np.zeros(rows, dtype=np.intp)  # scratch of lookup()
+        free = np.empty(rows, dtype=np.intp)  # a stack of the free rows
+        free[: self._nfree] = self._free[: self._nfree]
+        free[self._nfree : self._nfree + rows - old] = np.arange(old, rows)
+        self._free = free
+        self._nfree += rows - old
+        slots = rows * INDEX_SLOTS_PER_ROW
+        self._shift = np.uint64(65 - slots.bit_length())
+        self._index = np.full(slots, -1, dtype=np.int32)
+        live = np.flatnonzero(self._mode >= 0)
+        # The slot is the hash's top bits, so doubling the index splits a
+        # slot's keys and never puts two entries on one.
+        self._index[self._slots(self._hash[live])] = live
 
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return self._entries
 
     @property
     def bytes_resident(self) -> int:
         return self._bytes
 
-    def get(self, key: Tuple[int, int, str]):
-        """Payload for *key* (refreshing recency), or ``None``."""
-        entry = self._lru.get(key)
-        if entry is None:
-            return None
-        self._lru.move_to_end(key)
-        return entry[0]
+    def _slots(self, h: np.ndarray) -> np.ndarray:
+        return (h >> self._shift).astype(np.intp)
 
-    def put(self, key: Tuple[int, int, str], payload) -> None:
-        """Insert (or refresh) *key*; evicts LRU entries over budget."""
-        old = self._lru.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        size = payload_nbytes(payload)
-        self._lru[key] = (payload, size)
-        self._bytes += size
-        self._evict()
+    def lookup(self, st: np.ndarray, end: np.ndarray, mode: str) -> np.ndarray:
+        """The row holding each key of a batch, ``-1`` where absent.
 
-    def _evict(self) -> None:
-        while self._lru and (
-            self._bytes > self.max_bytes
-            or (self.max_entries is not None and len(self._lru) > self.max_entries)
-        ):
-            _, (_, size) = self._lru.popitem(last=False)
-            self._bytes -= size
-            self.evictions += 1
+        Starts the batch's stamp and marks every hit as used in it.
+        """
+        code = _MODE_CODE[mode]
+        self._clock += 1
+        rows = self._index[self._slots(_key_hash(st, end, code))]
+        hit = (
+            (rows >= 0) & (self._mode[rows] == code)
+            & (self._st[rows] == st) & (self._end[rows] == end)
+        )
+        found = rows[hit]
+        if found.size:
+            # A batch can hit one entry twice; log its last use once.
+            rank = np.arange(found.size)
+            self._owner[found] = rank
+            self._used(found[self._owner[found] == rank])
+        return np.where(hit, rows, -1)
+
+    def payloads(self, rows: np.ndarray, mode: str):
+        """``(counts, checksums, ids)`` columns of occupied *rows*; the
+        columns *mode* does not materialize are ``None``."""
+        return (
+            self._count[rows],
+            self._checksum[rows] if mode == "checksum" else None,
+            self._ids[rows] if mode == "ids" else None,
+        )
+
+    def fill(self, st, end, mode: str, counts, checksums=None, ids=None) -> None:
+        """Store one answer per key, then enforce the budgets.
+
+        The keys are those :meth:`lookup` reported absent, each once; the
+        payload columns are shaped like :meth:`payloads`' (ids: an object
+        array of int64 arrays).
+        """
+        n = len(st)
+        if not n:
+            return
+        code = _MODE_CODE[mode]
+        if self._nfree < n:
+            self._resize(1 << (self._mode.size - self._nfree + n - 1).bit_length())
+        h = _key_hash(st, end, code)
+        slots = self._slots(h)
+        held = self._index[slots]
+        rank = np.arange(n, dtype=np.int32)
+        self._index[slots] = rank  # of two keys on one slot the later stays
+        won = self._index[slots] == rank
+        if not won.all():
+            slots, held, h, st, end, counts = (a[won] for a in (slots, held, h, st, end, counts))
+            checksums = None if checksums is None else checksums[won]
+            ids = None if ids is None else ids[won]
+        self._nfree -= slots.size
+        # A copy: releasing the displaced rows below rewrites this stretch
+        # of the stack.
+        rows = self._free[self._nfree : self._nfree + slots.size].copy()
+        self._index[slots] = rows
+        displaced = held[held >= 0]
+        self.evictions += n - rows.size + int(displaced.size)
+        self._release(displaced)
+        nbytes = np.full(rows.size, ENTRY_OVERHEAD_BYTES)
+        if ids is not None:
+            nbytes += 8 * counts  # ids payloads are int64 arrays
+            self._ids[rows] = ids
+        self._hash[rows] = h
+        self._st[rows] = st
+        self._end[rows] = end
+        self._mode[rows] = code
+        self._count[rows] = counts
+        if checksums is not None:
+            self._checksum[rows] = checksums
+        self._nbytes[rows] = nbytes
+        self._entries += rows.size
+        self._bytes += int(nbytes.sum())
+        self._used(rows)
+        self._enforce()
+
+    def _release(self, rows: np.ndarray) -> None:
+        """Free the *rows* of entries whose index slots the caller has dealt with."""
+        self._bytes -= int(self._nbytes[rows].sum())
+        self._entries -= int(rows.size)
+        self._ids[rows[self._mode[rows] == _IDS]] = None
+        self._mode[rows] = -1
+        self._stamp[rows] = 0  # no use-log record matches a free row
+        self._free[self._nfree : self._nfree + rows.size] = rows
+        self._nfree += int(rows.size)
+
+    def _remove(self, rows: np.ndarray) -> None:
+        self._index[self._slots(self._hash[rows])] = -1
+        self._release(rows)
+
+    def _used(self, rows: np.ndarray) -> None:
+        """Log that *rows* were last used in the current batch."""
+        self._stamp[rows] = self._clock
+        self._log.append((self._clock, rows))
+        self._logged += rows.size
+        if self._logged > 4 * self._mode.size:
+            # Mostly stale by now: rebuild from the stamps, one record per
+            # stamp, oldest first.
+            live = np.flatnonzero(self._mode >= 0)
+            stamps = self._stamp[live]
+            order = np.argsort(stamps, kind="stable")
+            live, stamps = live[order], stamps[order]
+            runs = np.split(live, np.flatnonzero(stamps[1:] != stamps[:-1]) + 1)
+            self._log = deque((int(self._stamp[run[0]]), run) for run in runs if run.size)
+            self._logged = int(live.size)
+
+    def _enforce(self) -> None:
+        """Drop the least recently used entries until both budgets hold.
+
+        The log's oldest record names the candidates, so a batch pays for
+        the entries it evicts, not for a scan of the columns.
+        """
+        limit = self._entries if self.max_entries is None else self.max_entries
+        while self._bytes > self.max_bytes or self._entries > limit:
+            stamp, rows = self._log.popleft()
+            self._logged -= rows.size
+            rows = rows[self._stamp[rows] == stamp]  # not used, displaced or dropped since
+            over = self._bytes - self.max_bytes
+            freed = np.cumsum(self._nbytes[rows])
+            by_bytes = int(np.searchsorted(freed, over)) + 1 if over > 0 else 0
+            drop = max(by_bytes, self._entries - limit)
+            victims, rest = rows[:drop], rows[drop:]
+            if rest.size:
+                self._log.appendleft((stamp, rest))
+                self._logged += rest.size
+            self.evictions += int(victims.size)
+            self._remove(victims)
 
     def set_budget(
         self, max_bytes: Optional[int] = None, max_entries: Optional[int] = None
@@ -109,7 +284,7 @@ class ResultCache:
             if max_entries < 1:
                 raise ValueError("max_entries must be positive")
             self.max_entries = int(max_entries)
-        self._evict()
+        self._enforce()
 
     # ------------------------------------------------------------------ #
     # invalidation primitives (driven by the executor)
@@ -117,9 +292,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Drop everything; returns the number of entries dropped."""
-        dropped = len(self._lru)
-        self._lru.clear()
-        self._bytes = 0
+        dropped = self._entries
+        self._reset()
         return dropped
 
     def drop_overlapping(self, regions: Iterable[Tuple[int, int]]) -> int:
@@ -130,17 +304,16 @@ class ResultCache:
         selective-invalidation rule :class:`CachingExecutor` applies for
         mutation deltas it can attribute.
         """
-        spans: List[Tuple[int, int]] = [
-            (int(lo), int(hi)) for lo, hi in regions
-        ]
-        if not spans:
+        spans = np.array(list(regions), dtype=np.int64).reshape(-1, 2)
+        if not spans.size or not self._entries:
             return 0
-        doomed = [
-            key
-            for key in self._lru
-            if any(key[0] <= hi and lo <= key[1] for lo, hi in spans)
-        ]
-        for key in doomed:
-            _, size = self._lru.pop(key)
-            self._bytes -= size
-        return len(doomed)
+        # With the regions in lo order, those starting at or before a key's
+        # end are a prefix; one of them reaches the key's start iff the
+        # furthest-reaching of that prefix does.
+        spans = spans[np.argsort(spans[:, 0])]
+        reach = np.maximum.accumulate(spans[:, 1])
+        live = np.flatnonzero(self._mode >= 0)
+        prefix = np.searchsorted(spans[:, 0], self._end[live], side="right")
+        doomed = live[(prefix > 0) & (reach[prefix - 1] >= self._st[live])]
+        self._remove(doomed)
+        return int(doomed.size)

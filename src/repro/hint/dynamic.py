@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,10 +75,16 @@ class DynamicHint:
         self._fault_plan = fault_plan
         self._base = collection
         self._index = HintIndex(collection, m=m, debug_checks=debug_checks)
+        self._base_ids_sorted, self._base_rows = self._rows_by_id(collection)
         self._buf_ids: List[int] = []
         self._buf_st: List[int] = []
         self._buf_end: List[int] = []
+        self._buf_pos: Dict[int, int] = {}  # staged id -> its row in the buffer
         self._tombstones: set = set()
+        # query()'s array forms of the buffer and the tombstone set, built
+        # on first use after a mutation.
+        self._buf_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._dead_sorted: Optional[np.ndarray] = None
         self._live: set = set(collection.ids.tolist())
         self._next_id = int(collection.ids.max()) + 1 if len(collection) else 0
         self.rebuilds = 0
@@ -127,9 +133,11 @@ class DynamicHint:
                 f"id {id} is tombstoned; compact() before re-using it"
             )
         self._next_id = max(self._next_id, id + 1)
+        self._buf_pos[id] = len(self._buf_ids)
         self._buf_ids.append(id)
         self._buf_st.append(int(st))
         self._buf_end.append(int(end))
+        self._buf_arrays = None
         self._live.add(id)
         self._record_mutation(int(st), int(end))
         if len(self._buf_ids) >= self.rebuild_threshold:
@@ -150,6 +158,7 @@ class DynamicHint:
         span = self._coords_of(id)
         self._live.discard(id)
         self._tombstones.add(id)
+        self._dead_sorted = None
         if span is not None:
             self._record_mutation(span[0], span[1])
         else:  # untrackable: force full invalidation downstream
@@ -161,16 +170,30 @@ class DynamicHint:
 
     def _coords_of(self, id: int) -> Optional[Tuple[int, int]]:
         """``(st, end)`` of a live object, buffer or base; None if lost."""
-        try:
-            pos = self._buf_ids.index(id)
+        pos = self._buf_pos.get(id)
+        if pos is not None:
             return (self._buf_st[pos], self._buf_end[pos])
-        except ValueError:
-            pass
-        hits = np.flatnonzero(self._base.ids == id)
-        if hits.size:
-            pos = int(hits[0])
+        at = int(np.searchsorted(self._base_ids_sorted, id))
+        if at < self._base_ids_sorted.size and self._base_ids_sorted[at] == id:
+            pos = int(self._base_rows[at])
             return (int(self._base.st[pos]), int(self._base.end[pos]))
         return None
+
+    @staticmethod
+    def _rows_by_id(base: IntervalCollection) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted ids, their rows in base)``: delete()'s id -> row lookup."""
+        rows = np.argsort(base.ids, kind="stable")
+        return base.ids[rows], rows
+
+    def _dead(self) -> np.ndarray:
+        """The tombstoned ids, sorted."""
+        if self._dead_sorted is None:
+            dead = np.fromiter(
+                self._tombstones, dtype=np.int64, count=len(self._tombstones)
+            )
+            dead.sort()
+            self._dead_sorted = dead
+        return self._dead_sorted
 
     def _record_mutation(self, lo: Optional[int], hi: Optional[int]) -> None:
         self._cache_version += 1
@@ -262,22 +285,23 @@ class DynamicHint:
             [self._base.end, np.asarray(self._buf_end, dtype=np.int64)]
         )
         if self._tombstones:
-            dead = np.fromiter(
-                self._tombstones, dtype=np.int64, count=len(self._tombstones)
-            )
-            keep = ~np.isin(merged_ids, dead)
+            keep = ~np.isin(merged_ids, self._dead())
             merged_ids = merged_ids[keep]
             merged_st = merged_st[keep]
             merged_end = merged_end[keep]
         base = IntervalCollection(merged_st, merged_end, merged_ids, copy=False)
         index = HintIndex(base, m=self.m, debug_checks=self.debug_checks)
+        rows_by_id = self._rows_by_id(base)
         # ---- commit point: nothing above mutated self ----
         self._base = base
         self._index = index
+        self._base_ids_sorted, self._base_rows = rows_by_id
         self._tombstones.clear()
         self._buf_ids.clear()
         self._buf_st.clear()
         self._buf_end.clear()
+        self._buf_pos.clear()
+        self._buf_arrays = self._dead_sorted = None
         self.rebuilds += 1
         if self.debug_checks:
             from repro.verify.invariants import verify_index
@@ -294,16 +318,18 @@ class DynamicHint:
         """Ids G-overlapping ``[q_st, q_end]`` in the current state."""
         parts = [self._index.query(q_st, q_end)]
         if self._buf_ids:
-            st = np.asarray(self._buf_st, dtype=np.int64)
-            end = np.asarray(self._buf_end, dtype=np.int64)
-            mask = g_overlaps(st, end, q_st, q_end)
-            parts.append(np.asarray(self._buf_ids, dtype=np.int64)[mask])
+            if self._buf_arrays is None:
+                self._buf_arrays = tuple(
+                    np.asarray(column, dtype=np.int64)
+                    for column in (self._buf_ids, self._buf_st, self._buf_end)
+                )
+            buf_ids, st, end = self._buf_arrays
+            parts.append(buf_ids[g_overlaps(st, end, q_st, q_end)])
         ids = np.concatenate(parts) if len(parts) > 1 else parts[0]
         if self._tombstones and ids.size:
-            dead = np.fromiter(
-                self._tombstones, dtype=np.int64, count=len(self._tombstones)
-            )
-            ids = ids[~np.isin(ids, dead)]
+            dead = self._dead()
+            at = np.minimum(np.searchsorted(dead, ids), dead.size - 1)
+            ids = ids[dead[at] != ids]
         return ids
 
     def query_count(self, q_st: int, q_end: int) -> int:

@@ -113,6 +113,7 @@ ENGINE_ARENA_BYTES = "repro_engine_arena_bytes"
 ENGINE_ARENA_SEGMENTS = "repro_engine_arena_segments"
 CACHE_HITS = "repro_cache_hits_total"
 CACHE_MISSES = "repro_cache_misses_total"
+CACHE_SHARED = "repro_cache_shared_total"
 CACHE_EVICTIONS = "repro_cache_evictions_total"
 CACHE_INVALIDATIONS = "repro_cache_invalidations_total"
 CACHE_FLUSHES = "repro_cache_flushes_total"
@@ -500,6 +501,7 @@ class Observability:
         *,
         hits: int,
         misses: int,
+        shared: int,
         evictions: int,
         invalidated: int,
         flushes: int,
@@ -518,6 +520,12 @@ class Observability:
             reg.counter(
                 CACHE_MISSES, help="Result-tier cache misses."
             ).inc(int(misses))
+        if shared:
+            reg.counter(
+                CACHE_SHARED,
+                help="Result-tier hits answered by another query of the "
+                "same batch (subset of hits).",
+            ).inc(int(shared))
         if evictions:
             reg.counter(
                 CACHE_EVICTIONS, help="Result-tier LRU evictions."

@@ -9,6 +9,11 @@ second pass serves hits) and demands bit-identical agreement with
 * the uncached strategy result on an equivalent plain index, and
 * the ``oracle_result`` linear-scan ground truth (ids mode).
 
+Below the executor trials, the result tier's columnar store is checked
+on its own: against a dict reference model over random batches, modes and
+budgets, under forced index collisions, across growth, against the scalar
+overlap rule, and for being driven a batch (not a query) at a time.
+
 The matrix: 3 strategies x 3 result modes x {HintIndex, DynamicHint,
 ShardedHint} x {serial, threads, engine-auto} execution backends, swept
 by ``REPRO_CACHE_TRIALS`` seeded trials (default 200; ``make
@@ -31,10 +36,12 @@ from repro import (
     ExecutionEngine,
     HintIndex,
     IntervalCollection,
+    QueryBatch,
     ShardedHint,
     run_strategy,
 )
-from repro.cache import PartitionProbeCache, partition_cached_execute
+from repro.cache import PartitionProbeCache, ResultCache, partition_cached_execute
+from repro.cache import result as result_store
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES
 from repro.workloads.queries import uniform_queries, zipfian_queries
@@ -100,8 +107,6 @@ def _trial_data(trial: int, m: int):
         seed=trial,
     )
     cold = uniform_queries(10, 1 << m, 2.0, seed=trial + 1)
-    from repro import QueryBatch
-
     st = np.concatenate([hot.st, cold.st])
     end = np.concatenate([hot.end, cold.end])
     order = rng.permutation(st.size)
@@ -180,3 +185,249 @@ def test_partition_tier_matches_every_strategy(mode, rng):
         for strategy in STRATEGIES:
             assert got == run_strategy(strategy, idx, batch, mode=mode)
     assert cache.hits > 0  # warm passes actually reused probe answers
+
+
+# --------------------------------------------------------------------- #
+# the result tier's columnar store
+# --------------------------------------------------------------------- #
+
+
+def _payload_columns(st, end, mode):
+    """A deterministic answer per key, shaped like the store's columns."""
+    counts = (st * 7 + end) % 5
+    if mode == "count":
+        return counts, None, None
+    if mode == "checksum":
+        return counts, st ^ end, None
+    ids = np.empty(st.size, dtype=object)
+    for i, (s, c) in enumerate(zip(st.tolist(), counts.tolist())):
+        ids[i] = np.arange(s, s + c, dtype=np.int64)
+    return counts, None, ids
+
+
+def _resident(store):
+    """``{(st, end, mode code): (row, stamp, nbytes)}`` read off the columns."""
+    rows = np.flatnonzero(store._mode >= 0)
+    return {
+        (int(store._st[r]), int(store._end[r]), int(store._mode[r])):
+        (int(r), int(store._stamp[r]), int(store._nbytes[r]))
+        for r in rows
+    }
+
+
+def _slot(store, key):
+    st, end, code = (np.array([v]) for v in key)
+    return int(store._slots(result_store._key_hash(st, end, code[0]))[0])
+
+
+def _run_batch(store, st, end, mode):
+    """What ``CachingExecutor`` does with one batch; returns ``(rows, hit
+    payload columns)``."""
+    rows = store.lookup(st, end, mode)
+    hits = store.payloads(rows[rows >= 0], mode)
+    missed = np.unique(np.stack([st[rows < 0], end[rows < 0]]), axis=1)
+    store.fill(missed[0], missed[1], mode, *_payload_columns(missed[0], missed[1], mode))
+    return rows, hits
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "budget",
+    [dict(max_bytes=1), dict(max_entries=5), dict(max_bytes=40 * 96), dict()],
+    ids=["one-byte", "five-entries", "forty-entries-of-bytes", "ample"],
+)
+def test_store_matches_dict_model(mode, budget):
+    """Random batches against a dict that remembers every key's payload
+    and the batch it was last used in: a hit returns the model's payload,
+    both budgets hold after every batch, and what a batch evicted was not
+    used more recently than anything it kept."""
+    rng = np.random.default_rng(hash((mode, *budget)) % 2**32)
+    store = ResultCache(**budget)
+    code = MODES.index(mode)
+    last_used = {}  # key -> batch of last use, for keys the store should hold
+    for batch_no in range(1, 60):
+        n = int(rng.integers(1, 48))
+        st = rng.integers(0, 24, n)
+        end = st + rng.integers(0, 3, n)
+        before = _resident(store)
+        evictions = store.evictions
+        rows, (counts, checksums, ids) = _run_batch(store, st, end, mode)
+        hit = rows >= 0
+        # hits: exactly the keys resident before the batch, with their payloads
+        assert hit.tolist() == [(s, e, code) in before for s, e in zip(st.tolist(), end.tolist())]
+        want = _payload_columns(st[hit], end[hit], mode)
+        assert counts.tolist() == want[0].tolist()
+        if mode == "checksum":
+            assert checksums.tolist() == want[1].tolist()
+        if mode == "ids":
+            assert all(np.array_equal(a, b) for a, b in zip(ids, want[2]))
+        # budgets and accounting
+        after = _resident(store)
+        assert len(store) == len(after) <= (store.max_entries or len(after))
+        assert store.bytes_resident == sum(nb for _, _, nb in after.values()) <= store.max_bytes
+        # oldest stamps go first
+        last_used.update({(s, e, code): batch_no for s, e in zip(st.tolist(), end.tolist())})
+        gone = {key: last_used.pop(key) for key in list(last_used) if key not in after}
+        assert store.evictions - evictions == len(gone)
+        assert set(last_used) == set(after)
+        # ... except the few whose index slot another key took
+        taken = {_slot(store, key) for key in after}
+        evicted = [used for key, used in gone.items() if _slot(store, key) not in taken]
+        if evicted and after:
+            assert max(evicted) <= min(last_used.values())
+        if evicted:  # and only as many as the budgets demanded
+            assert (
+                len(after) == store.max_entries
+                or store.bytes_resident + 96 + 8 * 4 > store.max_bytes
+            )
+        assert budget or not evicted
+
+
+def test_store_index_collisions_never_confuse_keys():
+    """Keys forced onto one index slot: at most one of them is resident,
+    a lookup never answers with another key's payload, and the accounting
+    stays exact."""
+    store = ResultCache()
+    st = np.arange(200_000, dtype=np.int64)
+    slots = store._slots(result_store._key_hash(st, st, MODES.index("count")))
+    crowd = st[slots == slots[0]][:6]
+    assert crowd.size == 6
+    for _ in range(3):
+        for one in crowd:
+            key = np.array([one])
+            rows = store.lookup(key, key, "count")
+            if rows[0] >= 0:
+                assert store.payloads(rows, "count")[0].tolist() == [int(one) % 5 + 1]
+            else:
+                store.fill(key, key, "count", key % 5 + 1)
+            assert len(store) == len(_resident(store)) == 1
+    assert store.evictions >= len(crowd) - 1
+    # two of them in one fill: the later stays, the earlier counts as evicted
+    store.clear()
+    before = store.evictions
+    store.lookup(crowd[:2], crowd[:2], "count")
+    store.fill(crowd[:2], crowd[:2], "count", crowd[:2] % 5 + 1)
+    assert list(_resident(store)) == [(int(crowd[1]), int(crowd[1]), 0)]
+    assert store.evictions - before == 1
+
+
+def test_store_growth_keeps_every_entry():
+    """Filling far past the initial size: rows and index double, nothing
+    is lost that the index had room for, and no earlier row moves."""
+    store = ResultCache()
+    small = store._mode.size
+    st = np.arange(0, 3000, dtype=np.int64)
+    for lo in range(0, 3000, 500):
+        part = st[lo:lo + 500]
+        store.lookup(part, part + 1, "checksum")
+        store.fill(part, part + 1, "checksum", part % 7, part * 3)
+    assert store._mode.size > small and store._index.size == 16 * store._mode.size
+    assert len(store) + store.evictions == 3000
+    assert store.evictions < 3000 // 10  # displaced by index collisions only
+    rows = store.lookup(st, st + 1, "checksum")
+    found = rows >= 0
+    assert found.sum() == len(store)
+    counts, checksums, _ = store.payloads(rows[found], "checksum")
+    assert counts.tolist() == (st[found] % 7).tolist()
+    assert checksums.tolist() == (st[found] * 3).tolist()
+
+
+def test_store_drop_overlapping_matches_scalar_rule(rng):
+    for trial in range(40):
+        store = ResultCache()
+        n = int(rng.integers(1, 120))
+        st = rng.integers(0, 500, n)
+        end = st + rng.integers(0, 40, n)
+        mode = MODES[trial % 3]
+        _run_batch(store, st, end, mode)
+        regions = [
+            (int(lo), int(lo + w))
+            for lo, w in zip(rng.integers(0, 540, trial % 7), rng.integers(0, 30, trial % 7))
+        ]
+        before = _resident(store)
+        doomed = {
+            key for key in before
+            if any(key[0] <= hi and lo <= key[1] for lo, hi in regions)
+        }
+        assert store.drop_overlapping(regions) == len(doomed)
+        assert set(_resident(store)) == set(before) - doomed
+        assert store.bytes_resident == sum(nb for _, _, nb in _resident(store).values())
+
+
+class _CountingBackend:
+    """Answers from a plain index and counts what it was asked."""
+
+    def __init__(self, index):
+        self._index = index
+        self.m = index.m
+        self.queries = 0
+
+    def execute(self, batch, *, strategy, mode):
+        self.queries += len(batch)
+        assert batch.is_sorted
+        return run_strategy(strategy, self._index, batch, mode=mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_in_batch_duplicates_share_one_execution(mode, rng):
+    m = 8
+    coll = random_collection(rng, 200, (1 << m) - 1)
+    index = HintIndex(coll, m=m)
+    backend = _CountingBackend(index)
+    cached = CachingExecutor(backend)
+    st = np.array([5, 90, 5, 5, 200, 90, 17])
+    end = np.array([9, 120, 9, 30, 255, 120, 17])
+    batch = QueryBatch(st, end)
+    first = cached.execute(batch, mode=mode)
+    assert first == run_strategy("partition-based", index, batch, mode=mode)
+    stats = cached.stats()
+    assert (backend.queries, stats.misses, stats.hits, stats.shared) == (5, 5, 2, 2)
+    again = cached.execute(batch, mode=mode)
+    assert again == first
+    stats = cached.stats()
+    assert (backend.queries, stats.misses, stats.hits, stats.shared) == (5, 5, 9, 2)
+    if mode == "ids":
+        # one array per distinct query, shared by its repeats and read-only
+        assert again.ids(0) is again.ids(2) is first.ids(0)
+        assert not any(again.ids(i).flags.writeable for i in range(len(batch)))
+        with pytest.raises(ValueError):
+            again.ids(1)[:1] = 0
+
+
+class _Spy:
+    """Counts the calls made on the wrapped store's methods."""
+
+    def __init__(self, store):
+        self._store = store
+        self.calls = 0
+
+    def __len__(self):
+        return len(self._store)
+
+    def __getattr__(self, name):
+        attr = getattr(self._store, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_store_is_driven_once_per_batch_not_once_per_query(mode, rng):
+    m = 10
+    coll = random_collection(rng, 300, (1 << m) - 1)
+    cached = CachingExecutor(HintIndex(coll, m=m))
+    spy = cached._results = _Spy(cached._results)
+    per_batch = []
+    for n in (8, 64, 512):
+        batch = uniform_queries(n, 1 << m, 2.0, seed=n)
+        for _ in range(2):  # all misses, then all hits
+            spy.calls = 0
+            cached.execute(batch, mode=mode)
+            per_batch.append(spy.calls)
+    assert max(per_batch) <= 4
+    assert len(set(per_batch)) == 1

@@ -199,3 +199,57 @@ class TestIdLifecycleRegressions:
         with pytest.raises(ValueError, match="already live"):
             dyn.insert(40, 50, id=7)
         assert len(dyn) == 1
+
+
+class TestWritePathLookups:
+    """delete() finds an object's coordinates by lookup, and query() keeps
+    array forms of the buffer and the tombstones only until the next write."""
+
+    def test_delete_never_scans_the_base_ids(self):
+        class NoScan:
+            """The base collection with its id column made unreadable."""
+
+            def __init__(self, base):
+                self._base = base
+
+            def __getattr__(self, name):
+                assert name != "ids", "delete() scanned _base.ids"
+                return getattr(self._base, name)
+
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(500) + 1000  # unsorted, not starting at 0
+        st = rng.integers(0, 200, 500)
+        dyn = DynamicHint(IntervalCollection(st, st + 20, ids=ids), m=8, rebuild_threshold=64)
+        staged = dyn.insert(7, 9)
+        dyn._base = NoScan(dyn._base)
+        version = dyn.cache_version
+        dyn.delete(int(ids[17]))  # merged into the base
+        dyn.delete(staged)  # still in the buffer
+        assert dyn.dirty_since(version) == [(int(st[17]), int(st[17]) + 20), (7, 9)]
+        with pytest.raises(KeyError):
+            dyn.delete(999_999)
+
+    def test_query_sees_every_write_after_warming_its_arrays(self):
+        rng = np.random.default_rng(4)
+        model = Model()
+        dyn = DynamicHint(m=8, rebuild_threshold=40)
+
+        def check():
+            for a, b in ((0, 255), (40, 90), (200, 200)):
+                assert set(dyn.query(a, b).tolist()) == model.query(a, b)
+
+        for step in range(300):
+            check()  # warms the buffer and tombstone arrays before the write
+            roll = rng.random()
+            if roll < 0.55 or not model.live:
+                s = int(rng.integers(0, 250))
+                e = min(s + int(rng.integers(0, 30)), 255)
+                model.live[dyn.insert(s, e)] = (s, e)
+            elif roll < 0.95:
+                victim = int(rng.choice(sorted(model.live)))
+                dyn.delete(victim)
+                del model.live[victim]
+            else:
+                dyn.compact()
+        check()
+        assert dyn.rebuilds > 3
