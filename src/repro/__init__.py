@@ -43,7 +43,7 @@ The package provides:
   behind :func:`~repro.kernels.compiled.compiled_run` — the same
   ``run_strategy`` contract (see ``docs/kernels.md``);
 * :mod:`repro.cache` — :class:`~repro.cache.CachingExecutor`, the live
-  result/partition cache in front of any backend (LRU byte budget,
+  result cache in front of any backend (LRU byte budget,
   never-stale invalidation against :class:`~repro.hint.DynamicHint`
   mutations), plus :class:`~repro.cache.AffinityFlushPolicy`, the
   data-driven flush selector for the service (see ``docs/caching.md``).

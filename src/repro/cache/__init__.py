@@ -1,4 +1,4 @@
-"""Live result/partition caching and affinity-aware flush scheduling.
+"""Live result caching and affinity-aware flush scheduling.
 
 This package closes the loop from *measuring* batch sharing
 (``repro.analysis.sharing``, ``repro.analysis.cache``) to *exploiting*
@@ -6,11 +6,8 @@ it in the serving path:
 
 * :class:`~repro.cache.result.ResultCache` — LRU per-query answers with
   a byte residency budget;
-* :class:`~repro.cache.partition.PartitionProbeCache` /
-  :func:`~repro.cache.partition.partition_cached_execute` — memoized
-  per-partition comparison probes (the partition tier);
 * :class:`~repro.cache.executor.CachingExecutor` — the
-  ``run_strategy``-shaped front end that wires both tiers in front of
+  ``run_strategy``-shaped front end that puts the store in front of
   any backend and owns the never-stale invalidation contract;
 * :class:`~repro.cache.affinity.AffinityFlushPolicy` — data-driven
   flush selection for the service's pending queue with a starvation
@@ -21,14 +18,11 @@ See ``docs/caching.md`` for the design and the invalidation rules.
 
 from repro.cache.affinity import AffinityFlushPolicy
 from repro.cache.executor import CacheCounters, CachingExecutor
-from repro.cache.partition import PartitionProbeCache, partition_cached_execute
 from repro.cache.result import ResultCache
 
 __all__ = [
     "AffinityFlushPolicy",
     "CacheCounters",
     "CachingExecutor",
-    "PartitionProbeCache",
     "ResultCache",
-    "partition_cached_execute",
 ]

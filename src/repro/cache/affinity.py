@@ -7,8 +7,8 @@ of draining strictly FIFO.  :class:`AffinityFlushPolicy` brings that to
 :class:`~repro.service.BatchingQueryService`: at every flush it picks
 which staged queries to include by **partition affinity** (queries whose
 anchors land in the same partition neighbourhood flush together, so the
-partition-based strategy — and the result/probe caches in front of it —
-see denser sharing), bounded by a **starvation rule**: a query passed
+partition-based strategy — and the result cache in front of it — see
+denser sharing), bounded by a **starvation rule**: a query passed
 over ``starvation_bound - 1`` times is force-included in the next flush,
 FIFO-first, so no query ever waits more than ``starvation_bound``
 flushes while it is eligible.

@@ -7,15 +7,8 @@
 :class:`~repro.shard.ShardedHint`, an
 :class:`~repro.engine.ExecutionEngine`, anything with the
 ``run_strategy``-shaped ``execute()`` surface — and answers repeated
-queries from a two-tier cache:
-
-* the **result tier** (:class:`~repro.cache.result.ResultCache`) holds
-  exact per-query answers keyed by the normalized query and result mode;
-* the optional **partition tier**
-  (:class:`~repro.cache.partition.PartitionProbeCache`) memoizes
-  per-partition comparison probes for plain :class:`HintIndex` backends,
-  so even *novel* queries anchored at hot partitions with previously
-  seen endpoints skip probe work.
+queries from a :class:`~repro.cache.result.ResultCache`: exact per-query
+answers keyed by the normalized query and result mode.
 
 Invalidation contract
 ---------------------
@@ -37,7 +30,7 @@ mutability:
   invalidation than needed, never less, so a failed invalidation can
   produce extra misses but never a wrong answer;
 * replacing the backend (:meth:`swap_backend`, or installing a fresh
-  executor through ``service.swap_index``) always flushes both tiers.
+  executor through ``service.swap_index``) always flushes the store.
 
 ``DynamicHint`` rebuilds (``_rebuild``/``compact``) do *not* bump the
 content version — a merge-and-rebuild changes the physical layout but
@@ -54,7 +47,6 @@ from typing import Optional
 import numpy as np
 
 import repro.obs as obs
-from repro.cache.partition import PartitionProbeCache, partition_cached_execute
 from repro.cache.result import ResultCache
 from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES, run_strategy
@@ -79,8 +71,6 @@ class CacheCounters:
     invalidation_flushes: int
     bytes_resident: int
     entries: int
-    partition_hits: int
-    partition_misses: int
 
     @property
     def hit_rate(self) -> float:
@@ -89,7 +79,7 @@ class CacheCounters:
 
 
 class CachingExecutor:
-    """Result/partition cache in front of an execution backend.
+    """Result cache in front of an execution backend.
 
     Parameters
     ----------
@@ -97,17 +87,11 @@ class CachingExecutor:
         The wrapped index/executor.  Self-executing backends (those with
         an ``execute`` method) are delegated to as-is; a plain
         :class:`HintIndex` runs through
-        :func:`~repro.core.strategies.run_strategy` (or the
-        partition-cached path); a :class:`DynamicHint` is served through
+        :func:`~repro.core.strategies.run_strategy`; a
+        :class:`DynamicHint` is served through
         its single-query API so mutations are always visible.
     max_bytes / max_entries:
         Result-tier residency budgets (see :class:`ResultCache`).
-    partition_tier:
-        Enable the partition probe cache.  Only effective for plain
-        :class:`HintIndex` backends (the only backend whose partitions
-        the executor can probe directly); ignored otherwise.
-    partition_max_entries:
-        Probe-cache entry bound.
     fault_plan:
         Optional :class:`~repro.verify.faults.FaultPlan`; the
         :data:`~repro.verify.faults.SITE_CACHE_INVALIDATE` site fires at
@@ -136,15 +120,10 @@ class CachingExecutor:
         *,
         max_bytes: int = 64 << 20,
         max_entries: Optional[int] = None,
-        partition_tier: bool = False,
-        partition_max_entries: int = 1 << 16,
         fault_plan: Optional[FaultPlan] = None,
     ):
         self._lock = threading.RLock()
         self._results = ResultCache(max_bytes, max_entries)
-        self._pcache = (
-            PartitionProbeCache(partition_max_entries) if partition_tier else None
-        )
         self.fault_plan = fault_plan
         self._hits = 0
         self._misses = 0
@@ -192,7 +171,7 @@ class CachingExecutor:
         return self._backend
 
     def swap_backend(self, new_backend, *, close_old: bool = False):
-        """Install *new_backend*; flushes both tiers; returns the old one.
+        """Install *new_backend*; flushes the store; returns the old one.
 
         The cache-preserving counterpart of
         ``service.swap_index(CachingExecutor(...))`` — use it when the
@@ -221,8 +200,6 @@ class CachingExecutor:
 
     def _flush_all(self) -> None:
         self._invalidated += self._results.clear()
-        if self._pcache is not None:
-            self._invalidated += self._pcache.clear()
         self._flushes += 1
 
     def invalidate(self, lo: Optional[int] = None, hi: Optional[int] = None) -> None:
@@ -245,11 +222,6 @@ class CachingExecutor:
             if regions is None:
                 raise RuntimeError("mutation deltas unavailable")
             self._invalidated += self._results.drop_overlapping(regions)
-            # Probe answers depend on physical partition contents, which
-            # any mutation may reshape; the partition tier is never used
-            # for mutable backends, but clear defensively anyway.
-            if self._pcache is not None:
-                self._invalidated += self._pcache.clear()
         except Exception:
             self._flush_all()
 
@@ -325,7 +297,7 @@ class CachingExecutor:
             miss_at = np.flatnonzero(rows < 0)
             # Read the hits before the fill below, which may evict or
             # displace one of them.
-            hit_columns = self._results.payloads(rows[hit_at], mode)
+            hits = self._results.payloads(rows[hit_at], mode)
             # One sort puts the batch's repeats of a missed query side by
             # side: the first is the miss, the rest share its execution (no
             # extra backend work — counted as hits), and the sub-batch
@@ -341,26 +313,19 @@ class CachingExecutor:
             self._misses += u_st.size
             self._shared += miss_at.size - u_st.size
             self._hits += n - u_st.size
-            if u_st.size:
-                answered = self._execute_misses(QueryBatch(u_st, u_end), strategy, mode)
-            else:
-                answered = BatchResult.empty(mode)
-            miss_columns = self._payload_columns(answered, mode)
-            self._results.fill(u_st, u_end, mode, *miss_columns)
-            # Back to caller order with one scatter per column.
-            to_hits, to_misses = batch.order[hit_at], batch.order[miss_at]
-            columns = []
-            for hits, misses in zip(hit_columns, miss_columns):
-                if hits is not None:
-                    column = np.empty(n, dtype=hits.dtype)
-                    column[to_hits] = hits
-                    column[to_misses] = misses[answer_of]
-                    hits = column
-                columns.append(hits)
-            counts, checksums, ids = columns
-            result = BatchResult(
-                counts, None if ids is None else ids.tolist(), checksums=checksums
-            )
+            counts, sums, ids = self._answers(QueryBatch(u_st, u_end), strategy, mode)
+            # Hits and misses land at their callers' positions in one merge;
+            # a repeat reads the answer it shares.
+            result = BatchResult.merge(n, mode, [
+                (batch.order[hit_at], *hits),
+                (
+                    batch.order[miss_at],
+                    counts[answer_of],
+                    None if sums is None else sums[answer_of],
+                    None if ids is None else (ids[answer_of], None, None),
+                ),
+            ])
+            self._results.fill(u_st, u_end, mode, counts, sums, ids)
             if ob is not None:
                 ob.record_cache_batch(
                     hits=self._hits - pre[0],
@@ -381,29 +346,38 @@ class CachingExecutor:
             return np.argsort(st * (self._top + 1) + end)
         return np.lexsort((end, st))
 
-    def _execute_misses(self, sub: QueryBatch, strategy: str, mode: str) -> BatchResult:
-        if self._kind == "execute":
-            return self._backend.execute(sub, strategy=strategy, mode=mode)
+    def _answers(self, sub: QueryBatch, strategy: str, mode: str):
+        """The backend's ``(counts, checksums, ids)`` for the missed keys;
+        ids are one array per key, each owning its bytes, for the store to
+        keep and the result to copy from."""
         if self._kind == "dynamic":
             arrays = [
                 np.asarray(self._backend.query(s, e), dtype=np.int64)
                 for s, e in sub
             ]
-            return BatchResult.from_id_arrays(arrays, mode)
-        if self._pcache is not None:
-            return partition_cached_execute(self._backend, sub, mode, self._pcache)
-        return run_strategy(strategy, self._backend, sub, mode=mode)
-
-    @staticmethod
-    def _payload_columns(result: BatchResult, mode: str):
-        """*result* as the store's ``(counts, checksums, ids)`` columns;
-        the id arrays are frozen, every later hit shares them."""
+            if mode == "ids":
+                counts = np.fromiter(map(len, arrays), np.int64, len(arrays))
+                return counts, None, np.fromiter(arrays, object, len(arrays))
+            answered = BatchResult.from_id_arrays(arrays, mode)
+        elif not len(sub):
+            answered = BatchResult.empty(mode)
+        elif self._kind == "execute":
+            answered = self._backend.execute(sub, strategy=strategy, mode=mode)
+        else:
+            answered = run_strategy(strategy, self._backend, sub, mode=mode)
+        counts = answered.counts
         if mode != "ids":
-            return result.counts, result.checksums, None
-        arrays = [result.ids(i) for i in range(len(result))]
-        for arr in arrays:
-            arr.setflags(write=False)
-        return result.counts, None, np.fromiter(arrays, dtype=object, count=len(arrays))
+            return counts, answered.checksums, None
+        # The store lets go of what these answers push out before they
+        # are copied, and the backend's flat array goes (with this frame)
+        # before the result's is allocated: in this order the copies reuse
+        # what eviction freed and the batch's large arrays keep finding
+        # the room the last batch's left (docs/caching.md, "Who owns the
+        # bytes").
+        self._results.reserve(counts)
+        cuts = answered.offsets.tolist()
+        owned = (answered.flat_ids[a:b].copy() for a, b in zip(cuts, cuts[1:]))
+        return counts, None, np.fromiter(owned, object, len(answered))
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -421,19 +395,17 @@ class CachingExecutor:
                 invalidation_flushes=self._flushes,
                 bytes_resident=self._results.bytes_resident,
                 entries=len(self._results),
-                partition_hits=self._pcache.hits if self._pcache else 0,
-                partition_misses=self._pcache.misses if self._pcache else 0,
             )
 
     def clear(self) -> None:
-        """Flush both tiers (counted as an invalidation flush)."""
+        """Flush the store (counted as an invalidation flush)."""
         with self._lock:
             self._flush_all()
 
     def set_budget(
         self, max_bytes: Optional[int] = None, max_entries: Optional[int] = None
     ) -> None:
-        """Adjust result-tier budgets; shrinking evicts immediately."""
+        """Adjust the store's budgets; shrinking evicts immediately."""
         with self._lock:
             self._results.set_budget(max_bytes, max_entries)
 

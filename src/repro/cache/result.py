@@ -13,8 +13,9 @@ Layout: entries are rows of parallel NumPy columns (key hash, key start,
 key end, mode code, count, checksum, payload bytes, last-used batch stamp,
 and an object column for ids payloads), found through a direct-mapped
 index of row numbers that a multiplicative hash of the key addresses.  A
-whole batch is probed, read or filled by a handful of array operations
-and no per-query Python runs.  Two keys on one index slot do not chain:
+whole batch is probed, read or filled by a handful of array operations;
+the one per-entry step is the copy that makes an ids entry own its bytes.
+Two keys on one index slot do not chain:
 the later one displaces the earlier (counted as an eviction), which is
 kept rare by giving the index :data:`INDEX_SLOTS_PER_ROW` slots per row.
 Rows and index double together as the entries need them.
@@ -164,20 +165,25 @@ class ResultCache:
         return np.where(hit, rows, -1)
 
     def payloads(self, rows: np.ndarray, mode: str):
-        """``(counts, checksums, ids)`` columns of occupied *rows*; the
-        columns *mode* does not materialize are ``None``."""
+        """``(counts, checksums, ids)`` of occupied *rows*, shaped like a
+        :meth:`BatchResult.merge <repro.core.result.BatchResult.merge>`
+        part: ids are ``(the entries' own arrays, None, None)``, to be
+        copied from, not kept; what *mode* does not materialize is
+        ``None``."""
         return (
             self._count[rows],
             self._checksum[rows] if mode == "checksum" else None,
-            self._ids[rows] if mode == "ids" else None,
+            (self._ids[rows], None, None) if mode == "ids" else None,
         )
 
     def fill(self, st, end, mode: str, counts, checksums=None, ids=None) -> None:
         """Store one answer per key, then enforce the budgets.
 
-        The keys are those :meth:`lookup` reported absent, each once; the
-        payload columns are shaped like :meth:`payloads`' (ids: an object
-        array of int64 arrays).
+        The keys are those :meth:`lookup` reported absent, each once;
+        *ids* is an object array of one ``int64`` array per key.  An entry
+        keeps an array that owns its bytes and copies one that is a view,
+        so no entry keeps a batch's flat array alive and
+        ``bytes_resident`` bounds what the store really holds.
         """
         n = len(st)
         if not n:
@@ -206,7 +212,8 @@ class ResultCache:
         nbytes = np.full(rows.size, ENTRY_OVERHEAD_BYTES)
         if ids is not None:
             nbytes += 8 * counts  # ids payloads are int64 arrays
-            self._ids[rows] = ids
+            owned = (a if a.base is None else a.copy() for a in ids)
+            self._ids[rows] = np.fromiter(owned, dtype=object, count=rows.size)
         self._hash[rows] = h
         self._st[rows] = st
         self._end[rows] = end
@@ -250,18 +257,29 @@ class ResultCache:
             self._log = deque((int(self._stamp[run[0]]), run) for run in runs if run.size)
             self._logged = int(live.size)
 
-    def _enforce(self) -> None:
-        """Drop the least recently used entries until both budgets hold.
+    def reserve(self, id_counts: np.ndarray) -> None:
+        """Evict, least recently used first, until ids entries of
+        *id_counts* ids each fit the byte budget (or nothing is left):
+        what their :meth:`fill` would evict anyway, done before their
+        payloads are allocated, so they reuse the memory this frees
+        instead of splitting the holes the batch's large arrays leave
+        behind."""
+        self._enforce(8 * int(id_counts.sum()) + ENTRY_OVERHEAD_BYTES * id_counts.size)
+
+    def _enforce(self, reserve: int = 0) -> None:
+        """Drop the least recently used entries until both budgets hold
+        with *reserve* bytes to spare.
 
         The log's oldest record names the candidates, so a batch pays for
         the entries it evicts, not for a scan of the columns.
         """
         limit = self._entries if self.max_entries is None else self.max_entries
-        while self._bytes > self.max_bytes or self._entries > limit:
+        ceiling = self.max_bytes - reserve
+        while self._entries and (self._bytes > ceiling or self._entries > limit):
             stamp, rows = self._log.popleft()
             self._logged -= rows.size
             rows = rows[self._stamp[rows] == stamp]  # not used, displaced or dropped since
-            over = self._bytes - self.max_bytes
+            over = self._bytes - ceiling
             freed = np.cumsum(self._nbytes[rows])
             by_bytes = int(np.searchsorted(freed, over)) + 1 if over > 0 else 0
             drop = max(by_bytes, self._entries - limit)

@@ -50,9 +50,8 @@ class CountCollector:
         np.add.at(self._counts, positions, counts)
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        restored = np.empty_like(self._counts)
-        restored[order] = self._counts
-        return BatchResult(restored)
+        part = (np.arange(order.size), self._counts, None, None)
+        return BatchResult.merge(order.size, "count", [part], order)
 
 
 class IdCollector:
@@ -75,32 +74,19 @@ class IdCollector:
             self._fragments[pos].append(ids)
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        # One flat ids array + offsets, built in a single pass over the
-        # fragment lists — the same layout the compiled kernels and the
-        # worker wire format use.  The per-query arrays are views into
-        # it, so the whole result costs one allocation and one C-level
-        # copy instead of a Python-level concatenate per query.
+        # One C-level concatenate lays the fragments out position by
+        # position; the merge moves them to caller order.
         n = len(self._fragments)
-        sizes = np.zeros(n, dtype=np.int64)
-        for pos, frags in enumerate(self._fragments):
-            total = 0
-            for frag in frags:
-                total += frag.size
-            sizes[pos] = total
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        cursor = 0
-        for frags in self._fragments:
-            for frag in frags:
-                flat[cursor : cursor + frag.size] = frag
-                cursor += frag.size
-        counts = np.empty(n, dtype=np.int64)
-        counts[order] = sizes
-        ids: List[np.ndarray] = [_EMPTY] * n
-        for pos in range(n):
-            ids[int(order[pos])] = flat[offsets[pos] : offsets[pos + 1]]
-        return BatchResult(counts, ids)
+        sizes = (sum(map(len, frags)) for frags in self._fragments)
+        np.cumsum(np.fromiter(sizes, np.int64, n), out=offsets[1:])
+        flat = (
+            np.concatenate([f for frags in self._fragments for f in frags])
+            if offsets[-1]
+            else _EMPTY
+        )
+        part = (np.arange(n), None, None, (flat, offsets, None))
+        return BatchResult.merge(n, "ids", [part], order)
 
 
 class ChecksumCollector:
@@ -136,11 +122,8 @@ class ChecksumCollector:
             self._sums[pos] ^= int(np.bitwise_xor.reduce(ids))
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        counts = np.empty_like(self._counts)
-        counts[order] = self._counts
-        sums = np.empty_like(self._sums)
-        sums[order] = self._sums
-        return BatchResult(counts, checksums=sums)
+        part = (np.arange(order.size), self._counts, self._sums, None)
+        return BatchResult.merge(order.size, "checksum", [part], order)
 
 
 def make_collector(mode: str, n: int):

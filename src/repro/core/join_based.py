@@ -15,8 +15,6 @@ needs the raw collection.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.result import BatchResult
 from repro.intervals.batch import QueryBatch
 from repro.intervals.collection import IntervalCollection
@@ -46,18 +44,9 @@ def join_based(
     if mode == "count":
         return BatchResult(join_counts(queries, collection))
     if mode in ("ids", "checksum"):
-        ids = forward_scan_join(queries, collection)
-        counts = np.array([arr.size for arr in ids], dtype=np.int64)
-        if mode == "ids":
-            return BatchResult(counts, ids)
-        sums = np.array(
-            [
-                int(np.bitwise_xor.reduce(arr)) if arr.size else 0
-                for arr in ids
-            ],
-            dtype=np.int64,
+        return BatchResult.from_id_arrays(
+            forward_scan_join(queries, collection), mode
         )
-        return BatchResult(counts, checksums=sums)
     raise ValueError(
         f"unknown result mode {mode!r}; expected 'count', 'ids' or 'checksum'"
     )

@@ -32,10 +32,7 @@ from repro.core.strategies import STRATEGIES
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
 
-__all__ = ["parallel_batch", "resolve_workers"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
+__all__ = ["parallel_batch", "resolve_workers", "stitch_chunks"]
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Resolve a ``workers`` argument to a concrete positive count.
@@ -162,21 +159,13 @@ def parallel_batch(
     else:
         partials = list(executor.map(run, jobs))
 
-    # Stitch chunk results (in sorted order) back to caller order.
-    counts_sorted = np.concatenate([p.counts for p in partials])
-    counts = np.empty(n, dtype=np.int64)
-    counts[work.order] = counts_sorted
-    if mode == "count":
-        return BatchResult(counts)
-    if mode == "checksum":
-        sums_sorted = np.concatenate([p.checksums for p in partials])
-        sums = np.empty(n, dtype=np.int64)
-        sums[work.order] = sums_sorted
-        return BatchResult(counts, checksums=sums)
-    ids: List[np.ndarray] = [_EMPTY] * n
-    pos = 0
-    for partial in partials:
-        for i in range(len(partial)):
-            ids[int(work.order[pos])] = partial.ids(i)
-            pos += 1
-    return BatchResult(counts, ids)
+    return stitch_chunks(partials, slices, work.order, mode)
+
+
+def stitch_chunks(partials, slices, order: np.ndarray, mode: str) -> BatchResult:
+    """Per-chunk results over *slices* of the sorted batch, in caller order."""
+    parts = [
+        partial.as_part(np.arange(sl.start, sl.stop))
+        for partial, sl in zip(partials, slices)
+    ]
+    return BatchResult.merge(order.size, mode, parts, order)

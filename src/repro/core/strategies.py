@@ -592,13 +592,9 @@ class _VectorAccumulator:
             self.sums[sel] ^= xors
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        counts = np.empty_like(self.counts)
-        counts[order] = self.counts
-        if self.sums is None:
-            return BatchResult(counts)
-        sums = np.empty_like(self.sums)
-        sums[order] = self.sums
-        return BatchResult(counts, checksums=sums)
+        mode = "count" if self.sums is None else "checksum"
+        part = (np.arange(order.size), self.counts, self.sums, None)
+        return BatchResult.merge(order.size, mode, [part], order)
 
 
 def partition_level_sweep(
@@ -883,24 +879,10 @@ def join_based_on_index(
     else:
         with ob.strategy_span("join-based", len(work), mode):
             result = join_based(index.as_collection(), work, mode=mode)
+    # The join reports by position in *work*, which may arrive permuted
+    # (e.g. via sorted_by_start).
     n = len(work)
-    order = work.order
-    if bool(np.all(order == np.arange(n))):
-        return result
-    # The batch arrived pre-permuted (e.g. via sorted_by_start); put the
-    # positional join output back into the caller's order.
-    counts = np.empty(n, dtype=np.int64)
-    counts[order] = result.counts
-    if mode == "count":
-        return BatchResult(counts)
-    if mode == "checksum":
-        sums = np.empty(n, dtype=np.int64)
-        sums[order] = result.checksums
-        return BatchResult(counts, checksums=sums)
-    ids = [None] * n
-    for i in range(n):
-        ids[int(order[i])] = result.ids(i)
-    return BatchResult(counts, ids)
+    return BatchResult.merge(n, mode, [result.as_part(np.arange(n))], work.order)
 
 
 # --------------------------------------------------------------------- #

@@ -61,11 +61,14 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from time import perf_counter
 from typing import List, Optional
 
-import numpy as np
-
 import repro.obs as obs
 from repro.obs.aggregate import merge_telemetry
-from repro.core.parallel import _chunks, parallel_batch, resolve_workers
+from repro.core.parallel import (
+    _chunks,
+    parallel_batch,
+    resolve_workers,
+    stitch_chunks,
+)
 from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES, run_strategy
 from repro.engine.arena import SharedIndexArena
@@ -84,8 +87,6 @@ from repro.shard.sharded import ShardedHint
 from repro.verify.faults import SITE_DISPATCH, FaultPlan, InjectedFault
 
 __all__ = ["ExecutionEngine", "BACKENDS"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 #: Backend names accepted by :class:`ExecutionEngine`.
 BACKENDS = (
@@ -452,22 +453,22 @@ class ExecutionEngine:
     def _dispatch_hint(self, batch, strategy, mode) -> BatchResult:
         """Chunk the sorted batch across the pool; stitch to caller order."""
         work = batch.sorted_by_start()
-        n = len(work)
         pool = self._pools[0]
         ob = obs.active()
         telemetry = self._telemetry_request(ob)
+        slices = _chunks(len(work), self.workers)
         futures = [
             pool.submit(
                 run_hint_chunk, work.st[sl], work.end[sl], strategy, mode,
                 telemetry,
             )
-            for sl in _chunks(n, self.workers)
+            for sl in slices
         ]
         partials = [
             decode_result(self._collect(f, ob, telemetry), mode)
             for f in futures
         ]
-        return _stitch(partials, work, n, mode)
+        return stitch_chunks(partials, slices, work.order, mode)
 
     def _dispatch_sharded(self, batch, strategy, mode) -> BatchResult:
         """Route parent-side, run primaries on shard-pinned workers.
@@ -627,28 +628,3 @@ class ExecutionEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def _stitch(partials, work: QueryBatch, n: int, mode: str) -> BatchResult:
-    """Reassemble per-chunk results (sorted order) into caller order.
-
-    Same contract as the tail of
-    :func:`~repro.core.parallel.parallel_batch`, operating on already
-    decoded per-chunk :class:`BatchResult`\\ s.
-    """
-    counts_sorted = np.concatenate([p.counts for p in partials])
-    counts = np.empty(n, dtype=np.int64)
-    counts[work.order] = counts_sorted
-    if mode == "count":
-        return BatchResult(counts)
-    if mode == "checksum":
-        sums_sorted = np.concatenate([p.checksums for p in partials])
-        sums = np.empty(n, dtype=np.int64)
-        sums[work.order] = sums_sorted
-        return BatchResult(counts, checksums=sums)
-    ids: List[np.ndarray] = [_EMPTY] * n
-    pos = 0
-    for partial in partials:
-        for i in range(len(partial)):
-            ids[int(work.order[pos])] = partial.ids(i)
-            pos += 1
-    return BatchResult(counts, ids)

@@ -6,9 +6,8 @@ the shared-memory arena, rebuilds the index as numpy views over it, and
 parks both in module globals.  Per-batch tasks then only carry the
 chunk's query endpoint arrays plus ``(strategy, mode)`` — a few KB —
 and return the compact encodings below instead of
-:class:`~repro.core.result.BatchResult` objects (a Python list of
-per-query arrays pickles an object per query; three flat arrays pickle
-as three buffers).
+:class:`~repro.core.result.BatchResult` objects: the arrays a result
+is made of, which pickle as one buffer each.
 
 Everything here must stay importable under the ``spawn`` start method:
 module-level code only defines functions and constants, and all state
@@ -45,8 +44,6 @@ __all__ = [
     "encode_result",
     "decode_result",
 ]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 # Populated by init_worker; one arena attach per worker process, reused
 # for every task the worker ever runs.
@@ -86,7 +83,7 @@ def ping() -> int:
 
 
 def encode_result(result: BatchResult, mode: str) -> Tuple[np.ndarray, ...]:
-    """Flatten a chunk's :class:`BatchResult` into plain arrays.
+    """A chunk's :class:`BatchResult` as the plain arrays it is made of.
 
     ``count`` → ``(counts,)``; ``checksum`` → ``(counts, checksums)``;
     ``ids`` → ``(counts, flat_ids, offsets)`` with query ``i`` of the
@@ -96,26 +93,14 @@ def encode_result(result: BatchResult, mode: str) -> Tuple[np.ndarray, ...]:
         return (result.counts,)
     if mode == "checksum":
         return (result.counts, result.checksums)
-    n = len(result)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(result.counts, out=offsets[1:])
-    parts = [result.ids(i) for i in range(n)]
-    flat = np.concatenate(parts) if parts else _EMPTY
-    return (result.counts, flat, offsets)
+    return (result.counts, result.flat_ids, result.offsets)
 
 
 def decode_result(payload: Tuple[np.ndarray, ...], mode: str) -> BatchResult:
-    """Inverse of :func:`encode_result` (ids become zero-copy views)."""
-    if mode == "count":
-        return BatchResult(payload[0])
+    """Inverse of :func:`encode_result`."""
     if mode == "checksum":
         return BatchResult(payload[0], checksums=payload[1])
-    counts, flat, offsets = payload
-    ids = [
-        flat[int(offsets[i]) : int(offsets[i + 1])]
-        for i in range(counts.size)
-    ]
-    return BatchResult(counts, ids)
+    return BatchResult(*payload)
 
 
 # --------------------------------------------------------------------- #

@@ -11,10 +11,9 @@ kernels (Numba when available, the NumPy fallback otherwise):
   protocol of :func:`~repro.core.strategies.partition_level_sweep`;
 * **ids** — a two-phase *plan-then-gather* pipeline: phase one runs
   the sweep once, recording every contributing row range and eagerly
-  filtering the masked first-partition rows, while accumulating exact
-  per-query result counts; phase two allocates **one** flat ids array
-  plus offsets (the wire layout of
-  :func:`repro.engine.worker.encode_result`) and replays the plan
+  filtering the masked first-partition rows; phase two is
+  :meth:`BatchResult.merge <repro.core.result.BatchResult.merge>`, which
+  sizes **one** flat ids array plus offsets from the plan and replays it
   through the scatter kernels with per-query cursors — no per-fragment
   ``concatenate``, no per-query Python loop.
 
@@ -46,8 +45,6 @@ from repro.hint.index import HintIndex
 from repro.kernels import ops
 
 __all__ = ["compiled_run"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class _KernelCuts:
@@ -86,32 +83,25 @@ class _KernelVectorAccumulator(_KernelCuts):
             self.sums[sel] ^= xors
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        counts = np.empty_like(self.counts)
-        counts[order] = self.counts
-        if self.sums is None:
-            return BatchResult(counts)
-        sums = np.empty_like(self.sums)
-        sums[order] = self.sums
-        return BatchResult(counts, checksums=sums)
+        mode = "count" if self.sums is None else "checksum"
+        part = (np.arange(order.size), self.counts, self.sums, None)
+        return BatchResult.merge(order.size, mode, [part], order)
 
 
 class _IdsPlanAccumulator(_KernelCuts):
     """Plan-then-gather ids accumulator.
 
-    During the sweep every ``add_ranges`` records ``(ids column, query
-    slots, lo, hi)`` — a view, no copy — and every ``add_masked_ranges``
-    runs the masked gather kernel eagerly (the filter result is needed
-    for exact counts) keeping its compact flat output.  ``finalize``
-    sizes one flat array from the accumulated counts and replays the
-    plan through the scatter kernels, so each result id is written
-    exactly once at its final position.
+    During the sweep every ``add_ranges`` records ``(query slots, ids
+    column, lo, hi)`` — a view, no copy — and every ``add_masked_ranges``
+    runs the masked gather kernel eagerly keeping its compact flat output.
+    The records are :meth:`BatchResult.merge` contributions: ``finalize``
+    hands it the plan, and it sizes one flat array and replays the plan
+    through the scatter kernels, so each result id is written exactly once
+    at its final position.
     """
 
     def __init__(self, n: int):
-        self.counts = np.zeros(n, dtype=np.int64)
         self._all = np.arange(n, dtype=np.int64)
-        # (src, sel, a, b): b is the per-range hi for raw ranges, or
-        # None when a holds segment offsets of an eagerly gathered src.
         self._plan: List[tuple] = []
 
     def _slots(self, sel) -> np.ndarray:
@@ -120,37 +110,16 @@ class _IdsPlanAccumulator(_KernelCuts):
         return sel
 
     def add_ranges(self, sel, table, lo, hi) -> None:
-        slots = self._slots(sel)
-        if slots.size == 0:
-            return
-        self.counts[slots] += hi - lo
-        self._plan.append((table.ids, slots, lo, hi))
+        self._plan.append((self._slots(sel), None, None, (table.ids, lo, hi)))
 
     def add_masked_ranges(self, sel, table, lo, hi, thresholds) -> None:
-        slots = self._slots(sel)
-        counts, flat, offsets = ops.masked_gather_end_geq(
+        _, flat, offsets = ops.masked_gather_end_geq(
             table.end, table.ids, lo, hi, thresholds
         )
-        self.counts[slots] += counts
-        self._plan.append((flat, slots, offsets, None))
+        self._plan.append((self._slots(sel), None, None, (flat, offsets, None)))
 
     def finalize(self, order: np.ndarray) -> BatchResult:
-        n = self.counts.size
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        cursors = offsets[:-1].copy()
-        for src, slots, a, b in self._plan:
-            if b is None:
-                ops.scatter_segments(src, a, slots, flat, cursors)
-            else:
-                ops.scatter_ranges(src, a, b, slots, flat, cursors)
-        counts = np.empty_like(self.counts)
-        counts[order] = self.counts
-        ids: List[np.ndarray] = [_EMPTY] * n
-        for pos in range(n):
-            ids[int(order[pos])] = flat[offsets[pos] : offsets[pos + 1]]
-        return BatchResult(counts, ids)
+        return BatchResult.merge(order.size, "ids", self._plan, order)
 
 
 def _partition_based_compiled(

@@ -31,6 +31,11 @@ __all__ = [
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: A slice copy costs ~0.4 us whatever its length, the index expansion
+#: ~15 ns per row (more once its temporaries outgrow the cache): ranges at
+#: least this long are copied one slice each, the rest in one expansion.
+_SLICE_COPY_ROWS = 32
+
 
 def _flatten_ranges(lo, hi):
     """Expand per-query ranges ``[lo[i], hi[i])`` into flat row/query
@@ -56,14 +61,21 @@ def scatter_ranges(src, lo, hi, sel, out, cursors):
     and ``cursors`` are mutated in place.
     """
     lengths = np.maximum(hi - lo, 0)
+    dest = cursors[sel]
+    cursors[sel] += lengths
+    long = lengths >= _SLICE_COPY_ROWS
+    if long.any():
+        for a, d, n in zip(
+            lo[long].tolist(), dest[long].tolist(), lengths[long].tolist()
+        ):
+            out[d : d + n] = src[a : a + n]
+        short = ~long
+        lo, dest, lengths = lo[short], dest[short], lengths[short]
     total = int(lengths.sum())
     if total:
         starts = np.cumsum(lengths) - lengths
         within = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-        rows = np.repeat(lo, lengths) + within
-        dest = np.repeat(cursors[sel], lengths) + within
-        out[dest] = src[rows]
-    cursors[sel] += lengths
+        out[np.repeat(dest, lengths) + within] = src[np.repeat(lo, lengths) + within]
 
 
 def scatter_segments(flat, offsets, sel, out, cursors):

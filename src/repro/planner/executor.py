@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from repro.planner.planner import AdaptivePlanner, Decision
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan
 
 __all__ = ["PlannedExecutor"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class PlannedExecutor:
@@ -284,7 +282,7 @@ class PlannedExecutor:
                 total_extent=decision.total_extent,
             )
             return self._execute_single(batch, fallback, executor)
-        results = []
+        parts = []
         for plan, idx in ((split.narrow, idx_narrow), (split.wide, idx_wide)):
             sub = QueryBatch(batch.st[idx], batch.end[idx])
             t0 = perf_counter()
@@ -298,8 +296,8 @@ class PlannedExecutor:
             self.planner.observe(
                 plan, mode, len(sub), int(ext[idx].sum()), perf_counter() - t0
             )
-            results.append((idx, res))
-        return _merge_split(results, len(batch), mode)
+            parts.append(res.as_part(idx))
+        return BatchResult.merge(len(batch), mode, parts)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -315,25 +313,6 @@ class PlannedExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _merge_split(results, n: int, mode: str) -> BatchResult:
-    """Scatter per-side results back to caller positions, any mode."""
-    counts = np.zeros(n, dtype=np.int64)
-    sums = np.zeros(n, dtype=np.int64) if mode == "checksum" else None
-    ids: Optional[List[np.ndarray]] = [_EMPTY] * n if mode == "ids" else None
-    for idx, res in results:
-        counts[idx] = res.counts
-        if sums is not None:
-            sums[idx] = res.checksums
-        if ids is not None:
-            for pos, i in enumerate(idx):
-                ids[int(i)] = res.ids(pos)
-    if mode == "count":
-        return BatchResult(counts)
-    if mode == "checksum":
-        return BatchResult(counts, checksums=sums)
-    return BatchResult(counts, ids)
 
 
 def _try_load(path: str, index, caps: BackendCaps) -> Optional[CostModel]:

@@ -59,8 +59,6 @@ from repro.intervals.collection import IntervalCollection
 
 __all__ = ["ShardedHint"]
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 #: Boundary policies accepted by :class:`ShardedHint`.
 BOUNDARY_POLICIES = ("equal", "balanced")
 
@@ -610,51 +608,35 @@ class ShardedHint:
         return (j, j0, j1, spill, primary, rep_ks, sp_ks)
 
     def _merge(self, partials, work, n, mode) -> BatchResult:
-        counts = np.zeros(n, dtype=np.int64)
-        sums = np.zeros(n, dtype=np.int64) if mode == "checksum" else None
-        frags: Optional[List[List[np.ndarray]]] = (
-            [[] for _ in range(n)] if mode == "ids" else None
-        )
+        """Per query: its primary answer, then the replica suffix of its
+        first shard, then the originals prefix of every shard it spills
+        into — all as :meth:`BatchResult.merge` contributions."""
+        want_sums = mode == "checksum"
+        want_ids = mode == "ids"
+        parts = []
         for j, j0, j1, spill, primary, rep_ks, sp_ks in partials:
             shard = self.shards[j]
+            positions = np.arange(j0, j1)
             if primary is not None:
-                counts[j0:j1] += primary.counts
-                if sums is not None:
-                    sums[j0:j1] ^= primary.checksums
-                if frags is not None:
-                    for i in range(j1 - j0):
-                        frags[j0 + i].append(primary.ids(i))
+                parts.append(primary.as_part(positions))
             if rep_ks is not None:
-                counts[j0:j1] += shard.rep_end.size - rep_ks
-                if sums is not None:
-                    sums[j0:j1] ^= shard.rep_xor_suffix[rep_ks]
-                if frags is not None:
-                    for i, t in enumerate(rep_ks):
-                        if t < shard.rep_ids.size:
-                            frags[j0 + i].append(shard.rep_ids[int(t):])
+                size = shard.rep_ids.size
+                parts.append((
+                    positions,
+                    size - rep_ks,
+                    shard.rep_xor_suffix[rep_ks] if want_sums else None,
+                    (shard.rep_ids, rep_ks, np.full(rep_ks.size, size))
+                    if want_ids else None,
+                ))
             if sp_ks is not None:
-                counts[spill] += sp_ks
-                if sums is not None:
-                    sums[spill] ^= shard.orig_xor_prefix[sp_ks]
-                if frags is not None:
-                    for pos, t in zip(spill, sp_ks):
-                        if t:
-                            frags[int(pos)].append(shard.orig_ids[: int(t)])
-
-        order = work.order
-        out_counts = np.empty(n, dtype=np.int64)
-        out_counts[order] = counts
-        if mode == "count":
-            return BatchResult(out_counts)
-        if mode == "checksum":
-            out_sums = np.empty(n, dtype=np.int64)
-            out_sums[order] = sums
-            return BatchResult(out_counts, checksums=out_sums)
-        ids: List[np.ndarray] = [_EMPTY] * n
-        for pos in range(n):
-            if frags[pos]:
-                ids[int(order[pos])] = np.concatenate(frags[pos])
-        return BatchResult(out_counts, ids)
+                parts.append((
+                    spill,
+                    sp_ks,
+                    shard.orig_xor_prefix[sp_ks] if want_sums else None,
+                    (shard.orig_ids, np.zeros_like(sp_ks), sp_ks)
+                    if want_ids else None,
+                ))
+        return BatchResult.merge(n, mode, parts, work.order)
 
     # ------------------------------------------------------------------ #
     # single-query convenience (HintIndex-compatible surface)

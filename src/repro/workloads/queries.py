@@ -128,9 +128,9 @@ def zipfian_queries(
     inside a *hot span* of the domain starting at fraction *hot_start*
     and covering *hot_fraction* of it, so skew in popularity is also
     skew in **partition** affinity: hot queries hammer the same
-    partition neighbourhood, which is what the partition tier and the
-    affinity flush policy exploit.  The remaining (cold) templates are
-    spread uniformly over the whole domain.
+    partition neighbourhood, which is what the affinity flush policy
+    exploits.  The remaining (cold) templates are spread uniformly over
+    the whole domain.
 
     ``s = 0`` degenerates to uniform template choice; larger *s* means
     heavier skew (at ``s = 1`` the top template draws ~1/H(universe) of

@@ -79,6 +79,23 @@ def oracle_result(collection, batch, m):
     return NaiveScan(collection).batch(batch.clipped(0, top), mode="ids")
 
 
+def assert_flat_oracle(result, want):
+    """*result* is the answer *want* (an :func:`oracle_result`) in its own
+    mode, and in ids mode one flat array whose per-query ids are views of
+    it — whatever merges (chunks, shards, split plans, cache) produced it."""
+    assert result.counts.tolist() == want.counts.tolist()
+    if result.mode == "checksum":
+        assert result.checksums.tolist() == [
+            want.query_checksum(i) for i in range(len(want))
+        ]
+    if result.mode == "ids":
+        assert result == want
+        flat = result.flat_ids
+        assert flat.ndim == 1 and flat.dtype == np.int64
+        assert result.offsets.tolist() == np.cumsum([0, *result.counts]).tolist()
+        assert all(result.ids(i).base is flat for i in range(len(result)))
+
+
 @pytest.fixture
 def small_collection():
     """The hand-checkable collection used by many exact-value tests.

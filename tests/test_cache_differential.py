@@ -1,10 +1,10 @@
 """Differential indistinguishability of the cached execution path.
 
-The contract under test: putting :class:`repro.cache.CachingExecutor`
-(result tier, and the partition tier where applicable) in front of any
-backend changes *nothing* observable except latency.  Every trial runs
-the same batch through the cached path **twice** (first pass populates,
-second pass serves hits) and demands bit-identical agreement with
+The contract under test: putting :class:`repro.cache.CachingExecutor` in
+front of any backend changes *nothing* observable except latency.  Every
+trial runs the same batch through the cached path **twice** (first pass
+populates, second pass serves hits) and demands bit-identical agreement
+with
 
 * the uncached strategy result on an equivalent plain index, and
 * the ``oracle_result`` linear-scan ground truth (ids mode).
@@ -15,7 +15,9 @@ budgets, under forced index collisions, across growth, against the scalar
 overlap rule, and for being driven a batch (not a query) at a time.
 
 The matrix: 3 strategies x 3 result modes x {HintIndex, DynamicHint,
-ShardedHint} x {serial, threads, engine-auto} execution backends, swept
+ShardedHint} x {serial, threads, engine-auto} execution backends, plus
+one cell each for the other ways a result gets merged below the cache
+(process chunks, compiled shards on threads, a forced split plan), swept
 by ``REPRO_CACHE_TRIALS`` seeded trials (default 200; ``make
 cache-smoke`` runs a reduced sweep).  DynamicHint only exists in the
 serial cell — it has no strategy/execute surface, the executor serves it
@@ -40,13 +42,15 @@ from repro import (
     ShardedHint,
     run_strategy,
 )
-from repro.cache import PartitionProbeCache, ResultCache, partition_cached_execute
+from repro.cache import ResultCache
 from repro.cache import result as result_store
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES
+from repro.planner import Plan, PlannedExecutor, SplitPlan
+from repro.planner.planner import Decision
 from repro.workloads.queries import uniform_queries, zipfian_queries
 
-from tests.conftest import oracle_result, random_collection
+from tests.conftest import assert_flat_oracle, oracle_result, random_collection
 
 TRIALS = int(os.environ.get("REPRO_CACHE_TRIALS", "200"))
 
@@ -62,33 +66,44 @@ COMBOS = (
     ("sharded", "serial"),
     ("sharded", "threads"),
     ("sharded", "engine-auto"),
+    ("hint", "processes"),
+    ("sharded", "threads+compiled"),
+    ("hint", "split-plan"),
 )
 
 #: All strategy x mode pairs, cycled across trials.
 PAIRS = tuple((s, mode) for s in sorted(STRATEGIES) for mode in MODES)
 
 
+def _forced_split(index):
+    """A planner front whose every decision is the same two-sided split."""
+    px = PlannedExecutor(index, model_path=None)
+    split = SplitPlan(
+        threshold=3,
+        narrow=Plan("partition-based", "compiled"),
+        wide=Plan("level-based", "serial"),
+    )
+    px.planner.decide = lambda batch, mode, strategy=None: Decision(
+        plan=split, mode=mode, source="model", n=len(batch)
+    )
+    return px
+
+
 def _make_backend(kind: str, backend: str, coll: IntervalCollection, m: int):
     """The wrapped backend plus a cleanup callable."""
-    if kind == "hint":
-        idx = HintIndex(coll, m=m)
-        if backend == "serial":
-            return idx, lambda: None
-        if backend == "threads":
-            eng = ExecutionEngine(idx, backend="threads", workers=2)
-            return eng, eng.close
-        eng = ExecutionEngine(idx, backend="auto")
-        return eng, eng.close
     if kind == "dynamic":
         dyn = DynamicHint(coll, m=m, rebuild_threshold=64)
         return dyn, lambda: None
-    sharded = ShardedHint(coll, 3, m=m)
+    idx = HintIndex(coll, m=m) if kind == "hint" else ShardedHint(coll, 3, m=m)
     if backend == "serial":
-        return sharded, lambda: None
-    if backend == "threads":
-        eng = ExecutionEngine(sharded, backend="threads", workers=2)
-        return eng, eng.close
-    eng = ExecutionEngine(sharded, backend="auto")
+        return idx, lambda: None
+    if backend == "split-plan":
+        px = _forced_split(idx)
+        return px, px.close
+    if backend == "engine-auto":
+        eng = ExecutionEngine(idx, backend="auto")
+    else:
+        eng = ExecutionEngine(idx, backend=backend, workers=2)
     return eng, eng.close
 
 
@@ -124,23 +139,20 @@ def test_cached_path_is_indistinguishable(trial):
     reference = run_strategy(strategy, HintIndex(coll, m=m), batch, mode=mode)
     wrapped, cleanup = _make_backend(kind, backend, coll, m)
     try:
-        cached = CachingExecutor(
-            wrapped,
-            partition_tier=(kind == "hint" and backend == "serial"),
-        )
+        cached = CachingExecutor(wrapped)
         first = cached.execute(batch, strategy=strategy, mode=mode)
         second = cached.execute(batch, strategy=strategy, mode=mode)
     finally:
         cleanup()
     assert first == reference
     assert second == reference
+    naive = oracle_result(coll, batch, m)
+    for result in (first, second):
+        assert_flat_oracle(result, naive)
     stats = cached.stats()
     assert stats.hits + stats.misses == 2 * len(batch)
     # The second pass of an identical batch must be all hits.
     assert stats.hits >= len(batch)
-    if mode == "ids":
-        oracle = oracle_result(coll, batch, m)
-        assert first == oracle
 
 
 @pytest.mark.parametrize("trial", range(0, TRIALS, 10))
@@ -167,24 +179,6 @@ def test_cached_dynamic_under_mutation_matches_oracle(trial):
             dyn.delete(live.pop(int(rng.integers(0, len(live)))))
         else:
             dyn.compact()
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_partition_tier_matches_every_strategy(mode, rng):
-    """The probe-memoized path is bit-identical to every strategy,
-    including when the cache is warm from previous batches."""
-    m = 7
-    coll = random_collection(rng, 300, (1 << m) - 1)
-    idx = HintIndex(coll, m=m)
-    cache = PartitionProbeCache()
-    for seed in range(6):
-        batch = zipfian_queries(
-            60, 1 << m, 3.0, s=1.1, universe=40, seed=seed
-        )
-        got = partition_cached_execute(idx, batch, mode, cache)
-        for strategy in STRATEGIES:
-            assert got == run_strategy(strategy, idx, batch, mode=mode)
-    assert cache.hits > 0  # warm passes actually reused probe answers
 
 
 # --------------------------------------------------------------------- #
@@ -260,7 +254,7 @@ def test_store_matches_dict_model(mode, budget):
         if mode == "checksum":
             assert checksums.tolist() == want[1].tolist()
         if mode == "ids":
-            assert all(np.array_equal(a, b) for a, b in zip(ids, want[2]))
+            assert all(np.array_equal(a, b) for a, b in zip(ids[0], want[2]))
         # budgets and accounting
         after = _resident(store)
         assert len(store) == len(after) <= (store.max_entries or len(after))
@@ -387,11 +381,59 @@ def test_in_batch_duplicates_share_one_execution(mode, rng):
     stats = cached.stats()
     assert (backend.queries, stats.misses, stats.hits, stats.shared) == (5, 5, 9, 2)
     if mode == "ids":
-        # one array per distinct query, shared by its repeats and read-only
-        assert again.ids(0) is again.ids(2) is first.ids(0)
-        assert not any(again.ids(i).flags.writeable for i in range(len(batch)))
-        with pytest.raises(ValueError):
-            again.ids(1)[:1] = 0
+        # a result owns its ids: a caller writing into what it was handed
+        # corrupts neither the store nor an earlier result
+        want = first.flat_ids.copy()
+        again.flat_ids[:] = -1
+        assert np.array_equal(first.flat_ids, want)
+        assert cached.execute(batch, mode=mode) == first
+
+
+def test_store_owns_its_ids_bytes(rng):
+    """No entry is a view that keeps a batch's flat array alive: the bytes
+    the budget counts are the bytes the store holds."""
+    m = 10
+    coll = random_collection(rng, 2_000, (1 << m) - 1)
+    cached = CachingExecutor(HintIndex(coll, m=m), max_bytes=64 << 10)
+    for seed in range(6):
+        cached.execute(uniform_queries(256, 1 << m, 5.0, seed=seed), mode="ids")
+    store = cached._results
+    held = store._ids[store._mode >= 0]
+    assert len(store) == held.size > 0 and store.evictions > 0
+    assert all(ids.base is None for ids in held)
+    payload = sum(ids.nbytes for ids in held)
+    assert payload + 96 * held.size == store.bytes_resident <= store.max_bytes
+    # the store itself applies the rule: a view is copied, an owner kept
+    store = ResultCache()
+    flat = np.arange(10, dtype=np.int64)
+    given = np.empty(2, dtype=object)
+    given[:] = [flat[2:5], flat[5:9].copy()]
+    keys = np.array([1, 2])
+    store.lookup(keys, keys, "ids")
+    store.fill(keys, keys, "ids", np.array([3, 4]), None, given)
+    kept = store.payloads(store.lookup(keys, keys, "ids"), "ids")[2][0]
+    assert kept[0].base is None and kept[0].tolist() == [2, 3, 4]
+    assert kept[1] is given[1]
+
+
+def test_reserve_evicts_what_the_fill_would():
+    """Room made ahead of a fill comes off the least recently used end,
+    and asking for more than the budget empties the store and stops."""
+    store = ResultCache(max_bytes=40 * 96)
+    for lo in range(0, 40, 10):
+        keys = np.arange(lo, lo + 10)
+        store.lookup(keys, keys, "count")
+        store.fill(keys, keys, "count", keys)
+    before = _resident(store)  # all 40 but the few an index collision displaced
+    short = len(before) + 15 - 40  # entries over budget once 15 more come
+    store.reserve(np.zeros(15, dtype=np.int64))  # fifteen empty ids entries
+    after = _resident(store)
+    assert len(after) == len(store) == len(before) - short
+    assert store.bytes_resident + 15 * 96 <= store.max_bytes
+    gone = [stamp for key, (_, stamp, _) in before.items() if key not in after]
+    assert max(gone) <= min(stamp for _, stamp, _ in after.values())
+    store.reserve(np.array([10**9]))
+    assert len(store) == 0 and store.bytes_resident == 0
 
 
 class _Spy:

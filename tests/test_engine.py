@@ -37,7 +37,12 @@ from repro.engine import (
 from repro.engine.worker import decode_result, encode_result, ping
 from repro.shard import ShardedHint
 from repro.verify.faults import SITE_DISPATCH, FaultPlan, InjectedFault
-from tests.conftest import random_batch, random_collection
+from tests.conftest import (
+    assert_flat_oracle,
+    oracle_result,
+    random_batch,
+    random_collection,
+)
 
 M = 12
 TOP = (1 << M) - 1
@@ -47,11 +52,13 @@ TOP = (1 << M) - 1
 def workload():
     rng = np.random.default_rng(20240601)
     coll = random_collection(rng, 2_000, TOP)
+    batch = random_batch(rng, 300, TOP)
     return {
         "coll": coll,
         "hint": HintIndex(coll, m=M),
         "sharded": ShardedHint(coll, k=4, m=M),
-        "batch": random_batch(rng, 300, TOP),
+        "batch": batch,
+        "naive": oracle_result(coll, batch, M),
     }
 
 
@@ -188,7 +195,9 @@ class TestResultEncoding:
     @pytest.mark.parametrize("mode", ["count", "checksum", "ids"])
     def test_round_trip(self, workload, mode):
         result = oracle(workload, "partition-based", mode)
-        assert decode_result(encode_result(result, mode), mode) == result
+        decoded = decode_result(encode_result(result, mode), mode)
+        assert decoded == result
+        assert_flat_oracle(decoded, workload["naive"])
 
     def test_empty_ids(self):
         empty = BatchResult.empty("ids")
@@ -210,10 +219,17 @@ class TestEngineDifferential:
         ) as sharded_engine:
             yield {"hint": hint_engine, "sharded": sharded_engine}
 
+    #: every strategy on the interpreted backends, plus the one strategy
+    #: the compiled runner does not hand back to them
+    CELLS = [
+        (backend, strategy)
+        for backend in ("serial", "threads", "processes")
+        for strategy in ("partition-based", "query-based", "level-based")
+    ] + [("threads+compiled", "partition-based")]
+
     @pytest.mark.parametrize("kind", ["hint", "sharded"])
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     @pytest.mark.parametrize(
-        "strategy", ["partition-based", "query-based", "level-based"]
+        "backend, strategy", CELLS, ids=[f"{s}-{b}" for b, s in CELLS]
     )
     @pytest.mark.parametrize("mode", ["count", "checksum", "ids"])
     def test_matches_oracle(self, workload, engines, kind, backend, strategy, mode):
@@ -221,6 +237,7 @@ class TestEngineDifferential:
             workload["batch"], strategy=strategy, mode=mode, backend=backend
         )
         assert got == oracle(workload, strategy, mode)
+        assert_flat_oracle(got, workload["naive"])
 
     @pytest.mark.parametrize("kind", ["hint", "sharded"])
     def test_empty_batch_honours_mode(self, engines, kind):

@@ -23,7 +23,7 @@ from repro.planner import CostModel, Plan, PlannedExecutor, SplitPlan
 from repro.planner.planner import Decision
 from repro.shard import ShardedHint
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan, InjectedFault
-from tests.conftest import oracle_result, random_collection
+from tests.conftest import assert_flat_oracle, oracle_result, random_collection
 
 M = 10
 TOP = (1 << M) - 1
@@ -125,6 +125,7 @@ class TestPlannerDifferential:
         )
         batch = mixed_batch(rng)
         want = run_strategy("partition-based", reference, batch, mode=mode)
+        naive = oracle_result(collection, batch, M)
         try:
             for threshold in (0, 3, 100, 250):
                 split = SplitPlan(
@@ -137,6 +138,7 @@ class TestPlannerDifferential:
                 )
                 got = px._execute_split(batch, decision, None)
                 assert got == want, f"threshold={threshold}"
+                assert_flat_oracle(got, naive)
         finally:
             px.close()
 

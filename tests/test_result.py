@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.collector import CountCollector, IdCollector, make_collector
-from repro.core.result import BatchResult
+from repro.core.result import MODES, BatchResult
 
 
 class TestBatchResult:
@@ -28,6 +30,43 @@ class TestBatchResult:
     def test_mismatched_ids_length(self):
         with pytest.raises(ValueError):
             BatchResult(np.array([1, 2]), [np.array([1])])
+
+    @pytest.mark.parametrize(
+        "counts, flat, offsets",
+        [
+            ([5], [1], [0, 1]),  # a count its offsets do not step by
+            ([1, 1], [7, 8], [1, 1, 2]),  # offsets not starting at 0
+            ([1, 1], [7, 8, 9], [0, 1, 2]),  # offsets not ending at flat.size
+            ([3, -1], [7, 8], [0, 3, 2]),  # offsets decreasing
+            ([1, 1], [7, 8], [0, 1]),  # one offset short
+            ([2], [[7, 8]], [0, 2]),  # flat ids not flat
+        ],
+    )
+    def test_ids_representation_is_validated(self, counts, flat, offsets):
+        with pytest.raises(ValueError):
+            BatchResult(np.array(counts), np.array(flat), np.array(offsets))
+
+    def test_one_array_per_query_is_flattened_and_validated(self):
+        res = BatchResult(np.array([2, 0]), [np.array([3, 4]), np.array([])])
+        assert res == BatchResult.from_id_lists([[4, 3], []])
+        assert res.flat_ids.tolist() == [3, 4] and res.offsets.tolist() == [0, 2, 2]
+        with pytest.raises(ValueError):  # one id reported as five
+            BatchResult(np.array([5]), [np.array([1])])
+
+    def test_ids_need_flat_and_offsets_together(self):
+        with pytest.raises(ValueError):
+            BatchResult(np.array([1]), np.array([7]))
+        with pytest.raises(ValueError):
+            BatchResult(np.array([1]), None, np.array([0, 1]))
+
+    def test_ids_are_views_of_one_flat_array(self):
+        res = BatchResult(np.array([2, 0, 1]), np.array([4, 5, 6]), np.array([0, 2, 2, 3]))
+        assert [res.ids(i).tolist() for i in range(3)] == [[4, 5], [], [6]]
+        assert all(res.ids(i).base is res.flat_ids for i in range(3))
+        assert res.query_checksum(0) == 4 ^ 5 and res.query_checksum(1) == 0
+        assert res == BatchResult.from_id_arrays(
+            [np.array([5, 4]), np.array([], dtype=np.int64), np.array([6])], "ids"
+        )
 
     def test_equality_order_insensitive(self):
         a = BatchResult.from_id_lists([[1, 2, 3]])
@@ -57,6 +96,85 @@ class TestBatchResult:
 
     def test_repr(self):
         assert "queries=2" in repr(BatchResult(np.array([1, 0])))
+
+
+@st.composite
+def _contributions(draw):
+    """``(n, order, parts)``: each part gives some positions a fragment of
+    ids, so a position collects several fragments across parts, or none."""
+    n = draw(st.integers(0, 6))
+    order = draw(st.one_of(st.none(), st.permutations(range(n))))
+    fragment = st.lists(st.integers(0, 99), max_size=4)
+    parts = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, n - 1), unique=True, max_size=n).flatmap(
+                lambda positions: st.tuples(
+                    st.just(positions),
+                    st.lists(fragment, min_size=len(positions), max_size=len(positions)),
+                )
+            ),
+            st.sampled_from(["ranges", "segments", "arrays"]),
+        ),
+        max_size=4,
+    )) if n else []
+    return n, order, parts
+
+
+def _as_part(positions, fragments, form):
+    """One ``BatchResult.merge`` part in the asked ids *form*."""
+    arrays = [np.array(f, dtype=np.int64) for f in fragments]
+    counts = np.array([a.size for a in arrays], dtype=np.int64)
+    sums = np.array(
+        [int(np.bitwise_xor.reduce(a)) if a.size else 0 for a in arrays], dtype=np.int64
+    )
+    cuts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    flat = np.concatenate(arrays + [np.empty(0, dtype=np.int64)])
+    if form == "segments":
+        ids = (flat, cuts, None)
+    elif form == "ranges":  # the same rows, behind three rows of padding
+        ids = (np.concatenate([[-1, -1, -1], flat]), cuts[:-1] + 3, cuts[1:] + 3)
+    else:
+        ids = (np.fromiter(arrays, dtype=object, count=len(arrays)), None, None)
+    return np.array(positions, dtype=np.int64), counts, sums, ids
+
+
+class TestMerge:
+    @given(_contributions(), st.sampled_from(MODES))
+    def test_merge_matches_dict_of_lists(self, drawn, mode):
+        n, order, raw = drawn
+        model = {pos: [] for pos in range(n)}
+        for (positions, fragments), _ in raw:
+            for pos, fragment in zip(positions, fragments):
+                model[pos].extend(fragment)
+        parts = [_as_part(p, f, form) for (p, f), form in raw]
+        got = BatchResult.merge(
+            n, mode, parts, None if order is None else np.array(order, dtype=np.int64)
+        )
+        caller = list(range(n)) if order is None else order
+        want = [None] * n
+        for pos, ids in model.items():
+            want[caller[pos]] = ids
+        assert got.mode == mode and len(got) == n
+        assert got.counts.tolist() == [len(ids) for ids in want]
+        if mode == "checksum":
+            xors = [int(np.bitwise_xor.reduce(np.array(ids + [0]))) for ids in want]
+            assert got.checksums.tolist() == xors
+        if mode == "ids":
+            # fragments keep the order their parts came in
+            assert [got.ids(i).tolist() for i in range(n)] == want
+            assert got.offsets.tolist() == np.cumsum([0] + [len(i) for i in want]).tolist()
+            assert got == BatchResult.from_id_lists(want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_merge_of_nothing_is_the_empty_result(self, mode):
+        assert BatchResult.merge(0, mode, []) == BatchResult.empty(mode)
+        assert BatchResult.merge(1, mode, []).counts.tolist() == [0]
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            BatchResult.merge(1, "wat", [])
+        with pytest.raises(ValueError):
+            BatchResult.empty("wat")
 
 
 class TestCollectors:

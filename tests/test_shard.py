@@ -27,7 +27,12 @@ from repro import (
 )
 from repro.shard import ShardedHint
 from repro.verify import InvariantViolation
-from tests.conftest import random_batch, random_collection
+from tests.conftest import (
+    assert_flat_oracle,
+    oracle_result,
+    random_batch,
+    random_collection,
+)
 
 M = 10
 TOP = (1 << M) - 1
@@ -73,17 +78,19 @@ def spanning_batch(rng, n):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("boundaries", ["equal", "balanced"])
     def test_all_strategies_all_modes(self, collection, index, k, boundaries):
         rng = np.random.default_rng(k * 31 + (boundaries == "balanced"))
         batch = spanning_batch(rng, 120)
         sharded = ShardedHint(collection, k=k, m=M, boundaries=boundaries)
+        naive = oracle_result(collection, batch, M)
         for strategy in STRATEGIES:
             for mode in ("count", "checksum", "ids"):
                 expected = run_strategy(strategy, index, batch, mode=mode)
                 got = sharded.execute(batch, strategy=strategy, mode=mode)
                 assert got == expected, (k, boundaries, strategy, mode)
+                assert_flat_oracle(got, naive)
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_empty_shards(self, clustered, k):
