@@ -1,12 +1,19 @@
 """Serving-path smoke gate (``make serve-smoke``).
 
-Two phases, both fast enough for tier-1 CI:
+Three phases, all fast enough for tier-1 CI:
 
 1. **Differential over the socket** — an ids-mode server over a random
    collection must return, through the full frame-encode / TCP /
    decode path, exactly the sorted id sets the linear-scan oracle
    produces.
-2. **Overload burst through the CLI** — launches ``python -m repro.cli
+2. **Pipelined burst** — one write of 2,000 QUERY frames across two
+   tenants against a 512-slot reject quota, one of them asking for a
+   mode the server does not execute: the server takes them a read chunk
+   at a time (column decode, one ``submit_many``, one encode per flush),
+   and every request id must come back exactly once — the oracle's
+   count, a typed ``OVERLOAD`` for the window that arrived over quota,
+   ``BAD_REQUEST`` for the bad-mode frame.
+3. **Overload burst through the CLI** — launches ``python -m repro.cli
    serve`` as a real subprocess (reject backpressure, a deliberately
    tiny in-flight quota and a slow flush deadline so the burst exceeds
    capacity), offers a 200+-query open-loop trace containing a burst
@@ -31,13 +38,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro import HintIndex, IntervalCollection, NaiveScan
-from repro.net import QueryClient, serve_in_thread
+from repro.net import (
+    ErrorFrame,
+    QueryClient,
+    QueryFrame,
+    ResultFrame,
+    TenantAdmission,
+    encode_frame,
+    serve_in_thread,
+)
 from repro.net.loadgen import run_load, summarize
 from repro.service import BatchingQueryService
 from repro.workloads.arrivals import ArrivalSpec
 
 M = 12
 N_DIFFERENTIAL = 60
+N_BURST = 2_000
+BURST_QUOTA = 512
 
 
 def phase_differential() -> None:
@@ -67,6 +84,72 @@ def phase_differential() -> None:
     finally:
         handle.close()
     print(f"serve-smoke: differential ok ({N_DIFFERENTIAL} queries)")
+
+
+def phase_pipelined_burst() -> None:
+    rng = np.random.default_rng(43)
+    top = (1 << M) - 1
+    st = rng.integers(0, top + 1, 5_000)
+    coll = IntervalCollection(st, np.minimum(st + rng.integers(0, 200, 5_000), top))
+    naive = NaiveScan(coll)
+    q_st = rng.integers(0, top + 1, N_BURST)
+    q_end = np.minimum(q_st + rng.integers(0, 500, N_BURST), top)
+    bad_mode = N_BURST // 3  # request id of the frame pinned to "ids"
+    burst = b"".join(
+        encode_frame(QueryFrame(
+            request_id=rid,
+            tenant=("alpha", "beta")[rid % 2],
+            st=int(q_st[rid - 1]),
+            end=int(q_end[rid - 1]),
+            mode="ids" if rid == bad_mode else None,
+        ))
+        for rid in range(1, N_BURST + 1)
+    )
+    service = BatchingQueryService(
+        HintIndex(coll, m=M), mode="count", max_batch=256, max_delay_ms=5.0
+    )
+    handle = serve_in_thread(
+        service,
+        owns_service=True,
+        max_inflight=BURST_QUOTA,
+        backpressure="reject",
+        admission=TenantAdmission(rate=1e9, burst=1e9),
+    )
+    try:
+        with QueryClient(handle.host, handle.port, timeout=30.0) as client:
+            client.send_raw(burst)
+            answers = [client.recv_frame() for _ in range(N_BURST)]
+    finally:
+        handle.close()
+    if sorted(f.request_id for f in answers) != list(range(1, N_BURST + 1)):
+        raise SystemExit("pipelined burst: not every request id answered once")
+    ok = shed = 0
+    for frame in answers:
+        rid = frame.request_id
+        if rid == bad_mode:
+            if not (isinstance(frame, ErrorFrame) and frame.code == "bad_request"):
+                raise SystemExit(f"bad-mode frame {rid} got {frame!r}")
+        elif isinstance(frame, ResultFrame):
+            want = len(naive.query(int(q_st[rid - 1]), int(q_end[rid - 1])))
+            if frame.value != want:
+                raise SystemExit(
+                    f"request {rid}: count {frame.value} over the socket "
+                    f"vs {want} from the oracle"
+                )
+            ok += 1
+        elif frame.code == "overload":
+            shed += 1
+        else:
+            raise SystemExit(f"request {rid} got an untyped answer: {frame!r}")
+    if ok < BURST_QUOTA or not shed:
+        raise SystemExit(
+            f"pipelined burst: {ok} answered, {shed} shed — expected at "
+            f"least the {BURST_QUOTA}-slot quota answered and a shed window"
+        )
+    print(
+        f"serve-smoke: pipelined burst ok ({N_BURST} frames in one write: "
+        f"{ok} answered, {shed} shed typed, 1 bad-mode refused)"
+    )
 
 
 def phase_overload() -> None:
@@ -142,6 +225,7 @@ def phase_overload() -> None:
 
 def main() -> int:
     phase_differential()
+    phase_pipelined_burst()
     phase_overload()
     print("serve-smoke: PASS")
     return 0

@@ -202,15 +202,15 @@ class ServiceMetrics:
     # recording (called by the service)
     # ------------------------------------------------------------------ #
 
-    def record_submitted(self, queue_depth: int) -> None:
+    def record_submitted(self, queue_depth: int, count: int = 1) -> None:
         with self._lock:
-            self._c_submitted.inc()
+            self._c_submitted.inc(int(count))
             self._g_depth.set(int(queue_depth))
             self._g_depth_max.set_max(int(queue_depth))
 
-    def record_rejected(self) -> None:
+    def record_rejected(self, count: int = 1) -> None:
         with self._lock:
-            self._c_rejected.inc()
+            self._c_rejected.inc(int(count))
 
     def record_deadline_dropped(self, count: int = 1) -> None:
         with self._lock:

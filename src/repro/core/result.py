@@ -212,6 +212,19 @@ class BatchResult:
             f"total={self.total()})"
         )
 
+    def take(self, queries: np.ndarray) -> "BatchResult":
+        """The sub-result of *queries* (an index array), in that order."""
+        counts = self._counts[queries]
+        if self._flat is None:
+            if self._checksums is None:
+                return BatchResult(counts)
+            return BatchResult(counts, checksums=self._checksums[queries])
+        cuts = self._offsets
+        ids = (self._flat, cuts[queries], cuts[queries + 1])
+        return BatchResult.merge(
+            len(queries), "ids", [(np.arange(len(queries)), counts, None, ids)]
+        )
+
     # ------------------------------------------------------------------ #
     # the one merge
     # ------------------------------------------------------------------ #

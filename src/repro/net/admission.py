@@ -58,20 +58,25 @@ class TokenBucket:
         self._stamp = clock()
         self._lock = threading.Lock()
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Spend *tokens* if available right now; never blocks."""
-        now = self._clock()
+    def try_acquire(self, tokens: int = 1) -> int:
+        """Spend up to *tokens* whole tokens if available right now;
+        never blocks.  Returns how many were granted (``0`` .. *tokens*;
+        truthy exactly when a single-token call was admitted)."""
         with self._lock:
-            if self.rate > 0.0:
-                elapsed = max(0.0, now - self._stamp)
-                self._tokens = min(
-                    self.burst, self._tokens + elapsed * self.rate
-                )
-            self._stamp = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return True
-            return False
+            # The clock is read under the lock: read before it, two
+            # racing callers could store their stamps out of order and
+            # the next refill would count the interval between them twice.
+            now = self._clock()
+            if now > self._stamp:
+                if self.rate > 0.0:
+                    self._tokens = min(
+                        self.burst,
+                        self._tokens + (now - self._stamp) * self.rate,
+                    )
+                self._stamp = now  # never lowered, whatever the clock does
+            granted = min(int(tokens), int(self._tokens))
+            self._tokens -= granted
+            return granted
 
     @property
     def tokens(self) -> float:
@@ -138,10 +143,12 @@ class TenantAdmission:
                 )
             return self._buckets[tenant]
 
-    def try_admit(self, tenant: str) -> bool:
-        """Admit one query from *tenant* if its budget allows."""
+    def try_admit(self, tenant: str, n: int = 1) -> int:
+        """Admit up to *n* queries from *tenant*, as many as its budget
+        allows right now; returns how many (the first that many of a
+        chunk are the admitted ones)."""
         bucket = self.bucket(tenant)
-        return True if bucket is None else bucket.try_acquire()
+        return n if bucket is None else bucket.try_acquire(n)
 
     def __repr__(self) -> str:
         return (

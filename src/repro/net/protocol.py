@@ -43,13 +43,24 @@ truncated bodies and trailing garbage all raise :class:`ProtocolError`.
 The server answers decodable-stream errors with a typed ``ERROR`` frame
 and closes the connection (after a framing error the byte stream can no
 longer be trusted); see :mod:`repro.net.server`.
+
+The server reads and writes a run of frames at a time through the
+*column codec* at the end of this module: :func:`decode_queries` turns
+the same-length plain QUERY frames at the head of a buffer into
+:class:`QueryColumns` (one array per field), and :func:`encode_results`
+/ :func:`encode_errors` write one reply per row into a single buffer.
+It is an accelerator, not a second format: a frame the column check does
+not cover is left to :func:`decode_payload`, which stays the one
+definition of validity and of error text, and the bytes written are
+:func:`encode_frame`'s.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +98,10 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "decode_frame",
+    "QueryColumns",
+    "decode_queries",
+    "encode_results",
+    "encode_errors",
 ]
 
 #: First two payload bytes of every frame.
@@ -467,3 +482,253 @@ def decode_frame(data: bytes) -> Tuple[Frame, int]:
         raise ProtocolError("truncated frame payload")
     frame = decode_payload(data[_LEN.size : _LEN.size + length])
     return frame, _LEN.size + length
+
+
+# --------------------------------------------------------------------- #
+# the column codec: a run of frames at a time
+# --------------------------------------------------------------------- #
+
+#: Payload bytes of a version-2 QUERY frame without a trace context,
+#: less its tenant id.
+_PLAIN_QUERY = _HEADER.size + _QUERY_HEAD.size + _QUERY_TAIL.size + 1
+
+_FRAME_START = [("head", ">u8"), ("request_id", ">u8")]
+_RESULT_COUNT = np.dtype(_FRAME_START + [("mode", "u1"), ("count", ">u8")])
+_RESULT_CHECKSUM = np.dtype(
+    _FRAME_START + [("mode", "u1"), ("count", ">u8"), ("xor", ">u8")]
+)
+_RESULT_IDS = np.dtype(_FRAME_START + [("mode", "u1"), ("n", ">u4")])
+_ERROR_ROW = np.dtype(_FRAME_START + [("code", "u1"), ("msg_len", ">u2")])
+
+
+def _head(length, ftype: int):
+    """Length prefix, magic, version and type — the first eight bytes of
+    a frame — as one big-endian u64 (*length*: an int or a uint64 array)."""
+    return (length << 32) | (MAGIC << 16) | (VERSION << 8) | ftype
+
+
+@lru_cache(maxsize=None)  # one layout per tenant length: at most 255
+def _query_row(tenant_len: int) -> np.dtype:
+    return np.dtype(
+        _FRAME_START
+        + [
+            ("tenant_len", "u1"),
+            ("tenant", f"S{tenant_len}"),
+            ("st", ">i8"),
+            ("end", ">i8"),
+            ("mode", "u1"),
+            ("deadline_ms", ">u4"),
+            ("flags", "u1"),
+        ]
+    )
+
+
+class QueryColumns:
+    """QUERY frames as parallel columns, one row per frame, in wire order.
+
+    ``request_id`` (uint64), ``st`` / ``end`` (int64), ``mode`` (the wire
+    code, uint8: a :data:`MODE_CODES` value or :data:`MODE_DEFAULT`) and
+    ``deadline_ms`` (uint32) are arrays; row *i*'s tenant id is
+    ``tenants[tenant_of[i]]``; ``traces`` is ``None`` when no row carries
+    a trace context, else one ``Optional[TraceContext]`` per row.
+    """
+
+    __slots__ = (
+        "request_id", "tenants", "tenant_of", "st", "end", "mode",
+        "deadline_ms", "traces",
+    )
+
+    def __init__(
+        self, request_id, tenants, tenant_of, st, end, mode, deadline_ms,
+        traces=None,
+    ):
+        self.request_id = request_id
+        self.tenants = tenants
+        self.tenant_of = tenant_of
+        self.st = st
+        self.end = end
+        self.mode = mode
+        self.deadline_ms = deadline_ms
+        self.traces = traces
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    @classmethod
+    def of(cls, frame: QueryFrame) -> "QueryColumns":
+        """The one-row columns of a frame :func:`decode_payload` decoded."""
+        mode = MODE_DEFAULT if frame.mode is None else MODE_CODES[frame.mode]
+        return cls(
+            np.array([frame.request_id], dtype=np.uint64),
+            [frame.tenant],
+            np.zeros(1, dtype=np.intp),
+            np.array([frame.st], dtype=np.int64),
+            np.array([frame.end], dtype=np.int64),
+            np.array([mode], dtype=np.uint8),
+            np.array([frame.deadline_ms], dtype=np.uint32),
+            None if frame.trace is None else [frame.trace],
+        )
+
+    @classmethod
+    def concat(cls, pieces: Sequence["QueryColumns"]) -> "QueryColumns":
+        """The rows of *pieces*, one after the other."""
+        if len(pieces) == 1:
+            return pieces[0]
+        out = cls(*(
+            np.concatenate([getattr(p, name) for p in pieces])
+            if name not in ("tenants", "traces") else None
+            for name in cls.__slots__
+        ))
+        out.tenants, at = [], 0
+        for p in pieces:
+            out.tenant_of[at : at + len(p)] += len(out.tenants)
+            out.tenants.extend(p.tenants)
+            at += len(p)
+        if any(p.traces is not None for p in pieces):
+            out.traces = [
+                t for p in pieces for t in (p.traces or [None] * len(p))
+            ]
+        return out
+
+
+def decode_queries(
+    buf: bytes, pos: int, length: int, limit: Optional[int] = None
+) -> Optional[QueryColumns]:
+    """Decode the run of plain QUERY frames at ``buf[pos:]`` as columns.
+
+    *length* is the (complete) first frame's length prefix.  The run is
+    every following complete frame of that same length that is a
+    version-2 QUERY without a trace context, with a tenant id of the one
+    length that implies and a known mode code: exactly the frames
+    :func:`decode_payload` would accept with the same fields, checked a
+    column at a time.  It ends before the first frame the check does not
+    cover, or after *limit* frames; ``None`` when that is the first
+    frame — whatever is wrong or merely different about it is
+    :func:`decode_payload`'s to say.  The caller advances by
+    ``len(run) * (4 + length)`` bytes.
+    """
+    tenant_len = length - _PLAIN_QUERY
+    if not 0 < tenant_len <= 255:
+        return None
+    row = _query_row(tenant_len)
+    complete = (len(buf) - pos) // row.itemsize
+    rows = np.frombuffer(buf, row, min(complete, limit or complete), pos)
+    tenant, mode = rows["tenant"], rows["mode"]
+    ok = (
+        (rows["head"] == _head(length, FRAME_QUERY))
+        & (rows["tenant_len"] == tenant_len)
+        & (rows["flags"] == 0)
+        & ((mode <= MODE_CODES["checksum"]) | (mode == MODE_DEFAULT))
+        # ``S`` drops trailing NULs; such a tenant id is not covered.
+        & (np.char.str_len(tenant) == tenant_len)
+    )
+    n = len(rows) if ok.all() else int(ok.argmin())
+    if n == 0:
+        return None
+    tenant = tenant[:n]
+    if (tenant == tenant[0]).all():
+        names, tenant_of = tenant[:1], np.zeros(n, dtype=np.intp)
+    else:
+        names, tenant_of = np.unique(tenant, return_inverse=True)
+    tenants: List[str] = []
+    for j, raw in enumerate(names.tolist()):
+        try:
+            tenants.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            tenants.append("")
+            n = min(n, int((tenant_of == j).argmax()))
+    if n == 0:
+        return None
+    return QueryColumns(
+        rows["request_id"][:n].astype(np.uint64),
+        tenants,
+        tenant_of[:n],
+        rows["st"][:n].astype(np.int64),
+        rows["end"][:n].astype(np.int64),
+        mode[:n].copy(),
+        rows["deadline_ms"][:n].astype(np.uint32),
+    )
+
+
+def encode_results(
+    request_ids: np.ndarray,
+    mode: str,
+    counts: np.ndarray,
+    checksums: Optional[np.ndarray] = None,
+    flat_ids: Optional[np.ndarray] = None,
+    offsets: Optional[np.ndarray] = None,
+    *,
+    max_frame: int = MAX_FRAME,
+) -> Tuple[bytes, List[Tuple[int, str]]]:
+    """One RESULT frame per row, written into a single buffer.
+
+    Row *i* answers ``request_ids[i]`` with ``counts[i]`` (count), with
+    ``(counts[i], checksums[i])`` (checksum) or with the ids
+    ``flat_ids[offsets[i]:offsets[i + 1]]`` sorted ascending (ids) — the
+    bytes :func:`encode_frame` writes for the same :class:`ResultFrame`.
+    Returns ``(data, refused)``: a row :func:`encode_frame` would raise
+    for has no frame in *data* and is listed as ``(row, message)``.
+    """
+    k = len(request_ids)
+    refused: List[Tuple[int, str]] = []
+    if mode != "ids":
+        out = np.empty(
+            k, _RESULT_COUNT if mode == "count" else _RESULT_CHECKSUM
+        )
+        out["head"] = _head(out.itemsize - _LEN.size, FRAME_RESULT)
+        out["request_id"] = request_ids
+        out["mode"] = _mode_code(mode)
+        out["count"] = counts
+        if mode == "checksum":
+            out["xor"] = checksums
+            bad = np.flatnonzero(checksums < 0)
+            if len(bad):
+                refused = [
+                    (i, f"checksum out of range for u64: {checksums[i]}")
+                    for i in bad.tolist()
+                ]
+                out = np.delete(out, bad)
+        return out.tobytes(), refused
+    size = _RESULT_IDS.itemsize - _LEN.size + 8 * counts
+    head = np.empty(k, _RESULT_IDS)
+    head["head"] = _head(size.astype(np.uint64), FRAME_RESULT)
+    head["request_id"] = request_ids
+    head["mode"] = MODE_CODES["ids"]
+    head["n"] = counts
+    # One sort for all rows: by row, then ascending id within the row.
+    rows = np.repeat(np.arange(k), counts)
+    body = memoryview(
+        flat_ids[np.lexsort((flat_ids, rows))].astype(">i8").tobytes()
+    )
+    head = memoryview(head.tobytes())
+    cuts = (8 * offsets).tolist()
+    step = _RESULT_IDS.itemsize
+    parts = []
+    for i, payload in enumerate(size.tolist()):
+        if payload > max_frame:
+            refused.append((
+                i, f"frame payload ({payload} bytes) exceeds the "
+                f"{max_frame}-byte frame bound",
+            ))
+        else:
+            parts.append(head[i * step : (i + 1) * step])
+            parts.append(body[cuts[i] : cuts[i + 1]])
+    return b"".join(parts), refused
+
+
+def encode_errors(request_ids, code: str, message: str) -> bytes:
+    """One ERROR frame per request id, all with *code* and *message*,
+    written into a single buffer (:func:`encode_frame`'s bytes)."""
+    if code not in ERROR_CODES:
+        raise ProtocolError(f"unknown error code {code!r}")
+    msg = message.encode("utf-8")[:0xFFFF]
+    fixed = _ERROR_ROW.itemsize
+    head = np.empty(len(request_ids), _ERROR_ROW)
+    head["head"] = _head(fixed - _LEN.size + len(msg), FRAME_ERROR)
+    head["request_id"] = request_ids
+    head["code"] = ERROR_CODES[code]
+    head["msg_len"] = len(msg)
+    out = np.empty((len(head), fixed + len(msg)), dtype=np.uint8)
+    out[:, :fixed] = head.view(np.uint8).reshape(len(head), fixed)
+    out[:, fixed:] = np.frombuffer(msg, dtype=np.uint8)
+    return out.tobytes()

@@ -34,16 +34,20 @@ Traffic controls, in the order a query meets them:
    (typed ``DEADLINE_EXCEEDED``) if the deadline passes while staged.
 
 The request path costs per *read chunk* and per *flush*, not per request:
-a read loop parses every complete frame out of what the socket had, the
-futures a flush resolves share one loop wake-up, and each connection's
+a read loop decodes the QUERY frames of what the socket had as columns,
+screens them a column at a time and stages them with one
+``service.submit_many``; a flush reports back once per chunk it
+answered, each report is encoded into one buffer, and each connection's
 writer does one ``write`` + ``drain()`` per burst of replies before the
 burst's quota slots are released (``docs/serving.md``, "Request path").
+A query is a row from the socket to the reply: it has no future, frame
+object or encode call of its own.
 
 Every request is answered exactly once (``RESULT`` or a typed
 ``ERROR``) unless its connection is gone; shutdown
 (:meth:`QueryServer.stop`) drains in-flight work through
 ``service.close(drain=True, timeout=...)``, whose timeout bound
-guarantees even an abandoned drain resolves every future.
+guarantees even an abandoned drain resolves every query.
 
 For embedding in synchronous code (tests, benchmarks, the load
 generator) :func:`serve_in_thread` runs the whole server on a dedicated
@@ -57,8 +61,8 @@ import asyncio
 import struct
 import threading
 import time
-from collections import deque
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,15 +78,20 @@ from repro.verify.faults import SITE_NET_ACCEPT, SITE_NET_DECODE, FaultPlan
 
 from repro.net.admission import TenantAdmission
 from repro.net.protocol import (
-    ErrorFrame,
     MAX_FRAME,
+    MODE_CODES,
+    MODE_DEFAULT,
+    MODE_NAMES,
     PingFrame,
     PongFrame,
     ProtocolError,
+    QueryColumns,
     QueryFrame,
-    ResultFrame,
     decode_payload,
+    decode_queries,
+    encode_errors,
     encode_frame,
+    encode_results,
 )
 
 __all__ = ["QueryServer", "ServerHandle", "serve_in_thread"]
@@ -115,6 +124,20 @@ class _Conn:
         self.wake = asyncio.Event()  #: ``out`` has replies, or reads ended
         self.flushed = asyncio.Event()  #: the writer has caught up
         self.read_closed = False
+
+
+class _Chunk:
+    """The QUERY frames of one read chunk: whose they are, and which of
+    them the service still owes an answer."""
+
+    __slots__ = ("conn", "cols", "t0", "ctxs", "owed")
+
+    def __init__(self, conn: _Conn, cols: QueryColumns, t0: float, ctxs):
+        self.conn = conn
+        self.cols = cols
+        self.t0 = t0  #: anchor of ``deadline_ms`` and ``request_timeout``
+        self.ctxs = ctxs  #: per-row TraceContext while the obs plane is on
+        self.owed = np.zeros(len(cols), dtype=bool)  #: staged, unanswered
 
 
 class QueryServer:
@@ -198,12 +221,8 @@ class QueryServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight = 0
         self._slot_free: Optional[asyncio.Event] = None
-        #: future -> (conn, frame, t0, ctx) of each query not answered yet.
-        self._outstanding: dict = {}
-        #: Resolved futures, appended by the thread that resolved them and
-        #: emptied on the loop by :meth:`_deliver`.
-        self._done: deque = deque()
-        self._wake_scheduled = False
+        #: The chunks with queries not answered yet.
+        self._outstanding: set = set()
         self._sweeper: Optional[asyncio.TimerHandle] = None
         self._closing = False
         self._stopped: Optional[asyncio.Event] = None
@@ -347,10 +366,13 @@ class QueryServer:
             self._conns.discard(conn)
 
     async def _read_loop(self, conn: _Conn) -> Optional[bytes]:
-        """Parse and dispatch every complete frame of each chunk the
-        socket yields.  Returns the encoded ``bad_request`` reply when a
-        framing error ended the stream, else ``None``."""
+        """Decode every complete frame of each chunk the socket yields —
+        the QUERY frames as columns, a run of plain ones at a time — and
+        admit the chunk's queries together.  Returns the encoded
+        ``bad_request`` reply when a framing error ended the stream,
+        else ``None``."""
         read = conn.reader.read
+        plan = self._fault_plan
         buf = b""
         while not self._closing:
             if conn.backlog >= _CHUNK:
@@ -365,50 +387,54 @@ class QueryServer:
             if not chunk:
                 return None  # peer went away, perhaps mid-frame
             buf = buf + chunk if buf else chunk
+            queries, goodbye = [], None
             pos, size = 0, len(buf)
-            while size - pos >= _LEN.size:
+            while goodbye is None and size - pos >= _LEN.size:
                 (length,) = _LEN.unpack_from(buf, pos)
                 if length > self.max_frame:
                     # Reject before the body arrives: a hostile length
                     # prefix must not make the server buffer it.
-                    return self._framing_error(
+                    goodbye = self._framing_error(
                         f"frame of {length} bytes exceeds the "
                         f"{self.max_frame}-byte bound"
                     )
-                if size - pos - _LEN.size < length:
                     break
-                pos += _LEN.size + length
+                end = pos + _LEN.size + length
+                if end > size:
+                    break
                 try:
-                    if self._fault_plan is not None:
-                        self._fault_plan.fire(SITE_NET_DECODE)
-                    frame = decode_payload(buf[pos - length : pos])
+                    if plan is not None:  # fires per frame: runs of one
+                        plan.fire(SITE_NET_DECODE)
+                    run = decode_queries(
+                        buf, pos, length, None if plan is None else 1
+                    )
+                    if run is None:  # traced, v1, not a QUERY, malformed
+                        frame = decode_payload(buf[end - length : end])
                 except ProtocolError as exc:
-                    return self._framing_error(str(exc))
+                    goodbye = self._framing_error(str(exc))
                 except Exception as exc:  # injected net.decode fault
-                    return self._framing_error(f"decode failed: {exc}")
-                if type(frame) is not QueryFrame:
-                    reply = PongFrame(frame.request_id)
-                    if not isinstance(frame, PingFrame):
-                        reply = ErrorFrame(
-                            frame.request_id, "bad_request",
-                            f"unexpected {type(frame).__name__} from client",
+                    goodbye = self._framing_error(f"decode failed: {exc}")
+                else:
+                    if run is not None:
+                        end = pos + len(run) * (end - pos)
+                    elif type(frame) is QueryFrame:
+                        run = QueryColumns.of(frame)
+                    elif isinstance(frame, PingFrame):
+                        self._queue(
+                            conn, encode_frame(PongFrame(frame.request_id))
                         )
-                    self._queue(conn, encode_frame(reply))
-                    continue
-                t0 = self._clock()
-                ctx = self._trace_context(frame)
-                refusal = self._screen(frame)
-                while refusal is None and self._inflight >= self.max_inflight:
-                    # Block policy: the rest of the buffer and the socket
-                    # wait until a written burst of replies frees a slot.
-                    self._slot_free.clear()
-                    await self._slot_free.wait()
-                    if self._closing:
-                        refusal = _CLOSING
-                if refusal is None:
-                    refusal = self._submit(conn, frame, t0, ctx)
-                if refusal is not None:
-                    self._answer(conn, frame, *refusal, t0, ctx)
+                    else:
+                        self._queue(conn, encode_errors(
+                            [frame.request_id], "bad_request",
+                            f"unexpected {type(frame).__name__} from client",
+                        ))
+                    if run is not None:
+                        queries.append(run)
+                    pos = end
+            if queries:
+                await self._admit(conn, QueryColumns.concat(queries))
+            if goodbye is not None:
+                return goodbye
             buf = buf[pos:]
         return None
 
@@ -416,7 +442,7 @@ class QueryServer:
         ob = obs.active()
         if ob is not None:
             ob.record_net_decode_error()
-        return encode_frame(ErrorFrame(0, "bad_request", message))
+        return encode_errors([0], "bad_request", message)
 
     async def _write_loop(self, conn: _Conn) -> None:
         """The connection's only writer: one ``write`` and one
@@ -445,8 +471,8 @@ class QueryServer:
                 self._release(slots)
 
     def _queue(self, conn: _Conn, data: bytes, slots: int = 0) -> None:
-        """Hand an encoded reply to *conn*'s writer; *slots* is 1 when it
-        answers a submitted query, whose quota slot it then holds."""
+        """Hand encoded replies to *conn*'s writer; *slots* is how many
+        of them answer a submitted query, whose quota slot they hold."""
         conn.pending -= slots
         if conn.writer.is_closing():  # peer lost, or the handler is done
             self._release(slots)
@@ -465,195 +491,209 @@ class QueryServer:
     # the request path
     # ------------------------------------------------------------------ #
 
-    def _screen(self, frame: QueryFrame) -> Optional[Tuple[str, str]]:
-        """The traffic controls ahead of the quota wait: the (code,
-        message) *frame* is refused with, or ``None`` to go on."""
+    async def _admit(self, conn: _Conn, cols: QueryColumns) -> None:
+        """Put one read chunk's queries through the traffic controls, a
+        column at a time, and stage what passes, a quota slot each; what
+        does not is answered with a typed error."""
+        ctxs = None
+        ob = obs.active()
+        if ob is not None:
+            ctxs = [
+                self._trace_context(ob, trace)
+                for trace in cols.traces or [None] * len(cols)
+            ]
+        chunk = _Chunk(conn, cols, self._clock(), ctxs)
+        everything = np.arange(len(cols))
         if self._closing:
-            return _CLOSING
-        if frame.st > frame.end:
-            return "bad_request", (
-                f"query must have st <= end (got [{frame.st}, {frame.end}])"
-            )
-        if frame.mode is not None and frame.mode != self.service.mode:
-            return "bad_request", (
-                f"server executes mode {self.service.mode!r}, "
-                f"not {frame.mode!r}"
-            )
-        if self.admission is not None and not self.admission.try_admit(
-            frame.tenant
-        ):
-            return "rate_limited", (
-                f"tenant {frame.tenant!r} is over its admission rate"
-            )
+            return self._refuse(chunk, everything, *_CLOSING)
+        served = self.service.mode
+        bad_range = cols.st > cols.end
+        live = ~bad_range & (
+            (cols.mode == MODE_DEFAULT) | (cols.mode == MODE_CODES[served])
+        )
+        for i in np.flatnonzero(~live):
+            self._refuse(chunk, everything[i : i + 1], "bad_request", (
+                f"query must have st <= end (got [{cols.st[i]}, {cols.end[i]}])"
+                if bad_range[i] else
+                f"server executes mode {served!r}, "
+                f"not {MODE_NAMES[cols.mode[i]]!r}"
+            ))
+        if self.admission is not None:
+            for t, tenant in enumerate(cols.tenants):
+                asking = np.flatnonzero(live & (cols.tenant_of == t))
+                over = asking[self.admission.try_admit(tenant, len(asking)):]
+                if len(over):
+                    live[over] = False
+                    self._refuse(chunk, over, "rate_limited", (
+                        f"tenant {tenant!r} is over its admission rate"
+                    ))
         # Global in-flight quota — the wire face of the service's
         # bounded staging queue.
-        full = self._inflight >= self.max_inflight
-        if full and self.backpressure == "reject":
-            return "overload", (
-                f"{self._inflight} queries in flight "
-                f"(quota {self.max_inflight})"
-            )
-        return None
-
-    def _submit(
-        self, conn: _Conn, frame: QueryFrame, t0: float, ctx
-    ) -> Optional[Tuple[str, str]]:
-        """Take a slot and stage *frame* in the service; the (code,
-        message) of a synchronous failure, else ``None``."""
-        deadline = (
-            t0 + frame.deadline_ms / 1000.0 if frame.deadline_ms else None
-        )
-        try:
-            future = self.service.submit(
-                frame.st, frame.end, deadline=deadline, trace=ctx
-            )
-        except Exception as exc:
-            return _classify(exc)
-        self._inflight += 1
-        conn.pending += 1
-        self._outstanding[future] = (conn, frame, t0, ctx)
-        future.add_done_callback(self._on_done)
-        return None
-
-    def _on_done(self, future) -> None:
-        """Done-callback of every submitted future, on whichever thread
-        resolved it (the flusher, as a rule): queue it and make sure one
-        loop wake-up is on its way for the whole burst."""
-        self._done.append(future)
-        # _deliver lowers the flag before it empties the queue, so a
-        # future appended while the flag reads True is still seen.
-        if not self._wake_scheduled:
-            self._wake_scheduled = True
-            try:
-                self._loop.call_soon_threadsafe(self._deliver)
-            except RuntimeError:
-                pass  # the loop is closed: the server stopped first
-
-    def _deliver(self) -> None:
-        """Encode the reply of every future resolved since the last
-        wake-up and queue it on its connection."""
-        self._wake_scheduled = False
-        done, outstanding = self._done, self._outstanding
-        mode = self.service.mode
-        max_frame = max(self.max_frame, MAX_FRAME)
-        now = self._clock()
-        while done:
-            future = done.popleft()
-            request = outstanding.pop(future, None)
-            if request is None:
-                continue  # the timeout sweep answered it; drop the result
-            conn, frame, t0, ctx = request
-            exc = future.exception()
-            if exc is not None:
-                self._answer(conn, frame, *_classify(exc), t0, ctx, slots=1)
-                continue
-            value = future.result()
-            if mode == "ids":
-                value = np.sort(np.asarray(value, dtype=np.int64))
-            elif mode == "checksum":
-                value = (int(value[0]), int(value[1]))
+        rows = np.flatnonzero(live)
+        while len(rows):
+            room = self.max_inflight - self._inflight
+            if room > 0:
+                self._submit(chunk, rows[:room])
+                rows = rows[room:]
+            elif self.backpressure == "reject":
+                return self._refuse(chunk, rows, "overload", (
+                    f"{self._inflight} queries in flight "
+                    f"(quota {self.max_inflight})"
+                ))
             else:
-                value = int(value)
-            try:
-                data = encode_frame(
-                    ResultFrame(frame.request_id, mode, value),
-                    max_frame=max_frame,
-                )
-            except ProtocolError as exc:
-                self._answer(
-                    conn, frame, "internal", f"result not sent: {exc}",
-                    t0, ctx, slots=1,
-                )
-                continue
-            self._queue(conn, data, 1)
-            self._record_request(frame, "ok", now - t0, ctx=ctx)
+                # Block policy: the rest of the chunk and the socket
+                # wait until a written burst of replies frees a slot.
+                self._slot_free.clear()
+                await self._slot_free.wait()
+                if self._closing:
+                    return self._refuse(chunk, rows, *_CLOSING)
+
+    def _submit(self, chunk: _Chunk, rows: np.ndarray) -> None:
+        """Take a slot for each of *rows* and stage them in the service,
+        which reports back through :meth:`_on_done`."""
+        cols = chunk.cols
+        budget = cols.deadline_ms[rows]
+        deadlines = traces = None
+        if budget.any():
+            deadlines = np.where(budget, chunk.t0 + budget / 1000.0, np.inf)
+        if chunk.ctxs is not None:
+            traces = [chunk.ctxs[i] for i in rows.tolist()]
+        self._inflight += len(rows)
+        chunk.conn.pending += len(rows)
+        chunk.owed[rows] = True
+        self._outstanding.add(chunk)
+        on_done = partial(self._on_done, chunk, rows)
+        try:
+            self.service.submit_many(
+                cols.st[rows], cols.end[rows], deadlines, traces,
+                on_done=on_done,
+            )
+        except Exception as exc:  # nothing was staged
+            on_done(np.arange(len(rows)), exc)
+
+    def _on_done(self, chunk: _Chunk, rows, positions, outcome) -> None:
+        """The service's report on ``rows[positions]`` of *chunk*, on
+        whichever thread resolved them (the flusher, as a rule): one per
+        flush and chunk, handed to the loop."""
+        try:
+            self._loop.call_soon_threadsafe(
+                self._deliver, chunk, rows[positions], outcome
+            )
+        except RuntimeError:
+            pass  # the loop is closed: the server stopped first
+
+    def _deliver(self, chunk: _Chunk, rows: np.ndarray, outcome) -> None:
+        """Encode the replies to *rows* of *chunk* into one buffer and
+        queue it on the chunk's connection."""
+        failed = isinstance(outcome, BaseException)
+        owed = chunk.owed[rows]
+        if not owed.all():
+            # The timeout sweep answered some; drop their late results.
+            if not owed.any():
+                return
+            if not failed:
+                outcome = outcome.take(np.flatnonzero(owed))
+            rows = rows[owed]
+        self._settle(chunk, rows)
+        if failed:
+            return self._refuse(
+                chunk, rows, *_classify(outcome), slots=len(rows)
+            )
+        data, unsent = encode_results(
+            chunk.cols.request_id[rows], self.service.mode, outcome.counts,
+            outcome.checksums, outcome.flat_ids, outcome.offsets,
+            max_frame=max(self.max_frame, MAX_FRAME),
+        )
+        for i, why in unsent:
+            self._refuse(
+                chunk, rows[i : i + 1], "internal",
+                f"result not sent: {why}", slots=1,
+            )
+        if unsent:
+            rows = np.delete(rows, [i for i, _ in unsent])
+        self._queue(chunk.conn, data, len(rows))
+        self._record(chunk, rows, "ok")
+
+    def _settle(self, chunk: _Chunk, rows: np.ndarray) -> None:
+        """*rows* of *chunk* are being answered now."""
+        chunk.owed[rows] = False
+        if not chunk.owed.any():
+            self._outstanding.discard(chunk)
 
     def _sweep(self) -> None:
         """``request_timeout``, as one periodic pass over the outstanding
-        requests instead of a timer each."""
+        chunks instead of a timer per request."""
         self._sweeper = self._loop.call_later(
             min(1.0, self.request_timeout / 4), self._sweep
         )
         cutoff = self._clock() - self.request_timeout
-        for future in [
-            f for f, r in self._outstanding.items() if r[2] <= cutoff
-        ]:
-            conn, frame, t0, ctx = self._outstanding.pop(future)
-            self._answer(
-                conn, frame, "internal",
+        for chunk in [c for c in self._outstanding if c.t0 <= cutoff]:
+            rows = np.flatnonzero(chunk.owed)
+            self._settle(chunk, rows)
+            self._refuse(
+                chunk, rows, "internal",
                 f"no result within {self.request_timeout:g}s",
-                t0, ctx, slots=1,
+                slots=len(rows),
             )
 
-    def _answer(
-        self,
-        conn: _Conn,
-        frame: QueryFrame,
-        code: str,
-        message: str,
-        t0: float,
-        ctx: Optional[TraceContext],
+    def _refuse(
+        self, chunk: _Chunk, rows: np.ndarray, code: str, message: str,
         slots: int = 0,
     ) -> None:
-        """Answer *frame* with a typed error."""
+        """Answer *rows* of *chunk* with one typed error."""
         self._queue(
-            conn, encode_frame(ErrorFrame(frame.request_id, code, message)),
+            chunk.conn,
+            encode_errors(chunk.cols.request_id[rows], code, message),
             slots,
         )
-        self._record_request(frame, code, self._clock() - t0, ctx=ctx)
+        self._record(chunk, rows, code)
 
     # ------------------------------------------------------------------ #
     # instrumentation
     # ------------------------------------------------------------------ #
 
-    def _trace_context(self, frame: QueryFrame) -> Optional[TraceContext]:
-        """The request's tracing identity: the client's (when the v2
-        frame carried one) or a freshly minted one, re-parented under a
-        span id reserved for this request's ``net.request`` root so
-        every downstream span hangs off it."""
-        ob = obs.active()
-        if ob is None:
-            return None
-        if frame.trace is not None:
-            trace_id = frame.trace.trace_id
-            sampled = frame.trace.sampled
+    @staticmethod
+    def _trace_context(ob, trace: Optional[TraceContext]) -> TraceContext:
+        """A request's tracing identity: the client's (when its frame
+        carried one) or a freshly minted one, re-parented under a span
+        id reserved for this request's ``net.request`` root so every
+        downstream span hangs off it."""
+        if trace is not None:
+            trace_id, sampled = trace.trace_id, trace.sampled
         else:
-            trace_id = new_trace_id()
-            sampled = ob.sample_trace()
+            trace_id, sampled = new_trace_id(), ob.sample_trace()
         return TraceContext(trace_id, ob.recorder.allocate_span_id(), sampled)
 
-    def _record_request(
-        self,
-        frame: QueryFrame,
-        status: str,
-        duration: float,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
+    def _record(self, chunk: _Chunk, rows: np.ndarray, status: str) -> None:
+        """One ``net.request`` span and sample per answered request."""
         ob = obs.active()
         if ob is None:
             return
-        ob.record_net_request(status, duration)
-        attrs = {
-            "tenant": frame.tenant,
-            "status": status,
-            "mode": self.service.mode,
-            "st": int(frame.st),
-            "end": int(frame.end),
-        }
-        span_id = None
-        trace_ids = None
-        if ctx is not None:
-            span_id = ctx.parent_span_id
-            trace_ids = (ctx.trace_id,)
-            attrs["trace_id"] = format_trace_id(ctx.trace_id)
-            attrs["sampled"] = ctx.sampled
-        ob.recorder.add(
-            "net.request",
-            duration,
-            attrs=attrs,
-            span_id=span_id,
-            trace_ids=trace_ids,
-        )
+        cols = chunk.cols
+        duration = self._clock() - chunk.t0
+        for i in rows.tolist():
+            ob.record_net_request(status, duration)
+            attrs = {
+                "tenant": cols.tenants[cols.tenant_of[i]],
+                "status": status,
+                "mode": self.service.mode,
+                "st": int(cols.st[i]),
+                "end": int(cols.end[i]),
+            }
+            span_id = trace_ids = None
+            if chunk.ctxs is not None:
+                ctx = chunk.ctxs[i]
+                span_id = ctx.parent_span_id
+                trace_ids = (ctx.trace_id,)
+                attrs["trace_id"] = format_trace_id(ctx.trace_id)
+                attrs["sampled"] = ctx.sampled
+            ob.recorder.add(
+                "net.request",
+                duration,
+                attrs=attrs,
+                span_id=span_id,
+                trace_ids=trace_ids,
+            )
 
     def __repr__(self) -> str:
         state = "closing" if self._closing else (

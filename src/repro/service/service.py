@@ -8,9 +8,15 @@ each batch with a strategy from
 :data:`~repro.core.strategies.STRATEGIES`, through the installed
 backend's own ``execute()`` when it has one (an engine, a planner, a
 cache, a sharded index — how the batch runs is theirs to decide) and
-:func:`~repro.core.strategies.run_strategy` otherwise.  Each caller
-receives a
-:class:`concurrent.futures.Future` resolved with its own result.
+:func:`~repro.core.strategies.run_strategy` otherwise.  A caller with
+one query (:meth:`~BatchingQueryService.submit`) receives a
+:class:`concurrent.futures.Future` resolved with its own result; a
+caller that already holds a column of queries
+(:meth:`~BatchingQueryService.submit_many`, the network front end's read
+loop) is called back once per flush with the positions that flush
+answered and their slice of the batch result.  Both stage into the same
+columnar queue: a query is a row of one structured array from admission
+to its flush, never an object of its own.
 
 Admission follows the paper's footnote 5 — a batch is closed by
 whichever fires first:
@@ -33,10 +39,13 @@ query execution.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 import repro.obs as obs
 from repro.analysis.service_stats import ServiceMetrics
@@ -85,46 +94,31 @@ class DeadlineExceededError(RuntimeError):
     """
 
 
-def _fail_future(future: Future, exc: BaseException) -> bool:
-    """Resolve *future* with *exc* iff it is still unresolved.
-
-    The exactly-once helper of every error path that may race another
-    resolver (drain-timeout abandonment vs. the in-flight flush): a
-    future that is already done (or was cancelled by its caller) is left
-    untouched.  Returns whether this call resolved it.
-    """
-    try:
-        future.set_exception(exc)
-        return True
-    except InvalidStateError:
-        return False
+#: One staged query.  ``owner`` is the number of the submitting call and
+#: ``pos`` the query's position in it; ``deadline`` is absolute on the
+#: service clock (``inf`` = none); ``deferred`` counts the flushes a flush
+#: policy has passed the query over.
+_ROW = np.dtype([
+    ("st", "i8"), ("end", "i8"), ("enqueued_at", "f8"), ("deadline", "f8"),
+    ("deferred", "i8"), ("owner", "i8"), ("pos", "i8"),
+])
 
 
-class _Pending:
-    """One staged query and the future its caller holds."""
+class _Call:
+    """One submitting call: whom to tell, and what it has been told."""
 
-    __slots__ = (
-        "st", "end", "enqueued_at", "deadline", "deferred", "future", "trace"
-    )
+    __slots__ = ("on_done", "traces", "resolved", "open")
 
-    def __init__(
-        self,
-        st: int,
-        end: int,
-        enqueued_at: float,
-        deadline: Optional[float] = None,
-        trace=None,
-    ):
-        self.st = st
-        self.end = end
-        self.enqueued_at = enqueued_at
-        #: Absolute deadline on the service clock (None = no deadline).
-        self.deadline = deadline
-        #: Flushes this query has been passed over by a flush policy.
-        self.deferred = 0
-        #: Optional TraceContext from the submitting layer.
-        self.trace = trace
-        self.future: Future = Future()
+    def __init__(self, on_done, n: int, traces):
+        self.on_done = on_done
+        #: Optional per-position TraceContexts from the submitting layer.
+        self.traces = traces
+        #: Positions already reported.  Every resolver marks under the
+        #: service lock before it reports, which is what makes racing
+        #: resolvers (drain-timeout abandonment vs. the in-flight flush)
+        #: exactly-once.
+        self.resolved = np.zeros(n, dtype=bool)
+        self.open = n  #: positions admitted and not reported yet
 
 
 class BatchingQueryService:
@@ -139,9 +133,9 @@ class BatchingQueryService:
         Name from :data:`~repro.core.strategies.STRATEGIES` used for
         every flush.
     mode:
-        Result mode; each future resolves to the per-query view —
-        ``"count"``: an ``int``; ``"ids"``: an id array; ``"checksum"``:
-        a ``(count, checksum)`` pair.
+        Result mode; each :meth:`submit` future resolves to the
+        per-query view — ``"count"``: an ``int``; ``"ids"``: an id
+        array; ``"checksum"``: a ``(count, checksum)`` pair.
     max_batch:
         Flush as soon as this many queries are staged.
     max_delay_ms:
@@ -162,12 +156,14 @@ class BatchingQueryService:
         Optional flush selector (e.g.
         :class:`~repro.cache.AffinityFlushPolicy`).  When set, each
         flush calls ``flush_policy.select(pending, max_batch)`` with the
-        service lock held; the returned indices are staged and every
-        passed-over query's ``deferred`` counter is incremented (the
-        input the policy's starvation bound works from).  Selections are
+        service lock held (*pending*: a record-array view of the staged
+        rows, so ``pending[i].st`` / ``.end`` / ``.deferred`` read one
+        query); the returned indices are staged and every passed-over
+        query's ``deferred`` counter is incremented (the input the
+        policy's starvation bound works from).  Selections are
         validated — duplicate/out-of-range indices or a policy exception
         fall back to plain FIFO, so a misbehaving policy can reorder
-        work but never lose or duplicate a future.  ``None`` (the
+        work but never lose or duplicate a query.  ``None`` (the
         default) drains FIFO.
     fault_plan:
         Optional :class:`repro.verify.faults.FaultPlan`.  When set, the
@@ -176,7 +172,7 @@ class BatchingQueryService:
         :data:`~repro.verify.faults.SITE_STRATEGY` site right before
         strategy execution, and :meth:`swap_index` fires
         :data:`~repro.verify.faults.SITE_SWAP` — injected exceptions
-        follow the normal error path (every staged future is resolved
+        follow the normal error path (every staged query is resolved
         with the exception, the flush counts as failed).  ``None`` (the
         default) costs nothing.
 
@@ -241,8 +237,14 @@ class BatchingQueryService:
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
         self._has_room = threading.Condition(self._lock)
-        self._pending: List[_Pending] = []
-        self._in_flight: List[_Pending] = []
+        #: The staging queue: rows ``[:_n]`` of ``_rows``, oldest first.
+        self._rows = np.empty(min(self.max_queue, 1024), dtype=_ROW)
+        self._n = 0
+        #: The rows the flush now running took (drain-timeout abandonment).
+        self._in_flight = self._rows[:0]
+        #: Calls with positions not reported yet, by their number.
+        self._calls: Dict[int, _Call] = {}
+        self._last_call = 0
         self._force_flush = False
         self._closing = False
         self._closed = False
@@ -263,57 +265,142 @@ class BatchingQueryService:
         deadline: Optional[float] = None,
         trace=None,
     ) -> Future:
-        """Stage one query; the returned future resolves after its flush.
+        """Stage one query; the returned future resolves after its flush
+        with the per-query view of the result (see *mode*).
 
-        Applies the configured backpressure policy when the staging
-        queue is full, and raises :class:`ServiceClosedError` once
-        :meth:`close` has begun.
+        A one-row :meth:`submit_many` — the same staging queue, the same
+        backpressure, *deadline* and *trace* as there — except that a
+        refusal at admission is raised, not reported:
+        :class:`QueueFullError` under ``"reject"``,
+        :class:`DeadlineExceededError` for a deadline already in the
+        past, :class:`ServiceClosedError` once :meth:`close` has begun.
+        """
+        future: Future = Future()
 
-        *deadline* is an absolute instant on the service clock (the
-        ``clock`` constructor argument — ``time.monotonic`` by default).
-        A staged query whose deadline has passed when its flush forms a
-        batch is **dropped instead of executed**: its future fails with
+        def on_done(_positions, outcome) -> None:
+            try:
+                if isinstance(outcome, BaseException):
+                    future.set_exception(outcome)
+                else:
+                    future.set_result(self._extract(outcome, 0))
+            except InvalidStateError:
+                pass  # the caller cancelled; the outcome is discarded
+
+        if self.submit_many(
+            [q_st],
+            [q_end],
+            None if deadline is None else [deadline],
+            None if trace is None else [trace],
+            on_done=on_done,
+        ):
+            raise future.exception()
+        return future
+
+    def submit_many(
+        self, st, end, deadlines=None, traces=None, *, on_done: Callable
+    ) -> int:
+        """Stage a column of queries; *on_done* learns their fate.
+
+        ``on_done(positions, outcome)`` is called once per flush that
+        answers some of the call's queries: *positions* are their indices
+        into *st* / *end* and *outcome* is either the
+        :class:`~repro.core.result.BatchResult` whose query ``k`` answers
+        ``positions[k]``, or the exception those queries failed with.
+        Every position is reported exactly once, whatever races.  The
+        callback runs on the thread that resolved the queries (the
+        flusher, as a rule) and must not block.
+
+        The lock, the metrics and the backpressure decision are taken
+        once per call: when the queue is full, ``"block"`` stages what
+        fits and waits for room for the rest, ``"reject"`` refuses the
+        rest with :class:`QueueFullError`.  Positions refused at
+        admission are reported before the call returns, and it returns
+        how many they were.  Raises :class:`ServiceClosedError` once
+        :meth:`close` has begun and ``ValueError`` when some
+        ``st > end``; nothing is staged then.
+
+        *deadlines* are absolute instants on the service clock (the
+        ``clock`` constructor argument; ``inf`` = none), one per query.
+        A query whose deadline has passed when its flush forms a batch is
+        **dropped instead of executed**: it fails with
         :class:`DeadlineExceededError` and no index work is spent on it
         (deadline propagation — the contract the network front end in
-        :mod:`repro.net` relies on).  A deadline already in the past at
-        submit time raises :class:`DeadlineExceededError` synchronously.
-
-        *trace* is an optional :class:`~repro.obs.tracecontext.
-        TraceContext`; the sampled traces of a batch scope the flush
-        (every span the flush records carries their trace ids), which is
+        :mod:`repro.net` relies on); one already past at admission is
+        refused with the same error.  *traces* are optional
+        :class:`~repro.obs.tracecontext.TraceContext` objects (or
+        ``None``), one per query; the sampled traces of a batch scope the
+        flush (every span it records carries their trace ids), which is
         how one wire request stays attributable through batching.
         """
-        if q_st > q_end:
+        st, end = np.asarray(st, dtype=np.int64), np.asarray(end, dtype=np.int64)
+        if (st > end).any():
             raise ValueError("query must have st <= end")
+        call = _Call(on_done, len(st), traces)
+        pos = np.arange(len(st))
+        refused = []
         now = self._clock()
-        if deadline is not None and now >= deadline:
-            self.metrics.record_deadline_dropped()
-            raise DeadlineExceededError(
-                "client deadline expired before admission"
-            )
+        if deadlines is not None:
+            deadlines = np.asarray(deadlines, dtype=np.float64)
+            late = now >= deadlines
+            if late.any():
+                self.metrics.record_deadline_dropped(int(late.sum()))
+                refused.append((pos[late], DeadlineExceededError(
+                    "client deadline expired before admission"
+                )))
+                pos = pos[~late]
+                st, end, deadlines = st[pos], end[pos], deadlines[pos]
         with self._lock:
             if self._closing:
                 raise ServiceClosedError("service is shut down")
-            while len(self._pending) >= self.max_queue:
-                if self.backpressure == "reject":
-                    self.metrics.record_rejected()
-                    raise QueueFullError(
+            self._last_call = number = self._last_call + 1
+            self._calls[number] = call
+            lo, exc = 0, None
+            while lo < len(pos) and exc is None:
+                hi = min(len(pos), lo + self.max_queue - self._n)
+                if hi > lo:
+                    if self._n + hi - lo > len(self._rows):  # <= max_queue
+                        grown = np.empty(
+                            max(2 * len(self._rows), self._n + hi - lo), _ROW
+                        )
+                        grown[: self._n] = self._rows[: self._n]
+                        self._rows = grown
+                    new = self._rows[self._n : self._n + hi - lo]
+                    new["st"], new["end"] = st[lo:hi], end[lo:hi]
+                    new["enqueued_at"] = now
+                    new["deadline"] = (
+                        np.inf if deadlines is None else deadlines[lo:hi]
+                    )
+                    new["deferred"], new["owner"] = 0, number
+                    new["pos"] = pos[lo:hi]
+                    self._n += hi - lo
+                    self.metrics.record_submitted(self._n, hi - lo)
+                    self._has_work.notify()
+                    lo = hi
+                elif self.backpressure == "reject":
+                    self.metrics.record_rejected(len(pos) - lo)
+                    exc = QueueFullError(
                         f"staging queue is full ({self.max_queue} queries)"
                     )
-                self._has_room.wait()
-                if self._closing:
-                    raise ServiceClosedError("service is shut down")
-                now = self._clock()  # the wait is not formation delay
-            item = _Pending(int(q_st), int(q_end), now, deadline, trace)
-            self._pending.append(item)
-            self.metrics.record_submitted(len(self._pending))
-            self._has_work.notify()
-            return item.future
+                else:
+                    self._has_room.wait()
+                    if self._closing:
+                        exc = ServiceClosedError("service is shut down")
+                    now = self._clock()  # the wait is not formation delay
+            if exc is not None:
+                refused.append((pos[lo:], exc))
+            # Only staged positions stay open (a flush may have reported
+            # some of them already, while this call waited for room).
+            call.open -= len(call.resolved) - lo
+            if not call.open:
+                del self._calls[number]
+        for positions, exc in refused:
+            _tell(on_done, positions, exc)
+        return len(call.resolved) - lo
 
     def flush(self) -> None:
         """Ask the flusher to execute whatever is staged right now."""
         with self._lock:
-            if self._pending:
+            if self._n:
                 self._force_flush = True
                 self._has_work.notify()
 
@@ -321,7 +408,7 @@ class BatchingQueryService:
     def queue_depth(self) -> int:
         """Number of currently staged (not yet flushed) queries."""
         with self._lock:
-            return len(self._pending)
+            return self._n
 
     @property
     def index(self):
@@ -377,48 +464,40 @@ class BatchingQueryService:
         blocks until the flusher exits (or *timeout* elapses).
 
         When *timeout* expires mid-drain, the drain is **abandoned**:
-        every outstanding future — staged *and* in the flush currently
+        every outstanding query — staged *and* in the flush currently
         running — fails immediately with :class:`ServiceClosedError`,
         exactly once (when the in-flight flush later completes, its
-        result for an already-failed future is discarded by the
-        ``InvalidStateError`` guard).  No caller is ever left holding an
-        unresolved future after ``close`` returns; the network front
+        outcome for positions already reported is discarded by their
+        call's resolved mask).  No caller is ever left waiting on an
+        unresolved query after ``close`` returns; the network front
         end's shutdown path depends on this bound.
         """
+        abandoned = self._rows[:0]
         with self._lock:
-            if not self._closing:
-                self._closing = True
-                if not drain:
-                    abandoned = self._pending[:]
-                    self._pending.clear()
-                    for item in abandoned:
-                        _fail_future(
-                            item.future,
-                            ServiceClosedError(
-                                "service shut down before execution"
-                            ),
-                        )
-                self._has_work.notify_all()
-                self._has_room.notify_all()
+            if not (self._closing or drain):
+                abandoned, self._n = self._rows[: self._n].copy(), 0
+            self._closing = True
+            self._has_work.notify_all()
+            self._has_room.notify_all()
+        self._resolve(
+            abandoned, ServiceClosedError("service shut down before execution")
+        )
         self._flusher.join(timeout)
         if self._flusher.is_alive():
             # Drain timed out.  Fail everything still outstanding: the
             # staged queue, and the batch the in-flight flush is holding
-            # (its eventual result hits already-resolved futures and is
-            # discarded — _fail_future / the InvalidStateError guard make
-            # both orders exactly-once).  The flusher finishes its flush
-            # on its own and then exits on the empty queue.
+            # (whichever of the two reports a position second finds it
+            # marked resolved).  The flusher finishes its flush on its
+            # own and then exits on the empty queue.
             with self._lock:
-                abandoned = self._in_flight + self._pending
-                self._in_flight = []
-                self._pending.clear()
-                self._has_work.notify_all()
-                self._has_room.notify_all()
-            for item in abandoned:
-                _fail_future(
-                    item.future,
-                    ServiceClosedError("drain timed out; query abandoned"),
+                abandoned = np.concatenate(
+                    [self._in_flight, self._rows[: self._n]]
                 )
+                self._in_flight, self._n = self._rows[:0], 0
+                self._has_room.notify_all()
+            self._resolve(
+                abandoned, ServiceClosedError("drain timed out; query abandoned")
+            )
         self._closed = True
 
     def __enter__(self) -> "BatchingQueryService":
@@ -437,61 +516,61 @@ class BatchingQueryService:
                 reason = self._wait_for_batch()
                 if reason is None:
                     return
-                staged = self._select_staged()
-                depth = len(self._pending)
+                staged = self._in_flight = self._select_staged()
+                depth = self._n
                 self._force_flush = False
-                self._in_flight = staged
                 self._has_room.notify_all()
             self._execute(staged, reason, depth)
             with self._lock:
-                self._in_flight = []
+                self._in_flight = self._rows[:0]
 
-    def _select_staged(self) -> List[_Pending]:
-        """Pick and remove this flush's batch from the pending queue.
+    def _select_staged(self) -> np.ndarray:
+        """Pick and remove this flush's batch from the staging queue.
 
         Holds the lock (called from :meth:`_run`).  Without a policy:
         plain FIFO.  With one: the policy's selection is validated and
-        applied; passed-over queries get ``deferred += 1``; any invalid
-        selection or policy exception degrades to FIFO.
+        applied; any invalid selection or policy exception degrades to
+        FIFO.  Passed-over queries get ``deferred += 1`` and keep their
+        order.
         """
-        if self.flush_policy is None:
-            staged = self._pending[: self.max_batch]
-            del self._pending[: len(staged)]
-            return staged
-        n = len(self._pending)
+        n = self._n
+        pending = self._rows[:n]
         cap = min(n, self.max_batch)
-        try:
-            idxs = list(self.flush_policy.select(self._pending, self.max_batch))
-            if len(idxs) > cap or len(set(idxs)) != len(idxs):
-                raise ValueError("invalid flush selection")
-            idxs = [int(i) for i in idxs]
-            if any(i < 0 or i >= n for i in idxs):
-                raise ValueError("flush selection index out of range")
-            if not idxs:
-                raise ValueError("empty flush selection")
-        except Exception:
-            idxs = list(range(cap))  # FIFO fallback
-        chosen = set(idxs)
-        staged = [self._pending[i] for i in idxs]
-        rest = [p for i, p in enumerate(self._pending) if i not in chosen]
-        for item in rest:
-            item.deferred += 1
-        self._pending[:] = rest
+        idxs = np.arange(cap)  # FIFO
+        if self.flush_policy is not None:
+            try:
+                picked = [int(i) for i in self.flush_policy.select(
+                    pending.view(np.recarray), self.max_batch
+                )]
+                if not 0 < len(picked) <= cap or len(set(picked)) != len(picked):
+                    raise ValueError("invalid flush selection")
+                if any(i < 0 or i >= n for i in picked):
+                    raise ValueError("flush selection index out of range")
+                idxs = picked
+            except Exception:
+                pass  # FIFO fallback
+        passed_over = np.ones(n, dtype=bool)
+        passed_over[idxs] = False
+        staged = pending[idxs]
+        rest = pending[passed_over]
+        rest["deferred"] += 1
+        self._n = len(rest)
+        self._rows[: self._n] = rest
         return staged
 
     def _wait_for_batch(self) -> Optional[str]:
         """Hold the lock until a batch is due; returns the flush trigger
         (``None`` means the service is fully drained and closing)."""
         while True:
-            if self._pending:
-                if len(self._pending) >= self.max_batch:
+            if self._n:
+                if self._n >= self.max_batch:
                     return "size"
                 if self._closing:
                     return "drain"
                 if self._force_flush:
                     return "forced"
                 now = self._clock()
-                deadline = self._pending[0].enqueued_at + self.max_delay
+                deadline = self._rows["enqueued_at"][0] + self.max_delay
                 if now >= deadline:
                     return "deadline"
                 self._has_work.wait(timeout=deadline - now)
@@ -500,7 +579,7 @@ class BatchingQueryService:
                     return None
                 self._has_work.wait()
 
-    def _execute(self, staged: List[_Pending], reason: str, depth: int) -> None:
+    def _execute(self, staged: np.ndarray, reason: str, depth: int) -> None:
         ob = obs.active()
         if ob is None:
             return self._execute_inner(staged, reason, depth, None)
@@ -509,10 +588,17 @@ class BatchingQueryService:
         # them, which is what stitches one wire request to the batch
         # that answered it.  Bounded so a huge batch of traced requests
         # cannot bloat each span.
+        rows = zip(staged["owner"].tolist(), staged["pos"].tolist())
+        with self._lock:
+            traced = [
+                (self._calls[number].traces, pos)
+                for number, pos in rows if number in self._calls
+            ]
         trace_ids: List[int] = []
-        for q in staged:
-            if q.trace is not None and q.trace.sampled:
-                trace_ids.append(q.trace.trace_id)
+        for traces, pos in traced:
+            trace = None if traces is None else traces[pos]
+            if trace is not None and trace.sampled:
+                trace_ids.append(trace.trace_id)
                 if len(trace_ids) >= _TRACE_SCOPE_CAP:
                     break
         with ob.recorder.trace_scope(trace_ids):
@@ -524,45 +610,33 @@ class BatchingQueryService:
                 return self._execute_inner(staged, reason, depth, sp)
 
     def _execute_inner(
-        self, staged: List[_Pending], reason: str, depth: int, sp
+        self, staged: np.ndarray, reason: str, depth: int, sp
     ) -> None:
         t0 = self._clock()
         # Deadline propagation: queries whose client deadline already
         # passed are dropped at batch-formation time — their callers
         # fail with DeadlineExceededError and the strategy never sees
-        # them.  The drop happens before the fault sites so an injected
-        # flush failure cannot double-resolve a dropped future.
-        expired: List[_Pending] = []
-        if any(q.deadline is not None for q in staged):
-            live: List[_Pending] = []
-            for q in staged:
-                if q.deadline is not None and t0 >= q.deadline:
-                    expired.append(q)
-                else:
-                    live.append(q)
-            staged = live
-        if expired:
-            for item in expired:
-                _fail_future(
-                    item.future,
-                    DeadlineExceededError(
-                        "client deadline expired while staged"
-                    ),
-                )
-            self.metrics.record_deadline_dropped(len(expired))
+        # them.
+        late = t0 >= staged["deadline"]
+        if late.any():
+            self._resolve(staged[late], DeadlineExceededError(
+                "client deadline expired while staged"
+            ))
+            staged = staged[~late]
+            self.metrics.record_deadline_dropped(int(late.sum()))
             if sp is not None:
-                sp.attrs["deadline_dropped"] = len(expired)
-            if not staged:
+                sp.attrs["deadline_dropped"] = int(late.sum())
+            if not len(staged):
                 return
         try:
             # The whole flush body sits inside the try: whatever dies —
             # batch formation, an injected fault, the strategy itself —
-            # every staged future is resolved with the exception, so no
+            # every staged query is resolved with the exception, so no
             # caller is ever left hanging.
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_FLUSH)
             index = self._index  # one atomic snapshot per flush
-            batch = QueryBatch([q.st for q in staged], [q.end for q in staged])
+            batch = QueryBatch(staged["st"], staged["end"])
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_STRATEGY)
             execute = getattr(index, "execute", None)
@@ -584,18 +658,46 @@ class BatchingQueryService:
                 failed=True,
                 queue_depth=depth,
             )
-            for item in staged:
-                _fail_future(item.future, exc)
+            self._resolve(staged, exc)
             return
         latency = self._clock() - t0
-        for pos, item in enumerate(staged):
-            try:
-                item.future.set_result(self._extract(result, pos))
-            except InvalidStateError:
-                # The caller cancelled (e.g. a disconnected network
-                # client); the result is simply discarded.
-                pass
+        self._resolve(staged, result)
         self.metrics.record_flush(reason, len(staged), latency, queue_depth=depth)
+
+    def _resolve(self, rows: np.ndarray, outcome) -> None:
+        """Report *outcome* — an exception, or the batch result whose
+        query ``k`` answers ``rows[k]`` — to the call that owns each of
+        *rows*, once per call, leaving out the positions somebody else
+        has reported already."""
+        if not len(rows):
+            return
+        owner = rows["owner"]
+        by_owner = np.argsort(owner, kind="stable")
+        pos = rows["pos"][by_owner]
+        cuts = (np.flatnonzero(np.diff(owner[by_owner])) + 1).tolist()
+        told = []
+        with self._lock:
+            for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+                number = int(owner[by_owner[lo]])
+                call = self._calls.get(number)
+                if call is None:
+                    continue  # every position of it has been reported
+                idx, mine = by_owner[lo:hi], pos[lo:hi]
+                if call.resolved[mine].any():
+                    fresh = ~call.resolved[mine]
+                    idx, mine = idx[fresh], mine[fresh]
+                call.resolved[mine] = True
+                call.open -= len(mine)
+                if not call.open:
+                    del self._calls[number]
+                if len(mine):
+                    told.append((call.on_done, mine, idx))
+        for on_done, mine, idx in told:
+            if isinstance(outcome, BaseException) or len(idx) == len(rows):
+                part = outcome  # the one owner's rows, in batch order
+            else:
+                part = outcome.take(idx)
+            _tell(on_done, mine, part)
 
     def _extract(self, result, pos: int):
         """Per-query view of a batch result, shaped by the service mode."""
@@ -611,4 +713,16 @@ class BatchingQueryService:
             f"BatchingQueryService(strategy={self.strategy!r}, "
             f"mode={self.mode!r}, max_batch={self.max_batch}, "
             f"max_delay_ms={self.max_delay * 1000:g}, {state})"
+        )
+
+
+def _tell(on_done: Callable, positions: np.ndarray, outcome) -> None:
+    """Call one owner back.  A callback that raises must not take the
+    flusher (or a closing thread) down with it: logged, as a future's
+    done-callbacks are."""
+    try:
+        on_done(positions, outcome)
+    except Exception:
+        logging.getLogger(__name__).exception(
+            "exception calling %r for %d positions", on_done, len(positions)
         )

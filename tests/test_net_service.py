@@ -139,6 +139,32 @@ def test_bucket_zero_rate_never_refills():
     assert not bucket.try_acquire()
 
 
+def test_bucket_stamp_never_moves_backwards():
+    """Regression: two racing callers could store their clock readings
+    out of order (2.0, then 1.0); the next refill then counted the
+    second between them twice and granted tokens nobody had earned."""
+    clock = _FakeClock()
+    bucket = TokenBucket(rate=1.0, burst=10.0, clock=clock.now)
+    assert all(bucket.try_acquire() for _ in range(10))  # t=0: drained
+    clock.t = 2.0  # two seconds' worth
+    assert [bucket.try_acquire() for _ in range(3)] == [True, True, False]
+    clock.t = 1.0  # the late reading earns nothing ...
+    assert not bucket.try_acquire()
+    clock.t = 2.0  # ... and neither does catching up with the stamp
+    assert not bucket.try_acquire()
+
+
+def test_bucket_grants_a_chunk_what_it_has():
+    clock = _FakeClock()
+    bucket = TokenBucket(rate=0.0, burst=6.0, clock=clock.now)
+    assert bucket.try_acquire(4) == 4
+    assert bucket.try_acquire(4) == 2  # partial: the rest of the chunk waits
+    assert bucket.try_acquire(4) == 0
+    adm = TenantAdmission(rate=0.0, burst=3.0, overrides={"free": (None, 1.0)})
+    assert adm.try_admit("free", 500) == 500
+    assert [adm.try_admit("metered", 2) for _ in range(3)] == [2, 1, 0]
+
+
 def test_bucket_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         TokenBucket(rate=-1.0, burst=1.0)
