@@ -9,7 +9,12 @@ a small synthetic index:
 3. the planner-chosen plan is result-identical to every static plan,
    across strategies and result modes, on a single and a sharded index;
 4. a planner that throws mid-decide degrades to the static policy with
-   the batch intact (the ``planner.decide`` fault site).
+   the batch intact (the ``planner.decide`` fault site);
+5. on a 17-bit, 50k-interval index, after 16 warm-up batches of 4,096
+   count queries (a size the probe suite never timed) the planner has
+   settled on a plan within 1.25x of the fastest forced
+   ``(strategy, backend)`` on 8 fresh batches — from two different
+   calibration seeds alike.
 
 Exits non-zero on the first violated invariant.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 import pathlib
 import sys
 import tempfile
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -28,7 +34,7 @@ import repro.obs as obs  # noqa: E402
 from repro.core.strategies import run_strategy  # noqa: E402
 from repro.hint.index import HintIndex  # noqa: E402
 from repro.intervals.batch import QueryBatch  # noqa: E402
-from repro.planner import CostModel, PlannedExecutor  # noqa: E402
+from repro.planner import CostModel, PlannedExecutor, plan_space  # noqa: E402
 from repro.shard import ShardedHint  # noqa: E402
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan  # noqa: E402
 from repro.workloads import generate_synthetic  # noqa: E402
@@ -54,6 +60,61 @@ def mixed_batch(rng, n: int = 1536) -> QueryBatch:
     end = np.concatenate([st1 + narrow, st2 + wide])
     perm = rng.permutation(st.size)
     return QueryBatch(st[perm], end[perm])
+
+
+def settled_plan_leg() -> None:
+    """The plan the planner settles on at a batch size it was never
+    calibrated at is (nearly) the fastest one, whatever the probes read."""
+    m, n, tolerance = 17, 4096, 1.25
+    domain = 1 << m
+    coll = generate_synthetic(50_000, domain, 1.8, domain / 100, seed=5).normalized(m)
+    index = HintIndex(coll, m=m)
+    rng = np.random.default_rng(5)
+
+    def batches(count):
+        for _ in range(count):
+            st = rng.integers(0, domain - domain // 500, size=n)
+            yield QueryBatch(st, st + rng.integers(1, domain // 1000, size=n))
+
+    settled = []
+    for seed in (1, 2):
+        px = PlannedExecutor(index, model_path=None)
+        px.calibrate(seed=seed, modes=("count",), budget_s=2.0)
+        for batch in batches(16):
+            px.execute(batch, mode="count")
+        decision = px.last_decision
+        if decision is None or decision.source != "model" or decision.split:
+            fail(f"seed {seed}: not settled after 16 batches ({decision})")
+        settled.append((px, decision.plan))
+
+    # One table of forced timings, best of three passes over the same
+    # fresh batches, so every plan meets the same queries and noise.
+    px = settled[0][0]
+    fresh = list(batches(8))
+    cost = {}
+    for _ in range(3):
+        for plan in plan_space(px.planner.caps):
+            t0 = time.perf_counter()
+            for batch in fresh:
+                px.execute(
+                    batch, strategy=plan.strategy, mode="count", backend=plan.backend
+                )
+            dt = time.perf_counter() - t0
+            cost[plan] = min(cost.get(plan, dt), dt)
+    fastest = min(cost, key=cost.get)
+    for (executor, plan), seed in zip(settled, (1, 2)):
+        print(
+            f"seed {seed}: settled on {plan.describe()} at "
+            f"{cost[plan] / len(fresh) * 1e3:.2f} ms/batch (fastest forced: "
+            f"{fastest.describe()} at {cost[fastest] / len(fresh) * 1e3:.2f})"
+        )
+        if cost[plan] > tolerance * cost[fastest]:
+            fail(f"seed {seed}: settled plan is over {tolerance}x the fastest")
+        executor.close()
+    a, b = (cost[plan] for _, plan in settled)
+    if max(a, b) > tolerance * min(a, b):
+        fail("two calibration seeds settled on plans over 1.25x apart")
+    print("settled plan ok (within 1.25x of the fastest, both seeds)")
 
 
 def main() -> int:
@@ -128,6 +189,9 @@ def main() -> int:
     print("fault degradation ok (batch intact, fallback recorded)")
 
     px.close()
+
+    # -- 5. the settled plan at an uncalibrated batch size -------------- #
+    settled_plan_leg()
     print("plan-smoke: OK")
     return 0
 

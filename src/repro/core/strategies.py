@@ -14,16 +14,18 @@ build is the computation sharing the strategies enable:
   for every query (Algorithm 2);
 * **level-based** amortizes the per-level prefix/flag arithmetic across
   the whole batch with one vectorized pass per level (Algorithm 3);
-* **partition-based** additionally shares index probes: every query
-  anchored at the same partition is answered by a single vectorized
-  ``searchsorted`` against that partition's sorted arrays, and all
-  comparison-free middle ranges of a level are measured with one
-  vectorized offset subtraction (Algorithm 4).
+* **partition-based** additionally shares index probes: per occupied
+  level each table contributes one contiguous row run per query, cut for
+  the whole batch by a single vectorized ``searchsorted`` against the
+  table's packed column where a comparison is still owed, and measured
+  with one vectorized offset subtraction (Algorithm 4,
+  :func:`partition_level_sweep`).
 
-Within a level the partition-based fast path visits first-anchor
-partitions in ascending order, then middle ranges, then last-anchor
-partitions — a reordering of the paper's single ascending sweep that
-produces identical results (per-query flags only change between levels).
+The ids mode of the serial backend instead groups queries per partition:
+first-anchor partitions in ascending order, then middle ranges, then
+last-anchor partitions — a reordering of the paper's single ascending
+sweep that produces identical results (per-query flags only change
+between levels).
 The pseudocode-faithful sweep, used for access-pattern traces, lives in
 :meth:`repro.hint.reference.ReferenceHint.batch_partition_based`.
 """
@@ -42,6 +44,7 @@ from repro.core.result import BatchResult
 from repro.hint.index import HintIndex
 from repro.hint.tables import LevelData, SubdivisionTable
 from repro.intervals.batch import QueryBatch
+from repro.kernels.fallback import masked_count_xor_end_geq
 
 __all__ = [
     "query_based",
@@ -51,6 +54,8 @@ __all__ = [
     "run_strategy",
     "STRATEGIES",
 ]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -206,7 +211,7 @@ def _query_based_impl(
     # Empty levels carry no data for any query; skipping them is an
     # index property (the skewness & sparsity optimization), available
     # to the serial baseline just as to the batch strategies.
-    occupied = [data.total() > 0 for data in levels]
+    occupied = [level in index.occupied_levels for level in range(m + 1)]
     touches = [0] * (m + 1) if ob is not None else None
     for pos in range(len(work)):
         s, e = int(q_st[pos]), int(q_end[pos])
@@ -281,7 +286,7 @@ def _level_based_impl(
         f = q_st >> shift
         l = q_end >> shift
         data = index.levels[level]
-        if data.total():
+        if level in index.occupied_levels:
             # Level-wide shared computation: the per-level prefix, flag
             # and occupancy state is materialized for the whole batch at
             # once (plain lists: cheaper to consume in the per-query
@@ -484,67 +489,6 @@ def _last_partition_groups(
                 _grouped_full(table, p, lo, hi, idx[~cl], collector)
 
 
-# ---- fully vectorized probe primitives (count / checksum modes) ------ #
-
-
-def _bulk_prefix_range(table: SubdivisionTable, parts, values):
-    """Per query: global row range of partition ``parts[i]`` rows with
-    key <= ``values[i]``.
-
-    One ``searchsorted`` against the packed ``comp`` column answers the
-    probe for the whole query vector at once.
-    """
-    needles = (parts << table.key_bits) | values
-    hi = np.searchsorted(table.comp, needles, side="right")
-    return table.offsets[parts], hi
-
-
-def _bulk_suffix_range(table: SubdivisionTable, parts, values):
-    """Per query: global row range of partition rows with key >= value."""
-    needles = (parts << table.key_bits) | values
-    lo = np.searchsorted(table.comp, needles, side="left")
-    return lo, table.offsets[parts + 1]
-
-
-def _bulk_masked_end_geq(
-    table: SubdivisionTable,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    thresholds: np.ndarray,
-    want_xor: bool,
-):
-    """Per query: rows in ``[lo[i], hi[i])`` with ``end >= thresholds[i]``
-    — counts, and XOR-of-ids when *want_xor*.
-
-    The variable-length row ranges are flattened with ``repeat``-based
-    gathering so the filter is one vectorized comparison; total work is
-    proportional to the number of scanned rows, exactly like the scalar
-    loop it replaces.
-    """
-    lengths = hi - lo
-    np.maximum(lengths, 0, out=lengths)
-    total = int(lengths.sum())
-    counts = np.zeros(lo.size, dtype=np.int64)
-    xors = np.zeros(lo.size, dtype=np.int64) if want_xor else None
-    if total == 0:
-        return counts, xors
-    starts = np.cumsum(lengths) - lengths
-    offsets_within = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-    rows = np.repeat(lo, lengths) + offsets_within
-    qid = np.repeat(np.arange(lo.size, dtype=np.int64), lengths)
-    mask = table.end[rows] >= np.repeat(thresholds, lengths)
-    if mask.any():
-        qid_m = qid[mask]
-        counts += np.bincount(qid_m, minlength=lo.size)
-        if want_xor:
-            ids_m = table.ids[rows[mask]]
-            group_starts = np.flatnonzero(np.r_[True, qid_m[1:] != qid_m[:-1]])
-            xors[qid_m[group_starts]] = np.bitwise_xor.reduceat(
-                ids_m, group_starts
-            )
-    return counts, xors
-
-
 class _VectorAccumulator:
     """Counts (+ optional range XOR) accumulator for the vectorized
     partition-based paths.
@@ -563,12 +507,18 @@ class _VectorAccumulator:
         self.sums = np.zeros(n, dtype=np.int64) if with_checksum else None
 
     def prefix_range(self, table: SubdivisionTable, parts, values):
-        """Row range of each partition's prefix with key <= value."""
-        return _bulk_prefix_range(table, parts, values)
+        """Row range of each partition's prefix with key <= value: one
+        ``searchsorted`` against the packed ``comp`` column answers the
+        probe for the whole query vector at once."""
+        needles = (parts << table.key_bits) | values
+        hi = np.searchsorted(table.comp, needles, side="right")
+        return table.offsets[parts], hi
 
     def suffix_range(self, table: SubdivisionTable, parts, values):
         """Row range of each partition's suffix with key >= value."""
-        return _bulk_suffix_range(table, parts, values)
+        needles = (parts << table.key_bits) | values
+        lo = np.searchsorted(table.comp, needles, side="left")
+        return lo, table.offsets[parts + 1]
 
     def add_ranges(self, sel, table: SubdivisionTable, lo, hi) -> None:
         """Register row ranges ``[lo[i], hi[i])`` of *table* for queries
@@ -581,12 +531,9 @@ class _VectorAccumulator:
     def add_masked_ranges(self, sel, table, lo, hi, thresholds) -> None:
         """Register the rows of ``[lo[i], hi[i])`` with
         ``end >= thresholds[i]`` for queries *sel*."""
-        self.add_masked(
-            sel,
-            *_bulk_masked_end_geq(table, lo, hi, thresholds, self.sums is not None),
+        counts, xors = masked_count_xor_end_geq(
+            table.end, table.ids, lo, hi, thresholds, self.sums is not None
         )
-
-    def add_masked(self, sel, counts, xors) -> None:
         self.counts[sel] += counts
         if self.sums is not None:
             self.sums[sel] ^= xors
@@ -595,6 +542,61 @@ class _VectorAccumulator:
         mode = "count" if self.sums is None else "checksum"
         part = (np.arange(order.size), self.counts, self.sums, None)
         return BatchResult.merge(order.size, mode, [part], order)
+
+
+def _level_flags(index: HintIndex, q_st: np.ndarray, q_end: np.ndarray):
+    """Per query, the lowest zero bit of ``q.st`` and the lowest set bit of
+    ``q.end`` (bit ``m`` when it has none), as powers of two.
+
+    ``compfirst`` survives to a level exactly while every bit of ``q.st``
+    below the level's prefix is one, ``complast`` while every such bit of
+    ``q.end`` is zero (Lines 22-25 of Algorithm 1, unrolled), so at shift
+    ``s`` the flags are ``first_zero >> s != 0`` and ``last_one >> s != 0``
+    — no flag state carried from level to level, none kept for the empty
+    levels nobody visits.
+    """
+    guarded = q_end | (1 << index.m)
+    return ~q_st & (q_st + 1), guarded & -guarded
+
+
+def _sweep_level(data: LevelData, f, l, q_st, q_end, first, last, acc) -> None:
+    """One level of Algorithm 4 as one row run per table per query.
+
+    *first*/*last* are the positions whose ``compfirst``/``complast``
+    still holds.  Partitions ``f..l`` of a query lie back to back in a
+    table, so the originals are one run ``[offsets[f], offsets[l + 1])``
+    whose upper end the ``s.st <= q.end`` cut replaces for *last*; on
+    ``O_in`` the part of that run inside partition ``f`` is filtered by
+    ``s.end >= q.st`` for *first*.  Replicas count at partition ``f``
+    only, ``R_in`` from the ``s.end >= q.st`` cut on for *first*.
+    """
+    everyone = slice(None)
+    after_f = f + 1
+    after_l = l + 1
+    if last.size:
+        l_last, end_last = l[last], q_end[last]
+    if first.size:
+        f_first, st_first = f[first], q_st[first]
+    for table in (data.o_in, data.o_aft):
+        if not len(table):
+            continue
+        lo = table.offsets[f]
+        hi = table.offsets[after_l]
+        if last.size:
+            hi[last] = acc.prefix_range(table, l_last, end_last)[1]
+        if table is data.o_in and first.size:
+            cut = np.minimum(hi[first], table.offsets[f_first + 1])
+            acc.add_masked_ranges(first, table, lo[first], cut, st_first)
+            lo[first] = cut
+        acc.add_ranges(everyone, table, lo, hi)
+    r_in, r_aft = data.r_in, data.r_aft
+    if len(r_in):
+        lo = r_in.offsets[f]
+        if first.size:
+            lo[first] = acc.suffix_range(r_in, f_first, st_first)[0]
+        acc.add_ranges(everyone, r_in, lo, r_in.offsets[after_f])
+    if len(r_aft):
+        acc.add_ranges(everyone, r_aft, r_aft.offsets[f], r_aft.offsets[after_f])
 
 
 def partition_level_sweep(
@@ -610,160 +612,40 @@ def partition_level_sweep(
     accumulator.
 
     *q_st*/*q_end* are the clipped, **start-sorted** query bounds (see
-    :func:`_prepare`).  For every level and probe class the sweep asks
-    *acc* for the packed-column cuts (``prefix_range``/``suffix_range``)
-    and registers the resulting row ranges (``add_ranges``) or the
-    masked first-partition rows (``add_masked_ranges``) — the exact
-    per-class decomposition of :func:`_process_level`, vectorized over
-    the batch.  The accumulator decides what a registered range *means*
-    (count, prefix-XOR fold, or a gather plan), which is how the count,
-    checksum and compiled ids paths share this one traversal.
+    :func:`_prepare`).  Only occupied levels are visited; on each, every
+    table contributes one row run per query (:func:`_sweep_level`): at
+    most three packed-column cuts (``prefix_range``/``suffix_range``)
+    and five registrations (``add_ranges``, and ``add_masked_ranges``
+    for the first partition of ``O_in``) — no comparison
+    :func:`_process_level` does not make, and none at the bottom level.
+    The accumulator decides
+    what a registered range *means* (count, prefix-XOR fold, or a gather
+    plan), which is how the count, checksum and compiled ids paths share
+    this one traversal.  With *ob* set every level is reported
+    (``record_level``), empty ones included, as the access traces expect.
     """
-    n = q_st.size
-    compfirst = np.ones(n, dtype=bool)
-    complast = np.ones(n, dtype=bool)
     m = index.m
-    for level in range(m, -1, -1):
+    first_zero, last_one = _level_flags(index, q_st, q_end)
+    occupied = index.occupied_levels
+    for level in occupied if ob is None else range(m, -1, -1):
         if ob is not None:
             t_level = perf_counter()
         shift = m - level
         f = q_st >> shift
         l = q_end >> shift
-        data = index.levels[level]
-        if data.total():
-            o_in, o_aft, r_in, r_aft = data.tables()
-            anchored = f == l
-            case_both = compfirst & complast & anchored
-            case_first = compfirst & ~case_both
-            case_st = ~compfirst & complast & anchored
-            case_none = ~(case_both | case_first | case_st)
-
-            # --- O_in at the first partition ------------------------
-            if len(o_in):
-                if case_both.any():
-                    sel = np.flatnonzero(case_both)
-                    lo, hi = acc.prefix_range(o_in, f[sel], q_end[sel])
-                    acc.add_masked_ranges(sel, o_in, lo, hi, q_st[sel])
-                if case_first.any():
-                    sel = np.flatnonzero(case_first)
-                    acc.add_masked_ranges(
-                        sel,
-                        o_in,
-                        o_in.offsets[f[sel]],
-                        o_in.offsets[f[sel] + 1],
-                        q_st[sel],
-                    )
-                if case_st.any():
-                    sel = np.flatnonzero(case_st)
-                    acc.add_ranges(
-                        sel, o_in, *acc.prefix_range(o_in, f[sel], q_end[sel])
-                    )
-                if case_none.any():
-                    sel = np.flatnonzero(case_none)
-                    acc.add_ranges(
-                        sel, o_in, o_in.offsets[f[sel]], o_in.offsets[f[sel] + 1]
-                    )
-
-            # --- O_aft at the first partition ------------------------
-            if len(o_aft):
-                needs_st = case_both | case_st
-                if needs_st.any():
-                    sel = np.flatnonzero(needs_st)
-                    acc.add_ranges(
-                        sel, o_aft, *acc.prefix_range(o_aft, f[sel], q_end[sel])
-                    )
-                rest = ~needs_st
-                if rest.any():
-                    sel = np.flatnonzero(rest)
-                    acc.add_ranges(
-                        sel,
-                        o_aft,
-                        o_aft.offsets[f[sel]],
-                        o_aft.offsets[f[sel] + 1],
-                    )
-
-            # --- R_in at the first partition --------------------------
-            if len(r_in):
-                if compfirst.any():
-                    sel = np.flatnonzero(compfirst)
-                    acc.add_ranges(
-                        sel, r_in, *acc.suffix_range(r_in, f[sel], q_st[sel])
-                    )
-                rest = ~compfirst
-                if rest.any():
-                    sel = np.flatnonzero(rest)
-                    acc.add_ranges(
-                        sel, r_in, r_in.offsets[f[sel]], r_in.offsets[f[sel] + 1]
-                    )
-
-            # --- R_aft at the first partition: never compared ----------
-            if len(r_aft):
-                acc.add_ranges(
-                    slice(None), r_aft, r_aft.offsets[f], r_aft.offsets[f + 1]
-                )
-
-            # --- in-between partitions ---------------------------------
-            middles = l > f + 1
-            if middles.any():
-                sel = np.flatnonzero(middles)
-                for table in (o_in, o_aft):
-                    if len(table):
-                        acc.add_ranges(
-                            sel,
-                            table,
-                            table.offsets[f[sel] + 1],
-                            table.offsets[l[sel]],
-                        )
-
-            # --- last partition (originals only) -----------------------
-            spans = l > f
-            if spans.any():
-                with_cmp = spans & complast
-                if with_cmp.any():
-                    sel = np.flatnonzero(with_cmp)
-                    for table in (o_in, o_aft):
-                        if len(table):
-                            acc.add_ranges(
-                                sel,
-                                table,
-                                *acc.prefix_range(table, l[sel], q_end[sel]),
-                            )
-                without_cmp = spans & ~complast
-                if without_cmp.any():
-                    sel = np.flatnonzero(without_cmp)
-                    for table in (o_in, o_aft):
-                        if len(table):
-                            acc.add_ranges(
-                                sel,
-                                table,
-                                table.offsets[l[sel]],
-                                table.offsets[l[sel] + 1],
-                            )
-
+        if level in occupied:
+            # A bottom-level partition is one cell, so every row it stores
+            # passes both tests: nothing is compared at shift 0.
+            first = (first_zero >> shift).nonzero()[0] if shift else _EMPTY
+            last = (last_one >> shift).nonzero()[0] if shift else _EMPTY
+            _sweep_level(
+                index.levels[level], f, l, q_st, q_end, first, last, acc
+            )
         if ob is not None:
             ob.record_level(
                 label, level, f=f, l=l,
                 duration=perf_counter() - t_level,
             )
-        compfirst &= (f & 1) == 1
-        complast &= (l & 1) == 0
-
-
-def _partition_based_vectorized(
-    index: HintIndex,
-    work: QueryBatch,
-    q_st: np.ndarray,
-    q_end: np.ndarray,
-    mode: str,
-    ob=None,
-) -> BatchResult:
-    """Count/checksum partition-based evaluation, fully vectorized per
-    level: every probe class for the whole batch is one ``searchsorted``
-    against the packed ``comp`` column, every comparison-free range one
-    offsets (and prefix-XOR) gather."""
-    acc = _VectorAccumulator(len(work), with_checksum=(mode == "checksum"))
-    partition_level_sweep(index, q_st, q_end, acc, ob)
-    return acc.finalize(work.order)
 
 
 def partition_based(
@@ -778,9 +660,9 @@ def partition_based(
 
     Queries anchored at the same partition share probes against that
     partition's sorted arrays.  In count mode the sharing is total: the
-    packed ``comp`` column turns each level's first/last-partition
-    probes for the *entire batch* into a single ``searchsorted``, and
-    all comparison-free ranges into vectorized offset subtractions.  In
+    packed ``comp`` column turns each table's cut for the *entire batch*
+    into a single ``searchsorted``, and each table's row run per query
+    into one vectorized offset subtraction.  In
     ids mode, queries grouped per partition share a vectorized prefix
     probe and then materialize their id slices.
 
@@ -810,7 +692,9 @@ def _partition_based_run(
         )
     work, q_st, q_end = _prepare(index, batch.sorted_by_start(), sort=False)
     if mode in ("count", "checksum"):
-        return _partition_based_vectorized(index, work, q_st, q_end, mode, ob)
+        acc = _VectorAccumulator(len(work), with_checksum=(mode == "checksum"))
+        partition_level_sweep(index, q_st, q_end, acc, ob)
+        return acc.finalize(work.order)
     if mode != "ids":
         raise ValueError(
             f"unknown result mode {mode!r}; expected 'count', 'ids' or 'checksum'"
@@ -828,7 +712,7 @@ def _partition_based_run(
         f = q_st >> shift
         l = q_end >> shift
         data = index.levels[level]
-        if data.total():
+        if level in index.occupied_levels:
             _first_partition_groups(
                 data, q_st, q_end, f, l, compfirst, complast, collector
             )

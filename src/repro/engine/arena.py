@@ -354,20 +354,18 @@ def _attach_table(entry: dict, big: np.ndarray) -> SubdivisionTable:
 
 
 def _attach_hint(body: dict, big: np.ndarray) -> HintIndex:
-    index = HintIndex.__new__(HintIndex)
-    index.m = int(body["m"])
-    index.num_intervals = int(body["num_intervals"])
-    index.storage_optimized = bool(body["storage_optimized"])
-    index.debug_checks = False
-    index._domain_top = (1 << index.m) - 1
-    index.levels = [
-        LevelData(
-            level,
-            *(_attach_table(entry[cls_key], big) for cls_key in CLASS_KEYS),
-        )
-        for level, entry in enumerate(body["levels"])
-    ]
-    return index
+    return HintIndex.from_levels(
+        body["m"],
+        body["num_intervals"],
+        body["storage_optimized"],
+        [
+            LevelData(
+                level,
+                *(_attach_table(entry[cls_key], big) for cls_key in CLASS_KEYS),
+            )
+            for level, entry in enumerate(body["levels"])
+        ],
+    )
 
 
 def _attach_sharded(body: dict, big: np.ndarray, only: Optional[set]):

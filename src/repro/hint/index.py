@@ -104,7 +104,7 @@ class HintIndex:
         self.storage_optimized = bool(storage_optimized)
         self.debug_checks = bool(debug_checks)
         self._domain_top = (1 << self.m) - 1
-        self.levels: List[LevelData] = self._build(collection)
+        self._install_levels(self._build(collection))
         if precompute_aux:
             self.precompute_aux()
         if self.debug_checks:
@@ -116,6 +116,34 @@ class HintIndex:
     # ------------------------------------------------------------------ #
     # build
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_levels(
+        cls,
+        m: int,
+        num_intervals: int,
+        storage_optimized: bool,
+        levels: List[LevelData],
+    ) -> "HintIndex":
+        """Assemble an index around prebuilt level tables without a
+        collection pass (persistence load, shared-memory arena attach)."""
+        index = cls.__new__(cls)
+        index.m = int(m)
+        index.num_intervals = int(num_intervals)
+        index.storage_optimized = bool(storage_optimized)
+        index.debug_checks = False
+        index._domain_top = (1 << index.m) - 1
+        index._install_levels(levels)
+        return index
+
+    def _install_levels(self, levels: List[LevelData]) -> None:
+        self.levels: List[LevelData] = levels
+        #: Levels holding at least one placement, bottom-up (the order the
+        #: strategies visit them): recorded once, so no batch re-counts the
+        #: tables or sets up a pass over an empty level.
+        self.occupied_levels = tuple(
+            data.level for data in reversed(levels) if data.total()
+        )
 
     def _build(self, collection: IntervalCollection) -> List[LevelData]:
         placements = assign_collection(self.m, collection.st, collection.end)

@@ -121,12 +121,6 @@ def load_index(path: PathLike) -> HintIndex:
                 f"(expected {FORMAT_VERSION})"
             )
         _check_archive_complete(archive, m)
-        index = HintIndex.__new__(HintIndex)
-        index.m = m
-        index.num_intervals = num_intervals
-        index.storage_optimized = bool(storage_optimized)
-        index.debug_checks = False
-        index._domain_top = (1 << m) - 1
         levels = []
         for level in range(m + 1):
             tables = []
@@ -143,5 +137,6 @@ def load_index(path: PathLike) -> HintIndex:
                     )
                 )
             levels.append(LevelData(level, *tables))
-        index.levels = levels
-        return index
+        return HintIndex.from_levels(
+            m, num_intervals, bool(storage_optimized), levels
+        )

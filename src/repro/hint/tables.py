@@ -14,9 +14,23 @@ This layout implements two of the paper's optimizations at once:
 * **cache misses** — ids and endpoints live in separate arrays, so
   comparison-free partitions are answered from the id array alone.
 
-It also enables the *contiguous middle* trick used by the production
-query code: the originals of all in-between partitions ``f+1 .. l-1`` of
-a query occupy one contiguous row range.
+It also makes a query's share of a level one row run per table: the
+partitions ``f..l`` it touches are stored back to back, so first,
+in-between and last partition need no cases of their own
+(:func:`repro.core.strategies.partition_level_sweep`):
+
+====== ================================= ================================
+class  rows a query takes                comparison still owed
+====== ================================= ================================
+O_in   ``[offsets[f], offsets[l + 1])``  ``complast``: upper end cut at
+                                         ``s.st <= q.end``; ``compfirst``:
+                                         rows of partition ``f`` filtered
+                                         by ``s.end >= q.st``
+O_aft  ``[offsets[f], offsets[l + 1])``  ``complast``: the same upper cut
+R_in   ``[offsets[f], offsets[f + 1])``  ``compfirst``: lower end cut at
+                                         ``s.end >= q.st``
+R_aft  ``[offsets[f], offsets[f + 1])``  none
+====== ================================= ================================
 
 Beneficial sort orders (the *sorting* optimization):
 

@@ -49,8 +49,7 @@ __all__ = ["compiled_run"]
 
 class _KernelCuts:
     """Packed-column probe cuts through the kernels (shared by both
-    accumulators below; same contract as ``_bulk_prefix_range`` /
-    ``_bulk_suffix_range``)."""
+    accumulators below; same contract as ``_VectorAccumulator``'s)."""
 
     def prefix_range(self, table, parts, values):
         lo = table.offsets[parts]

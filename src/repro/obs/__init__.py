@@ -634,8 +634,8 @@ class Observability:
     def record_planner_exploration(self) -> None:
         self.registry.counter(
             PLANNER_EXPLORATIONS,
-            help="Planner decisions taken as epsilon-greedy exploration "
-            "probes.",
+            help="Planner decisions that handed a batch to a plan never "
+            "timed near its size (first-sight probes).",
         ).inc()
 
     def record_planner_calibration_age(self, seconds: float) -> None:

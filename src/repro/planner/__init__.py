@@ -13,7 +13,7 @@ into a measured decision:
 * :mod:`~repro.planner.policy` — the static threshold prior (what the
   engine's ``auto`` backend evaluates when no plan pins a backend);
 * :mod:`~repro.planner.planner` — :class:`AdaptivePlanner`, the scorer
-  (with bounded epsilon-greedy exploration and extent-split search);
+  (with first-sight probes of unseen batch sizes and extent-split search);
 * :mod:`~repro.planner.executor` — :class:`PlannedExecutor`, the
   ``execute()``-contract front that drops into the service, the cache
   and the benchmarks.

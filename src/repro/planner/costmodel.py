@@ -11,14 +11,17 @@ latency is modelled as::
     cost(plan, batch) = fixed + per_query * |batch| + per_extent * sum(extent)
 
 The three coefficients come from a ~100 ms startup **micro-calibration**
-(a seeded probe suite per plan, least-squares fit, non-negative clamp),
+(a seeded probe suite per plan, non-negative least-squares fit),
 persisted to ``results/planner-calibration.json`` and reloadable so
-later processes skip the probes.  Online, every executed batch feeds
-:meth:`CostModel.observe`, which maintains a per-plan EWMA of the
-observed/predicted ratio — a multiplicative drift correction that
-tracks index swaps, shard rebalances and kernel warm-up without
-refitting, and whose log is the predicted-vs-observed error histogram
-exported to the obs plane.
+later processes skip the probes.  The model keeps the samples each entry
+was fitted from, so the planner can add the first batches of a size the
+suite never timed and fit again through :meth:`CostModel.fit`.  Online,
+every other executed batch feeds :meth:`CostModel.observe`, which
+maintains a per-plan EWMA of the observed/predicted ratio — a
+multiplicative drift correction of what :meth:`CostModel.predict`
+reports, whose log is the predicted-vs-observed error histogram exported
+to the obs plane.  The planner ranks plans on the fitted coefficients,
+not on the ratio, which only the plan in use ever has.
 """
 
 from __future__ import annotations
@@ -32,13 +35,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["PlanCost", "CostModel", "DEFAULT_CALIBRATION_PATH"]
+__all__ = ["PlanCost", "CostModel", "DEFAULT_CALIBRATION_PATH", "probe_points"]
 
 #: Where :meth:`CostModel.save` writes by default (and the CLI and the
 #: planner smoke look for a reusable calibration).
 DEFAULT_CALIBRATION_PATH = os.path.join("results", "planner-calibration.json")
 
 _FORMAT_VERSION = 1
+
+Sample = Tuple[int, int, float]  # (queries, total extent, seconds)
+
+
+def probe_points(top: int) -> List[Tuple[int, int]]:
+    """The start-up probe suite as ``(queries, widest extent)`` points over
+    the domain ``[0, top]``: small/narrow isolates the fixed cost,
+    large/narrow the per-query marginal, large/wide the per-extent one."""
+    narrow = max(top // 512, 1)
+    wide = max(top // 32, 2)
+    return [(48, narrow), (192, narrow), (192, wide)]
 
 
 @dataclass(frozen=True)
@@ -59,18 +73,29 @@ class PlanCost:
 
 
 def _fit(samples: Sequence[Tuple[int, int, float]]) -> PlanCost:
-    """Least-squares fit of (fixed, per_query, per_extent), clamped >= 0.
+    """Non-negative least-squares fit of (fixed, per_query, per_extent).
 
-    With fewer than three probes the system is underdetermined; lstsq
-    still returns the minimum-norm solution, and the clamp keeps every
-    coefficient physical (a negative marginal cost would let the
-    optimizer "pay itself" with huge batches).
+    A coefficient the unconstrained fit drives negative is not merely
+    zeroed: its column is dropped and the others are fitted again, until
+    every remaining coefficient is non-negative (active-set NNLS; three
+    columns, so at most three rounds).  Zeroing alone keeps the others at
+    values that were compensating for the negative one, which inflates
+    every prediction made from the entry.  A negative marginal cost is
+    never kept: it would let the optimizer "pay itself" with huge
+    batches.  With fewer probes than columns lstsq returns the
+    minimum-norm solution of what is left.
     """
     a = np.array([[1.0, float(n), float(e)] for n, e, _ in samples])
     y = np.array([max(float(s), 0.0) for _, _, s in samples])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    fixed, per_q, per_e = (max(float(c), 0.0) for c in coef)
-    return PlanCost(fixed, per_q, per_e, probes=len(samples))
+    coef = np.zeros(3)
+    active = [0, 1, 2]
+    while active:
+        solution, *_ = np.linalg.lstsq(a[:, active], y, rcond=None)
+        if solution.min() >= 0.0:
+            coef[active] = solution
+            break
+        del active[int(solution.argmin())]
+    return PlanCost(*map(float, coef), probes=len(samples))
 
 
 class CostModel:
@@ -88,6 +113,7 @@ class CostModel:
         self.created_at: Optional[float] = None
         self._lock = threading.Lock()
         self._entries: Dict[str, PlanCost] = {}
+        self._samples: Dict[str, List[Sample]] = {}
         self._ratio: Dict[str, float] = {}  # EWMA of observed/predicted
         self._observations: Dict[str, int] = {}
 
@@ -95,13 +121,15 @@ class CostModel:
     # calibration
     # ------------------------------------------------------------------ #
 
-    def fit(self, key: str, samples: Sequence[Tuple[int, int, float]]) -> PlanCost:
-        """(Re)fit one plan from ``(n, total_extent, seconds)`` probes."""
+    def fit(self, key: str, samples: Sequence[Sample]) -> PlanCost:
+        """(Re)fit one plan from ``(n, total_extent, seconds)`` probes,
+        which the model keeps (:meth:`samples`)."""
         if not samples:
             raise ValueError("cannot fit a plan cost from zero probes")
         cost = _fit(samples)
         with self._lock:
             self._entries[key] = cost
+            self._samples[key] = list(samples)
             self._ratio.pop(key, None)  # fresh fit resets drift state
             if self.created_at is None:
                 self.created_at = time.time()
@@ -119,6 +147,20 @@ class CostModel:
     def entry(self, key: str) -> Optional[PlanCost]:
         with self._lock:
             return self._entries.get(key)
+
+    def samples(self, key: str) -> List[Sample]:
+        """The probes *key* was last fitted from (a copy)."""
+        with self._lock:
+            return list(self._samples.get(key, ()))
+
+    def timed_near(self, key: str, n: int) -> bool:
+        """Whether *key* was ever timed on a batch within a factor of two
+        of *n* queries; beyond that a prediction is an extrapolation."""
+        with self._lock:
+            return any(
+                n <= 2 * size and size <= 2 * n
+                for size, _, _ in self._samples.get(key, ())
+            )
 
     def age_seconds(self, now: Optional[float] = None) -> Optional[float]:
         """Seconds since calibration, or ``None`` when never calibrated."""
@@ -226,13 +268,21 @@ class CostModel:
             meta=payload.get("meta") or {},
         )
         model.created_at = payload.get("created_at")
+        # The file holds coefficients only.  What they were fitted from is
+        # the probe suite, so an entry's samples are read back off its own
+        # plane at the suite's feature points (exact for a three-probe fit).
+        m = int((model.meta.get("index") or {}).get("m") or 16)
+        points = [
+            (n, n * extent * 3 // 4) for n, extent in probe_points((1 << m) - 1)
+        ]
         for key, entry in (payload.get("entries") or {}).items():
-            model._entries[key] = PlanCost(
+            cost = model._entries[key] = PlanCost(
                 fixed_s=float(entry["fixed_s"]),
                 per_query_s=float(entry["per_query_s"]),
                 per_extent_s=float(entry["per_extent_s"]),
                 probes=int(entry.get("probes", 0)),
             )
+            model._samples[key] = [(n, e, cost.predict(n, e)) for n, e in points]
         return model
 
     @classmethod

@@ -14,7 +14,8 @@ exactly as it does for an engine).  Per batch it:
 2. runs the plan through the engine — a single ``(strategy, backend)``
    pair, or a :class:`~repro.planner.plan.SplitPlan` cutting the batch
    at an extent threshold and merging the sides mode-correctly;
-3. feeds the observed latency back into the cost model (the EWMA drift
+3. feeds the observed latency back into the cost model (a new sample
+   for a plan first seen at this batch size, otherwise the EWMA drift
    correction + the ``repro_planner_cost_error`` histogram).
 
 Any planner failure (including injected faults) degrades the batch to
@@ -59,7 +60,7 @@ class PlannedExecutor:
         Extra ``engine_kwargs`` go to that constructor.
     planner:
         An existing :class:`AdaptivePlanner`; built from *index* (plus
-        *model* / *exploration* / *seed*) when omitted.
+        *model*) when omitted.
     model:
         A pre-built :class:`CostModel`.  When omitted and
         *reuse_calibration* is true, a calibration file at *model_path*
@@ -71,10 +72,6 @@ class PlannedExecutor:
     calibrate:
         Run the startup micro-calibration probe suite (~*budget* s)
         when the model is still empty, then save to *model_path*.
-    exploration:
-        Epsilon-greedy exploration rate, ``0.0`` by default (the
-        ``serve`` setting — production never pays exploration regret
-        unless asked to).
     choose_strategy:
         When true (default) the planner may override the caller's
         ``strategy=`` with a measurably faster one — all strategies are
@@ -97,10 +94,8 @@ class PlannedExecutor:
         reuse_calibration: bool = True,
         calibration_budget_s: float = 0.12,
         calibration_modes: Sequence[str] = ("count", "checksum", "ids"),
-        exploration: float = 0.0,
         choose_strategy: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        seed: int = 0,
         **engine_kwargs,
     ):
         self._index = index
@@ -125,13 +120,7 @@ class PlannedExecutor:
             )
             if model is None and reuse_calibration and model_path:
                 model = _try_load(model_path, index, caps)
-            self.planner = AdaptivePlanner(
-                index,
-                caps=caps,
-                model=model,
-                exploration=exploration,
-                seed=seed,
-            )
+            self.planner = AdaptivePlanner(index, caps=caps, model=model)
         if calibrate and not self.planner.model.calibrated:
             self.calibrate(
                 budget_s=calibration_budget_s,
@@ -154,8 +143,7 @@ class PlannedExecutor:
     def __repr__(self) -> str:
         return (
             f"PlannedExecutor(index={type(self._index).__name__}, "
-            f"calibrated={self.planner.model.calibrated}, "
-            f"exploration={self.planner.exploration:g})"
+            f"calibrated={self.planner.model.calibrated})"
         )
 
     # ------------------------------------------------------------------ #

@@ -12,18 +12,24 @@ an extent percentile and route each side to its own cheapest plan,
 accepted only when the predicted sum beats the best single plan by a
 margin.
 
+A prediction for a batch size no probe came within a factor of two of
+is an extrapolation, and nothing that runs afterwards prices the plans
+that were not picked, so a first pick made on extrapolations would stick.  Such a plan is
+therefore handed the batch itself (``source="explore"``): cheapest
+prediction first, never a plan predicted beyond :data:`EXPLORE_CAP` of
+the best, best of two batches as :meth:`AdaptivePlanner.calibrate`
+times its probes.  The timing joins the plan's samples and the plan is
+fitted again; once every plan within the cap has a point at that size
+the model decides — one or two real, correctly answered batches per
+plan per size class over the life of the process.
+
 Every decision runs inside a ``planner.decide`` span (attributes say
 which plan won, why, and at what predicted cost) and bumps the
-``repro_planner_*`` series; bounded epsilon-greedy exploration (off by
-default) occasionally picks a non-optimal plan whose predicted cost is
-within ``explore_cap`` of the best, so the online EWMA keeps fresh
-latencies for near-competitive plans and tracks drift after
-``swap_index``, shard rebalance or kernel warm-up.
+``repro_planner_*`` series.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -33,11 +39,19 @@ import numpy as np
 import repro.obs as obs
 from repro.analysis.batch_stats import ExtentSummary, batch_extents, summarize_extents
 from repro.intervals.batch import QueryBatch
-from repro.planner.costmodel import CostModel
+from repro.planner.costmodel import CostModel, Sample, probe_points
 from repro.planner.plan import BackendCaps, Plan, SplitPlan, plan_space
 from repro.planner.policy import cold_start_recommendation
 
-__all__ = ["AdaptivePlanner", "Decision"]
+__all__ = ["AdaptivePlanner", "Decision", "EXPLORE_CAP"]
+
+#: A plan predicted beyond this factor of the best plan is never handed a
+#: batch to learn from: bounds what one first-sight batch can cost.
+EXPLORE_CAP = 4.0
+
+#: A timing above this is not repeated (in calibration and at first
+#: sight): noise is relatively small there and a second run is dear.
+_ONCE_ABOVE_S = 0.005
 
 
 @dataclass
@@ -78,13 +92,6 @@ class AdaptivePlanner:
         A (possibly pre-loaded) :class:`CostModel`; a fresh empty one
         when omitted — the planner then behaves exactly like the static
         prior until :meth:`calibrate` runs.
-    exploration:
-        Epsilon of the epsilon-greedy loop in ``[0, 1)``; ``0.0``
-        (default — the ``serve`` setting) never explores.
-    explore_cap:
-        Exploration only ever picks plans whose predicted cost is within
-        this factor of the best plan's, bounding the regret of one
-        exploration step.
     split_margin:
         A split is chosen only when its predicted total is below the
         best single plan's prediction times this factor (< 1.0), so
@@ -92,8 +99,6 @@ class AdaptivePlanner:
     min_split_batch:
         Batches smaller than this never split — per-side fixed costs
         dominate.
-    seed:
-        Seed of the exploration RNG (deterministic tests).
     """
 
     def __init__(
@@ -102,29 +107,23 @@ class AdaptivePlanner:
         *,
         caps: Optional[BackendCaps] = None,
         model: Optional[CostModel] = None,
-        exploration: float = 0.0,
-        explore_cap: float = 4.0,
         split_margin: float = 0.9,
         min_split_batch: int = 512,
         min_heterogeneity: float = 2.0,
         strategies: Optional[Sequence[str]] = None,
-        seed: int = 0,
     ):
-        if not 0.0 <= exploration < 1.0:
-            raise ValueError("exploration must lie in [0, 1)")
         self._index = index
         self.caps = caps if caps is not None else BackendCaps.from_index(index)
         self.model = model if model is not None else CostModel()
-        self.exploration = float(exploration)
-        self.explore_cap = float(explore_cap)
         self.split_margin = float(split_margin)
         self.min_split_batch = int(min_split_batch)
         self.min_heterogeneity = float(min_heterogeneity)
         self.strategies = tuple(strategies) if strategies is not None else None
-        self._rng = random.Random(seed)
         self._collection_size = int(getattr(index, "size", None) or len(index))
         self._decisions = 0
         self._explorations = 0
+        #: plan key -> the first of a first-sight pair of timings.
+        self._first_sight: Dict[str, Sample] = {}
 
     # ------------------------------------------------------------------ #
     # deciding
@@ -163,7 +162,7 @@ class AdaptivePlanner:
 
         scored: List[Tuple[float, Plan]] = []
         for plan in plans:
-            predicted = self.model.predict(plan.key(mode), n, summary.total_extent)
+            predicted = self._fitted(plan, mode, n, summary.total_extent)
             if predicted is not None:
                 scored.append((predicted, plan))
         scored.sort(key=lambda item: item[0])
@@ -180,6 +179,27 @@ class AdaptivePlanner:
             return decision
 
         best_cost, best_plan = scored[0]
+        for cost, plan in scored:
+            if cost > best_cost * EXPLORE_CAP:
+                break
+            if not self.model.timed_near(plan.key(mode), n):
+                self._explorations += 1
+                decision = Decision(
+                    plan=plan,
+                    mode=mode,
+                    source="explore",
+                    predicted_s=cost,
+                    reason=(
+                        f"never timed within 2x of {n} queries (predicted "
+                        f"within {EXPLORE_CAP:g}x of the best plan)"
+                    ),
+                    table=table,
+                    n=n,
+                    total_extent=summary.total_extent,
+                )
+                self._record(decision, ob)
+                return decision
+
         decision = Decision(
             plan=best_plan,
             mode=mode,
@@ -191,34 +211,7 @@ class AdaptivePlanner:
             total_extent=summary.total_extent,
         )
 
-        if self.exploration and len(scored) > 1:
-            if self._rng.random() < self.exploration:
-                cap = best_cost * self.explore_cap
-                pool = [
-                    (cost, plan)
-                    for cost, plan in scored[1:]
-                    if cost <= cap
-                ]
-                if pool:
-                    cost, plan = self._rng.choice(pool)
-                    self._explorations += 1
-                    decision = Decision(
-                        plan=plan,
-                        mode=mode,
-                        source="explore",
-                        predicted_s=cost,
-                        reason=(
-                            f"epsilon-greedy probe (within {self.explore_cap:g}x "
-                            "of the best plan)"
-                        ),
-                        table=table,
-                        n=n,
-                        total_extent=summary.total_extent,
-                    )
-                    self._record(decision, ob)
-                    return decision
-
-        if allow_split and decision.source == "model":
+        if allow_split:
             split = self._consider_split(batch, summary, mode, scored)
             if split is not None:
                 split.table = table
@@ -226,6 +219,19 @@ class AdaptivePlanner:
 
         self._record(decision, ob)
         return decision
+
+    def _fitted(self, plan: Plan, mode: str, n: int, extent: int) -> Optional[float]:
+        """What the plan's fitted coefficients say, without its drift.
+
+        Plans are ranked on this.  The drift ratio is known only for the
+        plan that has been running, and most of what it sees slows every
+        plan alike (a busy minute on a shared machine, typical against
+        best-of-two timing): ranking on it priced the plan in use at its
+        usual time and every other at its best, so twins traded places on
+        noise and a slow minute sent batches to plans that are slower.
+        """
+        cost = self.model.entry(plan.key(mode))
+        return None if cost is None else cost.predict(n, extent)
 
     def _prior_decision(self, n: int, mode: str, strategy: Optional[str]) -> Decision:
         """The cold-start plan: paper-rule strategy, threshold backend.
@@ -318,7 +324,7 @@ class AdaptivePlanner:
         """Cheapest calibrated plan for a sub-batch's features."""
         best: Optional[Tuple[float, Plan]] = None
         for _, plan in scored:
-            predicted = self.model.predict(plan.key(mode), n, total_extent)
+            predicted = self._fitted(plan, mode, n, total_extent)
             if predicted is None:
                 continue
             if best is None or predicted < best[0]:
@@ -351,17 +357,34 @@ class AdaptivePlanner:
     def observe(
         self, plan: Plan, mode: str, n: int, total_extent: int, seconds: float
     ) -> Optional[float]:
-        """Fold one executed (sub-)plan's latency back into the model."""
-        rel_error = self.model.observe(plan.key(mode), n, total_extent, seconds)
+        """Fold one executed (sub-)plan's latency back into the model:
+        a sample to fit again from when the plan was never timed near *n*
+        queries, drift of the fitted prediction otherwise."""
+        key = plan.key(mode)
+        if not self.model.timed_near(key, n) and self.model.entry(key) is not None:
+            self._learn(key, (n, total_extent, seconds))
+            return None
+        rel_error = self.model.observe(key, n, total_extent, seconds)
         if rel_error is not None:
             ob = obs.active()
             if ob is not None:
                 ob.record_planner_cost_error(rel_error)
         return rel_error
 
+    def _learn(self, key: str, sample: Sample) -> None:
+        """Best of two batches, as :meth:`calibrate` times a probe, so a
+        lazy first-call cost at the new size is not learnt."""
+        first = self._first_sight.pop(key, None)
+        if first is None and sample[2] <= _ONCE_ABOVE_S:
+            self._first_sight[key] = sample
+            return
+        if first is not None and first[2] * sample[0] < sample[2] * first[0]:
+            sample = first  # fewer seconds per query
+        self.model.fit(key, self.model.samples(key) + [sample])
+
     @property
     def exploration_rate(self) -> float:
-        """Fraction of decisions so far that were exploration probes."""
+        """Fraction of decisions so far that were first-sight probes."""
         if not self._decisions:
             return 0.0
         return self._explorations / self._decisions
@@ -419,7 +442,7 @@ class AdaptivePlanner:
                         run_plan(plan, batch, mode)
                         dt = perf_counter() - t0
                         best = dt if best is None else min(best, dt)
-                        if dt > 0.005:
+                        if dt > _ONCE_ABOVE_S:
                             break
                     samples.append((len(batch), total_extent, best))
                 self.model.fit(plan.key(mode), samples)
@@ -465,17 +488,10 @@ def _index_meta(index) -> dict:
 
 
 def _probe_batches(rng, top: int) -> List[Tuple[QueryBatch, int]]:
-    """The seeded probe suite: (batch, total_extent) feature points.
-
-    Three points span the (n, extent) plane so the lstsq fit is
-    determined: small/narrow isolates the fixed cost, large/narrow the
-    per-query marginal, large/wide the per-extent marginal.
-    """
-    narrow = max(top // 512, 1)
-    wide = max(top // 32, 2)
-    points = [(48, narrow), (192, narrow), (192, wide)]
+    """The seeded probe suite: (batch, total_extent) feature points, three
+    of them (:func:`probe_points`) so the fit is determined."""
     out: List[Tuple[QueryBatch, int]] = []
-    for n, extent in points:
+    for n, extent in probe_points(top):
         st = rng.integers(0, max(top - extent, 1), size=n)
         ext = rng.integers(extent // 2, extent + 1, size=n)
         end = np.minimum(st + ext, top)

@@ -228,6 +228,14 @@ def _verify_hint(
         len(index.levels) == m + 1,
         f"index has {len(index.levels)} levels, expected {m + 1}",
     )
+    occupied = tuple(
+        data.level for data in reversed(index.levels) if data.total()
+    )
+    chk.check(
+        index.occupied_levels == occupied,
+        f"recorded occupied levels {index.occupied_levels} disagree with "
+        f"the level tables, which occupy {occupied}",
+    )
 
     # --- per-table structural checks ---------------------------------- #
     for pos, data in enumerate(index.levels):

@@ -5,7 +5,7 @@ plan space legality rules, the static backend policy — including the
 kernel-fallback regression where ``threads+compiled`` must not be
 preferred while the pure-NumPy fallback serves the compiled path — the
 engine's online backend policy, and the planner's decision logic
-(prior vs model vs exploration vs split).
+(prior vs model vs first-sight probe vs split).
 """
 
 from __future__ import annotations
@@ -71,6 +71,37 @@ class TestCostModel:
         assert cost.fixed_s >= 0.0
         assert cost.per_query_s >= 0.0
         assert cost.per_extent_s >= 0.0
+
+    def test_negative_coefficient_is_dropped_and_the_rest_refitted(self):
+        """The unconstrained fit of these probes has ``fixed`` < 0.  Zeroing
+        it and keeping the other two as fitted is not the non-negative
+        solution: the slopes were compensating for the negative intercept,
+        so every prediction came out too high."""
+        samples = [(48, 100, 0.9e-3), (192, 400, 4.1e-3), (192, 6400, 4.4e-3)]
+        a = np.array([[1.0, n, e] for n, e, _ in samples])
+        y = np.array([s for _, _, s in samples])
+        free, *_ = np.linalg.lstsq(a, y, rcond=None)
+        assert free[0] < 0.0 < min(free[1:])  # the premise
+        cost = CostModel().fit("k", samples)
+        assert cost.fixed_s == 0.0
+        rest, *_ = np.linalg.lstsq(a[:, 1:], y, rcond=None)
+        assert (cost.per_query_s, cost.per_extent_s) == pytest.approx(tuple(rest))
+        # Smaller residual than clamp-and-keep, and no inflation at scale.
+        clamped = np.array([0.0, free[1], free[2]])
+        fitted = np.array([cost.fixed_s, cost.per_query_s, cost.per_extent_s])
+        assert np.linalg.norm(a @ fitted - y) < np.linalg.norm(a @ clamped - y)
+        assert cost.predict(4096, 8192) < PlanCost(*clamped).predict(4096, 8192)
+
+    def test_model_retains_the_samples_it_fitted(self):
+        model = CostModel()
+        samples = [(48, 10, 0.001), (192, 40, 0.002), (192, 900, 0.003)]
+        model.fit("k", samples)
+        assert model.samples("k") == samples
+        assert model.timed_near("k", 96) and model.timed_near("k", 384)
+        assert not model.timed_near("k", 23) and not model.timed_near("k", 385)
+        assert not model.timed_near("other", 48)
+        model.fit("k", model.samples("k") + [(4096, 900, 0.02)])
+        assert model.timed_near("k", 4096) and len(model.samples("k")) == 4
 
     def test_predict_uncalibrated_is_none(self):
         model = CostModel()
@@ -376,51 +407,26 @@ class TestAdaptivePlanner:
             assert cost.fixed_s >= 0.002
             assert cost.per_query_s == cost.per_extent_s == 0.0
 
-    def test_exploration_is_bounded_and_deterministic(self, small_hint, rng):
-        def build(seed):
-            model = CostModel()
-            model.fit("partition-based|serial|count", [(64, 512, 0.0011)])
-            model.fit("partition-based|compiled|count", [(64, 512, 0.001)])
-            model.fit("join-based|serial|count", [(64, 512, 1.0)])  # far off
-            caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-            return AdaptivePlanner(
-                small_hint, caps=caps, model=model, exploration=0.5,
-                explore_cap=4.0, seed=seed,
-            )
-
-        def run(planner):
-            batch = _uniform_batch(rng, 64, 8)
-            picks = []
-            for _ in range(40):
-                d = planner.decide(batch, mode="count", allow_split=False)
-                picks.append((d.source, d.plan.key("count")))
-            return picks
-
-        a, b = run(build(7)), run(build(7))
-        assert a == b  # same seed, same exploration pattern
-        explored = {plan for source, plan in a if source == "explore"}
-        assert explored  # epsilon=0.5 over 40 decisions must explore
-        # join-based is 1000x the best plan — outside explore_cap, never
-        # picked; exploration only probes near-competitive plans.
-        assert explored == {"partition-based|serial|count"}
-        planner = build(7)
-        run(planner)
-        assert 0.0 < planner.exploration_rate < 1.0
-
-    def test_zero_exploration_never_explores(self, small_hint, rng):
+    def test_twin_plans_do_not_trade_places_on_timing_noise(self, small_hint, rng):
+        """Fails at the parent: the drift of the plan in use — typical
+        against best-of-two timing, a busy minute — was held against it
+        alone, and the next batch went to a twin that had seen neither."""
         model = CostModel()
-        model.fit("partition-based|serial|count", [(64, 512, 0.0011)])
-        model.fit("partition-based|compiled|count", [(64, 512, 0.001)])
+        model.fit("partition-based|serial|count", [(64, 512, 0.00100)])
+        model.fit("partition-based|compiled|count", [(64, 512, 0.00102)])
+        model.fit("join-based|serial|count", [(64, 512, 0.00150)])
         caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
         planner = AdaptivePlanner(small_hint, caps=caps, model=model)
-        for _ in range(50):
-            d = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
-            assert d.source != "explore"
-        assert planner.exploration_rate == 0.0
-
-    def test_invalid_exploration_rejected(self, small_hint):
-        with pytest.raises(ValueError, match="exploration"):
-            AdaptivePlanner(small_hint, exploration=1.0)
+        batch = _uniform_batch(rng, 64, 8)
+        serial = Plan("partition-based", "serial")
+        assert planner.decide(batch, mode="count").plan == serial
+        for _ in range(8):  # a slow minute: every batch at 1.8x
+            err = planner.observe(serial, "count", 64, 512, 0.00180)
+        assert model.drift("partition-based|serial|count") > 1.5
+        assert err < 0.2  # the drift still prices the error histogram
+        decision = planner.decide(batch, mode="count")
+        assert decision.plan == serial and decision.source == "model"
+        assert decision.predicted_s == pytest.approx(0.00100)
 
     def test_split_chosen_when_model_predicts_a_clear_win(self, small_hint, rng):
         model = CostModel()
@@ -503,6 +509,199 @@ class TestAdaptivePlanner:
         assert stats["decisions"] == 1
         assert stats["explorations"] == 0
         assert stats["calibrated_plans"] == []
+
+
+# --------------------------------------------------------------------- #
+# first sight of a batch size: probe, refit, settle
+# --------------------------------------------------------------------- #
+
+_MS, _US = 1e-3, 1e-6
+#: True cost (fixed, per query) of every plan of a 2-core HINT plan space.
+#: Between the 48- and 192-query probes a plan's cost moves by 0.1-0.3 ms
+#: on 1 ms, so +/-10 % of noise decides the fitted slope, not the plan.
+_TRUE_COSTS = {
+    ("partition-based", "serial"): (1.0 * _MS, 1.0 * _US),
+    ("partition-based", "compiled"): (1.0 * _MS, 0.7 * _US),  # cheapest at 4096
+    ("partition-based", "threads"): (1.0 * _MS, 1.3 * _US),
+    ("partition-based", "threads+compiled"): (1.0 * _MS, 1.6 * _US),
+    ("join-based", "serial"): (200 * _MS, 2.0 * _US),  # far beyond the cap
+    ("join-based", "threads"): (200 * _MS, 2.0 * _US),
+}
+_CHEAPEST = Plan("partition-based", "compiled")
+
+
+class _FakeMachine:
+    """A clock and a ``run_plan`` with known linear costs and seeded noise."""
+
+    def __init__(self, seed):
+        self.now = 0.0
+        self.runs = []  # (plan, queries) per executed batch
+        self._noise = np.random.default_rng(seed)
+
+    def cost(self, plan, n):
+        fixed, per_query = _TRUE_COSTS[(plan.strategy, plan.backend)]
+        return (fixed + per_query * n) * self._noise.uniform(0.9, 1.1)
+
+    def run_plan(self, plan, batch, mode):
+        self.runs.append((plan, len(batch)))
+        self.now += self.cost(plan, len(batch))
+
+
+@pytest.fixture
+def machine(monkeypatch):
+    import repro.planner.planner as planner_module
+
+    fake = _FakeMachine(seed=5)
+    monkeypatch.setattr(planner_module, "perf_counter", lambda: fake.now)
+    return fake
+
+
+def _calibrated_planner(index, machine):
+    caps = BackendCaps(cpus=2, workers=2, compiled_ok=True)
+    planner = AdaptivePlanner(index, caps=caps)
+    planner.calibrate(machine.run_plan, modes=("count",), budget_s=60.0)
+    assert len(planner.model.keys()) == len(_TRUE_COSTS)
+    del machine.runs[:]
+    return planner
+
+
+def _serve(planner, machine, batch):
+    """One batch through decide -> run -> observe, as the executor does."""
+    decision = planner.decide(batch, mode="count", allow_split=False)
+    t0 = machine.now
+    machine.run_plan(decision.plan, batch, "count")
+    planner.observe(
+        decision.plan, "count", decision.n, decision.total_extent,
+        machine.now - t0,
+    )
+    return decision
+
+
+class TestFirstSight:
+    def test_extrapolation_misranks_and_first_sight_probes_repair_it(
+        self, small_hint, rng, machine
+    ):
+        planner = _calibrated_planner(small_hint, machine)
+        batch = _uniform_batch(rng, 4096, 8)
+        ranked = planner.decide(batch, mode="count", allow_split=False).table
+        # The premise: fitted on 48- and 192-query probes, the model ranks
+        # another plan first at 4096 queries — and, as only the chosen
+        # plan's drift is ever corrected, used to stay there.
+        assert ranked[0][0] != _CHEAPEST.key("count")
+
+        plans = len(_TRUE_COSTS)
+        decisions = [_serve(planner, machine, batch) for _ in range(2 * plans)]
+        probed = [d.plan for d in decisions if d.source == "explore"]
+        assert probed and all(probed.count(plan) <= 2 for plan in set(probed))
+        # Predicted beyond the cap of the best: never handed a batch.
+        assert not any(plan.strategy == "join-based" for plan, _ in machine.runs)
+        settled = decisions[-1]
+        assert settled.source == "model" and settled.plan == _CHEAPEST
+        # Every plan within the cap now has a point at this size and the
+        # model decides from there on: no further probe, same plan.
+        for _ in range(20):
+            decision = _serve(planner, machine, batch)
+            assert decision.source == "model" and decision.plan == _CHEAPEST
+        assert planner.stats()["explorations"] == len(probed) + 1  # + `ranked`
+        for plan in set(probed):
+            assert planner.model.timed_near(plan.key("count"), 4096)
+
+    def test_sizes_near_a_calibrated_one_are_never_probed(
+        self, small_hint, rng, machine
+    ):
+        planner = _calibrated_planner(small_hint, machine)
+        for n in (24, 48, 100, 192, 256, 384):  # probes ran 48 and 192 queries
+            for _ in range(3):
+                assert _serve(planner, machine, _uniform_batch(rng, n, 8)).source == "model"
+        assert planner.exploration_rate == 0.0
+        # 1000 queries is a size class of its own, as 4096 would be.
+        assert _serve(planner, machine, _uniform_batch(rng, 1000, 8)).source == "explore"
+
+    def test_a_slow_first_batch_is_not_repeated(self, small_hint, rng, machine):
+        """Best of two, as calibration times its probes — but a timing above
+        5 ms is kept as it is."""
+        planner = _calibrated_planner(small_hint, machine)
+        key = "partition-based|serial|count"
+        plan = Plan("partition-based", "serial")
+        planner.observe(plan, "count", 1000, 8000, 0.004)
+        assert not planner.model.timed_near(key, 1000)  # waits for a second
+        planner.observe(plan, "count", 1000, 8000, 0.002)
+        assert planner.model.samples(key)[-1] == (1000, 8000, 0.002)
+        planner.observe(plan, "count", 8000, 64000, 0.020)
+        assert planner.model.samples(key)[-1] == (8000, 64000, 0.020)
+
+    def test_calibration_file_from_before_first_sight_probes_still_loads(
+        self, small_hint, rng, tmp_path
+    ):
+        """The file holds coefficients and no samples, before and after."""
+        import json
+
+        path = tmp_path / "old.json"
+        entries = {
+            Plan(strategy, backend).key("count"): {
+                "fixed_s": fixed, "per_query_s": per_query,
+                "per_extent_s": 0.0, "probes": 3,
+            }
+            for (strategy, backend), (fixed, per_query) in _TRUE_COSTS.items()
+        }
+        path.write_text(json.dumps({
+            "version": 1, "created_at": 1700000000.0, "ewma_alpha": 0.25,
+            "meta": {"index": {"kind": "HintIndex", "size": len(small_hint), "m": 10}},
+            "entries": entries,
+        }))
+        px = PlannedExecutor(small_hint, model_path=str(path), workers=2)
+        try:
+            model = px.planner.model
+            assert model.keys() == sorted(entries)
+            assert model.to_dict()["entries"] == entries  # and saves the same
+            # Its plans count as timed where the probe suite timed them ...
+            px.execute(_uniform_batch(rng, 192, 8), mode="count")
+            assert px.last_decision.source == "model"
+            # ... and a refit keeps the loaded plane under the new point.
+            key = _CHEAPEST.key("count")
+            before = model.predict(key, 192, 0)
+            px.planner.observe(_CHEAPEST, "count", 4096, 0, 0.006)
+            assert model.timed_near(key, 4096)
+            assert model.predict(key, 4096, 0) == pytest.approx(0.006, rel=0.05)
+            assert model.predict(key, 192, 0) == pytest.approx(before, rel=0.25)
+        finally:
+            px.close()
+
+    def test_decide_fault_on_a_first_sight_batch_degrades_to_the_static_rule(
+        self, small_hint, rng, tmp_path
+    ):
+        from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan
+
+        px = PlannedExecutor(
+            small_hint,
+            model_path=str(tmp_path / "c.json"),
+            calibrate=True,
+            calibration_modes=("count",),
+            calibration_budget_s=30.0,
+            fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE, after=1),
+        )
+        calls = []
+        real = px.engine.execute
+
+        def spy(batch, **kwargs):
+            calls.append(kwargs["backend"])
+            return real(batch, **kwargs)
+
+        px._engine.execute = spy
+        try:
+            batch = _uniform_batch(rng, 4096, 8)
+            want = px.engine.execute(batch, strategy="partition-based",
+                                     mode="count", backend="serial")
+            del calls[:]
+            assert px.execute(batch, mode="count") == want
+            assert px.last_decision.source == "explore"
+            assert px.execute(batch, mode="count") == want  # decide throws
+            assert px.last_decision is None
+            assert calls[1:] == ["auto"]  # answered once, by the static rule
+            assert px.execute(batch, mode="count") == want
+            assert px.last_decision.source == "explore"  # and probing resumes
+        finally:
+            px.close()
 
 
 # --------------------------------------------------------------------- #

@@ -197,7 +197,9 @@ class TestDecisionPath:
                     batch = mixed_batch(rng)
                     got = px.execute(batch, mode=mode)
                     decision = px.last_decision
-                    assert decision.source == "model", (kind, mode)
+                    # 600 queries is no size the probe suite timed: the
+                    # first batches of each mode are first-sight probes.
+                    assert decision.source in ("model", "explore"), (kind, mode)
                     plans = (
                         [decision.plan.narrow, decision.plan.wide]
                         if decision.split

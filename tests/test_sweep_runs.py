@@ -1,0 +1,232 @@
+"""The partition-based sweep as one row run per table per level.
+
+Hypothesis drives :func:`repro.core.strategies.partition_level_sweep`
+(through the serial and the compiled backend, on a ``HintIndex`` and on
+``ShardedHint`` with 2 and 3 shards, in all three result modes) against
+the pseudocode-faithful :class:`~repro.hint.reference.ReferenceHint` and
+the naive oracle, on batches built to keep every branch of the run
+arithmetic alive.  A cost spy pins what the fold bought: per occupied
+level at most three packed-column cuts and six registrations, and
+nothing at all on an empty level.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from repro import HintIndex, IntervalCollection, QueryBatch
+from repro.core import strategies
+from repro.core.strategies import partition_level_sweep, run_strategy
+from repro.hint.reference import ReferenceHint
+from repro.kernels.compiled import compiled_run
+from repro.shard import ShardedHint
+from tests.conftest import assert_flat_oracle, oracle_result
+
+MODES = ("count", "checksum", "ids")
+RUNNERS = {"serial": run_strategy, "compiled": compiled_run}
+
+
+@hs.composite
+def interval_set(draw, top):
+    """0..40 intervals, optionally confined to one duration class so that
+    whole levels (and single tables of a level) stay empty."""
+    n = draw(hs.sampled_from([0, 1, 1, 2, 5, 12, 40]))
+    longest = draw(hs.sampled_from([0, 1, top // 4, top]))
+    st = [draw(hs.integers(0, top)) for _ in range(n)]
+    end = [min(s + draw(hs.integers(0, longest)), top) for s in st]
+    return st, end
+
+
+@hs.composite
+def edge_query(draw, m):
+    """One query of a kind that keeps a branch of the sweep alive."""
+    top = (1 << m) - 1
+    k = draw(hs.integers(0, m))  # a level's shift
+    low = (1 << k) - 1
+    part = draw(hs.integers(0, top >> k))
+    kind = draw(hs.integers(0, 6))
+    if kind == 0:  # q.st ends in k ones: compfirst survives k levels up
+        st = (part << k) | low
+        return st, draw(hs.integers(st, top))
+    if kind == 1:  # q.end ends in k zeros: complast survives k levels up
+        end = part << k
+        return draw(hs.integers(0, end)), end
+    if kind == 2:  # both at once, f == l on the way up
+        st = (part << k) | low
+        end = (((st >> k) + 1) << k) & ~low
+        return (st, end) if end <= top else (st, st)
+    if kind == 3:  # st == end
+        point = draw(hs.integers(0, top))
+        return point, point
+    if kind == 4:  # the whole domain
+        return 0, top
+    if kind == 5:  # ends exactly on a partition's last cell
+        end = (part << k) | low
+        return draw(hs.integers(0, end)), end
+    # out of the domain on either side: _prepare clips
+    st = draw(hs.integers(-5, top + 5))
+    return st, draw(hs.integers(st, top + 9))
+
+
+@hs.composite
+def sweep_case(draw):
+    m = draw(hs.integers(0, 7))
+    top = (1 << m) - 1
+    st, end = draw(interval_set(top))
+    queries = draw(hs.lists(edge_query(m), min_size=1, max_size=12))
+    repeats = draw(hs.lists(hs.sampled_from(queries), max_size=4))  # duplicates
+    queries = draw(hs.permutations(queries + repeats))
+    return m, st, end, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_case())
+def test_folded_sweep_equals_reference_and_oracle(case):
+    m, st, end, queries = case
+    coll = IntervalCollection(st, end) if st else IntervalCollection.empty()
+    batch = QueryBatch([q[0] for q in queries], [q[1] for q in queries])
+    want = oracle_result(coll, batch, m)
+    reference = ReferenceHint(coll, m).batch_partition_based(batch)
+    assert [frozenset(ids) for ids in reference] == want.id_sets()
+    assert [len(ids) for ids in reference] == want.counts.tolist()  # no duplicates
+
+    indexes = [HintIndex(coll, m=m)]
+    indexes += [ShardedHint(coll, k=k, m=m) for k in (2, 3) if k <= 1 << m]
+    for index in indexes:
+        for name, runner in RUNNERS.items():
+            for mode in MODES:
+                if isinstance(index, HintIndex):
+                    got = runner("partition-based", index, batch, mode=mode)
+                else:
+                    got = index.execute(batch, mode=mode, runner=runner)
+                assert got.mode == mode, (type(index).__name__, name)
+                assert_flat_oracle(got, want)
+
+
+def test_flags_in_closed_form_match_the_level_by_level_update():
+    """``compfirst``/``complast`` from the trailing ones of ``q.st`` and the
+    trailing zeros of ``q.end`` are the flags Algorithm 1 carries upwards."""
+    m = 6
+    index = HintIndex(IntervalCollection.empty(), m=m)
+    q_st, q_end = np.divmod(np.arange(1 << (2 * m)), 1 << m)
+    first_zero, last_one = strategies._level_flags(index, q_st, q_end)
+    compfirst = np.ones(q_st.size, dtype=bool)
+    complast = np.ones(q_st.size, dtype=bool)
+    for shift in range(m + 1):
+        assert np.array_equal(first_zero >> shift != 0, compfirst)
+        assert np.array_equal(last_one >> shift != 0, complast)
+        compfirst &= (q_st >> shift) & 1 == 1
+        complast &= (q_end >> shift) & 1 == 0
+
+
+class _SpyAccumulator(strategies._VectorAccumulator):
+    """Counts the protocol calls of one sweep, by table."""
+
+    def __init__(self, n, index):
+        super().__init__(n, with_checksum=False)
+        self.calls = Counter()
+        self._level_of = {
+            id(table): data.level
+            for data in index.levels
+            for table in data.tables()
+        }
+
+    def _count(self, kind, table):
+        self.calls[(self._level_of[id(table)], kind)] += 1
+
+    def prefix_range(self, table, parts, values):
+        self._count("cut", table)
+        return super().prefix_range(table, parts, values)
+
+    def suffix_range(self, table, parts, values):
+        self._count("cut", table)
+        return super().suffix_range(table, parts, values)
+
+    def add_ranges(self, sel, table, lo, hi):
+        self._count("add", table)
+        super().add_ranges(sel, table, lo, hi)
+
+    def add_masked_ranges(self, sel, table, lo, hi, thresholds):
+        self._count("add", table)
+        super().add_masked_ranges(sel, table, lo, hi, thresholds)
+
+
+def test_at_most_three_cuts_and_six_registrations_per_occupied_level(rng):
+    """Fails at the parent, whose per-case sweep made up to six cuts and
+    fifteen registrations a level and walked the empty levels too."""
+    m = 14
+    top = (1 << m) - 1
+    # Durations of 1..128 cells: placements reach 8 levels, no higher.
+    st = rng.integers(0, top - 128, size=20_000)
+    coll = IntervalCollection(st, st + rng.integers(1, 129, size=st.size))
+    index = HintIndex(coll, m=m)
+    occupied = [data.level for data in reversed(index.levels) if data.total()]
+    assert len(occupied) == 8
+
+    q_st = np.sort(rng.integers(0, top - 64, size=256))
+    q_end = q_st + rng.integers(0, 65, size=256)
+    acc = _SpyAccumulator(256, index)
+    partition_level_sweep(index, q_st, q_end, acc)
+    assert {level for level, _ in acc.calls} == set(occupied)  # no empty level
+    for level in occupied:
+        assert acc.calls[(level, "cut")] <= 3, level
+        assert acc.calls[(level, "add")] <= 6, level
+    assert total_searches(index, q_st, q_end) <= 3 * len(occupied)
+    want = oracle_result(coll, QueryBatch(q_st, q_end), m)
+    assert acc.counts.tolist() == want.counts.tolist()
+
+
+def total_searches(index, q_st, q_end) -> int:
+    """``np.searchsorted`` calls of one count-mode sweep."""
+    calls = [0]
+    real = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    np.searchsorted = counting
+    try:
+        acc = strategies._VectorAccumulator(q_st.size, with_checksum=False)
+        partition_level_sweep(index, q_st, q_end, acc)
+    finally:
+        np.searchsorted = real
+    return calls[0]
+
+
+@pytest.mark.parametrize("source", ["build", "persist", "arena"])
+def test_every_way_to_an_index_records_its_occupied_levels(rng, tmp_path, source):
+    from repro.engine import SharedIndexArena, attach_index
+    from repro.hint.persist import load_index, save_index
+    from repro.verify.invariants import InvariantViolation, verify_index
+
+    st = rng.integers(0, 1000, size=300)
+    coll = IntervalCollection(st, st + rng.integers(0, 9, size=300))
+    built = HintIndex(coll, m=10)
+    arena = shm = None
+    try:
+        if source == "build":
+            index = built
+        elif source == "persist":
+            save_index(built, tmp_path / "index.npz")
+            index = load_index(tmp_path / "index.npz")
+        else:
+            arena = SharedIndexArena(built)
+            index, shm = attach_index(arena.manifest)
+        assert index.occupied_levels == built.occupied_levels
+        assert 0 < len(index.occupied_levels) < 11
+        verify_index(index, deep=False)
+        index.occupied_levels = index.occupied_levels[1:]
+        with pytest.raises(InvariantViolation, match="occupied levels"):
+            verify_index(index, deep=False)
+    finally:
+        del index
+        if shm is not None:
+            shm.close()
+        if arena is not None:
+            arena.close()
