@@ -15,13 +15,15 @@ margin.
 A prediction for a batch size no probe came within a factor of two of
 is an extrapolation, and nothing that runs afterwards prices the plans
 that were not picked, so a first pick made on extrapolations would stick.  Such a plan is
-therefore handed the batch itself (``source="explore"``): cheapest
-prediction first, never a plan predicted beyond :data:`EXPLORE_CAP` of
-the best, best of two batches as :meth:`AdaptivePlanner.calibrate`
-times its probes.  The timing joins the plan's samples and the plan is
-fitted again; once every plan within the cap has a point at that size
-the model decides — one or two real, correctly answered batches per
-plan per size class over the life of the process.
+therefore handed the batch itself (``source="explore"``): never a plan
+predicted beyond :data:`EXPLORE_CAP` of the best, two batches each and
+the better kept, in rounds (every such plan once, cheapest prediction
+first, then every one again) so that the slow first batches of a
+process fall on all of them alike and on no kept timing.  The timing
+joins the plan's samples and the plan is fitted again; once every plan
+within the cap has a point at that size the model decides — two real,
+correctly answered batches per plan per size class over the life of
+the process.
 
 Every decision runs inside a ``planner.decide`` span (attributes say
 which plan won, why, and at what predicted cost) and bumps the
@@ -43,15 +45,18 @@ from repro.planner.costmodel import CostModel, Sample, probe_points
 from repro.planner.plan import BackendCaps, Plan, SplitPlan, plan_space
 from repro.planner.policy import cold_start_recommendation
 
-__all__ = ["AdaptivePlanner", "Decision", "EXPLORE_CAP"]
+__all__ = ["AdaptivePlanner", "Decision", "EXPLORE_CAP", "MULTICORE_MARGIN"]
 
 #: A plan predicted beyond this factor of the best plan is never handed a
 #: batch to learn from: bounds what one first-sight batch can cost.
 EXPLORE_CAP = 4.0
 
-#: A timing above this is not repeated (in calibration and at first
-#: sight): noise is relatively small there and a second run is dear.
-_ONCE_ABOVE_S = 0.005
+#: A plan on several cores is chosen only when predicted below this share
+#: of the cheapest one-core plan: its best timing needs every core idle,
+#: which a shared machine grants one minute and not the next (2 shards,
+#: ids: 6.5 ms against 6.2 on one core when idle, 12 against 7.5 when not).
+MULTICORE_MARGIN = 0.8
+_MULTICORE = ("threads", "processes")  # backend name prefixes
 
 
 @dataclass
@@ -178,28 +183,35 @@ class AdaptivePlanner:
             self._record(decision, ob)
             return decision
 
-        best_cost, best_plan = scored[0]
+        # Plans still waiting for their first timing at this size go
+        # before those waiting for their second, cheapest prediction first.
+        unseen = []
         for cost, plan in scored:
-            if cost > best_cost * EXPLORE_CAP:
+            if cost > scored[0][0] * EXPLORE_CAP:
                 break
-            if not self.model.timed_near(plan.key(mode), n):
-                self._explorations += 1
-                decision = Decision(
-                    plan=plan,
-                    mode=mode,
-                    source="explore",
-                    predicted_s=cost,
-                    reason=(
-                        f"never timed within 2x of {n} queries (predicted "
-                        f"within {EXPLORE_CAP:g}x of the best plan)"
-                    ),
-                    table=table,
-                    n=n,
-                    total_extent=summary.total_extent,
-                )
-                self._record(decision, ob)
-                return decision
+            key = plan.key(mode)
+            if not self.model.timed_near(key, n):
+                unseen.append((key in self._first_sight, cost, plan))
+        if unseen:
+            _, cost, plan = min(unseen, key=lambda item: item[:2])
+            self._explorations += 1
+            decision = Decision(
+                plan=plan,
+                mode=mode,
+                source="explore",
+                predicted_s=cost,
+                reason=(
+                    f"never timed within 2x of {n} queries (predicted "
+                    f"within {EXPLORE_CAP:g}x of the best plan)"
+                ),
+                table=table,
+                n=n,
+                total_extent=summary.total_extent,
+            )
+            self._record(decision, ob)
+            return decision
 
+        best_cost, best_plan = _pick(scored)
         decision = Decision(
             plan=best_plan,
             mode=mode,
@@ -285,8 +297,6 @@ class AdaptivePlanner:
             e_wide = summary.total_extent - e_narrow
             narrow = self._cheapest(scored, n_narrow, e_narrow, mode)
             wide = self._cheapest(scored, n_wide, e_wide, mode)
-            if narrow is None or wide is None:
-                continue
             (c_narrow, p_narrow), (c_wide, p_wide) = narrow, wide
             if p_narrow == p_wide:
                 continue  # same plan on both sides: splitting only adds overhead
@@ -320,16 +330,12 @@ class AdaptivePlanner:
         n: int,
         total_extent: int,
         mode: str,
-    ) -> Optional[Tuple[float, Plan]]:
-        """Cheapest calibrated plan for a sub-batch's features."""
-        best: Optional[Tuple[float, Plan]] = None
-        for _, plan in scored:
-            predicted = self._fitted(plan, mode, n, total_extent)
-            if predicted is None:
-                continue
-            if best is None or predicted < best[0]:
-                best = (predicted, plan)
-        return best
+    ) -> Tuple[float, Plan]:
+        """The plan for a sub-batch's features (:func:`_pick`)."""
+        return _pick(sorted(
+            ((self._fitted(plan, mode, n, total_extent), plan) for _, plan in scored),
+            key=lambda item: item[0],
+        ))
 
     def _record(self, decision: Decision, ob) -> None:
         if ob is None:
@@ -372,13 +378,13 @@ class AdaptivePlanner:
         return rel_error
 
     def _learn(self, key: str, sample: Sample) -> None:
-        """Best of two batches, as :meth:`calibrate` times a probe, so a
-        lazy first-call cost at the new size is not learnt."""
+        """Best of two batches, however long the first took: the first of
+        a process at a new size costs 3x the tenth (fresh result pages)."""
         first = self._first_sight.pop(key, None)
-        if first is None and sample[2] <= _ONCE_ABOVE_S:
+        if first is None:
             self._first_sight[key] = sample
             return
-        if first is not None and first[2] * sample[0] < sample[2] * first[0]:
+        if first[2] * sample[0] < sample[2] * first[0]:
             sample = first  # fewer seconds per query
         self.model.fit(key, self.model.samples(key) + [sample])
 
@@ -442,7 +448,7 @@ class AdaptivePlanner:
                         run_plan(plan, batch, mode)
                         dt = perf_counter() - t0
                         best = dt if best is None else min(best, dt)
-                        if dt > _ONCE_ABOVE_S:
+                        if dt > 0.005:
                             break
                     samples.append((len(batch), total_extent, best))
                 self.model.fit(plan.key(mode), samples)
@@ -463,6 +469,17 @@ class AdaptivePlanner:
             "calibrated_plans": self.model.keys(),
             "calibration_age_s": self.model.age_seconds(),
         }
+
+
+def _pick(scored: List[Tuple[float, Plan]]) -> Tuple[float, Plan]:
+    """The cheapest of *scored* (cheapest first) — unless that plan runs
+    on several cores and is not :data:`MULTICORE_MARGIN` below the
+    cheapest that runs on one."""
+    one_core = next(
+        (item for item in scored if not item[1].backend.startswith(_MULTICORE)),
+        scored[0],
+    )
+    return scored[0] if scored[0][0] < one_core[0] * MULTICORE_MARGIN else one_core
 
 
 def _domain_top(index) -> int:

@@ -617,18 +617,51 @@ class TestFirstSight:
         # 1000 queries is a size class of its own, as 4096 would be.
         assert _serve(planner, machine, _uniform_batch(rng, 1000, 8)).source == "explore"
 
-    def test_a_slow_first_batch_is_not_repeated(self, small_hint, rng, machine):
-        """Best of two, as calibration times its probes — but a timing above
-        5 ms is kept as it is."""
+    def test_a_slow_first_batch_is_timed_again(self, small_hint, rng, machine):
+        """Best of two however long the first took: the first ids batch of
+        a process was seen at 3x the tenth, and kept, it priced its plan
+        out for good."""
         planner = _calibrated_planner(small_hint, machine)
         key = "partition-based|serial|count"
         plan = Plan("partition-based", "serial")
-        planner.observe(plan, "count", 1000, 8000, 0.004)
+        planner.observe(plan, "count", 1000, 8000, 0.024)
         assert not planner.model.timed_near(key, 1000)  # waits for a second
-        planner.observe(plan, "count", 1000, 8000, 0.002)
-        assert planner.model.samples(key)[-1] == (1000, 8000, 0.002)
+        planner.observe(plan, "count", 1100, 8800, 0.0088)
+        assert planner.model.samples(key)[-1] == (1100, 8800, 0.0088)
         planner.observe(plan, "count", 8000, 64000, 0.020)
+        planner.observe(plan, "count", 8000, 64000, 0.030)
         assert planner.model.samples(key)[-1] == (8000, 64000, 0.020)
+
+    def test_first_sight_goes_in_rounds(self, small_hint, rng, machine):
+        """Every plan within the cap once, then every one again: what slows
+        the first batches of a process falls on no plan's kept timing."""
+        planner = _calibrated_planner(small_hint, machine)
+        batch = _uniform_batch(rng, 4096, 8)
+        probed = []
+        while (decision := _serve(planner, machine, batch)).source == "explore":
+            probed.append(decision.plan)
+        half = len(probed) // 2
+        assert half >= 2 and len(set(probed[:half])) == half
+        assert sorted(probed[half:], key=str) == sorted(probed[:half], key=str)
+
+    def test_a_multicore_plan_must_win_by_the_margin(self, small_hint, rng):
+        """A threads plan's best timing needs every core idle; a near tie
+        with the one-core plan is decided for the one core."""
+        from repro.planner.planner import MULTICORE_MARGIN
+
+        batch = _uniform_batch(rng, 64, 8)
+        caps = BackendCaps(cpus=2, workers=2, compiled_ok=False)
+        for share, backend in ((0.95, "serial"), (MULTICORE_MARGIN - 0.05, "threads")):
+            model = CostModel()
+            model.fit("partition-based|serial|count", [(64, 512, 0.00100)])
+            model.fit("partition-based|threads|count", [(64, 512, 0.00100 * share)])
+            planner = AdaptivePlanner(
+                small_hint, caps=caps, model=model, strategies=("partition-based",)
+            )
+            decision = planner.decide(batch, mode="count")
+            assert decision.source == "model"
+            assert decision.plan == Plan("partition-based", backend)
+            assert decision.table[0][0] == "partition-based|threads|count"
 
     def test_calibration_file_from_before_first_sight_probes_still_loads(
         self, small_hint, rng, tmp_path
@@ -660,6 +693,7 @@ class TestFirstSight:
             # ... and a refit keeps the loaded plane under the new point.
             key = _CHEAPEST.key("count")
             before = model.predict(key, 192, 0)
+            px.planner.observe(_CHEAPEST, "count", 4096, 0, 0.007)
             px.planner.observe(_CHEAPEST, "count", 4096, 0, 0.006)
             assert model.timed_near(key, 4096)
             assert model.predict(key, 4096, 0) == pytest.approx(0.006, rel=0.05)
