@@ -31,11 +31,11 @@ obs-smoke:
 	$(PYENV) python benchmarks/bench_obs_overhead.py --quick
 	$(PYENV) python -m repro.cli stats --json | python scripts/check_stats_schema.py
 
-# Tracing smoke: serve a traced burst over a real socket with the
-# processes backend; at least one client trace id must reconstruct as a
-# complete parented tree across >= 2 pids (verified in the Chrome-trace
-# dump too), and worker telemetry must have merged into the parent
-# registry (docs/observability.md).
+# Tracing smoke: serve a traced burst over a real socket on a 2-shard
+# index with the threads+compiled backend; every client trace id must
+# reconstruct as one parented tree with its pool-thread spans under
+# engine.execute, and its Chrome-trace dump must carry every layer on
+# >= 2 thread lanes (docs/observability.md).
 trace-smoke:
 	$(PYENV) python scripts/trace_smoke.py
 
@@ -45,14 +45,10 @@ trace-smoke:
 shard-smoke:
 	$(PYENV) python -m repro.cli shard-sim --k 2 --cardinality 5000 --m 12 --queries 2000 --repeat 1
 
-# Engine smoke: quick backend sweep of the process-parallel execution
-# engine, then the zero-leak gate — no repro-arena shared-memory
-# segment may survive (docs/parallelism.md).
+# Engine smoke: quick backend sweep of the execution engine
+# (docs/parallelism.md).
 engine-smoke:
 	$(PYENV) python benchmarks/bench_process_scaling.py --quick --out /tmp/process-scaling-smoke.csv
-	$(PYENV) python -c "from repro.engine import list_arena_segments as f; \
-	segs = f(); \
-	raise SystemExit(f'leaked shared-memory segments: {segs}' if segs else 0)"
 
 # Kernel smoke: the compiled-kernel unit + differential suite — the
 # JIT backend (when numba is importable) and the NumPy fallback must be
@@ -98,10 +94,9 @@ plan-smoke:
 bench-shard:
 	$(PYENV) python benchmarks/bench_shard_scaling.py --out results/shard-scaling.csv
 
-# Execution-backend scaling sweep (serial/threads/processes/compiled/
-# threads+compiled/auto × strategy × mode × workers) + arena
-# pack/attach amortization; records results/process-scaling.csv
-# (uploaded as a CI artifact).
+# Execution-backend scaling sweep (serial/threads/compiled/
+# threads+compiled/auto × strategy × mode × workers); records
+# results/process-scaling.csv (uploaded as a CI artifact).
 bench-engine:
 	$(PYENV) python benchmarks/bench_process_scaling.py --out results/process-scaling.csv
 

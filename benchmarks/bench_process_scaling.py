@@ -1,18 +1,15 @@
 """Backend scaling of :class:`repro.engine.ExecutionEngine`.
 
-Sweeps the execution backends (``serial`` / ``threads`` / ``processes``
-/ ``compiled`` / ``threads+compiled`` / ``auto``) over worker counts,
-strategies, and result modes on the repository's default synthetic
-workload, and separately measures the shared-memory arena's one-time
-costs (pack in the parent, attach in a worker) so their amortization
-over batches is visible next to the steady-state numbers.
+Sweeps the execution backends (``serial`` / ``threads`` / ``compiled``
+/ ``threads+compiled`` / ``auto``) over worker counts, strategies, and
+result modes on the repository's default synthetic workload.
 
 The compiled rows also record which kernel backend served them
 (``kernel_backend`` column): ``numba`` for the JIT, ``numpy`` for the
 behaviour-identical fallback.  On a fallback-only host the compiled
 rows measure the plan-then-gather pipeline without nogil code — the
-threads+compiled vs processes comparison on GIL-bound (ids-mode) work
-is only meaningful with the JIT present and ``cpu_count`` > 1.
+threads+compiled speedup on GIL-bound (ids-mode) work is only
+meaningful with the JIT present and ``cpu_count`` > 1.
 
 Run standalone to (re)record ``results/process-scaling.csv``::
 
@@ -21,11 +18,8 @@ Run standalone to (re)record ``results/process-scaling.csv``::
 Each row records the median batch latency over ``--reps`` runs, the
 derived queries/second, and the speedup against the serial baseline of
 the same (strategy, mode).  Results are machine-dependent and honest:
-on a single-core host (as in this repository's CI container) process
-workers cannot beat the serial baseline — the interesting columns
-there are the dispatch overhead (processes vs serial at workers=1) and
-the arena amortization; the GIL-bypass speedups the engine exists for
-need ``cpu_count`` > 1 (see ``docs/parallelism.md``).
+the thread speedups need ``cpu_count`` > 1 (see
+``docs/parallelism.md``).
 """
 
 from __future__ import annotations
@@ -62,10 +56,6 @@ FIELDS = (
     "median_ms",
     "throughput_qps",
     "speedup_vs_serial",
-    "arena_bytes",
-    "arena_pack_ms",
-    "arena_attach_ms",
-    "arena_amortize_batches",
     "kernel_backend",
 )
 
@@ -78,32 +68,6 @@ def _median_seconds(fn, reps: int) -> float:
         times.append(time.perf_counter() - t0)
     times.sort()
     return times[len(times) // 2]
-
-
-def _measure_arena(index, reps: int) -> dict:
-    """One-time arena costs: pack (parent) and attach (worker side)."""
-    from repro.engine import SharedIndexArena, attach_index
-
-    t0 = time.perf_counter()
-    arena = SharedIndexArena(index)
-    pack_s = time.perf_counter() - t0
-    attach_times = []
-    try:
-        for _ in range(max(reps, 3)):
-            t0 = time.perf_counter()
-            attached, shm = attach_index(arena.manifest)
-            attach_times.append(time.perf_counter() - t0)
-            del attached
-            shm.close()
-    finally:
-        nbytes = arena.nbytes
-        arena.close()
-    attach_times.sort()
-    return {
-        "arena_bytes": nbytes,
-        "arena_pack_ms": round(pack_s * 1e3, 3),
-        "arena_attach_ms": round(attach_times[len(attach_times) // 2] * 1e3, 3),
-    }
 
 
 def run(args) -> list:
@@ -122,15 +86,11 @@ def run(args) -> list:
     )
     index = HintIndex(coll, m=args.m, precompute_aux=True)
     cpus = os.cpu_count() or 1
-    arena_info = _measure_arena(index, args.reps)
     kernel_backend = kernel_ops.kernel_backend()
     kernel_ops.warmup()  # JIT compile outside the timed region
     print(
-        f"arena: {arena_info['arena_bytes'] / 1e6:.1f} MB, "
-        f"pack {arena_info['arena_pack_ms']:.1f} ms, "
-        f"attach {arena_info['arena_attach_ms']:.2f} ms  (cpu_count={cpus}, "
-        f"kernels={kernel_backend}, "
-        f"compile {kernel_ops.compile_seconds() * 1e3:.0f} ms)"
+        f"cpu_count={cpus}, kernels={kernel_backend}, "
+        f"compile {kernel_ops.compile_seconds() * 1e3:.0f} ms"
     )
 
     rows = []
@@ -144,10 +104,6 @@ def run(args) -> list:
                 "queries": len(batch),
                 "extent_pct": args.extent,
                 "cpu_count": cpus,
-                "arena_bytes": "",
-                "arena_pack_ms": "",
-                "arena_attach_ms": "",
-                "arena_amortize_batches": "",
                 "kernel_backend": "",
             }
             with ExecutionEngine(index, backend="serial") as engine:
@@ -166,13 +122,7 @@ def run(args) -> list:
                 )
             )
             print(f"{strategy:>17}/{mode:<8} serial        {t_serial * 1e3:8.1f} ms")
-            for backend in (
-                "threads",
-                "processes",
-                "compiled",
-                "threads+compiled",
-                "auto",
-            ):
+            for backend in ("threads", "compiled", "threads+compiled", "auto"):
                 for workers in args.workers:
                     if (
                         backend in ("auto", "compiled")
@@ -198,19 +148,6 @@ def run(args) -> list:
                     )
                     if "compiled" in backend:
                         row["kernel_backend"] = kernel_backend
-                    if backend == "processes":
-                        # batches needed before the one-time pack+attach
-                        # overhead is recouped (only meaningful when the
-                        # process backend is actually faster per batch).
-                        row.update(arena_info)
-                        setup_s = (
-                            arena_info["arena_pack_ms"]
-                            + arena_info["arena_attach_ms"]
-                        ) / 1e3
-                        gain = t_serial - t
-                        row["arena_amortize_batches"] = (
-                            round(setup_s / gain, 1) if gain > 0 else "inf"
-                        )
                     rows.append(row)
                     print(
                         f"{strategy:>17}/{mode:<8} {backend:<9} w={workers:<2} "
@@ -233,7 +170,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, nargs="+", default=list(DEFAULT_WORKERS),
-        help="worker counts to measure for threads/processes",
+        help="worker counts to measure for the thread backends",
     )
     parser.add_argument(
         "--strategies", nargs="+", default=list(DEFAULT_STRATEGIES)

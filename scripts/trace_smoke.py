@@ -1,30 +1,25 @@
 """Distributed-tracing smoke gate (``make trace-smoke``).
 
-One serving burst, three checks — all over a real socket with the
-engine's ``processes`` backend, so the full cross-process path runs:
-client-stamped trace context → protocol-v2 QUERY frame → admission →
-service staging → flush → engine dispatch → pool-worker execution →
-telemetry shipped back and merged.
+One serving burst, two checks — over a real socket, on a 2-shard index
+behind the engine's ``threads+compiled`` backend, so a traced request
+crosses every thread of the stack: client-stamped trace context →
+protocol-v2 QUERY frame → admission → service staging → flush → engine
+dispatch → shard jobs on the engine's pool threads.
 
-1. **Complete cross-process traces** — at least one client-chosen
-   ``trace_id`` must reconstruct into a single parented tree containing
-   every layer (``net.request`` → ``service.flush`` →
-   ``engine.execute`` → worker-side ``strategy.batch``) with spans from
-   at least two distinct pids.
-2. **Chrome-trace export** — the Trace Event dump of that trace must
-   carry complete (``X``) events from both processes, loadable in
-   ``chrome://tracing`` / Perfetto as-is.
-3. **Merged worker metrics** — the parent registry must hold
-   worker-labelled ``repro_strategy_partition_touches_total`` series
-   with a positive total, plus a positive telemetry-merge count: the
-   deltas piggybacked on result payloads actually landed.
+1. **Complete parented traces** — every client-chosen ``trace_id`` must
+   reconstruct into one parented tree containing every layer
+   (``net.request`` → ``service.flush`` → ``engine.execute`` →
+   ``strategy.batch``), and every span that finished on a pool thread
+   must hang under ``engine.execute``.
+2. **Chrome-trace export** — the Trace Event dump of each trace must
+   carry complete (``X``) events for every layer on at least two thread
+   lanes, loadable in ``chrome://tracing`` / Perfetto as-is.
 
 Exits non-zero on any violation.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 from pathlib import Path
@@ -35,24 +30,24 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine import ExecutionEngine
-from repro.hint.index import HintIndex
 from repro.intervals.collection import IntervalCollection
 from repro.net import QueryClient, TraceContext, new_trace_id, serve_in_thread
 from repro.obs.chrome_trace import to_chrome_trace
 from repro.obs.tracecontext import build_trace_tree, format_trace_id
 from repro.service import BatchingQueryService
+from repro.shard import ShardedHint
 
 M = 12
 REQUESTS = 24
 LAYERS = ("net.request", "service.flush", "engine.execute", "strategy.batch")
+POOL_PREFIX = "repro-engine"
 
 
-def _walk(node, names, pids):
-    names.add(node["name"])
-    if node.get("pid") is not None:
-        pids.add(node["pid"])
+def _walk(node, path=()):
+    """Yield ``(node, names of its ancestors)`` over a trace tree."""
+    yield node, path
     for child in node.get("children", ()):
-        _walk(child, names, pids)
+        yield from _walk(child, path + (node["name"],))
 
 
 def main() -> int:
@@ -64,7 +59,7 @@ def main() -> int:
 
     ob = obs.configure(enabled=True)
     engine = ExecutionEngine(
-        HintIndex(coll, m=M), backend="processes", workers=2
+        ShardedHint(coll, k=2, m=M), backend="threads+compiled", workers=2
     )
     service = BatchingQueryService(
         engine, mode="count", max_batch=8, max_delay_ms=2.0
@@ -77,78 +72,66 @@ def main() -> int:
             for _ in range(REQUESTS):
                 tid = new_trace_id(id_rng)
                 trace_ids.append(tid)
-                a = int(rng.integers(0, top))
-                b = min(a + int(rng.integers(1, 400)), top)
+                # Straddle the shard cut: every query is a job for both
+                # shards, so its strategy spans finish on pool threads.
+                a = int(rng.integers(0, top // 2 - 1))
+                b = int(rng.integers(top // 2 + 1, top))
                 client.query(a, b, trace=TraceContext(tid))
     finally:
         handle.close()
         engine.close()
 
     states = [sp.state() for sp in ob.recorder.spans()]
-    parent_pid = os.getpid()
 
-    # Check 1: at least one trace is complete and crosses processes.
-    complete = []
+    # Check 1: every trace is one parented tree, pool spans included.
+    pooled_total = 0
     for tid in trace_ids:
         tree = build_trace_tree(states, tid)
         if tree is None:
+            raise SystemExit(f"trace {format_trace_id(tid)} left no spans at all")
+        nodes = list(_walk(tree))
+        names = {node["name"] for node, _ in nodes}
+        missing = [layer for layer in LAYERS if layer not in names]
+        if tree["name"] != "net.request" or missing:
             raise SystemExit(
-                f"trace {format_trace_id(tid)} left no spans at all"
+                f"trace {format_trace_id(tid)} rooted at {tree['name']!r} "
+                f"is missing layers {missing}"
             )
-        names, pids = set(), set()
-        _walk(tree, names, pids)
-        if all(layer in names for layer in LAYERS) and pids - {parent_pid}:
-            complete.append(tid)
-    if not complete:
-        raise SystemExit(
-            f"none of {len(trace_ids)} traces reconstructed with all of "
-            f"{LAYERS} across >= 2 pids — cross-process propagation or "
-            "span shipping is broken"
-        )
+        pooled = [
+            (node, path) for node, path in nodes
+            if str(node.get("thread", "")).startswith(POOL_PREFIX)
+        ]
+        if not pooled:
+            raise SystemExit(
+                f"trace {format_trace_id(tid)} never reached a pool thread"
+            )
+        for node, path in pooled:
+            if "engine.execute" not in path:
+                raise SystemExit(
+                    f"trace {format_trace_id(tid)}: {node['name']} on "
+                    f"{node['thread']} hangs under {' > '.join(path)}, not "
+                    "engine.execute"
+                )
+        pooled_total += len(pooled)
     print(
-        f"trace-smoke: {len(complete)}/{len(trace_ids)} traces complete "
-        f"across processes (e.g. {format_trace_id(complete[0])})"
+        f"trace-smoke: {len(trace_ids)}/{len(trace_ids)} traces complete, "
+        f"{pooled_total} pool-thread spans under engine.execute"
     )
 
-    # Check 2: the Chrome-trace dump of one complete trace spans 2 pids.
-    events = to_chrome_trace(states, trace_id=complete[0])["traceEvents"]
-    xevents = [e for e in events if e["ph"] == "X"]
-    xpids = {e["pid"] for e in xevents}
-    xnames = {e["name"] for e in xevents}
-    if len(xpids) < 2 or not all(layer in xnames for layer in LAYERS):
-        raise SystemExit(
-            f"chrome-trace dump incomplete: pids={sorted(xpids)}, "
-            f"layers={sorted(xnames)}"
-        )
-    print(
-        f"trace-smoke: chrome dump ok ({len(xevents)} events over "
-        f"{len(xpids)} pids)"
-    )
-
-    # Check 3: worker telemetry landed in the parent registry.
-    snap = ob.registry.snapshot()
-    touches = [
-        c for c in snap["counters"]
-        if c["name"] == "repro_strategy_partition_touches_total"
-        and "worker" in c.get("labels", {})
-    ]
-    merges = sum(
-        c["value"] for c in snap["counters"]
-        if c["name"] == "repro_worker_telemetry_merges_total"
-    )
-    workers = sorted({c["labels"]["worker"] for c in touches})
-    total = sum(c["value"] for c in touches)
-    if not touches or total <= 0:
-        raise SystemExit(
-            "no worker-labelled partition-touch series in the parent "
-            "registry — telemetry aggregation is broken"
-        )
-    if merges <= 0:
-        raise SystemExit("telemetry merge counter never incremented")
-    print(
-        f"trace-smoke: worker metrics merged ({total} touches from "
-        f"workers {workers}, {int(merges)} deltas)"
-    )
+    # Check 2: the Chrome-trace dump of each trace spans >= 2 lanes.
+    lanes_min = None
+    for tid in trace_ids:
+        events = to_chrome_trace(states, trace_id=tid)["traceEvents"]
+        xevents = [e for e in events if e["ph"] == "X"]
+        lanes = {(e["pid"], e["tid"]) for e in xevents}
+        xnames = {e["name"] for e in xevents}
+        if len(lanes) < 2 or not all(layer in xnames for layer in LAYERS):
+            raise SystemExit(
+                f"chrome-trace dump of {format_trace_id(tid)} incomplete: "
+                f"lanes={len(lanes)}, layers={sorted(xnames)}"
+            )
+        lanes_min = len(lanes) if lanes_min is None else min(lanes_min, len(lanes))
+    print(f"trace-smoke: chrome dumps ok (>= {lanes_min} thread lanes each)")
     print("trace-smoke: PASS")
     return 0
 

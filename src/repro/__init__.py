@@ -33,10 +33,9 @@ The package provides:
   HINT indexes behind the same ``execute`` surface, with exact merge
   of boundary-spanning queries (see ``docs/sharding.md``);
 * :mod:`repro.engine` — :class:`~repro.engine.ExecutionEngine`, the
-  process-parallel execution engine: the built index packed once into
-  a shared-memory arena, persistent worker processes attaching
-  zero-copy views, serial/threads/processes/compiled/auto backends
-  behind the same ``execute`` surface (see ``docs/parallelism.md``);
+  backend-selecting execution engine: serial/threads/compiled/
+  threads+compiled/auto backends over one borrowed index, behind the
+  same ``execute`` surface (see ``docs/parallelism.md``);
 * :mod:`repro.kernels` — compiled hot-path kernels for the GIL-bound
   inner loops (Numba JIT as the optional ``compiled`` extra, with a
   behaviour-identical pure-NumPy fallback selected at import time),

@@ -29,7 +29,7 @@ together for shell use::
     # reconstruct distributed traces: list them, render one as a text
     # tree, or export Chrome-trace JSON for chrome://tracing / Perfetto
     python -m repro.cli trace --list
-    python -m repro.cli trace --backend processes --chrome trace.json
+    python -m repro.cli trace --backend threads+compiled --chrome trace.json
     python -m repro.cli trace --input run.json --trace-id 0000000000abc123
 
     # live `top`-style dashboard (qps, per-layer p50/p99, cache, SLO)
@@ -54,6 +54,7 @@ import time
 import numpy as np
 
 from repro.core.strategies import STRATEGIES, run_strategy
+from repro.engine import BACKENDS
 from repro.hint.cost import choose_m_model
 from repro.hint.index import HintIndex
 from repro.hint.persist import load_index, save_index
@@ -450,8 +451,8 @@ def _trace_burst(args) -> list:
 
     The full wire path runs — client-stamped trace context → protocol-v2
     QUERY frame → admission → service staging → flush → engine dispatch
-    (including pool workers with ``--backend processes``) — so the
-    returned spans hold complete cross-process traces.
+    (onto the engine's pool threads with ``--backend threads*``) — so the
+    returned spans hold complete traces across every thread they touch.
     """
     import repro.obs as obs
     from repro.net import (
@@ -1042,13 +1043,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="engine worker threads/processes with --backend "
-        "(default: cpu count)",
+        help="engine worker threads with --backend (default: cpu count)",
     )
     p_sim.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "threads", "processes", "compiled", "threads+compiled", "auto"),
+        choices=BACKENDS,
         help="wrap the index in an ExecutionEngine with this backend "
         "(default: install the index directly)",
     )
@@ -1095,12 +1095,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("block", "reject"))
     p_srv.add_argument(
         "--workers", type=int, default=None,
-        help="engine worker threads/processes with --backend",
+        help="engine worker threads with --backend",
     )
     p_srv.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "threads", "processes", "compiled", "threads+compiled", "auto"),
+        choices=BACKENDS,
         help="wrap the index in an ExecutionEngine with this backend",
     )
     p_srv.add_argument(
@@ -1248,9 +1248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--backend",
         default="threads",
-        choices=("serial", "threads", "processes", "compiled", "threads+compiled", "auto"),
-        help="engine backend of the burst (processes exercises "
-        "cross-process trace aggregation)",
+        choices=BACKENDS,
+        help="engine backend of the burst (threads and threads+compiled "
+        "put spans on the engine's pool threads)",
     )
     p_trace.add_argument("--workers", type=int, default=2)
     p_trace.add_argument("--seed", type=int, default=0)
@@ -1348,7 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "threads", "processes", "compiled", "threads+compiled", "auto"),
+        choices=BACKENDS,
         help="run the sharded side through an ExecutionEngine with this "
         "backend (default: the bare index, shards inline)",
     )

@@ -7,10 +7,11 @@ chunks of the *sorted* query sequence (so each chunk keeps the locality
 the strategies rely on), chunks run on a thread pool, and per-chunk
 results are stitched back into caller order.
 
-Threads, not processes: the hot loops of the columnar strategies are
-numpy calls (``searchsorted``, gathers, reductions), which release the
-GIL on large inputs, so thread-level parallelism is real for the serial
-strategies whose per-query work dominates.  For the fully vectorized
+Threads share the index without copying it: the hot loops of the
+columnar strategies are numpy calls (``searchsorted``, gathers,
+reductions), which release the GIL on large inputs, so thread-level
+parallelism is real for the serial strategies whose per-query work
+dominates.  For the fully vectorized
 partition-based count path the sequential version is already one long
 numpy pipeline; chunking mainly helps its ids mode and the other
 strategies.  The ablation benchmark ``bench_ablation_parallel`` measures
@@ -130,7 +131,8 @@ def parallel_batch(
     if ob is not None:
         # Chunks run on pool threads, outside the dispatching thread's
         # trace scope and span stack — capture both here so the chunk
-        # spans stay attributable to the flush that dispatched them.
+        # spans, and the strategy spans inside them, stay attributable to
+        # the flush that dispatched them.
         trace_ids = ob.recorder.current_trace_ids()
         parent_id = ob.recorder.current_span_id()
 
@@ -144,7 +146,7 @@ def parallel_batch(
         # (the straggler that bounds the whole flush) is visible live.
         t0 = perf_counter()
         try:
-            with ob.recorder.trace_scope(trace_ids):
+            with ob.recorder.trace_scope(trace_ids, parent_id):
                 return run_fn(index, sub)
         finally:
             ob.record_parallel_chunk(

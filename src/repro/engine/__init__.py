@@ -1,30 +1,14 @@
-"""Shared-memory process-parallel execution engine.
+"""Backend-selecting batch-execution engine.
 
 The paper closes with multi-core batch processing as future work; this
-package is the process half of that investigation (threads live in
-:mod:`repro.core.parallel`).  A built index is packed once into a
-shared-memory :class:`SharedIndexArena`, a persistent worker pool
-attaches it zero-copy, and :class:`ExecutionEngine` routes each batch to
-the cheapest backend — serial, threads, or processes — behind the same
-``execute()`` contract the batching service already consumes.
+package routes each batch to serial execution, the thread pool of
+:mod:`repro.core.parallel`, or the compiled kernels of
+:mod:`repro.kernels` — behind the same ``execute()`` contract the
+batching service already consumes.
 
-See ``docs/parallelism.md`` for the thread-vs-process decision matrix,
-arena memory accounting, and start-method caveats.
+See ``docs/parallelism.md`` for the backend decision matrix.
 """
 
-from repro.engine.arena import (
-    SEGMENT_PREFIX,
-    SharedIndexArena,
-    attach_index,
-    list_arena_segments,
-)
 from repro.engine.engine import BACKENDS, ExecutionEngine
 
-__all__ = [
-    "BACKENDS",
-    "ExecutionEngine",
-    "SEGMENT_PREFIX",
-    "SharedIndexArena",
-    "attach_index",
-    "list_arena_segments",
-]
+__all__ = ["BACKENDS", "ExecutionEngine"]

@@ -56,9 +56,8 @@ class HintIndex:
         Eagerly build the lazy per-table auxiliary arrays
         (:attr:`~repro.hint.tables.SubdivisionTable.xor_prefix`) at the
         end of the build.  Off by default — count-only workloads never
-        need them — but build paths feeding checksum-heavy serving (or
-        the shared-memory arena of :mod:`repro.engine`, which packs
-        them) should turn it on so no query thread pays the lazy build.
+        need them — but build paths feeding checksum-heavy serving
+        should turn it on so no query thread pays the lazy build.
     debug_checks:
         Run the structural invariant validators
         (:func:`repro.verify.invariants.verify_index`) against the
@@ -126,7 +125,7 @@ class HintIndex:
         levels: List[LevelData],
     ) -> "HintIndex":
         """Assemble an index around prebuilt level tables without a
-        collection pass (persistence load, shared-memory arena attach)."""
+        collection pass (persistence load)."""
         index = cls.__new__(cls)
         index.m = int(m)
         index.num_intervals = int(num_intervals)
@@ -240,10 +239,9 @@ class HintIndex:
         """Eagerly build every table's lazy auxiliary arrays.
 
         Build/attach paths call this when checksum-mode traffic is
-        expected (the service warm-up, the shared-memory arena pack in
-        :mod:`repro.engine`), so the per-table ``xor_prefix`` arrays are
-        materialized once, up front, instead of lazily — and racily —
-        on the first checksum flush.  Idempotent and thread-safe.
+        expected (the service warm-up), so the per-table ``xor_prefix``
+        arrays are materialized once, up front, instead of lazily — and
+        racily — on the first checksum flush.  Idempotent and thread-safe.
         """
         for level in self.levels:
             level.precompute_aux()

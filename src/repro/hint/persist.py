@@ -23,11 +23,9 @@ PathLike = Union[str, pathlib.Path]
 
 FORMAT_VERSION = 1
 
-#: Systematic per-level table keys, in :meth:`LevelData.tables` order.
-#: Shared layout metadata: the ``.npz`` archive format here and the
-#: shared-memory arena manifest (:mod:`repro.engine.arena`) both
-#: enumerate a :class:`HintIndex`'s arrays through these constants, so
-#: the two serializations cannot drift.
+#: Systematic per-level table keys, in :meth:`LevelData.tables` order:
+#: the ``.npz`` archive format enumerates a :class:`HintIndex`'s arrays
+#: through these constants.
 CLASS_KEYS = ("o_in", "o_aft", "r_in", "r_aft")
 
 #: Optional (nullable) array columns of a :class:`SubdivisionTable`, in

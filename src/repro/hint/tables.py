@@ -105,7 +105,7 @@ class SubdivisionTable:
         (e.g. two pool workers hitting the same table in a checksum
         flush) build the array exactly once and every caller observes
         the same fully initialized object.  Callers that know they will
-        need it (index build, arena attach) should call
+        need it (index build, persistence load) should call
         :meth:`precompute_aux` up front instead of racing here.
         """
         xp = self._xor_prefix

@@ -8,10 +8,9 @@ production code never imports this module directly.
 Every kernel is compiled with ``nogil=True``: once the machine code
 exists, calls release the GIL for their whole run, which is what lets
 the ``threads+compiled`` engine backend scale the Python-loop-bound
-work (ids materialization, masked probes) across cores without the
-pickle/arena costs of process dispatch.  ``cache=True`` persists the
-compiled artifacts on disk (honouring ``NUMBA_CACHE_DIR``), so only
-the first process on a machine pays the compile.
+work (ids materialization, masked probes) across cores.  ``cache=True``
+persists the compiled artifacts on disk (honouring ``NUMBA_CACHE_DIR``),
+so only the first process on a machine pays the compile.
 
 The loops mirror :mod:`repro.kernels.fallback` exactly — same output
 dtypes, same element order — and the differential tests enforce it.

@@ -108,9 +108,6 @@ SHARD_BATCH_SECONDS = "repro_shard_batch_seconds"
 ENGINE_BATCHES = "repro_engine_batches_total"
 ENGINE_QUERIES = "repro_engine_queries_total"
 ENGINE_BATCH_SECONDS = "repro_engine_batch_seconds"
-ENGINE_FALLBACKS = "repro_engine_fallbacks_total"
-ENGINE_ARENA_BYTES = "repro_engine_arena_bytes"
-ENGINE_ARENA_SEGMENTS = "repro_engine_arena_segments"
 CACHE_HITS = "repro_cache_hits_total"
 CACHE_MISSES = "repro_cache_misses_total"
 CACHE_SHARED = "repro_cache_shared_total"
@@ -127,7 +124,6 @@ NET_DEADLINE_DROPPED = "repro_net_deadline_dropped_total"
 NET_ADMISSION_REJECTED = "repro_net_admission_rejected_total"
 NET_OVERLOAD_SHED = "repro_net_overload_shed_total"
 NET_DECODE_ERRORS = "repro_net_decode_errors_total"
-WORKER_MERGES = "repro_worker_telemetry_merges_total"
 SLO_LATENCY_QUANTILE = "repro_slo_latency_quantile_seconds"
 SLO_LATENCY_TARGET = "repro_slo_latency_target_seconds"
 SLO_BURN_RATE = "repro_slo_error_budget_burn_rate"
@@ -215,8 +211,7 @@ class Observability:
         """Head-based sampling verdict for a fresh trace.
 
         Decided once at the entry point (the query server) and carried
-        on the :class:`TraceContext` from there on; slow and errored
-        worker spans ship regardless (see :mod:`repro.obs.aggregate`).
+        on the :class:`TraceContext` from there on.
         """
         rate = self.config.trace_sample_rate
         if rate >= 1.0:
@@ -422,7 +417,7 @@ class Observability:
     ) -> None:
         """Per-batch accounting of one :class:`~repro.engine.
         ExecutionEngine` execution, labelled by the backend that
-        actually ran it (``serial`` / ``threads`` / ``processes`` —
+        actually ran it (``serial`` / ``threads`` / ``compiled`` / … —
         the *resolved* backend, so an ``auto`` engine's policy mix is
         directly visible)."""
         labels = {"backend": backend}
@@ -442,27 +437,6 @@ class Observability:
             labels=labels,
             help="End-to-end engine batch latency, by backend.",
         ).observe(duration)
-
-    def record_engine_fallback(self, reason: str) -> None:
-        """The engine abandoned its process pool mid-dispatch (worker
-        crash, injected fault) and degraded to in-process execution."""
-        self.registry.counter(
-            ENGINE_FALLBACKS,
-            labels={"reason": reason},
-            help="Process-backend dispatches degraded to in-process "
-            "execution, by failure reason.",
-        ).inc()
-
-    def record_engine_arena(self, nbytes: int, segments: int) -> None:
-        """Current shared-memory arena footprint of live engines."""
-        self.registry.gauge(
-            ENGINE_ARENA_BYTES,
-            help="Bytes currently held in shared-memory index arenas.",
-        ).inc(nbytes)
-        self.registry.gauge(
-            ENGINE_ARENA_SEGMENTS,
-            help="Live shared-memory segments backing index arenas.",
-        ).inc(segments)
 
     def record_kernel_batch(
         self, backend: str, invocations: Mapping[str, int], compile_seconds: float

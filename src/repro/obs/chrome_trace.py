@@ -1,17 +1,15 @@
 """Chrome-trace (``chrome://tracing`` / Perfetto) exporter for spans.
 
-Converts span ``state()`` dicts — parent-side and worker-adopted alike —
-into the Trace Event JSON object format that ``chrome://tracing``,
-``edge://tracing`` and https://ui.perfetto.dev load directly: one ``X``
-(complete) event per span with microsecond timestamps, laid out in one
-lane per ``(pid, thread)`` so the cross-process structure of a batch is
-visible at a glance (the parent's flusher lane next to each worker's
-lane).
+Converts span ``state()`` dicts into the Trace Event JSON object format
+that ``chrome://tracing``, ``edge://tracing`` and https://ui.perfetto.dev
+load directly: one ``X`` (complete) event per span with microsecond
+timestamps, laid out in one lane per ``(pid, thread)`` so the threaded
+structure of a batch is visible at a glance (the event loop, the
+flusher and each engine pool thread get a lane of their own).
 
 Span ``started`` values come from ``time.perf_counter()``, which on
-Linux is the system-wide ``CLOCK_MONOTONIC`` — timestamps from the
-parent and its (forked or spawned) pool workers share one clock, so
-events line up without adjustment.  Timestamps are normalized to the
+Linux is the system-wide ``CLOCK_MONOTONIC`` — timestamps from every
+thread share one clock, so events line up without adjustment.  Timestamps are normalized to the
 earliest span so traces start near zero.
 
 Use :func:`to_chrome_trace` for a whole recorder dump or a single trace

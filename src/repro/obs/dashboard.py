@@ -4,11 +4,11 @@
 optionally the previous one, for rates) into fixed-width text: request
 throughput and shed/drop rates, p50/p99 latency per layer (from the
 ``repro_span_seconds`` histograms, so every instrumented layer shows up
-automatically), cache hit rate, arena residency, connection and span
-counts, and any published ``repro_slo_*`` verdicts.  :func:`run_top`
-is the terminal loop around it (ANSI clear + redraw), which ``python -m
-repro.cli top`` wires to the shell — pointable at a live in-process
-plane or at a ``--json`` snapshot file another process keeps rewriting.
+automatically), cache hit rate, connection and span counts, and any
+published ``repro_slo_*`` verdicts.  :func:`run_top` is the terminal
+loop around it (ANSI clear + redraw), which ``python -m repro.cli top``
+wires to the shell — pointable at a live in-process plane or at a
+``--json`` snapshot file another process keeps rewriting.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ def _fmt_ms(value: Optional[float]) -> str:
     return f"{value * 1000:8.2f}" if value is not None else "       -"
 
 
-def _fmt_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024 or unit == "GiB":
-            return f"{n:.1f}{unit}"
-        n /= 1024
-    return f"{n:.1f}GiB"
-
-
 def render_dashboard(
     snapshot: dict,
     prev: Optional[dict] = None,
@@ -133,12 +125,6 @@ def render_dashboard(
             f"  cache      {hits / (hits + misses) * 100:6.1f}% hit"
             f"   ({hits} hit / {misses} miss)"
         )
-    arena = _gauge_total(m, "repro_engine_arena_bytes")
-    if arena:
-        lines.append(f"  arena      {_fmt_bytes(arena)} shared-memory resident")
-    merges = _counter_total(m, "repro_worker_telemetry_merges_total")
-    if merges:
-        lines.append(f"  workers    {merges} telemetry deltas merged")
 
     slo_rows = []
     for entry in _gauge_entries(m, "repro_slo_error_budget_burn_rate"):

@@ -226,30 +226,6 @@ class Histogram(_Metric):
             lower = upper
         return self.bounds[-1]
 
-    def merge_counts(
-        self, counts: Sequence[int], sum_: float, count: int
-    ) -> None:
-        """Fold another histogram's per-bucket deltas into this one.
-
-        *counts* must align with this histogram's buckets (same bounds
-        on both sides — ``len(bounds) + 1`` slots, last is ``+Inf``).
-        Used by cross-process aggregation (:mod:`repro.obs.aggregate`)
-        to merge worker-shipped bucket deltas without replaying the
-        individual observations.
-        """
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"bucket count mismatch: got {len(counts)}, "
-                f"have {len(self._counts)}"
-            )
-        if count < 0 or any(c < 0 for c in counts):
-            raise ValueError("histogram deltas must be non-negative")
-        with self._lock:
-            for pos, c in enumerate(counts):
-                self._counts[pos] += int(c)
-            self._sum += float(sum_)
-            self._count += int(count)
-
     def state(self) -> dict:
         with self._lock:
             return {

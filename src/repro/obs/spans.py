@@ -25,7 +25,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 
@@ -41,11 +41,10 @@ class Span:
     ``trace_ids`` is the (possibly empty) tuple of request trace ids the
     span belongs to — a batch-grained span (one flush answers many
     requests) is a member of every sampled trace in its batch.  ``pid``
-    and ``thread`` identify the recording process/thread: entries from
-    forked pool workers (which inherit the parent recorder under the
-    ``fork`` start method) and spans adopted from worker telemetry carry
-    the *worker's* pid, so ring and slow-log entries from different
-    processes never interleave anonymously.
+    and ``thread`` identify the recording process/thread: a forked child
+    that inherited the recorder stamps its own pid, and spans finished on
+    pool threads carry that thread's name (one lane each in a Chrome
+    trace).
     """
 
     __slots__ = (
@@ -185,15 +184,24 @@ class SpanRecorder:
         return getattr(self._local, "traces", ())
 
     @contextmanager
-    def trace_scope(self, trace_ids: Sequence[int]):
+    def trace_scope(
+        self, trace_ids: Sequence[int], parent_id: Optional[int] = None
+    ):
         """Tag every span this thread records inside the block with
         *trace_ids* — how the flusher stamps one batch's spans with the
-        trace ids of every sampled request it answers."""
+        trace ids of every sampled request it answers.  *parent_id*
+        parents the block's outermost spans under a span open on another
+        thread: a pool thread running work its dispatcher timed."""
         prev = getattr(self._local, "traces", ())
         self._local.traces = tuple(int(t) for t in trace_ids)
+        stack = self._stack()
+        if parent_id is not None:
+            stack.append(parent_id)
         try:
             yield
         finally:
+            if parent_id is not None:
+                stack.pop()
             self._local.traces = prev
 
     @contextmanager
@@ -262,57 +270,6 @@ class SpanRecorder:
             self._started += 1
         self._finish(sp)
         return sp
-
-    def adopt(
-        self,
-        states: Iterable[dict],
-        *,
-        parent_id: Optional[int] = None,
-    ) -> List[Span]:
-        """Graft spans shipped from another process into this recorder.
-
-        *states* are :meth:`Span.state` dicts from a worker's recorder
-        (see :mod:`repro.obs.aggregate`).  Every span gets a fresh id
-        from this recorder's counter; parent links *within the shipped
-        set* are remapped to the new ids, and shipped spans whose parent
-        is not in the set are re-parented under *parent_id* (typically
-        the ``engine.execute`` span that dispatched the work).  Worker
-        pid/thread labels, durations, attrs and trace ids are preserved.
-        Adopted spans do **not** re-observe the latency histogram — the
-        worker already counted them, and its histogram deltas merge
-        separately (double-counting would skew the merged series).
-        """
-        states = list(states)
-        id_map: Dict[int, int] = {
-            s["span_id"]: next(self._ids) for s in states
-        }
-        adopted: List[Span] = []
-        for state in states:
-            old_parent = state.get("parent_id")
-            new_parent = id_map.get(old_parent, parent_id)
-            sp = Span(
-                state["name"],
-                id_map[state["span_id"]],
-                new_parent,
-                float(state.get("started", 0.0)),
-                float(state.get("duration", 0.0)),
-                dict(state.get("attrs", {})),
-                trace_ids=tuple(int(t) for t in state.get("trace_ids", ())),
-                pid=state.get("pid"),
-                thread=state.get("thread"),
-            )
-            adopted.append(sp)
-        threshold_of = self.slow_overrides.get
-        with self._lock:
-            for sp in adopted:
-                self._started += 1
-                self._finished += 1
-                if len(self._ring) == self._ring.maxlen:
-                    self._dropped += 1
-                self._ring.append(sp)
-                if sp.duration >= threshold_of(sp.name, self.slow_threshold_s):
-                    self._slow.append(sp)
-        return adopted
 
     def _finish(self, sp: Span) -> None:
         if sp.pid is None:

@@ -2,8 +2,9 @@
 
 A :class:`TraceContext` is the compact W3C-traceparent-style triple
 ``(trace_id, parent_span_id, sampled)`` that links one client request to
-every span it causes — across threads (net event loop → service flusher)
-and across processes (engine parent → pool workers).  It travels:
+every span it causes — across processes (client → server over the wire)
+and across threads (net event loop → service flusher → engine pool
+threads).  It travels:
 
 * **on the wire** as an optional 17-byte field of a protocol-v2 QUERY
   frame (:mod:`repro.net.protocol`), so a client-chosen ``trace_id``
@@ -12,9 +13,9 @@ and across processes (engine parent → pool workers).  It travels:
   (:class:`~repro.service.BatchingQueryService` keeps it on the pending
   entry), and into the flusher thread via
   :meth:`~repro.obs.spans.SpanRecorder.trace_scope`;
-* **into pool workers** as part of the per-task telemetry request — the
-  worker tags its strategy spans with the same trace ids and ships the
-  sampled ones back (:mod:`repro.obs.aggregate`).
+* **onto pool threads** the same way: the dispatching thread hands its
+  trace ids and open span to each chunk or shard job, so spans that
+  finish on a pool thread keep the trace and their parent.
 
 Because one *flush* answers many requests, spans carry a **set** of
 trace ids (``Span.trace_ids``) rather than a single one: the span tree
@@ -91,10 +92,9 @@ class TraceContext:
         (0 = no parent): a client stamps its own span, the server
         stamps the ``net.request`` root for everything downstream.
     ``sampled``
-        Head-based sampling verdict.  Unsampled traces are still tagged
-        locally (the ring retains everything while the plane is on) but
-        workers only ship their spans for sampled traces — except spans
-        that are slow or errored, which always ship.
+        Head-based sampling verdict.  An unsampled request keeps its
+        ``net.request`` span, but its trace id does not propagate into
+        the flush scope, so no layer below tags a span with it.
     """
 
     trace_id: int
@@ -153,7 +153,7 @@ def build_trace_tree(
     """Reconstruct trace *trace_id* as one parented tree.
 
     Input is span ``state()`` dicts (e.g. a snapshot's ``spans.recent``
-    section, or merged parent+worker spans).  Membership is by
+    section, or a recorder's ring).  Membership is by
     ``trace_ids``; a member parents under its ``parent_id`` when that
     span is also a member, otherwise it attaches under the trace root.
     The root is the earliest-started member named ``net.request`` when

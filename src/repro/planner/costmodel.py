@@ -13,7 +13,7 @@ latency is modelled as::
 The three coefficients come from a ~100 ms startup **micro-calibration**
 (a seeded probe suite per plan, non-negative least-squares fit),
 persisted to ``results/planner-calibration.json`` and reloadable so
-later processes skip the probes.  The model keeps the samples each entry
+later runs skip the probes.  The model keeps the samples each entry
 was fitted from, so the planner can add the first batches of a size the
 suite never timed and fit again through :meth:`CostModel.fit`.  Online,
 every other executed batch feeds :meth:`CostModel.observe`, which

@@ -113,11 +113,7 @@ class PlannedExecutor:
         if planner is not None:
             self.planner = planner
         else:
-            caps = BackendCaps.from_index(
-                index,
-                workers=self._engine.workers,
-                processes_ok=False,
-            )
+            caps = BackendCaps.from_index(index, workers=self._engine.workers)
             if model is None and reuse_calibration and model_path:
                 model = _try_load(model_path, index, caps)
             self.planner = AdaptivePlanner(index, caps=caps, model=model)

@@ -78,7 +78,6 @@ class BackendCaps:
     workers: int = 1
     sharded: bool = False
     compiled_ok: bool = True
-    processes_ok: bool = False
 
     @classmethod
     def from_index(
@@ -87,7 +86,6 @@ class BackendCaps:
         *,
         cpus: Optional[int] = None,
         workers: Optional[int] = None,
-        processes_ok: bool = False,
     ) -> "BackendCaps":
         import os
 
@@ -104,7 +102,6 @@ class BackendCaps:
             workers=int(workers) if workers is not None else ncpu,
             sharded=sharded,
             compiled_ok=compiled_ok,
-            processes_ok=bool(processes_ok),
         )
 
     def backends_for(self, strategy: str) -> List[str]:
@@ -116,8 +113,6 @@ class BackendCaps:
             backends.append("threads")
             if self.compiled_ok and strategy in COMPILED_STRATEGIES:
                 backends.append("threads+compiled")
-            if self.processes_ok:
-                backends.append("processes")
         return backends
 
 

@@ -56,7 +56,6 @@ EXPLORE_CAP = 4.0
 #: which a shared machine grants one minute and not the next (2 shards,
 #: ids: 6.5 ms against 6.2 on one core when idle, 12 against 7.5 when not).
 MULTICORE_MARGIN = 0.8
-_MULTICORE = ("threads", "processes")  # backend name prefixes
 
 
 @dataclass
@@ -476,7 +475,7 @@ def _pick(scored: List[Tuple[float, Plan]]) -> Tuple[float, Plan]:
     on several cores and is not :data:`MULTICORE_MARGIN` below the
     cheapest that runs on one."""
     one_core = next(
-        (item for item in scored if not item[1].backend.startswith(_MULTICORE)),
+        (item for item in scored if not item[1].backend.startswith("threads")),
         scored[0],
     )
     return scored[0] if scored[0][0] < one_core[0] * MULTICORE_MARGIN else one_core

@@ -10,8 +10,7 @@ can import this module without a cycle):
   It consults the *live* kernel state: ``threads+compiled`` is only
   preferred when the JIT kernels are genuinely available **and not**
   running on the pure-NumPy fallback — fallback kernels hold the GIL,
-  so threading them is strictly worse than the process pool for
-  GIL-bound work.
+  so threading them only adds dispatch cost to the kernel path.
 * :func:`cold_start_recommendation` — the paper-rule strategy prior
   (Section 4 findings) that :func:`repro.core.advisor.recommend_strategy`
   wraps and the adaptive planner starts from, so the advisor and the
@@ -20,14 +19,13 @@ can import this module without a cycle):
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from repro.kernels import ops as kernel_ops
 
 __all__ = [
     "GIL_BOUND_STRATEGIES",
-    "SERIAL_CUTOFF",
-    "PROCESS_CUTOFF",
+    "NOGIL_CUTOFF",
     "THREAD_CUTOFF",
     "static_backend_choice",
     "compiled_kernels_nogil",
@@ -35,11 +33,10 @@ __all__ = [
 ]
 
 #: Strategies whose per-query work is a Python-level loop: they hold the
-#: GIL, so threads cannot speed them up but processes can.  The
-#: partition-based strategy is one vectorized numpy pipeline — its
-#: count/checksum modes parallelize poorly across processes too (the
-#: serial version is already memory-bound), but its ids mode spends its
-#: time materializing per-query arrays, which is GIL-bound again.
+#: GIL, so threads cannot speed them up.  The partition-based strategy
+#: is one vectorized numpy pipeline; its ids mode spends its time
+#: materializing per-query arrays, which the compiled kernels do faster
+#: than the interpreter even on the NumPy fallback.
 GIL_BOUND_STRATEGIES = frozenset(
     {"query-based", "query-based-sorted", "level-based", "join-based"}
 )
@@ -47,8 +44,7 @@ GIL_BOUND_STRATEGIES = frozenset(
 #: The static rule's thresholds (batch sizes), tuned once on the
 #: reference container; the calibrated cost model replaces them, these
 #: remain the prior.
-SERIAL_CUTOFF = 128
-PROCESS_CUTOFF = 512
+NOGIL_CUTOFF = 512
 THREAD_CUTOFF = 2048
 
 
@@ -63,38 +59,25 @@ def compiled_kernels_nogil() -> bool:
     return kernel_ops.jit_available() and not kernel_ops.fallback_active()
 
 
-def static_backend_choice(
-    n: int,
-    strategy: str,
-    mode: str,
-    *,
-    cpus: int,
-    processes_up: Optional[Callable[[], bool]] = None,
-) -> str:
+def static_backend_choice(n: int, strategy: str, mode: str, *, cpus: int) -> str:
     """The threshold rule (the engine's ``auto`` backend).
 
-    * small batches (< :data:`SERIAL_CUTOFF`) and single-core machines
-      always run serial — no parallel backend can amortize its dispatch
-      there;
-    * GIL-bound work (a Python-loop strategy, or ids-mode
-      materialization) of at least :data:`PROCESS_CUTOFF` queries goes to
-      ``threads+compiled`` when the JIT kernels are live (nogil machine
-      code without arena/pickle costs) and to the process pool
-      otherwise — *processes_up* is called lazily to start/probe the
-      pool, so machines that never reach this branch never pay for it;
-    * remaining vectorized work of at least :data:`THREAD_CUTOFF` queries
-      uses threads (numpy releases the GIL in the hot loops); anything
-      else runs serial.
+    * partition-based batches in ids mode run on the compiled kernels at
+      every size — on several cores through ``threads+compiled`` once
+      the batch reaches :data:`NOGIL_CUTOFF` and the kernels release the
+      GIL, otherwise ``compiled`` in the calling thread;
+    * the GIL-bound strategies (:data:`GIL_BOUND_STRATEGIES`) run
+      serial: threads only add dispatch cost to a Python loop;
+    * vectorized work of at least :data:`THREAD_CUTOFF` queries on a
+      multi-core machine uses threads (numpy releases the GIL in the hot
+      loops); anything else runs serial.
     """
-    if n < SERIAL_CUTOFF or cpus <= 1:
-        return "serial"
-    gil_bound = strategy in GIL_BOUND_STRATEGIES or mode == "ids"
-    if gil_bound and n >= PROCESS_CUTOFF:
-        if compiled_kernels_nogil():
+    multicore = cpus > 1
+    if strategy == "partition-based" and mode == "ids":
+        if multicore and n >= NOGIL_CUTOFF and compiled_kernels_nogil():
             return "threads+compiled"
-        if processes_up is not None and processes_up():
-            return "processes"
-    if n >= THREAD_CUTOFF:
+        return "compiled"
+    if multicore and n >= THREAD_CUTOFF and strategy not in GIL_BOUND_STRATEGIES:
         return "threads"
     return "serial"
 

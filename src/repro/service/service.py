@@ -430,8 +430,8 @@ class BatchingQueryService:
         returned.  For an installed
         :class:`~repro.engine.ExecutionEngine` this is the resource
         contract: its ``close()`` waits for the in-flight flush to
-        drain, then shuts its pools down and unlinks its shared-memory
-        arena — swapping an engine out can never leak a segment.
+        drain, then joins its pool threads — swapping an engine out can
+        never leak a thread.
         """
         ob = obs.active()
         if ob is None:

@@ -393,7 +393,7 @@ class ShardedHint:
         The shard side tables (replica/original XOR prefixes) are always
         materialized at build; this extends the same eagerness to the
         per-shard HINT tables' ``xor_prefix`` — called by checksum-heavy
-        warm-up paths and the shared-memory arena pack.
+        warm-up paths.
         """
         for shard in self.shards:
             shard.index.precompute_aux()
@@ -410,10 +410,9 @@ class ShardedHint:
     ) -> "ShardedHint":
         """Assemble an instance from prebuilt shards without rebuilding.
 
-        Reconstruction path shared by persistence
-        (:func:`~repro.shard.persist.load_sharded`) and the
-        shared-memory arena attach in :mod:`repro.engine` — no
-        collection pass, no copies, cuts validated.
+        Reconstruction path of persistence
+        (:func:`~repro.shard.persist.load_sharded`) — no collection
+        pass, no copies, cuts validated.
         """
         sharded = cls.__new__(cls)
         sharded.m = int(m)
@@ -490,9 +489,7 @@ class ShardedHint:
         ``jobs`` is one ``(j, j0, j1, spill)`` tuple per shard with any
         work: primary queries occupy the contiguous slice ``j0:j1`` of
         the sorted batch, ``spill`` indexes its boundary-spanning
-        fan-ins.  Shared by the in-process path below and the
-        process-parallel engine (:mod:`repro.engine`), which dispatches
-        the same jobs to pinned worker processes.
+        fan-ins.
         """
         work = batch.sorted_by_start()
         q_st = np.clip(work.st, 0, self._domain_top)
@@ -573,7 +570,7 @@ class ShardedHint:
                     j, j0, j1, spill, q_st, q_end, strategy, mode, runner
                 )
             t0 = perf_counter()
-            with ob.recorder.trace_scope(trace_ids):
+            with ob.recorder.trace_scope(trace_ids, parent_id):
                 out = self._run_shard(
                     j, j0, j1, spill, q_st, q_end, strategy, mode, runner
                 )

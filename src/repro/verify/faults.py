@@ -35,7 +35,6 @@ __all__ = [
     "InjectedFault",
     "SITES",
     "SITE_CACHE_INVALIDATE",
-    "SITE_DISPATCH",
     "SITE_FLUSH",
     "SITE_NET_ACCEPT",
     "SITE_NET_DECODE",
@@ -54,10 +53,6 @@ SITE_SWAP = "service.swap_index"
 #: :class:`~repro.hint.dynamic.DynamicHint` is about to merge its buffer
 #: and tombstones into the index.
 SITE_REBUILD = "dynamic.rebuild"
-#: :class:`~repro.engine.ExecutionEngine` is about to dispatch a batch
-#: to its process pool (fired only on the process-backend path; an
-#: injected failure exercises the degrade-to-in-process fallback).
-SITE_DISPATCH = "engine.dispatch"
 #: :class:`~repro.cache.CachingExecutor` is about to run a *selective*
 #: invalidation pass (dropping only cached queries that overlap mutated
 #: intervals).  An injected failure exercises the degrade path: the
@@ -87,7 +82,6 @@ SITES = (
     SITE_FLUSH,
     SITE_SWAP,
     SITE_REBUILD,
-    SITE_DISPATCH,
     SITE_CACHE_INVALIDATE,
     SITE_NET_ACCEPT,
     SITE_NET_DECODE,

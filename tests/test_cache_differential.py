@@ -66,7 +66,6 @@ COMBOS = (
     ("sharded", "serial"),
     ("sharded", "threads"),
     ("sharded", "engine-auto"),
-    ("hint", "processes"),
     ("sharded", "threads+compiled"),
     ("hint", "split-plan"),
 )

@@ -77,7 +77,6 @@ class TestFaultRuleValidation:
             "service.flush",
             "service.swap_index",
             "dynamic.rebuild",
-            "engine.dispatch",
             "cache.invalidate",
             "net.accept",
             "net.decode",

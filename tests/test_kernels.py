@@ -361,15 +361,16 @@ class TestEngineWiring:
         self, workload, monkeypatch
     ):
         """With the JIT *live* (importable and not displaced by the
-        NumPy fallback), GIL-bound work above process_cutoff displaces
-        process dispatch with threads+compiled."""
+        NumPy fallback), partition-based ids batches above the nogil
+        cutoff run threads+compiled; a Python-loop strategy, which the
+        kernels do not run, stays serial."""
         with ExecutionEngine(workload["hint"], workers=2) as engine:
             engine._cpus = 8
             monkeypatch.setattr(ops, "jit_available", lambda: True)
             monkeypatch.setattr(ops, "fallback_active", lambda: False)
             assert (
                 engine._choose(5_000, "query-based", "count", None)
-                == "threads+compiled"
+                == "serial"
             )
             assert (
                 engine._choose(5_000, "partition-based", "ids", None)
@@ -385,15 +386,19 @@ class TestEngineWiring:
         self, workload, monkeypatch
     ):
         """A numba import that succeeded but was displaced by the NumPy
-        fallback (REPRO_KERNELS=off) holds the GIL — auto must route
-        GIL-bound batches to processes, not threads+compiled."""
+        fallback (REPRO_KERNELS=off) holds the GIL — auto must run
+        GIL-bound batches in the calling thread, not threads+compiled."""
         with ExecutionEngine(workload["hint"], workers=2) as engine:
             engine._cpus = 8
             monkeypatch.setattr(ops, "jit_available", lambda: True)
             monkeypatch.setattr(ops, "fallback_active", lambda: True)
             assert (
+                engine._choose(5_000, "partition-based", "ids", None)
+                == "compiled"
+            )
+            assert (
                 engine._choose(5_000, "query-based", "count", None)
-                == "processes"
+                == "serial"
             )
 
     def test_auto_policy_without_jit_unchanged(self, workload, monkeypatch):
@@ -401,7 +406,7 @@ class TestEngineWiring:
             engine._cpus = 8
             monkeypatch.setattr(ops, "jit_available", lambda: False)
             resolved = engine._choose(5_000, "query-based", "count", None)
-            assert resolved in ("processes", "threads")
+            assert resolved == "serial"
 
     def test_kernel_obs_series(self, workload):
         obs.configure(enabled=True)

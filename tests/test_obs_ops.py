@@ -264,8 +264,6 @@ def _snapshot(requests=100, hits=30, misses=10):
                  "value": misses},
             ],
             "gauges": [
-                {"name": "repro_engine_arena_bytes", "labels": {},
-                 "value": 2048.0},
                 {"name": "repro_slo_error_budget_burn_rate",
                  "labels": {"slo": "request-latency"}, "value": 2.5},
             ],
@@ -286,7 +284,6 @@ class TestDashboard:
         assert "requests" in text and "100 total" in text
         assert "net.request" in text  # latency table row
         assert "75.0% hit" in text
-        assert "2.0KiB" in text
         assert "HOT" in text and "2.50x" in text  # burning SLO
         assert "10 finished" in text
 

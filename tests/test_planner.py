@@ -30,6 +30,7 @@ from repro.planner import (
 from repro.planner.plan import plan_key
 from repro.planner.policy import (
     GIL_BOUND_STRATEGIES,
+    NOGIL_CUTOFF,
     cold_start_recommendation,
     compiled_kernels_nogil,
     static_backend_choice,
@@ -194,12 +195,6 @@ class TestPlanSpace:
         # Compiled kernels only accelerate the partition-based sweep.
         assert set(caps.backends_for("join-based")) == {"serial", "threads"}
 
-    def test_processes_require_opt_in(self):
-        caps = BackendCaps(cpus=4, workers=4, processes_ok=True)
-        assert "processes" in caps.backends_for("join-based")
-        caps = BackendCaps(cpus=4, workers=4, processes_ok=False)
-        assert "processes" not in caps.backends_for("join-based")
-
     def test_compiled_excluded_without_kernel_support(self):
         caps = BackendCaps(cpus=4, workers=4, compiled_ok=False)
         assert "compiled" not in caps.backends_for("partition-based")
@@ -247,39 +242,35 @@ class TestStaticBackendChoice:
         assert compiled_kernels_nogil()
         choice = static_backend_choice(1024, "partition-based", "ids", cpus=8)
         assert choice == "threads+compiled"
+        # Below the cutoff, or on one core, the kernels run in the caller.
+        assert static_backend_choice(
+            NOGIL_CUTOFF - 1, "partition-based", "ids", cpus=8
+        ) == "compiled"
+        assert static_backend_choice(
+            50_000, "partition-based", "ids", cpus=1
+        ) == "compiled"
 
     def test_fallback_kernels_must_not_pick_compiled_threads(self, monkeypatch):
         """Regression: the numpy-fallback kernels hold the GIL, so
-        ``threads+compiled`` is strictly worse than processes for a
-        GIL-bound ids batch — ``auto`` must route around it."""
+        threading them only adds dispatch cost — ``auto`` runs a
+        GIL-bound ids batch on the kernels in the calling thread."""
         monkeypatch.setattr(kernel_ops, "jit_available", lambda: True)
         monkeypatch.setattr(kernel_ops, "fallback_active", lambda: True)
         assert not compiled_kernels_nogil()
-        choice = static_backend_choice(
-            1024, "partition-based", "ids", cpus=8, processes_up=lambda: True
-        )
-        assert choice == "processes"
-        # With no process pool either, a 1024-query ids batch is below
-        # the thread cutoff: serial, never threads+compiled.
-        choice = static_backend_choice(1024, "partition-based", "ids", cpus=8)
-        assert choice == "serial"
+        for n in (64, 1024, 50_000):
+            choice = static_backend_choice(n, "partition-based", "ids", cpus=8)
+            assert choice == "compiled"
 
-    def test_processes_pool_probed_lazily(self, monkeypatch):
-        monkeypatch.setattr(kernel_ops, "jit_available", lambda: False)
-        calls = []
-
-        def processes_up():
-            calls.append(True)
-            return False
-
-        choice = static_backend_choice(
-            100, "join-based", "ids", cpus=8, processes_up=processes_up
-        )
-        assert choice == "serial" and not calls  # below cutoff: not probed
-        static_backend_choice(
-            1024, "join-based", "ids", cpus=8, processes_up=processes_up
-        )
-        assert calls  # above cutoff: pool probed exactly then
+    def test_gil_bound_strategies_run_serial(self, monkeypatch):
+        """Threads lose on a Python-loop strategy at every size, and the
+        kernels do not run it: serial, whatever the kernel state."""
+        for nogil in (False, True):
+            monkeypatch.setattr(kernel_ops, "jit_available", lambda: nogil)
+            monkeypatch.setattr(kernel_ops, "fallback_active", lambda: False)
+            for n in (100, 1024, 4096, 50_000):
+                for mode in ("count", "ids"):
+                    choice = static_backend_choice(n, "join-based", mode, cpus=8)
+                    assert choice == "serial"
 
     def test_gil_bound_set(self):
         assert "partition-based" not in GIL_BOUND_STRATEGIES

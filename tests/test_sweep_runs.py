@@ -199,34 +199,22 @@ def total_searches(index, q_st, q_end) -> int:
     return calls[0]
 
 
-@pytest.mark.parametrize("source", ["build", "persist", "arena"])
+@pytest.mark.parametrize("source", ["build", "persist"])
 def test_every_way_to_an_index_records_its_occupied_levels(rng, tmp_path, source):
-    from repro.engine import SharedIndexArena, attach_index
     from repro.hint.persist import load_index, save_index
     from repro.verify.invariants import InvariantViolation, verify_index
 
     st = rng.integers(0, 1000, size=300)
     coll = IntervalCollection(st, st + rng.integers(0, 9, size=300))
     built = HintIndex(coll, m=10)
-    arena = shm = None
-    try:
-        if source == "build":
-            index = built
-        elif source == "persist":
-            save_index(built, tmp_path / "index.npz")
-            index = load_index(tmp_path / "index.npz")
-        else:
-            arena = SharedIndexArena(built)
-            index, shm = attach_index(arena.manifest)
-        assert index.occupied_levels == built.occupied_levels
-        assert 0 < len(index.occupied_levels) < 11
+    if source == "build":
+        index = built
+    else:
+        save_index(built, tmp_path / "index.npz")
+        index = load_index(tmp_path / "index.npz")
+    assert index.occupied_levels == built.occupied_levels
+    assert 0 < len(index.occupied_levels) < 11
+    verify_index(index, deep=False)
+    index.occupied_levels = index.occupied_levels[1:]
+    with pytest.raises(InvariantViolation, match="occupied levels"):
         verify_index(index, deep=False)
-        index.occupied_levels = index.occupied_levels[1:]
-        with pytest.raises(InvariantViolation, match="occupied levels"):
-            verify_index(index, deep=False)
-    finally:
-        del index
-        if shm is not None:
-            shm.close()
-        if arena is not None:
-            arena.close()

@@ -1,11 +1,11 @@
-"""Tests for trace contexts: wire format, protocol v2, scope, adoption.
+"""Tests for trace contexts: wire format, protocol v2, scope, parenting.
 
 Covers the 17-byte :class:`~repro.obs.tracecontext.TraceContext` wire
 encoding and its protocol-v2 QUERY field (with v1 backward compat), the
 recorder's thread-local trace scope, the pid/thread stamping of finished
 spans (including the fork regression: a span finished in a forked child
-must carry the *child's* pid), cross-process span adoption, trace-tree
-reconstruction, and the Chrome-trace exporter.
+must carry the *child's* pid), parenting of spans finished on pool
+threads, trace-tree reconstruction, and the Chrome-trace exporter.
 """
 
 from __future__ import annotations
@@ -246,54 +246,33 @@ class TestPidStamping:
 
 
 # --------------------------------------------------------------------- #
-# adoption of worker span states
+# spans finished on pool threads
 # --------------------------------------------------------------------- #
 
 
-class TestAdopt:
-    def test_structure_and_metadata_preserved(self):
-        worker = SpanRecorder()
-        with worker.trace_scope((99,)):
-            with worker.span("strategy.batch", strategy="s"):
-                with worker.span("strategy.level", level=3):
-                    pass
-        states = [sp.state() for sp in worker.spans()]
+class TestPoolThreadParenting:
+    def test_scope_parents_pool_thread_spans_under_dispatcher(self):
+        rec = SpanRecorder()
+        seen = {}
+        with rec.trace_scope((7,)):
+            with rec.span("engine.execute") as dispatch:
+                traces = rec.current_trace_ids()
+                parent = rec.current_span_id()
 
-        parent = SpanRecorder()
-        with parent.span("engine.execute"):
-            anchor = parent.current_span_id()
-            adopted = parent.adopt(states, parent_id=anchor)
-        assert len(adopted) == 2
-        by_name = {sp.name: sp for sp in adopted}
-        batch = by_name["strategy.batch"]
-        level = by_name["strategy.level"]
-        # Fresh ids, but the internal parent/child edge is remapped and
-        # the subtree hangs under the anchor span.
-        assert batch.parent_id == anchor
-        assert level.parent_id == batch.span_id
-        assert batch.trace_ids == (99,)
-        assert batch.attrs["strategy"] == "s"
-        assert batch.pid == states[0]["pid"]
+                def job():
+                    with rec.trace_scope(traces, parent):
+                        with rec.span("strategy.batch"):
+                            pass
+                    seen["after"] = rec.current_span_id()
 
-    def test_adopt_does_not_reobserve_latency_histogram(self):
-        obs.configure(enabled=True)
-        ob = obs.active()
-        with ob.span("donor"):
-            pass
-        states = [sp.state() for sp in ob.recorder.spans("donor")]
-        before = [
-            h["count"]
-            for h in ob.registry.snapshot()["histograms"]
-            if h["name"] == "repro_span_seconds"
-        ]
-        ob.recorder.adopt(states, parent_id=None)
-        after = [
-            h["count"]
-            for h in ob.registry.snapshot()["histograms"]
-            if h["name"] == "repro_span_seconds"
-        ]
-        assert sum(after) == sum(before)
-        assert len(ob.recorder.spans("donor")) == 2
+                t = threading.Thread(target=job, name="repro-engine_0")
+                t.start()
+                t.join()
+        (batch,) = rec.spans("strategy.batch")
+        assert batch.parent_id == dispatch.span_id
+        assert batch.trace_ids == (7,)
+        assert batch.thread == "repro-engine_0"
+        assert seen["after"] is None  # the borrowed parent is popped
 
 
 # --------------------------------------------------------------------- #
