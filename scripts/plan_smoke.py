@@ -1,26 +1,26 @@
-"""Planner smoke: calibrate, decide, differential mini-sweep, round-trip.
+"""Planner smoke: learn from batches, settle, differential, fault leg.
 
 The tier-1 ``make plan-smoke`` gate (see docs/planning.md).  Asserts, on
 a small synthetic index:
 
-1. the startup micro-calibration fits a model within its budget;
-2. the calibration file round-trips exactly (save -> load -> same
-   coefficients) and a fresh executor reuses it instead of re-probing;
-3. the planner-chosen plan is result-identical to every static plan,
-   across strategies and result modes, on a single and a sharded index;
-4. a planner that throws mid-decide degrades to the static policy with
+1. a fresh executor probes nothing and writes nothing at start-up, and
+   settles after at most two first-sight batches per legal plan;
+2. the planner-chosen plan is result-identical to every static plan,
+   across strategies and result modes, on a single and a sharded index,
+   through the first-sight batches and after settling;
+3. a planner that throws mid-decide degrades to the static policy with
    the batch intact (the ``planner.decide`` fault site);
-5. on a 17-bit, 50k-interval index, after 16 warm-up batches of 4,096
-   count queries (a size the probe suite never timed) the planner has
-   settled on a plan within 1.25x of the fastest forced
-   ``(strategy, backend)`` on 8 fresh batches — from two different
-   calibration seeds alike.
+4. on a 17-bit, 50k-interval index, after 16 batches of 4,096 count
+   queries the planner has settled on a plan within 1.25x of the
+   fastest forced ``(strategy, backend)`` on 8 fresh batches — two
+   fresh executors alike.
 
 Exits non-zero on the first violated invariant.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 import tempfile
@@ -34,7 +34,7 @@ import repro.obs as obs  # noqa: E402
 from repro.core.strategies import run_strategy  # noqa: E402
 from repro.hint.index import HintIndex  # noqa: E402
 from repro.intervals.batch import QueryBatch  # noqa: E402
-from repro.planner import CostModel, PlannedExecutor, plan_space  # noqa: E402
+from repro.planner import PlannedExecutor, plan_space  # noqa: E402
 from repro.shard import ShardedHint  # noqa: E402
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan  # noqa: E402
 from repro.workloads import generate_synthetic  # noqa: E402
@@ -63,8 +63,7 @@ def mixed_batch(rng, n: int = 1536) -> QueryBatch:
 
 
 def settled_plan_leg() -> None:
-    """The plan the planner settles on at a batch size it was never
-    calibrated at is (nearly) the fastest one, whatever the probes read."""
+    """The plan a fresh planner settles on is (nearly) the fastest one."""
     m, n, tolerance = 17, 4096, 1.25
     domain = 1 << m
     coll = generate_synthetic(50_000, domain, 1.8, domain / 100, seed=5).normalized(m)
@@ -77,14 +76,13 @@ def settled_plan_leg() -> None:
             yield QueryBatch(st, st + rng.integers(1, domain // 1000, size=n))
 
     settled = []
-    for seed in (1, 2):
-        px = PlannedExecutor(index, model_path=None)
-        px.calibrate(seed=seed, modes=("count",), budget_s=2.0)
+    for run in (1, 2):
+        px = PlannedExecutor(index)
         for batch in batches(16):
             px.execute(batch, mode="count")
         decision = px.last_decision
-        if decision is None or decision.source != "model" or decision.split:
-            fail(f"seed {seed}: not settled after 16 batches ({decision})")
+        if decision is None or decision.source != "model":
+            fail(f"executor {run}: not settled after 16 batches ({decision})")
         settled.append((px, decision.plan))
 
     # One table of forced timings, best of three passes over the same
@@ -102,19 +100,19 @@ def settled_plan_leg() -> None:
             dt = time.perf_counter() - t0
             cost[plan] = min(cost.get(plan, dt), dt)
     fastest = min(cost, key=cost.get)
-    for (executor, plan), seed in zip(settled, (1, 2)):
+    for run, (executor, plan) in enumerate(settled, 1):
         print(
-            f"seed {seed}: settled on {plan.describe()} at "
+            f"executor {run}: settled on {plan.describe()} at "
             f"{cost[plan] / len(fresh) * 1e3:.2f} ms/batch (fastest forced: "
             f"{fastest.describe()} at {cost[fastest] / len(fresh) * 1e3:.2f})"
         )
         if cost[plan] > tolerance * cost[fastest]:
-            fail(f"seed {seed}: settled plan is over {tolerance}x the fastest")
+            fail(f"executor {run}: settled plan is over {tolerance}x the fastest")
         executor.close()
     a, b = (cost[plan] for _, plan in settled)
     if max(a, b) > tolerance * min(a, b):
-        fail("two calibration seeds settled on plans over 1.25x apart")
-    print("settled plan ok (within 1.25x of the fastest, both seeds)")
+        fail("two fresh executors settled on plans over 1.25x apart")
+    print("settled plan ok (within 1.25x of the fastest, both executors)")
 
 
 def main() -> int:
@@ -125,53 +123,45 @@ def main() -> int:
     index = HintIndex(coll, m=M)
     index.precompute_aux()
     batch = mixed_batch(rng)
-    tmp = pathlib.Path(tempfile.mkdtemp(prefix="plan-smoke-"))
-    path = str(tmp / "calibration.json")
 
-    # -- 1. calibration fits a model ---------------------------------- #
-    px = PlannedExecutor(index, model_path=path, calibrate=True)
-    model = px.planner.model
-    if not model.calibrated:
-        fail("calibration produced no fitted plans")
-    print(f"calibrated {len(model.keys())} plans: {model.keys()}")
+    # -- 1. nothing at start-up; settles from its own batches ----------- #
+    cwd = os.getcwd()
+    os.chdir(tempfile.mkdtemp(prefix="plan-smoke-"))
+    try:
+        t0 = time.perf_counter()
+        px = PlannedExecutor(index)
+        started = time.perf_counter() - t0
+        if px.planner.model.keys() or os.listdir("."):
+            fail("the executor timed or wrote something before its first batch")
+    finally:
+        os.chdir(cwd)
+    plans = len(plan_space(px.planner.caps))
+    print(f"start-up {started * 1e3:.2f} ms, {plans} legal plans, nothing timed")
 
-    # -- 2. persistence round-trip + reuse ---------------------------- #
-    loaded = CostModel.load(path)
-    if loaded.to_dict()["entries"] != model.to_dict()["entries"]:
-        fail("calibration file does not round-trip")
-    fresh = PlannedExecutor(index, model_path=path, calibrate=True)
-    if fresh.planner.model.keys() != model.keys():
-        fail("fresh executor did not reuse the persisted calibration")
-    fresh.close()
-    print("calibration round-trip + reuse ok")
-
-    # -- 3. differential: planner == every static plan ----------------- #
-    decision = px.planner.decide(batch, mode="ids")
-    print(f"decision on mixed batch: {decision.describe()}")
+    # -- 2. differential: planner == every static plan ----------------- #
     for mode in MODES:
-        got = px.execute(batch, mode=mode)
-        for strategy in STRATS:
-            want = run_strategy(strategy, index, batch, mode=mode)
-            if got != want:
-                fail(f"planner result != {strategy} [{mode}] on HintIndex")
+        wants = [run_strategy(s, index, batch, mode=mode) for s in STRATS]
+        for _ in range(2 * plans + 1):
+            got = px.execute(batch, mode=mode)
+            if any(got != want for want in wants):
+                fail(f"{px.last_decision.describe()} result != static [{mode}]")
+        if px.last_decision.source != "model":
+            fail(f"[{mode}] not settled after {2 * plans} first-sight batches")
+        print(f"[{mode}] settled on {px.last_decision.describe()}")
     sharded = ShardedHint(coll, k=2, m=M)
-    pxs = PlannedExecutor(sharded, model_path=str(tmp / "sharded.json"), calibrate=True)
+    pxs = PlannedExecutor(sharded)
     for mode in MODES:
-        got = pxs.execute(batch, mode=mode)
         want = run_strategy("partition-based", index, batch, mode=mode)
-        if got != want:
-            fail(f"planner result mismatch [{mode}] on ShardedHint")
+        for _ in range(2 * plans + 1):
+            if pxs.execute(batch, mode=mode) != want:
+                fail(f"planner result mismatch [{mode}] on ShardedHint")
     pxs.close()
-    print("differential sweep ok (single + sharded, all modes)")
+    px.close()
+    print("differential sweep ok (single + sharded, all modes, every plan)")
 
-    # -- 4. fault leg: a throwing planner loses no batch --------------- #
+    # -- 3. fault leg: a throwing planner loses no batch --------------- #
     obs.configure(enabled=True)
-    faulty = PlannedExecutor(
-        index,
-        model_path=path,
-        calibrate=True,
-        fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE),
-    )
+    faulty = PlannedExecutor(index, fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE))
     got = faulty.execute(batch, mode="ids")
     want = run_strategy("partition-based", index, batch, mode="ids")
     if got != want:
@@ -188,9 +178,7 @@ def main() -> int:
     obs.configure(enabled=False)
     print("fault degradation ok (batch intact, fallback recorded)")
 
-    px.close()
-
-    # -- 5. the settled plan at an uncalibrated batch size -------------- #
+    # -- 4. the settled plan at a real batch size ----------------------- #
     settled_plan_leg()
     print("plan-smoke: OK")
     return 0

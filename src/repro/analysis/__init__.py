@@ -25,11 +25,9 @@ from repro.analysis.cache import CacheStats, LRUCacheSimulator, simulate_cache
 from repro.analysis.sharing import computation_sharing
 from repro.analysis.batch_stats import (
     BatchStats,
-    ExtentSummary,
     LevelStats,
     analyze_batch,
     batch_extents,
-    summarize_extents,
 )
 from repro.analysis.service_stats import ServiceMetrics, ServiceSnapshot
 
@@ -37,9 +35,7 @@ __all__ = [
     "BatchStats",
     "LevelStats",
     "analyze_batch",
-    "ExtentSummary",
     "batch_extents",
-    "summarize_extents",
     "AccessRecorder",
     "JumpStats",
     "jump_stats",

@@ -19,7 +19,7 @@ Used by the strategy advisor and handy for capacity planning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -29,10 +29,8 @@ from repro.intervals.batch import QueryBatch
 __all__ = [
     "LevelStats",
     "BatchStats",
-    "ExtentSummary",
     "analyze_batch",
     "batch_extents",
-    "summarize_extents",
 ]
 
 
@@ -99,73 +97,9 @@ class BatchStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ExtentSummary:
-    """Extent distribution of one batch — the splitter's sufficient stats.
-
-    ``percentiles`` maps the requested percentile (an int in ``[0, 100]``)
-    to the extent at that rank, using the lower nearest-rank convention
-    ``sorted(extents)[(p * (n - 1)) // 100]`` — identical to indexing the
-    fully sorted array, but computed with one :func:`numpy.partition`
-    selection pass instead of an ``O(n log n)`` sort.
-    """
-
-    num_queries: int
-    total_extent: int  # sum of (end - st) over the batch
-    min_extent: int
-    max_extent: int
-    mean_extent: float
-    percentiles: Dict[int, int]
-
-    @property
-    def heterogeneity(self) -> float:
-        """How mixed the batch is: p90 / p50 extent ratio (>= 1).
-
-        Homogeneous batches sit near 1.0; a heavy wide tail pushes it
-        up, which is exactly when routing the tail to a different
-        (strategy, backend) pair pays (see ``docs/planning.md``).
-        """
-        p50 = self.percentiles.get(50)
-        p90 = self.percentiles.get(90)
-        if not p50 or p90 is None:
-            return 1.0 if not self.num_queries else float(p90 or 0) + 1.0
-        return p90 / p50
-
-
 def batch_extents(batch: QueryBatch) -> np.ndarray:
     """Per-query extents ``end - st`` (clamped at 0 for inverted ranges)."""
     return np.maximum(batch.end - batch.st, 0)
-
-
-def summarize_extents(
-    batch: QueryBatch,
-    percentiles: Iterable[int] = (50, 75, 90),
-) -> ExtentSummary:
-    """Single-pass extent summary of *batch* for the batch splitter.
-
-    Sums, min/max and the mean are one vectorized reduction; the
-    requested percentiles come from **one** multi-kth
-    :func:`numpy.partition` call (introselect — linear time), so the
-    full batch is never sorted.
-    """
-    ps = sorted({int(p) for p in percentiles})
-    for p in ps:
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile {p} outside [0, 100]")
-    n = len(batch)
-    if n == 0:
-        return ExtentSummary(0, 0, 0, 0, 0.0, {p: 0 for p in ps})
-    ext = batch_extents(batch)
-    kth = sorted({(p * (n - 1)) // 100 for p in ps})
-    part = np.partition(ext, kth) if kth else ext
-    return ExtentSummary(
-        num_queries=n,
-        total_extent=int(ext.sum()),
-        min_extent=int(ext.min()),
-        max_extent=int(ext.max()),
-        mean_extent=float(ext.mean()),
-        percentiles={p: int(part[(p * (n - 1)) // 100]) for p in ps},
-    )
 
 
 def analyze_batch(index: HintIndex, batch: QueryBatch) -> BatchStats:

@@ -843,11 +843,11 @@ def _cmd_cache_sim(args) -> int:
 
 
 def _cmd_plan_sim(args) -> int:
-    """Calibrate the adaptive planner on a synthetic index, print the
-    decision table (predicted vs observed cost per plan) for a
-    homogeneous-narrow, homogeneous-wide and mixed-extent batch, and
-    differential-check every adaptive answer against the interpreter;
-    exit 0 iff all checks agree."""
+    """Let a fresh adaptive planner learn a synthetic index from its own
+    batches — one narrow and one wide batch shape — and print, per shape,
+    the plans it timed (kept timing vs a forced re-timing), the plan it
+    settled on, and a differential check of every adaptive answer
+    against the interpreter; exit 0 iff all checks agree."""
     import numpy as np
 
     from repro.planner import PlannedExecutor, plan_space
@@ -860,91 +860,48 @@ def _cmd_plan_sim(args) -> int:
     ).normalized(m)
     index = HintIndex(coll, m=m)
     index.precompute_aux()
-    px = PlannedExecutor(
-        index,
-        model_path=args.calibration,
-        calibrate=True,
-        reuse_calibration=not args.recalibrate,
-    )
-    model = px.planner.model
-    print(
-        f"plan-sim: {len(coll):,} intervals (m={m}), mode {args.mode}, "
-        f"{len(model.keys())} calibrated plans, "
-        f"calibration {args.calibration}"
-    )
-
     rng = np.random.default_rng(args.seed + 1)
-    narrow_e = max(int(domain * 1e-4), 1)
-    wide_e = max(int(domain * 0.05), 2)
-
-    def make(n, extents):
-        ext = rng.choice(extents, size=n) if len(extents) > 1 else np.full(
-            n, extents[0]
-        )
-        st = rng.integers(0, domain - wide_e - 1, size=n)
-        return QueryBatch(st, np.minimum(st + ext, domain - 1))
-
-    workloads = [
-        ("homogeneous-narrow", make(args.batch, [narrow_e])),
-        ("homogeneous-wide", make(args.batch, [wide_e])),
-        (
-            "mixed-extent",
-            QueryBatch(
-                *(
-                    lambda a, b: (
-                        np.concatenate([a.st, b.st]),
-                        np.concatenate([a.end, b.end]),
-                    )
-                )(
-                    make(args.batch * 7 // 8, [narrow_e]),
-                    make(args.batch // 8, [wide_e]),
-                )
-            ),
-        ),
-    ]
-
     failures = 0
-    for name, batch in workloads:
-        decision = px.planner.decide(batch, mode=args.mode)
-        print(f"\n[{name}] {len(batch):,} queries")
-        print("  plan                                     predicted    observed")
-        for key, predicted in decision.table[: args.top]:
+    for name, extent in (
+        ("narrow", max(int(domain * 1e-4), 1)),
+        ("wide", max(int(domain * 0.05), 2)),
+    ):
+        st = rng.integers(0, domain - extent - 1, size=args.batch)
+        batch = QueryBatch(st, st + extent)
+        # One executor per shape: a settled plan is per batch size, and
+        # both shapes have the same size.
+        px = PlannedExecutor(index)
+        plans = len(plan_space(px.planner.caps))
+        for _ in range(2 * plans + 1):  # first-sight batches, then settled
+            got = px.execute(batch, mode=args.mode)
+            if px.last_decision.source != "explore":
+                break
+        chosen = px.last_decision
+        print(f"\n[{name}] {len(batch):,} queries, {plans} legal plans, mode {args.mode}")
+        print("  plan                                     kept         observed")
+        for key, kept in chosen.table[: args.top]:
             strategy, backend, _ = key.split("|")
             t = min(
-                _timed(
-                    px.execute,
-                    batch,
-                    strategy=strategy,
-                    mode=args.mode,
-                    backend=backend,
-                )
+                _timed(px.execute, batch, strategy=strategy, mode=args.mode,
+                       backend=backend)
                 for _ in range(args.repeat)
             )
             print(
                 f"  {strategy + ' on ' + backend:<40}"
-                f" {predicted * 1e3:>8.3f}ms {t * 1e3:>9.3f}ms"
+                f" {kept * 1e3:>8.3f}ms {t * 1e3:>9.3f}ms"
             )
-        # At a size the probe suite never timed the first batches are
-        # first-sight probes: time the plan the planner settles on.
-        for _ in range(2 * len(decision.table) + 1):
-            px.execute(batch, mode=args.mode)
-            if px.last_decision.source != "explore":
-                break
         t_adaptive = min(
-            _timed(px.execute, batch, mode=args.mode)
-            for _ in range(args.repeat)
+            _timed(px.execute, batch, mode=args.mode) for _ in range(args.repeat)
         )
-        chosen = px.last_decision
         print(
-            f"  chosen: {chosen.describe() if chosen else '-'} "
-            f"-> observed {t_adaptive * 1e3:.3f}ms"
+            f"  settled: {chosen.describe()} -> observed {t_adaptive * 1e3:.3f}ms "
+            f"({px.planner.stats()['explorations']} first-sight batches)"
         )
-        got = px.execute(batch, mode=args.mode)
         want = run_strategy("partition-based", index, batch, mode=args.mode)
-        ok = got == want
+        ok = got == want and px.execute(batch, mode=args.mode) == want
         failures += 0 if ok else 1
         print(f"  differential: {'exact' if ok else 'MISMATCH'}")
-    px.close()
+        px.close()
     return 1 if failures else 0
 
 
@@ -1403,9 +1360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan-sim",
-        help="calibrate the adaptive planner and print its decision "
-        "table (predicted vs observed cost per plan) over homogeneous "
-        "and mixed-extent workloads",
+        help="let the adaptive planner learn from its own batches and "
+        "print the plans it timed and the plan it settled on, for a "
+        "narrow and a wide batch shape",
     )
     p_plan.add_argument(
         "--cardinality", type=int, default=50_000, help="synthetic intervals"
@@ -1417,16 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="count",
         choices=("count", "checksum", "ids"),
         help="result mode of the planned runs",
-    )
-    p_plan.add_argument(
-        "--calibration",
-        default="results/planner-calibration.json",
-        help="calibration file to load/save",
-    )
-    p_plan.add_argument(
-        "--recalibrate",
-        action="store_true",
-        help="ignore an existing calibration file and re-probe",
     )
     p_plan.add_argument(
         "--top", type=int, default=8, help="rows of the decision table"

@@ -11,9 +11,9 @@ reasoning.
 The rule itself lives in :func:`repro.planner.policy.
 cold_start_recommendation` — it doubles as the adaptive planner's
 cold-start strategy prior, so the advisor and the planner can never
-disagree before calibration; once a :class:`~repro.planner.
-PlannedExecutor` is calibrated, its measured decisions supersede this
-static advice.
+disagree before a batch has been timed; once a :class:`~repro.planner.
+PlannedExecutor` has timed its batches, its measured decisions
+supersede this static advice.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -132,10 +132,8 @@ KERNEL_INVOCATIONS = "repro_kernel_invocations_total"
 KERNEL_COMPILE_SECONDS = "repro_kernel_compile_seconds"
 KERNEL_FALLBACK_ACTIVE = "repro_kernel_fallback_active"
 PLANNER_DECISIONS = "repro_planner_decisions_total"
-PLANNER_SPLITS = "repro_planner_split_batches_total"
 PLANNER_COST_ERROR = "repro_planner_cost_error"
 PLANNER_EXPLORATIONS = "repro_planner_exploration_total"
-PLANNER_CALIBRATION_AGE = "repro_planner_calibration_age_seconds"
 PLANNER_FALLBACKS = "repro_planner_fallbacks_total"
 
 #: Relative-error buckets of the predicted-vs-observed cost histogram.
@@ -577,24 +575,14 @@ class Observability:
             help="Received frames that failed to decode.",
         ).inc()
 
-    def record_planner_decision(
-        self, plan_keys: Iterable[str], source: str, *, split: bool = False
-    ) -> None:
-        """One planner decision: the chosen plan key(s) (two for a
-        split, labelled by sub-plan) and how the plan was picked
-        (``model`` / ``prior`` / ``explore``)."""
-        for key in plan_keys:
-            self.registry.counter(
-                PLANNER_DECISIONS,
-                labels={"plan": key, "source": source},
-                help="Planner decisions, by chosen plan and decision "
-                "source.",
-            ).inc()
-        if split:
-            self.registry.counter(
-                PLANNER_SPLITS,
-                help="Batches the planner split by extent threshold.",
-            ).inc()
+    def record_planner_decision(self, plan_key: str, source: str) -> None:
+        """One planner decision: the chosen plan key and how the plan
+        was picked (``model`` / ``explore``)."""
+        self.registry.counter(
+            PLANNER_DECISIONS,
+            labels={"plan": plan_key, "source": source},
+            help="Planner decisions, by chosen plan and decision source.",
+        ).inc()
 
     def record_planner_cost_error(self, rel_error: float) -> None:
         """Predicted-vs-observed relative cost error of one batch."""
@@ -611,12 +599,6 @@ class Observability:
             help="Planner decisions that handed a batch to a plan never "
             "timed near its size (first-sight probes).",
         ).inc()
-
-    def record_planner_calibration_age(self, seconds: float) -> None:
-        self.registry.gauge(
-            PLANNER_CALIBRATION_AGE,
-            help="Seconds since the planner's cost model was calibrated.",
-        ).set(float(seconds))
 
     def record_planner_fallback(self, reason: str) -> None:
         """The planner failed to decide and the batch degraded to the

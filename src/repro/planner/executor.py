@@ -11,12 +11,20 @@ exactly as it does for an engine).  Per batch it:
 1. fires the :data:`~repro.verify.faults.SITE_PLANNER_DECIDE` fault
    site, then asks its :class:`~repro.planner.planner.AdaptivePlanner`
    for a plan (inside a ``planner.decide`` span);
-2. runs the plan through the engine — a single ``(strategy, backend)``
-   pair, or a :class:`~repro.planner.plan.SplitPlan` cutting the batch
-   at an extent threshold and merging the sides mode-correctly;
-3. feeds the observed latency back into the cost model (a new sample
-   for a plan first seen at this batch size, otherwise the EWMA drift
-   correction + the ``repro_planner_cost_error`` histogram).
+2. runs the plan's ``(strategy, backend)`` pair through the engine — on
+   a plan's first look beside the cheapest plan seen at that size, the
+   first quarter of the batch on the plan being timed and the rest on the
+   cheapest, merged back into caller order;
+3. hands the observed latency back to the planner: a timing to keep
+   for a plan first seen at this batch size, otherwise the prediction
+   error and the settled plan's drift.
+
+Before the first batch the executor builds, once, the raw collection a
+join-based plan reads (:meth:`~repro.hint.index.HintIndex.as_collection`,
+cached on each index): a one-time cost of the index (50 ms for 200k
+intervals, against 7 ms for a steady 4096-query join), which would
+otherwise be charged to the first join-based batch and price the plan
+out for what it is not.
 
 Any planner failure (including injected faults) degrades the batch to
 the engine's static ``auto`` rule: a possibly slower plan, never a
@@ -26,20 +34,17 @@ lost batch.  A caller-pinned ``backend=`` bypasses the planner entirely
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 import repro.obs as obs
-from repro.analysis.batch_stats import batch_extents
 from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES
 from repro.engine import ExecutionEngine
 from repro.intervals.batch import QueryBatch
-from repro.planner.costmodel import DEFAULT_CALIBRATION_PATH, CostModel
-from repro.planner.plan import BackendCaps, Plan, SplitPlan
+from repro.planner.plan import DEFAULT_STRATEGIES, BackendCaps
 from repro.planner.planner import AdaptivePlanner, Decision
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan
 
@@ -57,21 +62,11 @@ class PlannedExecutor:
     engine:
         An existing :class:`ExecutionEngine` to borrow; one is created
         (and owned, i.e. closed by :meth:`close`) when omitted.
-        Extra ``engine_kwargs`` go to that constructor.
+        Extra ``engine_kwargs`` go to that constructor; with *engine*
+        given they are a ``TypeError``.
     planner:
-        An existing :class:`AdaptivePlanner`; built from *index* (plus
-        *model*) when omitted.
-    model:
-        A pre-built :class:`CostModel`.  When omitted and
-        *reuse_calibration* is true, a calibration file at *model_path*
-        whose index metadata matches is loaded; otherwise a fresh empty
-        model starts on the prior.
-    model_path:
-        Where calibration persists (default
-        ``results/planner-calibration.json``).
-    calibrate:
-        Run the startup micro-calibration probe suite (~*budget* s)
-        when the model is still empty, then save to *model_path*.
+        An existing :class:`AdaptivePlanner`; when omitted, a fresh one
+        over *index*, which knows nothing until batches run.
     choose_strategy:
         When true (default) the planner may override the caller's
         ``strategy=`` with a measurably faster one — all strategies are
@@ -88,16 +83,15 @@ class PlannedExecutor:
         *,
         engine: Optional[ExecutionEngine] = None,
         planner: Optional[AdaptivePlanner] = None,
-        model: Optional[CostModel] = None,
-        model_path: str = DEFAULT_CALIBRATION_PATH,
-        calibrate: bool = False,
-        reuse_calibration: bool = True,
-        calibration_budget_s: float = 0.12,
-        calibration_modes: Sequence[str] = ("count", "checksum", "ids"),
         choose_strategy: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         **engine_kwargs,
     ):
+        if engine is not None and engine_kwargs:
+            raise TypeError(
+                "PlannedExecutor got engine= and engine options "
+                f"{sorted(engine_kwargs)}; pass one or the other"
+            )
         self._index = index
         self._owns_engine = engine is None
         self._engine = (
@@ -107,22 +101,16 @@ class PlannedExecutor:
         )
         self.choose_strategy = bool(choose_strategy)
         self._fault_plan = fault_plan
-        self.model_path = model_path
         self.last_decision: Optional[Decision] = None
-
-        if planner is not None:
-            self.planner = planner
-        else:
-            caps = BackendCaps.from_index(index, workers=self._engine.workers)
-            if model is None and reuse_calibration and model_path:
-                model = _try_load(model_path, index, caps)
-            self.planner = AdaptivePlanner(index, caps=caps, model=model)
-        if calibrate and not self.planner.model.calibrated:
-            self.calibrate(
-                budget_s=calibration_budget_s,
-                modes=calibration_modes,
-                save_path=model_path,
-            )
+        self.planner = planner if planner is not None else AdaptivePlanner(
+            index, caps=BackendCaps.from_index(index, workers=self._engine.workers)
+        )
+        if self.choose_strategy and "join-based" in (
+            self.planner.strategies or DEFAULT_STRATEGIES
+        ):
+            for hint in [s.index for s in getattr(index, "shards", ())] or [index]:
+                if hasattr(hint, "as_collection"):
+                    hint.as_collection()
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -139,33 +127,7 @@ class PlannedExecutor:
     def __repr__(self) -> str:
         return (
             f"PlannedExecutor(index={type(self._index).__name__}, "
-            f"calibrated={self.planner.model.calibrated})"
-        )
-
-    # ------------------------------------------------------------------ #
-    # calibration
-    # ------------------------------------------------------------------ #
-
-    def calibrate(
-        self,
-        *,
-        budget_s: float = 0.12,
-        modes: Sequence[str] = ("count", "checksum", "ids"),
-        save_path: Optional[str] = None,
-        seed: int = 0,
-    ) -> CostModel:
-        """Run the startup probe suite on the real engine and persist it."""
-        return self.planner.calibrate(
-            self._run_probe,
-            modes=modes,
-            budget_s=budget_s,
-            seed=seed,
-            save_path=save_path if save_path is not None else self.model_path,
-        )
-
-    def _run_probe(self, plan: Plan, batch: QueryBatch, mode: str):
-        return self._engine.execute(
-            batch, strategy=plan.strategy, mode=mode, backend=plan.backend
+            f"timed_plans={len(self.planner.stats()['timed_plans'])})"
         )
 
     # ------------------------------------------------------------------ #
@@ -201,8 +163,7 @@ class PlannedExecutor:
                 batch, strategy=strategy, mode=mode, backend=backend,
                 executor=executor,
             )
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return BatchResult.empty(mode)
         try:
             if self._fault_plan is not None:
@@ -222,66 +183,34 @@ class PlannedExecutor:
                 executor=executor,
             )
         self.last_decision = decision
-        if isinstance(decision.plan, SplitPlan):
-            return self._execute_split(batch, decision, executor)
-        return self._execute_single(batch, decision, executor)
-
-    def _execute_single(
-        self, batch: QueryBatch, decision: Decision, executor
-    ) -> BatchResult:
-        plan = decision.plan
+        if decision.beside is None:
+            t0 = perf_counter()
+            result = self._run(batch, decision.plan, mode, executor)
+            self.planner.observe(decision, perf_counter() - t0)
+            return result
+        # First sight beside the cheapest plan: the plan being timed
+        # answers the first queries, the cheapest the rest.
+        k, n = decision.timed, len(batch)
         t0 = perf_counter()
-        result = self._engine.execute(
+        head = self._run(
+            QueryBatch(batch.st[:k], batch.end[:k]), decision.plan, mode, executor
+        )
+        self.planner.observe(decision, perf_counter() - t0)
+        rest = self._run(
+            QueryBatch(batch.st[k:], batch.end[k:]), decision.beside, mode, executor
+        )
+        return BatchResult.merge(
+            n, mode, [head.as_part(np.arange(k)), rest.as_part(np.arange(k, n))]
+        )
+
+    def _run(self, batch: QueryBatch, plan, mode: str, executor) -> BatchResult:
+        return self._engine.execute(
             batch,
             strategy=plan.strategy,
-            mode=decision.mode,
+            mode=mode,
             backend=plan.backend,
             executor=executor,
         )
-        self.planner.observe(
-            plan, decision.mode, decision.n, decision.total_extent,
-            perf_counter() - t0,
-        )
-        return result
-
-    def _execute_split(
-        self, batch: QueryBatch, decision: Decision, executor
-    ) -> BatchResult:
-        split: SplitPlan = decision.plan
-        mode = decision.mode
-        ext = batch_extents(batch)
-        narrow_mask = ext <= split.threshold
-        idx_narrow = np.flatnonzero(narrow_mask)
-        idx_wide = np.flatnonzero(~narrow_mask)
-        if idx_narrow.size == 0 or idx_wide.size == 0:
-            # The cut degenerated (can only happen via a hand-built
-            # decision); run the appropriate single plan instead.
-            single = split.wide if idx_narrow.size == 0 else split.narrow
-            fallback = Decision(
-                plan=single,
-                mode=mode,
-                source=decision.source,
-                predicted_s=decision.predicted_s,
-                n=decision.n,
-                total_extent=decision.total_extent,
-            )
-            return self._execute_single(batch, fallback, executor)
-        parts = []
-        for plan, idx in ((split.narrow, idx_narrow), (split.wide, idx_wide)):
-            sub = QueryBatch(batch.st[idx], batch.end[idx])
-            t0 = perf_counter()
-            res = self._engine.execute(
-                sub,
-                strategy=plan.strategy,
-                mode=mode,
-                backend=plan.backend,
-                executor=executor,
-            )
-            self.planner.observe(
-                plan, mode, len(sub), int(ext[idx].sum()), perf_counter() - t0
-            )
-            parts.append(res.as_part(idx))
-        return BatchResult.merge(len(batch), mode, parts)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -297,30 +226,3 @@ class PlannedExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _try_load(path: str, index, caps: BackendCaps) -> Optional[CostModel]:
-    """Load a persisted calibration if it plausibly matches *index* and
-    was recorded on a machine with the same plan space."""
-    if not os.path.exists(path):
-        return None
-    try:
-        model = CostModel.load(path)
-    except (OSError, ValueError, KeyError):
-        return None
-    meta = (model.meta or {}).get("index") or {}
-    if meta.get("kind") and meta["kind"] != type(index).__name__:
-        return None
-    size = int(getattr(index, "size", None) or len(index))
-    if meta.get("size") and size and not (
-        0.5 <= meta["size"] / size <= 2.0
-    ):
-        return None  # the collection changed materially: recalibrate
-    machine = (model.meta or {}).get("machine") or {}
-    if machine and (machine.get("cpus"), machine.get("workers")) != (
-        caps.cpus, caps.workers
-    ):
-        # Other cores, other legal plans: a model missing one of them
-        # would leave every mode on the prior, so start fresh.
-        return None
-    return model

@@ -3,9 +3,7 @@
 A :class:`Plan` is one point of the execution cross-product the paper's
 experiments sweep by hand: **strategy × engine backend** (the backend
 carries the kernel path — ``compiled`` / ``threads+compiled`` run the
-:mod:`repro.kernels` hot loops).  A :class:`SplitPlan` adds the batch
-dimension: cut a heterogeneous batch at an extent threshold and route
-each side to its own :class:`Plan`, merging mode-correctly.
+:mod:`repro.kernels` hot loops).
 
 :func:`plan_space` enumerates the *legal* plans for an installed index
 and machine, described by :class:`BackendCaps` — e.g. the compiled
@@ -23,7 +21,7 @@ from typing import List, Optional, Sequence
 from repro.core.strategies import STRATEGIES
 from repro.hint.index import HintIndex
 
-__all__ = ["Plan", "SplitPlan", "BackendCaps", "plan_space", "plan_key"]
+__all__ = ["Plan", "BackendCaps", "plan_space", "plan_key"]
 
 #: Strategies the compiled kernels accelerate (everything else delegates
 #: to the interpreted strategy — see ``kernels/compiled.py``).
@@ -47,27 +45,6 @@ class Plan:
 
     def describe(self) -> str:
         return f"{self.strategy} on {self.backend}"
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Cut the batch at ``extent <= threshold``; route each side.
-
-    ``narrow`` runs the queries whose extent is at most *threshold*,
-    ``wide`` the rest; results are scattered back to caller positions,
-    so the contract is identical to running either plan on the whole
-    batch.
-    """
-
-    threshold: int
-    narrow: Plan
-    wide: Plan
-
-    def describe(self) -> str:
-        return (
-            f"split@{self.threshold}: narrow->({self.narrow.describe()}) "
-            f"wide->({self.wide.describe()})"
-        )
 
 
 @dataclass(frozen=True)
@@ -120,7 +97,7 @@ class BackendCaps:
 #: not pin one: the paper's overall winner and its large-batch
 #: challenger.  The query-based baselines are deliberately left out —
 #: they never win for multi-query batches (the paper's core finding),
-#: and probing them would eat most of the ~100 ms calibration budget.
+#: and every plan costs first-sight batches at every new batch size.
 DEFAULT_STRATEGIES = ("partition-based", "join-based")
 
 

@@ -1,29 +1,39 @@
-"""The adaptive plan selector.
+"""The adaptive plan selector: it learns only from the batches it runs.
 
-:class:`AdaptivePlanner` scores every legal :class:`~repro.planner.plan.
-Plan` for a batch with the calibrated :class:`~repro.planner.costmodel.
-CostModel` and picks the cheapest — falling back to the paper-rule /
-threshold prior (:mod:`repro.planner.policy`) whenever some legal plan
-for the batch's mode is still uncalibrated, so cold-start behaviour is
-exactly the static policy and a half-probed mode is never pinned to
-the plans that happened to be probed.  Heterogeneous batches
-additionally consider a :class:`~repro.planner.plan.SplitPlan`: cut at
-an extent percentile and route each side to its own cheapest plan,
-accepted only when the predicted sum beats the best single plan by a
-margin.
+:class:`AdaptivePlanner` picks a :class:`~repro.planner.plan.Plan` for
+each batch from what the legal plans have been seen to cost at about its
+size (:class:`~repro.planner.costmodel.CostModel`).  Nothing is probed
+at start-up and nothing is read from disk.
 
-A prediction for a batch size no probe came within a factor of two of
-is an extrapolation, and nothing that runs afterwards prices the plans
-that were not picked, so a first pick made on extrapolations would stick.  Such a plan is
-therefore handed the batch itself (``source="explore"``): never a plan
-predicted beyond :data:`EXPLORE_CAP` of the best, two batches each and
-the better kept, in rounds (every such plan once, cheapest prediction
-first, then every one again) so that the slow first batches of a
-process fall on all of them alike and on no kept timing.  The timing
-joins the plan's samples and the plan is fitted again; once every plan
-within the cap has a point at that size the model decides — two real,
-correctly answered batches per plan per size class over the life of
-the process.
+A plan never timed within a factor of two of the batch in front of it is
+handed that batch (``source="explore"``), in rounds: every such plan
+once — the paper-rule plan of :mod:`repro.planner.policy` first, so a
+fresh process begins where the static rule would — then every one
+within :data:`EXPLORE_CAP` again, the better of its two timings kept.
+The first batches of a process are slow for reasons that are no plan's
+price (fresh result pages), and in rounds that falls on every first
+timing and on no kept one.
+
+Once some plan has been seen at that size, a plan's first look runs
+only the first quarter of the batch and the cheapest plan seen there
+answers the rest (``Decision.beside``): a plan ten times the best costs
+3.25 batches' worth to look at, not 10.  A plan whose first look is
+beyond :data:`EXPLORE_CAP` of the best seen at that size gets no second
+— that look, scaled to the batch, is kept — and it cannot be the best:
+its quarter of the batch took longer than the best plan took on all of
+it, and a plan's cost grows with its queries.  A second look runs the
+whole batch, so the timing kept of every plan within the cap is of a
+whole batch, and no plan's fixed costs are spread over fewer queries
+than another's.
+
+Once every plan has a timing near the batch size the cheapest is chosen
+(``source="model"``) and **settled**: remembered per (mode, size class,
+strategy set), so the batches after it are decided by one lookup.  The
+settled plan's observed/predicted ratio is followed by an EWMA; when it
+leaves :data:`DRIFT_BAND` the class is re-opened — the timings near that
+size are forgotten and first sight runs again — so a timing taken in an
+unrepresentative moment, or a machine that slows down mid-run, is
+measured again instead of pinning the plan.
 
 Every decision runs inside a ``planner.decide`` span (attributes say
 which plan won, why, and at what predicted cost) and bumps the
@@ -32,23 +42,28 @@ which plan won, why, and at what predicted cost) and bumps the
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.analysis.batch_stats import ExtentSummary, batch_extents, summarize_extents
 from repro.intervals.batch import QueryBatch
-from repro.planner.costmodel import CostModel, Sample, probe_points
-from repro.planner.plan import BackendCaps, Plan, SplitPlan, plan_space
-from repro.planner.policy import cold_start_recommendation
+from repro.planner.costmodel import CostModel, Sample, near
+from repro.planner.plan import BackendCaps, Plan, plan_space
+from repro.planner.policy import cold_start_recommendation, static_backend_choice
 
-__all__ = ["AdaptivePlanner", "Decision", "EXPLORE_CAP", "MULTICORE_MARGIN"]
+__all__ = [
+    "AdaptivePlanner",
+    "Decision",
+    "DRIFT_BAND",
+    "EXPLORE_CAP",
+    "MULTICORE_MARGIN",
+]
 
-#: A plan predicted beyond this factor of the best plan is never handed a
-#: batch to learn from: bounds what one first-sight batch can cost.
+#: A plan whose first look at a size (a quarter of a batch) is, per
+#: query, beyond this factor of the best timing there gets no second:
+#: bounds what learning a size costs.  At 4 such a plan took longer on
+#: its quarter than the best took on the whole batch.
 EXPLORE_CAP = 4.0
 
 #: A plan on several cores is chosen only when predicted below this share
@@ -57,33 +72,69 @@ EXPLORE_CAP = 4.0
 #: ids: 6.5 ms against 6.2 on one core when idle, 12 against 7.5 when not).
 MULTICORE_MARGIN = 0.8
 
+#: A settled decision is re-opened when its plan's observed/predicted
+#: ratio (EWMA, weight DRIFT_ALPHA per batch) leaves DRIFT_BAND of 1:
+#: the timings it was chosen on no longer describe the batches (an idle
+#: second core that is busy now, a machine that slowed down).  Slow
+#: minutes on a shared host move pure-CPU code by 1.3-1.6x, and a kept
+#: timing is the better of two; DRIFT_BAND stays clear of both.
+DRIFT_BAND = 2.0
+DRIFT_ALPHA = 0.25
+
 
 @dataclass
 class Decision:
     """One planning outcome, with enough context to explain itself."""
 
-    plan: Union[Plan, SplitPlan]
+    plan: Plan
     mode: str
-    source: str  # "model" | "prior" | "explore"
+    source: str  # "model" | "explore"
     predicted_s: Optional[float] = None
     reason: str = ""
-    #: Batch features the decision was made on (cost-model inputs).
     n: int = 0
-    total_extent: int = 0
-    #: Scored alternatives, cheapest first: ``(plan key, predicted_s)``.
+    #: Plans timed near this size, cheapest first: ``(plan key, seconds)``.
     table: List[Tuple[str, float]] = field(default_factory=list)
+    #: The (mode, size class, strategies) slot a model decision settles.
+    slot: Optional[tuple] = field(default=None, repr=False)
+    #: On a first-sight batch, the cheapest plan seen at this size: it
+    #: answers the queries after the first ``head`` ones.
+    beside: Optional[Plan] = None
+    head: int = 0
 
     @property
-    def split(self) -> bool:
-        return isinstance(self.plan, SplitPlan)
+    def timed(self) -> int:
+        """Queries ``plan`` runs, and is timed on: the whole batch, or
+        its first ``head`` queries when ``beside`` answers the rest."""
+        return self.n if self.beside is None else self.head
 
     def describe(self) -> str:
         cost = "" if self.predicted_s is None else f" ~{self.predicted_s * 1e3:.3f}ms"
-        return f"{self.plan.describe()} [{self.source}]{cost}"
+        rest = ""
+        if self.beside is not None:
+            rest = f" ({self.head}; rest on {self.beside.describe()})"
+        return f"{self.plan.describe()}{rest} [{self.source}]{cost}"
+
+
+@dataclass
+class _Settled:
+    """A size class's chosen plan, its price, and how far it has moved."""
+
+    plan: Plan
+    table: List[Tuple[str, float]]
+    rate: float  # predicted seconds per query when settled
+    drift: Optional[float] = None  # EWMA of observed / predicted
+
+    def moved(self, ratio: float) -> bool:
+        """Fold one batch in; whether the drift has left the band."""
+        if self.drift is None:
+            self.drift = ratio
+        else:
+            self.drift += DRIFT_ALPHA * (ratio - self.drift)
+        return not 1.0 / DRIFT_BAND <= self.drift <= DRIFT_BAND
 
 
 class AdaptivePlanner:
-    """Cost-calibrated plan selection over one installed index.
+    """Plan selection over one installed index, learned from its batches.
 
     Parameters
     ----------
@@ -93,16 +144,11 @@ class AdaptivePlanner:
     caps:
         Machine/index capabilities; derived from *index* when omitted.
     model:
-        A (possibly pre-loaded) :class:`CostModel`; a fresh empty one
-        when omitted — the planner then behaves exactly like the static
-        prior until :meth:`calibrate` runs.
-    split_margin:
-        A split is chosen only when its predicted total is below the
-        best single plan's prediction times this factor (< 1.0), so
-        model noise near the break-even point keeps the simpler plan.
-    min_split_batch:
-        Batches smaller than this never split — per-side fixed costs
-        dominate.
+        The timings to start from; an empty :class:`CostModel` when
+        omitted.
+    strategies:
+        The strategy dimension of the plan space (default
+        :data:`~repro.planner.plan.DEFAULT_STRATEGIES`).
     """
 
     def __init__(
@@ -111,23 +157,23 @@ class AdaptivePlanner:
         *,
         caps: Optional[BackendCaps] = None,
         model: Optional[CostModel] = None,
-        split_margin: float = 0.9,
-        min_split_batch: int = 512,
-        min_heterogeneity: float = 2.0,
         strategies: Optional[Sequence[str]] = None,
     ):
-        self._index = index
         self.caps = caps if caps is not None else BackendCaps.from_index(index)
         self.model = model if model is not None else CostModel()
-        self.split_margin = float(split_margin)
-        self.min_split_batch = int(min_split_batch)
-        self.min_heterogeneity = float(min_heterogeneity)
         self.strategies = tuple(strategies) if strategies is not None else None
         self._collection_size = int(getattr(index, "size", None) or len(index))
         self._decisions = 0
         self._explorations = 0
-        #: plan key -> the first of a first-sight pair of timings.
+        self._reopened = 0
+        #: plan key -> the first of a plan's two looks at a size, as
+        #: (batch size, seconds scaled from the queries it ran).
         self._first_sight: Dict[str, Sample] = {}
+        #: (mode, size class, strategies) -> the plan chosen for it.
+        self._settled: Dict[tuple, _Settled] = {}
+        #: Guards the state above: the serving path decides and observes
+        #: from the flusher and client threads concurrently.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # deciding
@@ -139,335 +185,198 @@ class AdaptivePlanner:
         *,
         mode: str = "count",
         strategy: Optional[str] = None,
-        allow_split: bool = True,
     ) -> Decision:
         """Pick the plan for *batch*; ``strategy`` pins that dimension."""
         ob = obs.active()
         if ob is None:
-            return self._decide_inner(batch, mode, strategy, allow_split, None)
+            with self._lock:
+                return self._decide_inner(len(batch), mode, strategy, None)
         with ob.span("planner.decide", queries=len(batch), mode=mode) as sp:
-            decision = self._decide_inner(batch, mode, strategy, allow_split, ob)
-            sp.attrs["plan"] = (
-                decision.plan.describe()
-                if decision.split
-                else decision.plan.key(mode)
-            )
+            with self._lock:
+                decision = self._decide_inner(len(batch), mode, strategy, ob)
+            sp.attrs["plan"] = decision.plan.key(mode)
             sp.attrs["source"] = decision.source
             if decision.predicted_s is not None:
                 sp.attrs["predicted_s"] = decision.predicted_s
         return decision
 
-    def _decide_inner(self, batch, mode, strategy, allow_split, ob) -> Decision:
-        n = len(batch)
+    def _decide_inner(self, n: int, mode: str, strategy, ob) -> Decision:
         self._decisions += 1
-        pinned = [strategy] if strategy is not None else self.strategies
-        plans = plan_space(self.caps, strategies=pinned)
-        summary = summarize_extents(batch)
-
-        scored: List[Tuple[float, Plan]] = []
-        for plan in plans:
-            predicted = self._fitted(plan, mode, n, summary.total_extent)
-            if predicted is not None:
-                scored.append((predicted, plan))
-        scored.sort(key=lambda item: item[0])
-        table = [(plan.key(mode), cost) for cost, plan in scored]
-
-        if len(scored) < len(plans):
-            # Some legal plan has no coefficients: "cheapest of the
-            # plans that happen to be calibrated" would pin the batch to
-            # whatever the probe budget reached, so the prior decides.
-            decision = self._prior_decision(n, mode, strategy)
-            decision.table = table
-            decision.n, decision.total_extent = n, summary.total_extent
-            self._record(decision, ob)
-            return decision
-
-        # Plans still waiting for their first timing at this size go
-        # before those waiting for their second, cheapest prediction first.
-        unseen = []
-        for cost, plan in scored:
-            if cost > scored[0][0] * EXPLORE_CAP:
-                break
-            key = plan.key(mode)
-            if not self.model.timed_near(key, n):
-                unseen.append((key in self._first_sight, cost, plan))
-        if unseen:
-            _, cost, plan = min(unseen, key=lambda item: item[:2])
-            self._explorations += 1
+        strategies = (strategy,) if strategy is not None else self.strategies
+        slot = (mode, n.bit_length(), strategies)
+        settled = self._settled.get(slot)
+        if settled is not None:
             decision = Decision(
-                plan=plan,
+                plan=settled.plan,
                 mode=mode,
-                source="explore",
-                predicted_s=cost,
-                reason=(
-                    f"never timed within 2x of {n} queries (predicted "
-                    f"within {EXPLORE_CAP:g}x of the best plan)"
-                ),
-                table=table,
+                source="model",
+                predicted_s=settled.rate * n,
+                reason="settled for this size class",
                 n=n,
-                total_extent=summary.total_extent,
+                table=settled.table,
+                slot=slot,
             )
             self._record(decision, ob)
             return decision
 
-        best_cost, best_plan = _pick(scored)
-        decision = Decision(
-            plan=best_plan,
-            mode=mode,
-            source="model",
-            predicted_s=best_cost,
-            reason="cheapest calibrated plan",
-            table=table,
-            n=n,
-            total_extent=summary.total_extent,
+        plans = plan_space(self.caps, strategies=strategies)
+        timed = {plan: self.model.predict(plan.key(mode), n) for plan in plans}
+        pending = {}  # plan -> its first look, scaled to n
+        for plan in plans:
+            first = self._first_sight.get(plan.key(mode))
+            if timed[plan] is None and first is not None and near(first[0], n):
+                pending[plan] = first[1] * n / first[0]
+        seen = {p: s for p, s in timed.items() if s is not None}
+        seen.update(pending)
+        cheapest = min(seen, key=seen.get) if seen else None
+
+        unseen = []
+        for position, plan in enumerate(plans):
+            if timed[plan] is not None:
+                continue
+            first = pending.get(plan)
+            key = plan.key(mode)
+            if first is not None and first > EXPLORE_CAP * seen[cheapest]:
+                # Far beyond the best at this size: one timing is enough,
+                # kept at this size, scaled from the queries it ran.
+                del self._first_sight[key]
+                self.model.add(key, (n, first))
+                timed[plan] = first
+                continue
+            unseen.append((first is not None, first or 0.0, position, plan))
+        table = sorted(
+            ((plan.key(mode), s) for plan, s in timed.items() if s is not None),
+            key=lambda item: item[1],
         )
 
-        if allow_split:
-            split = self._consider_split(batch, summary, mode, scored)
-            if split is not None:
-                split.table = table
-                decision = split
+        if unseen:
+            # Second timings wait until every plan has its first; the
+            # paper-rule plan goes first, the cheapest first timing next.
+            prior = self._prior(n, mode, strategy)
+            plan = min(unseen, key=lambda u: (u[0], u[1], u[3] != prior, u[2]))[3]
+            self._explorations += 1
+            beside, head = None, 0
+            if plan not in pending and cheapest is not None and n >= 4:
+                # A quarter of the batch for a first look: enough to
+                # price the plan against the cap.  A second look is whole.
+                beside, head = cheapest, n - 3 * (n // 4)
+            decision = Decision(
+                plan=plan,
+                mode=mode,
+                source="explore",
+                predicted_s=pending.get(plan),
+                reason=f"never timed within 2x of {n} queries",
+                n=n,
+                table=table,
+                beside=beside,
+                head=head,
+            )
+            self._record(decision, ob)
+            return decision
 
+        cost, plan = _pick(sorted(((s, p) for p, s in timed.items()), key=lambda i: i[0]))
+        self._settled[slot] = _Settled(plan, table, cost / n)
+        decision = Decision(
+            plan=plan,
+            mode=mode,
+            source="model",
+            predicted_s=cost,
+            reason="cheapest plan timed at this size",
+            n=n,
+            table=table,
+            slot=slot,
+        )
         self._record(decision, ob)
         return decision
 
-    def _fitted(self, plan: Plan, mode: str, n: int, extent: int) -> Optional[float]:
-        """What the plan's fitted coefficients say, without its drift.
-
-        Plans are ranked on this.  The drift ratio is known only for the
-        plan that has been running, and most of what it sees slows every
-        plan alike (a busy minute on a shared machine, typical against
-        best-of-two timing): ranking on it priced the plan in use at its
-        usual time and every other at its best, so twins traded places on
-        noise and a slow minute sent batches to plans that are slower.
-        """
-        cost = self.model.entry(plan.key(mode))
-        return None if cost is None else cost.predict(n, extent)
-
-    def _prior_decision(self, n: int, mode: str, strategy: Optional[str]) -> Decision:
-        """The cold-start plan: paper-rule strategy, threshold backend.
-
-        The backend is left as ``auto``: the engine resolves the static
-        rule per batch (it alone knows whether its process pool is up),
-        so pre-calibration behaviour is *exactly* the bare engine.
-        """
-        if strategy is not None:
-            chosen, reason = strategy, "strategy pinned by caller"
-        else:
-            chosen, reason = cold_start_recommendation(self._collection_size, n)
-        return Decision(
-            plan=Plan(strategy=chosen, backend="auto"),
-            mode=mode,
-            source="prior",
-            predicted_s=None,
-            reason=f"{reason}; backend by the engine's static rule",
-        )
-
-    def _consider_split(
-        self,
-        batch: QueryBatch,
-        summary: ExtentSummary,
-        mode: str,
-        scored: List[Tuple[float, Plan]],
-    ) -> Optional[Decision]:
-        """Try extent-percentile cuts; keep one only if it clearly wins."""
-        n = summary.num_queries
-        if n < self.min_split_batch:
-            return None
-        if summary.heterogeneity < self.min_heterogeneity:
-            return None
-        best_cost, _ = scored[0]
-        ext = batch_extents(batch)
-        thresholds = sorted(
-            {
-                t
-                for t in summary.percentiles.values()
-                if summary.min_extent <= t < summary.max_extent
-            }
-        )
-        best_split: Optional[Tuple[float, SplitPlan]] = None
-        for threshold in thresholds:
-            mask = ext <= threshold
-            n_narrow = int(mask.sum())
-            n_wide = n - n_narrow
-            if n_narrow == 0 or n_wide == 0:
-                continue
-            e_narrow = int(ext[mask].sum())
-            e_wide = summary.total_extent - e_narrow
-            narrow = self._cheapest(scored, n_narrow, e_narrow, mode)
-            wide = self._cheapest(scored, n_wide, e_wide, mode)
-            (c_narrow, p_narrow), (c_wide, p_wide) = narrow, wide
-            if p_narrow == p_wide:
-                continue  # same plan on both sides: splitting only adds overhead
-            total = c_narrow + c_wide
-            if best_split is None or total < best_split[0]:
-                best_split = (
-                    total,
-                    SplitPlan(threshold=int(threshold), narrow=p_narrow, wide=p_wide),
-                )
-        if best_split is None:
-            return None
-        total, split = best_split
-        if total >= best_cost * self.split_margin:
-            return None
-        return Decision(
-            plan=split,
-            mode=mode,
-            source="model",
-            predicted_s=total,
-            reason=(
-                f"extent split beats best single plan "
-                f"({total * 1e3:.3f}ms vs {best_cost * 1e3:.3f}ms predicted)"
-            ),
-            n=n,
-            total_extent=summary.total_extent,
-        )
-
-    def _cheapest(
-        self,
-        scored: List[Tuple[float, Plan]],
-        n: int,
-        total_extent: int,
-        mode: str,
-    ) -> Tuple[float, Plan]:
-        """The plan for a sub-batch's features (:func:`_pick`)."""
-        return _pick(sorted(
-            ((self._fitted(plan, mode, n, total_extent), plan) for _, plan in scored),
-            key=lambda item: item[0],
-        ))
+    def _prior(self, n: int, mode: str, strategy: Optional[str]) -> Plan:
+        """The paper-rule strategy on the static rule's backend."""
+        if strategy is None:
+            strategy, _ = cold_start_recommendation(self._collection_size, n)
+        return Plan(strategy, static_backend_choice(n, strategy, mode, cpus=self.caps.cpus))
 
     def _record(self, decision: Decision, ob) -> None:
         if ob is None:
             return
-        if decision.split:
-            keys = [
-                decision.plan.narrow.key(decision.mode),
-                decision.plan.wide.key(decision.mode),
-            ]
-        else:
-            keys = [decision.plan.key(decision.mode)]
-        ob.record_planner_decision(
-            keys, decision.source, split=decision.split
-        )
+        ob.record_planner_decision(decision.plan.key(decision.mode), decision.source)
         if decision.source == "explore":
             ob.record_planner_exploration()
-        age = self.model.age_seconds()
-        if age is not None:
-            ob.record_planner_calibration_age(age)
 
     # ------------------------------------------------------------------ #
-    # feedback + calibration
+    # feedback
     # ------------------------------------------------------------------ #
 
-    def observe(
-        self, plan: Plan, mode: str, n: int, total_extent: int, seconds: float
-    ) -> Optional[float]:
-        """Fold one executed (sub-)plan's latency back into the model:
-        a sample to fit again from when the plan was never timed near *n*
-        queries, drift of the fitted prediction otherwise."""
-        key = plan.key(mode)
-        if not self.model.timed_near(key, n) and self.model.entry(key) is not None:
-            self._learn(key, (n, total_extent, seconds))
+    def observe(self, decision: Decision, seconds: float) -> Optional[float]:
+        """Fold the run of *decision*'s plan (on ``decision.timed``
+        queries) back in: a look to keep from a first-sight batch,
+        otherwise the relative error of the prediction (and the settled
+        plan's drift)."""
+        key, n = decision.plan.key(decision.mode), decision.timed
+        if n <= 0:
             return None
-        rel_error = self.model.observe(key, n, total_extent, seconds)
-        if rel_error is not None:
-            ob = obs.active()
-            if ob is not None:
-                ob.record_planner_cost_error(rel_error)
+        with self._lock:
+            if decision.source == "explore":
+                # Unless another thread's look at this size landed first.
+                if not self.model.timed_near(key, decision.n):
+                    self._learn(key, (decision.n, seconds * decision.n / n))
+                return None
+            predicted = decision.predicted_s
+            if not predicted or seconds <= 0.0:
+                return None
+            settled = self._settled.get(decision.slot)
+            if (
+                settled is not None
+                and settled.plan == decision.plan
+                and settled.moved(seconds / predicted)
+            ):
+                self._reopen(decision.slot, n)
+        rel_error = abs(seconds - predicted) / seconds
+        ob = obs.active()
+        if ob is not None:
+            ob.record_planner_cost_error(rel_error)
         return rel_error
 
     def _learn(self, key: str, sample: Sample) -> None:
-        """Best of two batches, however long the first took: the first of
-        a process at a new size costs 3x the tenth (fresh result pages)."""
+        """Best of two looks, however long the first took: the first of
+        a process at a new size costs 3x the tenth (fresh result pages).
+        *sample* is a look scaled to the batch it was part of; the better
+        rate per query is kept at the second look's batch size."""
         first = self._first_sight.pop(key, None)
-        if first is None:
+        if first is None or not near(first[0], sample[0]):
             self._first_sight[key] = sample
             return
-        if first[2] * sample[0] < sample[2] * first[0]:
-            sample = first  # fewer seconds per query
-        self.model.fit(key, self.model.samples(key) + [sample])
+        rate = min(first[1] / first[0], sample[1] / sample[0])
+        self.model.add(key, (sample[0], rate * sample[0]))
+
+    def _reopen(self, slot: tuple, n: int) -> None:
+        """Forget what was timed near *n* in *slot*'s mode and decide again."""
+        mode, size_class = slot[0], slot[1]
+        self._reopened += 1
+        for key in self.model.keys():
+            if key.endswith("|" + mode):
+                self.model.forget_near(key, n)
+                self._first_sight.pop(key, None)
+        for other in [s for s in self._settled if s[:2] == (mode, size_class)]:
+            self._settled.pop(other, None)
 
     @property
     def exploration_rate(self) -> float:
-        """Fraction of decisions so far that were first-sight probes."""
+        """Fraction of decisions so far that were first-sight batches."""
         if not self._decisions:
             return 0.0
         return self._explorations / self._decisions
 
-    def calibrate(
-        self,
-        run_plan: Callable[[Plan, QueryBatch, str], object],
-        *,
-        modes: Sequence[str] = ("count", "checksum", "ids"),
-        budget_s: float = 0.12,
-        seed: int = 0,
-        save_path: Optional[str] = None,
-    ) -> CostModel:
-        """Startup micro-calibration: seeded probes, lstsq per plan.
-
-        *run_plan* executes ``(plan, batch, mode)`` on the real installed
-        index (the executor passes its engine).  Each (plan, mode) pair
-        gets one untimed warm-up (first-call costs — kernel warm-up,
-        lazily built sort caches — belong to no steady-state
-        coefficient), then three probes spanning the feature space —
-        two batch sizes at a narrow extent plus a wide-extent batch,
-        best-of-two each — fitted into ``(fixed, per_query,
-        per_extent)``.  *budget_s* is checked between modes: a mode is
-        probed as a unit or not at all, because the model only decides
-        for a mode whose every plan is fitted (a skipped mode stays on
-        the prior).  Deterministic under *seed*.
-        """
-        rng = np.random.default_rng(seed)
-        top = _domain_top(self._index)
-        probes = _probe_batches(rng, top)
-        t_start = perf_counter()
-        plans = plan_space(self.caps, strategies=self.strategies)
-        for mode in modes:
-            if perf_counter() - t_start > budget_s:
-                break
-            for plan in plans:
-                t0 = perf_counter()
-                run_plan(plan, probes[0][0], mode)  # warm-up, not a probe
-                warm_dt = perf_counter() - t0
-                # A plan too slow to probe twice within what remains of
-                # the budget (it would not win anyway) keeps its warm-up
-                # time as a flat fixed cost, so the mode is still whole.
-                remaining = budget_s - (perf_counter() - t_start)
-                if warm_dt * 2 * len(probes) > remaining and remaining < budget_s / 2:
-                    self.model.fit(plan.key(mode), [(0, 0, warm_dt)])
-                    continue
-                samples: List[Tuple[int, int, float]] = []
-                for batch, total_extent in probes:
-                    best = None
-                    # Best-of-two absorbs scheduler noise; a probe that
-                    # already cost > 5 ms is measured once — noise is
-                    # relatively small there and budget is precious.
-                    for _ in range(2):
-                        t0 = perf_counter()
-                        run_plan(plan, batch, mode)
-                        dt = perf_counter() - t0
-                        best = dt if best is None else min(best, dt)
-                        if dt > 0.005:
-                            break
-                    samples.append((len(batch), total_extent, best))
-                self.model.fit(plan.key(mode), samples)
-        self.model.meta.setdefault("index", _index_meta(self._index))
-        self.model.meta.setdefault(
-            "machine", {"cpus": self.caps.cpus, "workers": self.caps.workers}
-        )
-        if save_path is not None:
-            self.model.save(save_path)
-        return self.model
-
     def stats(self) -> Dict[str, object]:
         """Introspection snapshot (plan-sim, tests)."""
-        return {
-            "decisions": self._decisions,
-            "explorations": self._explorations,
-            "exploration_rate": self.exploration_rate,
-            "calibrated_plans": self.model.keys(),
-            "calibration_age_s": self.model.age_seconds(),
-        }
+        with self._lock:
+            return {
+                "decisions": self._decisions,
+                "explorations": self._explorations,
+                "exploration_rate": self.exploration_rate,
+                "settled": len(self._settled),
+                "reopened": self._reopened,
+                "timed_plans": self.model.keys(),
+            }
 
 
 def _pick(scored: List[Tuple[float, Plan]]) -> Tuple[float, Plan]:
@@ -479,38 +388,3 @@ def _pick(scored: List[Tuple[float, Plan]]) -> Tuple[float, Plan]:
         scored[0],
     )
     return scored[0] if scored[0][0] < one_core[0] * MULTICORE_MARGIN else one_core
-
-
-def _domain_top(index) -> int:
-    """Top usable domain value of any supported index kind."""
-    m = getattr(index, "m", None)
-    if m is not None:
-        return (1 << int(m)) - 1
-    top = getattr(index, "_domain_top", None)
-    if top is not None:
-        return int(top)
-    shards = getattr(index, "shards", None)
-    if shards:
-        return int(shards[-1].hi)
-    return (1 << 16) - 1
-
-
-def _index_meta(index) -> dict:
-    return {
-        "kind": type(index).__name__,
-        "size": int(getattr(index, "size", None) or len(index)),
-        "m": int(getattr(index, "m", 0) or 0),
-    }
-
-
-def _probe_batches(rng, top: int) -> List[Tuple[QueryBatch, int]]:
-    """The seeded probe suite: (batch, total_extent) feature points, three
-    of them (:func:`probe_points`) so the fit is determined."""
-    out: List[Tuple[QueryBatch, int]] = []
-    for n, extent in probe_points(top):
-        st = rng.integers(0, max(top - extent, 1), size=n)
-        ext = rng.integers(extent // 2, extent + 1, size=n)
-        end = np.minimum(st + ext, top)
-        batch = QueryBatch(st, end)
-        out.append((batch, int((batch.end - batch.st).sum())))
-    return out

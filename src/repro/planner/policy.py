@@ -5,8 +5,9 @@ Two things live here, deliberately dependency-light (nothing from
 can import this module without a cycle):
 
 * :func:`static_backend_choice` — the threshold rule behind the
-  engine's ``auto`` backend: what runs when no calibrated plan pins a
-  backend (the planner's prior, and its fallback on a planner fault).
+  engine's ``auto`` backend: what runs when no plan pins a backend (the
+  planner's fallback on a fault), and the backend of the plan a fresh
+  planner hands its first batch of a size.
   It consults the *live* kernel state: ``threads+compiled`` is only
   preferred when the JIT kernels are genuinely available **and not**
   running on the pure-NumPy fallback — fallback kernels hold the GIL,
@@ -14,7 +15,7 @@ can import this module without a cycle):
 * :func:`cold_start_recommendation` — the paper-rule strategy prior
   (Section 4 findings) that :func:`repro.core.advisor.recommend_strategy`
   wraps and the adaptive planner starts from, so the advisor and the
-  planner can never disagree before calibration.
+  planner can never disagree before a batch has been timed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ GIL_BOUND_STRATEGIES = frozenset(
 )
 
 #: The static rule's thresholds (batch sizes), tuned once on the
-#: reference container; the calibrated cost model replaces them, these
+#: reference container; the planner's timings replace them, these
 #: remain the prior.
 NOGIL_CUTOFF = 512
 THREAD_CUTOFF = 2048
@@ -90,8 +91,8 @@ def cold_start_recommendation(
 ) -> Tuple[str, str]:
     """The paper-rule strategy prior: ``(strategy, reason)``.
 
-    This is the planner's strategy distribution before any calibration
-    or observed latencies exist, and the single source of truth behind
+    This is the strategy a planner runs first at a size it has not
+    timed, and the single source of truth behind
     :func:`repro.core.advisor.recommend_strategy`.
     """
     if batch_size == 0:

@@ -82,7 +82,7 @@ def oracle_result(collection, batch, m):
 def assert_flat_oracle(result, want):
     """*result* is the answer *want* (an :func:`oracle_result`) in its own
     mode, and in ids mode one flat array whose per-query ids are views of
-    it — whatever merges (chunks, shards, split plans, cache) produced it."""
+    it — whatever merges (chunks, shards, cache) produced it."""
     assert result.counts.tolist() == want.counts.tolist()
     if result.mode == "checksum":
         assert result.checksums.tolist() == [

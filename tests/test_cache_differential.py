@@ -17,7 +17,7 @@ overlap rule, and for being driven a batch (not a query) at a time.
 The matrix: 3 strategies x 3 result modes x {HintIndex, DynamicHint,
 ShardedHint} x {serial, threads, engine-auto} execution backends, plus
 one cell each for the other ways a result gets merged below the cache
-(process chunks, compiled shards on threads, a forced split plan), swept
+(compiled shards on threads, the learning planner's plans), swept
 by ``REPRO_CACHE_TRIALS`` seeded trials (default 200; ``make
 cache-smoke`` runs a reduced sweep).  DynamicHint only exists in the
 serial cell — it has no strategy/execute surface, the executor serves it
@@ -46,8 +46,7 @@ from repro.cache import ResultCache
 from repro.cache import result as result_store
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES
-from repro.planner import Plan, PlannedExecutor, SplitPlan
-from repro.planner.planner import Decision
+from repro.planner import PlannedExecutor
 from repro.workloads.queries import uniform_queries, zipfian_queries
 
 from tests.conftest import assert_flat_oracle, oracle_result, random_collection
@@ -67,25 +66,11 @@ COMBOS = (
     ("sharded", "threads"),
     ("sharded", "engine-auto"),
     ("sharded", "threads+compiled"),
-    ("hint", "split-plan"),
+    ("hint", "planner"),
 )
 
 #: All strategy x mode pairs, cycled across trials.
 PAIRS = tuple((s, mode) for s in sorted(STRATEGIES) for mode in MODES)
-
-
-def _forced_split(index):
-    """A planner front whose every decision is the same two-sided split."""
-    px = PlannedExecutor(index, model_path=None)
-    split = SplitPlan(
-        threshold=3,
-        narrow=Plan("partition-based", "compiled"),
-        wide=Plan("level-based", "serial"),
-    )
-    px.planner.decide = lambda batch, mode, strategy=None: Decision(
-        plan=split, mode=mode, source="model", n=len(batch)
-    )
-    return px
 
 
 def _make_backend(kind: str, backend: str, coll: IntervalCollection, m: int):
@@ -96,8 +81,8 @@ def _make_backend(kind: str, backend: str, coll: IntervalCollection, m: int):
     idx = HintIndex(coll, m=m) if kind == "hint" else ShardedHint(coll, 3, m=m)
     if backend == "serial":
         return idx, lambda: None
-    if backend == "split-plan":
-        px = _forced_split(idx)
+    if backend == "planner":
+        px = PlannedExecutor(idx)
         return px, px.close
     if backend == "engine-auto":
         eng = ExecutionEngine(idx, backend="auto")

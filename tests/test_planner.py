@@ -1,11 +1,11 @@
 """Unit tests for the adaptive batch planner (``repro.planner``).
 
-Covers the cost model (fit / predict / EWMA drift / persistence), the
-plan space legality rules, the static backend policy — including the
+Covers the kept timings (predict / timed-near / forget), the plan space
+legality rules, the static backend policy — including the
 kernel-fallback regression where ``threads+compiled`` must not be
-preferred while the pure-NumPy fallback serves the compiled path — the
-engine's online backend policy, and the planner's decision logic
-(prior vs model vs first-sight probe vs split).
+preferred while the pure-NumPy fallback serves the compiled path — and
+the planner's decisions: first sight in rounds, one settled plan per
+size class, and re-opening a class whose timing drifts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.batch_stats import batch_extents, summarize_extents
+from repro.analysis.batch_stats import batch_extents
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
 from repro.kernels import ops as kernel_ops
@@ -22,9 +22,7 @@ from repro.planner import (
     BackendCaps,
     CostModel,
     Plan,
-    PlanCost,
     PlannedExecutor,
-    SplitPlan,
     plan_space,
 )
 from repro.planner.plan import plan_key
@@ -38,138 +36,49 @@ from repro.planner.policy import (
 from tests.conftest import random_collection
 
 # --------------------------------------------------------------------- #
-# cost model
+# kept timings
 # --------------------------------------------------------------------- #
 
 
-class TestPlanCost:
-    def test_predict_is_affine(self):
-        cost = PlanCost(fixed_s=0.5, per_query_s=0.01, per_extent_s=0.001)
-        assert cost.predict(0, 0) == pytest.approx(0.5)
-        assert cost.predict(10, 100) == pytest.approx(0.5 + 0.1 + 0.1)
-
-
 class TestCostModel:
-    def test_fit_recovers_planted_coefficients(self):
-        model = CostModel()
-        fixed, per_q, per_e = 2e-3, 5e-6, 1e-8
-        samples = [
-            (n, e, fixed + per_q * n + per_e * e)
-            for n, e in [(10, 1000), (100, 1000), (100, 100_000), (500, 5000)]
-        ]
-        cost = model.fit("p|serial|count", samples)
-        assert cost.fixed_s == pytest.approx(fixed, rel=1e-6)
-        assert cost.per_query_s == pytest.approx(per_q, rel=1e-6)
-        assert cost.per_extent_s == pytest.approx(per_e, rel=1e-6)
-        assert model.calibrated
-
-    def test_fit_clamps_negative_coefficients(self):
-        model = CostModel()
-        # Noisy samples engineered to drive the lstsq fixed term negative.
-        cost = model.fit(
-            "k", [(10, 0, 0.0001), (20, 0, 0.0100), (40, 0, 0.0150)]
-        )
-        assert cost.fixed_s >= 0.0
-        assert cost.per_query_s >= 0.0
-        assert cost.per_extent_s >= 0.0
-
-    def test_negative_coefficient_is_dropped_and_the_rest_refitted(self):
-        """The unconstrained fit of these probes has ``fixed`` < 0.  Zeroing
-        it and keeping the other two as fitted is not the non-negative
-        solution: the slopes were compensating for the negative intercept,
-        so every prediction came out too high."""
-        samples = [(48, 100, 0.9e-3), (192, 400, 4.1e-3), (192, 6400, 4.4e-3)]
-        a = np.array([[1.0, n, e] for n, e, _ in samples])
-        y = np.array([s for _, _, s in samples])
-        free, *_ = np.linalg.lstsq(a, y, rcond=None)
-        assert free[0] < 0.0 < min(free[1:])  # the premise
-        cost = CostModel().fit("k", samples)
-        assert cost.fixed_s == 0.0
-        rest, *_ = np.linalg.lstsq(a[:, 1:], y, rcond=None)
-        assert (cost.per_query_s, cost.per_extent_s) == pytest.approx(tuple(rest))
-        # Smaller residual than clamp-and-keep, and no inflation at scale.
-        clamped = np.array([0.0, free[1], free[2]])
-        fitted = np.array([cost.fixed_s, cost.per_query_s, cost.per_extent_s])
-        assert np.linalg.norm(a @ fitted - y) < np.linalg.norm(a @ clamped - y)
-        assert cost.predict(4096, 8192) < PlanCost(*clamped).predict(4096, 8192)
-
     def test_model_retains_the_samples_it_fitted(self):
         model = CostModel()
-        samples = [(48, 10, 0.001), (192, 40, 0.002), (192, 900, 0.003)]
-        model.fit("k", samples)
-        assert model.samples("k") == samples
+        model.add("k", (48, 0.001))
+        model.add("k", (192, 0.002))
+        assert model.samples("k") == [(48, 0.001), (192, 0.002)]
         assert model.timed_near("k", 96) and model.timed_near("k", 384)
         assert not model.timed_near("k", 23) and not model.timed_near("k", 385)
         assert not model.timed_near("other", 48)
-        model.fit("k", model.samples("k") + [(4096, 900, 0.02)])
-        assert model.timed_near("k", 4096) and len(model.samples("k")) == 4
+        assert model.keys() == ["k"]
 
     def test_predict_uncalibrated_is_none(self):
         model = CostModel()
-        assert model.predict("nope", 10, 10) is None
-        assert model.observe("nope", 10, 10, 0.5) is None
+        assert model.predict("nope", 10) is None
+        model.add("k", (100, 0.01))
+        assert model.predict("k", 201) is None  # beyond 2x: not extrapolated
+        assert model.predict("k", 49) is None
 
-    def test_observe_returns_relative_error_and_tracks_drift(self):
-        model = CostModel(ewma_alpha=0.5)
-        model.fit("k", [(10, 0, 0.010), (100, 0, 0.100), (100, 50, 0.100)])
-        # Model predicts ~1 ms/query; observe a consistent 2x slowdown.
-        err = model.observe("k", 50, 0, 0.100)
-        assert err == pytest.approx(0.5, rel=1e-2)  # |0.1 - 0.05| / 0.1
-        assert model.drift("k") == pytest.approx(1.5, rel=1e-2)
-        for _ in range(10):
-            model.observe("k", 50, 0, 0.100)
-        # EWMA converges onto the true ratio; predictions follow it.
-        assert model.drift("k") == pytest.approx(2.0, rel=0.05)
-        assert model.predict("k", 50, 0) == pytest.approx(0.100, rel=0.05)
-
-    def test_refit_resets_drift(self):
+    def test_predict_scales_the_nearest_timing(self):
         model = CostModel()
-        model.fit("k", [(10, 0, 0.01), (100, 0, 0.1), (100, 50, 0.1)])
-        model.observe("k", 50, 0, 0.5)
-        assert model.drift("k") != 1.0
-        model.fit("k", [(10, 0, 0.01), (100, 0, 0.1), (100, 50, 0.1)])
-        assert model.drift("k") == 1.0
+        model.add("k", (100, 0.010))
+        model.add("k", (400, 0.020))
+        assert model.predict("k", 150) == pytest.approx(0.015)  # from 100
+        assert model.predict("k", 300) == pytest.approx(0.015)  # from 400
+        assert model.predict("k", 400) == pytest.approx(0.020)
 
-    def test_degenerate_observations_are_ignored(self):
+    def test_forget_near_drops_only_that_size(self):
         model = CostModel()
-        model.fit("k", [(10, 0, 0.01), (100, 0, 0.1), (100, 50, 0.1)])
-        assert model.observe("k", 0, 0, 0.1) is None
-        assert model.observe("k", 10, 0, 0.0) is None
-        assert model.drift("k") == 1.0
+        model.add("k", (100, 0.01))
+        model.add("k", (4096, 0.5))
+        model.forget_near("k", 150)
+        assert model.samples("k") == [(4096, 0.5)]
+        model.forget_near("k", 4000)
+        assert model.keys() == []
 
-    def test_fit_requires_samples(self):
-        with pytest.raises(ValueError, match="zero probes"):
-            CostModel().fit("k", [])
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            CostModel(ewma_alpha=0.0)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        model = CostModel(meta={"index": {"kind": "HintIndex", "size": 100}})
-        model.fit("a|serial|count", [(10, 5, 0.01), (100, 5, 0.1), (100, 500, 0.2)])
-        model.fit("b|compiled|ids", [(10, 5, 0.02), (100, 5, 0.3), (100, 500, 0.4)])
-        path = str(tmp_path / "cal.json")
-        model.save(path)
-        loaded = CostModel.load(path)
-        assert loaded.to_dict() == model.to_dict()
-        assert loaded.keys() == model.keys()
-        for key in model.keys():
-            assert loaded.predict(key, 77, 1234) == pytest.approx(
-                model.predict(key, 77, 1234)
-            )
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(ValueError, match="unsupported calibration version"):
-            CostModel.load(str(path))
-
-    def test_age_tracks_calibration_instant(self):
-        model = CostModel()
-        assert model.age_seconds() is None
-        model.fit("k", [(10, 0, 0.01)])
-        assert model.age_seconds(now=model.created_at + 7.0) == pytest.approx(7.0)
+    def test_add_requires_a_batch_timing(self):
+        for bad in ((0, 0.1), (-3, 0.1), (10, -1.0)):
+            with pytest.raises(ValueError, match="not a batch timing"):
+                CostModel().add("k", bad)
 
 
 # --------------------------------------------------------------------- #
@@ -300,15 +209,6 @@ def _uniform_batch(rng, n, extent, top=1023):
     return QueryBatch(st, st + extent)
 
 
-def _mixed_batch(rng, n_narrow, n_wide, e_narrow, e_wide, top=1023):
-    st1 = rng.integers(0, top - e_narrow, size=n_narrow)
-    st2 = rng.integers(0, top - e_wide, size=n_wide)
-    st = np.concatenate([st1, st2])
-    end = np.concatenate([st1 + e_narrow, st2 + e_wide])
-    perm = rng.permutation(st.size)
-    return QueryBatch(st[perm], end[perm])
-
-
 @pytest.fixture
 def small_hint(rng):
     index = HintIndex(random_collection(rng, 400, 1023), m=10)
@@ -316,33 +216,45 @@ def small_hint(rng):
     return index
 
 
+_ONE_CORE = BackendCaps(cpus=1, workers=1, compiled_ok=True)
+
+
+def _timed_model(seconds_at_64):
+    """A model holding one timing at 64 queries per ``plan key``."""
+    model = CostModel()
+    for key, seconds in seconds_at_64.items():
+        model.add(key, (64, seconds))
+    return model
+
+
 class TestAdaptivePlanner:
     def test_uncalibrated_decision_is_the_static_prior(self, small_hint, rng):
-        planner = AdaptivePlanner(small_hint)
-        batch = _uniform_batch(rng, 64, 8)
-        decision = planner.decide(batch, mode="count")
-        assert decision.source == "prior"
-        assert decision.plan.backend == "auto"
-        strategy, reason = cold_start_recommendation(len(small_hint), 64)
-        assert decision.plan.strategy == strategy
-        assert reason in decision.reason
+        """A planner that has timed nothing hands its first batch to the
+        paper-rule strategy on the static rule's backend."""
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
+        decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
+        assert decision.source == "explore"
+        strategy, _ = cold_start_recommendation(len(small_hint), 64)
+        backend = static_backend_choice(64, strategy, "count", cpus=1)
+        assert decision.plan == Plan(strategy, backend)
 
     def test_pinned_strategy_respected_by_prior(self, small_hint, rng):
-        planner = AdaptivePlanner(small_hint)
-        decision = planner.decide(
-            _uniform_batch(rng, 64, 8), mode="count", strategy="level-based"
-        )
-        assert decision.plan.strategy == "level-based"
-        assert "pinned" in decision.reason
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
+        for _ in range(4):
+            decision = planner.decide(
+                _uniform_batch(rng, 64, 8), mode="count", strategy="level-based"
+            )
+            assert decision.plan == Plan("level-based", "serial")
+            planner.observe(decision, 0.001)
+        assert decision.source == "model"
 
     def test_calibrated_decision_picks_cheapest(self, small_hint, rng):
-        model = CostModel()
-        # Plant costs: compiled clearly cheapest for this shape.
-        model.fit("partition-based|serial|count", [(64, 512, 0.010)])
-        model.fit("partition-based|compiled|count", [(64, 512, 0.001)])
-        model.fit("join-based|serial|count", [(64, 512, 0.020)])
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(small_hint, caps=caps, model=model)
+        model = _timed_model({
+            "partition-based|serial|count": 0.010,
+            "partition-based|compiled|count": 0.001,
+            "join-based|serial|count": 0.020,
+        })
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
         decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
         assert decision.source == "model"
         assert decision.plan == Plan("partition-based", "compiled")
@@ -350,290 +262,252 @@ class TestAdaptivePlanner:
         assert [k for k, _ in decision.table][0] == "partition-based|compiled|count"
         assert len(decision.table) == 3
 
-    def test_partially_calibrated_mode_stays_on_the_prior(self, small_hint, rng):
-        """A model holding only some of a mode's plans must not pin the
-        batch to them (PR 12: ``partition-based|serial|ids`` held for a
-        whole run); the model decides once every legal plan is fitted."""
-        model = CostModel()
-        model.fit("partition-based|serial|ids", [(64, 512, 0.010)])
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(small_hint, caps=caps, model=model)
+    def test_partially_timed_mode_explores_the_rest(self, small_hint, rng):
+        """A model holding only some of a mode's plans does not pin the
+        batch to them: the others get the batch first."""
+        model = _timed_model({"partition-based|serial|ids": 0.010})
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
         batch = _uniform_batch(rng, 64, 8)
         decision = planner.decide(batch, mode="ids")
-        assert decision.source == "prior"
-        assert decision.plan.backend == "auto"
-        model.fit("partition-based|compiled|ids", [(64, 512, 0.001)])
-        model.fit("join-based|serial|ids", [(64, 512, 0.020)])
+        assert decision.source == "explore"
+        assert decision.plan != Plan("partition-based", "serial")
+        model.add("partition-based|compiled|ids", (64, 0.001))
+        model.add("join-based|serial|ids", (64, 0.020))
         decision = planner.decide(batch, mode="ids")
         assert decision.source == "model"
         assert decision.plan == Plan("partition-based", "compiled")
         # Per (mode, strategy set): a pinned strategy needs only its own
-        # plans, another mode is still uncalibrated.
+        # plans, another mode has timed nothing.
         pinned = planner.decide(batch, mode="ids", strategy="join-based")
         assert pinned.source == "model"
-        assert planner.decide(batch, mode="count").source == "prior"
-
-    def test_calibration_finishes_or_skips_a_mode_as_a_unit(
-        self, small_hint, monkeypatch
-    ):
-        """The budget is checked between modes: the mode in flight when
-        it runs out is completed (plans too slow to probe keep their
-        warm-up time as a flat cost), later modes are not started."""
-        import repro.planner.planner as planner_module
-
-        now = [0.0]  # a fake clock: every plan run costs exactly 2 ms
-        monkeypatch.setattr(planner_module, "perf_counter", lambda: now[0])
-
-        def run_plan(plan, batch, mode):
-            now[0] += 0.002
-
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(small_hint, caps=caps)
-        planner.calibrate(run_plan, budget_s=0.01)
-        keys = [plan.key("count") for plan in plan_space(caps)]
-        assert planner.model.keys() == sorted(keys)
-        probed, *flat = (planner.model.entry(key) for key in keys)
-        assert probed.probes == 3
-        for cost in flat:
-            assert cost.fixed_s >= 0.002
-            assert cost.per_query_s == cost.per_extent_s == 0.0
+        assert planner.decide(batch, mode="count").source == "explore"
 
     def test_twin_plans_do_not_trade_places_on_timing_noise(self, small_hint, rng):
-        """Fails at the parent: the drift of the plan in use — typical
-        against best-of-two timing, a busy minute — was held against it
-        alone, and the next batch went to a twin that had seen neither."""
-        model = CostModel()
-        model.fit("partition-based|serial|count", [(64, 512, 0.00100)])
-        model.fit("partition-based|compiled|count", [(64, 512, 0.00102)])
-        model.fit("join-based|serial|count", [(64, 512, 0.00150)])
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(small_hint, caps=caps, model=model)
+        """Two plans a few per cent apart: once settled, +-10 % of noise
+        and a slow stretch inside the band keep the same plan."""
+        model = _timed_model({
+            "partition-based|serial|count": 0.00100,
+            "partition-based|compiled|count": 0.00102,
+            "join-based|serial|count": 0.00150,
+        })
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
         batch = _uniform_batch(rng, 64, 8)
         serial = Plan("partition-based", "serial")
-        assert planner.decide(batch, mode="count").plan == serial
-        for _ in range(8):  # a slow minute: every batch at 1.8x
-            err = planner.observe(serial, "count", 64, 512, 0.00180)
-        assert model.drift("partition-based|serial|count") > 1.5
-        assert err < 0.2  # the drift still prices the error histogram
-        decision = planner.decide(batch, mode="count")
-        assert decision.plan == serial and decision.source == "model"
-        assert decision.predicted_s == pytest.approx(0.00100)
+        noise = np.random.default_rng(3)
+        for slow in [1.0] * 20 + [1.3] * 20 + [1.0] * 20:
+            decision = planner.decide(batch, mode="count")
+            assert decision.plan == serial and decision.source == "model"
+            planner.observe(decision, 0.00100 * slow * noise.uniform(0.9, 1.1))
+        assert planner.stats()["reopened"] == 0
 
-    def test_split_chosen_when_model_predicts_a_clear_win(self, small_hint, rng):
-        model = CostModel()
-        # serial: pure per-query cost; compiled: pure per-extent cost —
-        # a mixed batch is cheapest split narrow->serial / wide->compiled.
-        model.fit(
-            "partition-based|serial|ids",
-            [(1, 0, 1e-4), (1000, 0, 0.1), (1000, 100_000, 0.1)],
-        )
-        model.fit(
-            "partition-based|compiled|ids",
-            [(1, 0, 1e-6), (1000, 0, 1e-6), (1000, 100_000, 0.5)],
-        )
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(
-            small_hint, caps=caps, model=model,
-            strategies=("partition-based",), min_split_batch=64,
-        )
-        batch = _mixed_batch(rng, 896, 128, 2, 512)
-        decision = planner.decide(batch, mode="ids")
-        assert decision.split
-        assert decision.plan.narrow == Plan("partition-based", "compiled")
-        assert decision.plan.wide == Plan("partition-based", "serial")
-        assert decision.plan.threshold >= 2
-        assert decision.predicted_s < min(c for _, c in decision.table)
-
-    def test_split_rejected_for_homogeneous_batches(self, small_hint, rng):
-        model = CostModel()
-        model.fit(
-            "partition-based|serial|ids",
-            [(1, 0, 1e-4), (1000, 0, 0.1), (1000, 100_000, 0.1)],
-        )
-        model.fit(
-            "partition-based|compiled|ids",
-            [(1, 0, 1e-6), (1000, 0, 1e-6), (1000, 100_000, 0.5)],
-        )
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(
-            small_hint, caps=caps, model=model,
-            strategies=("partition-based",), min_split_batch=64,
-        )
-        # All-narrow: heterogeneity ~1, no split can help.
-        decision = planner.decide(_uniform_batch(rng, 1024, 4), mode="ids")
-        assert not decision.split
-
-    def test_split_respects_min_batch(self, small_hint, rng):
-        model = CostModel()
-        model.fit(
-            "partition-based|serial|ids",
-            [(1, 0, 1e-4), (1000, 0, 0.1), (1000, 100_000, 0.1)],
-        )
-        model.fit(
-            "partition-based|compiled|ids",
-            [(1, 0, 1e-6), (1000, 0, 1e-6), (1000, 100_000, 0.5)],
-        )
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
-        planner = AdaptivePlanner(
-            small_hint, caps=caps, model=model,
-            strategies=("partition-based",), min_split_batch=4096,
-        )
-        decision = planner.decide(
-            _mixed_batch(rng, 896, 128, 2, 512), mode="ids"
-        )
-        assert not decision.split
-
-    def test_observe_updates_model(self, small_hint):
-        model = CostModel()
-        model.fit("partition-based|serial|count", [(64, 512, 0.010)])
-        planner = AdaptivePlanner(small_hint, model=model)
-        err = planner.observe(
-            Plan("partition-based", "serial"), "count", 64, 512, 0.020
-        )
-        assert err == pytest.approx(0.5)
-        assert model.observations("partition-based|serial|count") == 1
+    def test_observe_updates_model(self, small_hint, rng):
+        """What a first-sight batch took is kept: the better of two, per
+        query, at the number of queries the plan ran."""
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
+        batch = _uniform_batch(rng, 64, 8)
+        first = planner.decide(batch, mode="count")
+        assert first.beside is None and first.timed == 64
+        assert planner.observe(first, 0.020) is None
+        key = first.plan.key("count")
+        assert planner.model.samples(key) == []  # waits for a second
+        # The other plans at 6 ms whatever they ran: the first plan's
+        # 20 ms stays within EXPLORE_CAP of the best, so it gets a second.
+        for _ in range(8):
+            again = planner.decide(batch, mode="count")
+            if again.plan == first.plan:
+                break
+            planner.observe(again, 0.006)
+        else:
+            pytest.fail("the first plan never got its second look")
+        # Its second look is the whole batch; kept: the better rate.
+        assert again.beside is None and again.timed == 64
+        planner.observe(again, 0.010)
+        assert planner.model.samples(key) == [(64, pytest.approx(0.010))]
 
     def test_stats_snapshot(self, small_hint, rng):
-        planner = AdaptivePlanner(small_hint)
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
         planner.decide(_uniform_batch(rng, 64, 8), mode="count")
         stats = planner.stats()
         assert stats["decisions"] == 1
-        assert stats["explorations"] == 0
-        assert stats["calibrated_plans"] == []
+        assert stats["explorations"] == 1
+        assert stats["settled"] == stats["reopened"] == 0
+        assert stats["timed_plans"] == []
 
 
 # --------------------------------------------------------------------- #
-# first sight of a batch size: probe, refit, settle
+# first sight of a batch size: time every plan, settle
 # --------------------------------------------------------------------- #
 
 _MS, _US = 1e-3, 1e-6
 #: True cost (fixed, per query) of every plan of a 2-core HINT plan space.
-#: Between the 48- and 192-query probes a plan's cost moves by 0.1-0.3 ms
-#: on 1 ms, so +/-10 % of noise decides the fitted slope, not the plan.
 _TRUE_COSTS = {
     ("partition-based", "serial"): (1.0 * _MS, 1.0 * _US),
-    ("partition-based", "compiled"): (1.0 * _MS, 0.7 * _US),  # cheapest at 4096
+    ("partition-based", "compiled"): (1.0 * _MS, 0.7 * _US),  # cheapest
     ("partition-based", "threads"): (1.0 * _MS, 1.3 * _US),
     ("partition-based", "threads+compiled"): (1.0 * _MS, 1.6 * _US),
     ("join-based", "serial"): (200 * _MS, 2.0 * _US),  # far beyond the cap
     ("join-based", "threads"): (200 * _MS, 2.0 * _US),
 }
 _CHEAPEST = Plan("partition-based", "compiled")
+_TWO_CORES = BackendCaps(cpus=2, workers=2, compiled_ok=True)
 
 
 class _FakeMachine:
-    """A clock and a ``run_plan`` with known linear costs and seeded noise."""
+    """Known linear costs per plan, seeded +-10 % noise, and a slowdown
+    factor per plan that a test can raise mid-run."""
 
     def __init__(self, seed):
-        self.now = 0.0
         self.runs = []  # (plan, queries) per executed batch
+        self.slow = {}
         self._noise = np.random.default_rng(seed)
 
     def cost(self, plan, n):
         fixed, per_query = _TRUE_COSTS[(plan.strategy, plan.backend)]
-        return (fixed + per_query * n) * self._noise.uniform(0.9, 1.1)
-
-    def run_plan(self, plan, batch, mode):
-        self.runs.append((plan, len(batch)))
-        self.now += self.cost(plan, len(batch))
-
-
-@pytest.fixture
-def machine(monkeypatch):
-    import repro.planner.planner as planner_module
-
-    fake = _FakeMachine(seed=5)
-    monkeypatch.setattr(planner_module, "perf_counter", lambda: fake.now)
-    return fake
-
-
-def _calibrated_planner(index, machine):
-    caps = BackendCaps(cpus=2, workers=2, compiled_ok=True)
-    planner = AdaptivePlanner(index, caps=caps)
-    planner.calibrate(machine.run_plan, modes=("count",), budget_s=60.0)
-    assert len(planner.model.keys()) == len(_TRUE_COSTS)
-    del machine.runs[:]
-    return planner
+        noise = self._noise.uniform(0.9, 1.1)
+        return (fixed + per_query * n) * noise * self.slow.get(plan, 1.0)
 
 
 def _serve(planner, machine, batch):
     """One batch through decide -> run -> observe, as the executor does."""
-    decision = planner.decide(batch, mode="count", allow_split=False)
-    t0 = machine.now
-    machine.run_plan(decision.plan, batch, "count")
-    planner.observe(
-        decision.plan, "count", decision.n, decision.total_extent,
-        machine.now - t0,
-    )
+    decision = planner.decide(batch, mode="count")
+    machine.runs.append((decision.plan, decision.timed))
+    planner.observe(decision, machine.cost(decision.plan, decision.timed))
+    if decision.beside is not None:
+        machine.runs.append((decision.beside, len(batch) - decision.timed))
     return decision
 
 
-class TestFirstSight:
-    def test_extrapolation_misranks_and_first_sight_probes_repair_it(
-        self, small_hint, rng, machine
-    ):
-        planner = _calibrated_planner(small_hint, machine)
-        batch = _uniform_batch(rng, 4096, 8)
-        ranked = planner.decide(batch, mode="count", allow_split=False).table
-        # The premise: fitted on 48- and 192-query probes, the model ranks
-        # another plan first at 4096 queries — and, as only the chosen
-        # plan's drift is ever corrected, used to stay there.
-        assert ranked[0][0] != _CHEAPEST.key("count")
+def _settle(planner, machine, batch):
+    """Serve *batch* until the planner stops exploring; the decisions."""
+    decisions = []
+    while not decisions or decisions[-1].source == "explore":
+        decisions.append(_serve(planner, machine, batch))
+        assert len(decisions) <= 2 * len(_TRUE_COSTS) + 1
+    return decisions
 
-        plans = len(_TRUE_COSTS)
-        decisions = [_serve(planner, machine, batch) for _ in range(2 * plans)]
+
+class TestFirstSight:
+    def test_a_fresh_planner_settles_on_the_cheapest_plan(self, small_hint, rng):
+        machine = _FakeMachine(seed=5)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        batch = _uniform_batch(rng, 4096, 8)
+        decisions = _settle(planner, machine, batch)
         probed = [d.plan for d in decisions if d.source == "explore"]
-        assert probed and all(probed.count(plan) <= 2 for plan in set(probed))
-        # Predicted beyond the cap of the best: never handed a batch.
-        assert not any(plan.strategy == "join-based" for plan, _ in machine.runs)
-        settled = decisions[-1]
-        assert settled.source == "model" and settled.plan == _CHEAPEST
-        # Every plan within the cap now has a point at this size and the
-        # model decides from there on: no further probe, same plan.
+        # Every plan twice, except the joins: far beyond the cap, one
+        # batch each is enough.
+        assert sorted(map(str, probed)) == sorted(
+            str(Plan(*k)) for k in _TRUE_COSTS for _ in range(1 + (k[0] != "join-based"))
+        )
+        assert decisions[-1].source == "model" and decisions[-1].plan == _CHEAPEST
         for _ in range(20):
             decision = _serve(planner, machine, batch)
             assert decision.source == "model" and decision.plan == _CHEAPEST
-        assert planner.stats()["explorations"] == len(probed) + 1  # + `ranked`
-        for plan in set(probed):
-            assert planner.model.timed_near(plan.key("count"), 4096)
+        assert planner.stats()["explorations"] == len(probed)
+        assert planner.stats()["settled"] == 1
 
-    def test_sizes_near_a_calibrated_one_are_never_probed(
-        self, small_hint, rng, machine
-    ):
-        planner = _calibrated_planner(small_hint, machine)
-        for n in (24, 48, 100, 192, 256, 384):  # probes ran 48 and 192 queries
+    def test_the_prior_plan_runs_first(self, small_hint, rng):
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        first = _serve(planner, _FakeMachine(seed=1), _uniform_batch(rng, 4096, 8))
+        strategy, _ = cold_start_recommendation(len(small_hint), 4096)
+        assert first.plan == Plan(
+            strategy, static_backend_choice(4096, strategy, "count", cpus=2)
+        )
+
+    def test_sizes_near_a_timed_one_are_never_probed(self, small_hint, rng):
+        machine = _FakeMachine(seed=5)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        _settle(planner, machine, _uniform_batch(rng, 192, 8))
+        explored = planner.stats()["explorations"]
+        for n in (96, 100, 192, 256, 384):
             for _ in range(3):
                 assert _serve(planner, machine, _uniform_batch(rng, n, 8)).source == "model"
-        assert planner.exploration_rate == 0.0
-        # 1000 queries is a size class of its own, as 4096 would be.
+        assert planner.stats()["explorations"] == explored
+        # 1000 queries is a size class of its own.
         assert _serve(planner, machine, _uniform_batch(rng, 1000, 8)).source == "explore"
 
-    def test_a_slow_first_batch_is_timed_again(self, small_hint, rng, machine):
+    def test_first_sight_ends_when_the_batch_size_wobbles(self, small_hint, rng):
+        """A quarter-batch look at 521 queries prices a next batch of 610
+        as well: two looks per plan at most, whatever the exact sizes
+        (a cache in front makes every batch a different size)."""
+        machine = _FakeMachine(seed=5)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        decisions = []
+        while not decisions or decisions[-1].source == "explore":
+            n = int(rng.integers(520, 620))
+            decisions.append(_serve(planner, machine, _uniform_batch(rng, n, 8)))
+            assert len(decisions) <= 2 * len(_TRUE_COSTS) + 1
+        assert decisions[-1].plan == _CHEAPEST
+
+    def test_a_look_near_a_smaller_timed_size_still_counts(self, small_hint, rng):
+        """A first look at a quarter of 1024 queries is near the timings
+        kept at 400; it is a look at 1024 all the same, and first sight
+        there ends (_settle bounds the number of batches)."""
+        machine = _FakeMachine(seed=5)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        _settle(planner, machine, _uniform_batch(rng, 400, 8))
+        decisions = _settle(planner, machine, _uniform_batch(rng, 1024, 8))
+        assert any(d.timed == 1024 - 3 * (1024 // 4) for d in decisions)
+        assert decisions[-1].plan == _CHEAPEST
+
+    def test_first_sight_looks_at_part_of_the_batch(self, small_hint, rng):
+        """The first batch of a size runs whole on the prior; after it, a
+        plan's first look gets a quarter of the batch and the cheapest plan
+        seen at that size the rest — what learning a plan far beyond the
+        best costs is bounded by that share.  A second look is whole."""
+        n = 4096
+        machine = _FakeMachine(seed=5)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        decisions = _settle(planner, machine, _uniform_batch(rng, n, 8))
+        assert decisions[0].beside is None and decisions[0].timed == n
+        looks = {}
+        for decision in decisions[:-1]:
+            looks[decision.plan] = looks.get(decision.plan, 0) + 1
+            if looks[decision.plan] == 2 or decision is decisions[0]:
+                assert decision.beside is None and decision.timed == n
+            else:
+                assert decision.beside not in (None, decision.plan)
+                assert decision.timed == n - 3 * (n // 4)
+        # Both joins are beyond the cap after one look: no second.
+        assert [looks[Plan("join-based", b)] for b in ("serial", "threads")] == [1, 1]
+        joined = [(str(d.plan), d.timed) for d in decisions if d.plan.strategy == "join-based"]
+        assert sorted(joined) == sorted(
+            [(str(Plan("join-based", "serial")), n),
+             (str(Plan("join-based", "threads")), n - 3 * (n // 4))]
+        )
+        # The one look a join got is kept, scaled to the batch.
+        key = Plan("join-based", "threads").key("count")
+        assert [q for q, _ in planner.model.samples(key)] == [n]
+
+    def test_a_slow_first_batch_is_timed_again(self, small_hint, rng):
         """Best of two however long the first took: the first ids batch of
         a process was seen at 3x the tenth, and kept, it priced its plan
         out for good."""
-        planner = _calibrated_planner(small_hint, machine)
-        key = "partition-based|serial|count"
-        plan = Plan("partition-based", "serial")
-        planner.observe(plan, "count", 1000, 8000, 0.024)
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
+        batch = _uniform_batch(rng, 1000, 8)
+        decision = planner.decide(batch, mode="count")
+        key = decision.plan.key("count")
+        planner.observe(decision, 0.024)
         assert not planner.model.timed_near(key, 1000)  # waits for a second
-        planner.observe(plan, "count", 1100, 8800, 0.0088)
-        assert planner.model.samples(key)[-1] == (1100, 8800, 0.0088)
-        planner.observe(plan, "count", 8000, 64000, 0.020)
-        planner.observe(plan, "count", 8000, 64000, 0.030)
-        assert planner.model.samples(key)[-1] == (8000, 64000, 0.020)
+        decision.n = 1100
+        planner.observe(decision, 0.0088)
+        assert planner.model.samples(key) == [(1100, pytest.approx(0.0088))]
+        decision.n = 8000
+        planner.observe(decision, 0.020)
+        planner.observe(decision, 0.030)
+        assert planner.model.samples(key)[-1] == (8000, 0.020)
 
-    def test_first_sight_goes_in_rounds(self, small_hint, rng, machine):
-        """Every plan within the cap once, then every one again: what slows
-        the first batches of a process falls on no plan's kept timing."""
-        planner = _calibrated_planner(small_hint, machine)
-        batch = _uniform_batch(rng, 4096, 8)
-        probed = []
-        while (decision := _serve(planner, machine, batch)).source == "explore":
-            probed.append(decision.plan)
-        half = len(probed) // 2
-        assert half >= 2 and len(set(probed[:half])) == half
-        assert sorted(probed[half:], key=str) == sorted(probed[:half], key=str)
+    def test_first_sight_goes_in_rounds(self, small_hint, rng):
+        """Every plan once, then every one again: what slows the first
+        batches of a process falls on no plan's kept timing."""
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        decisions = _settle(planner, _FakeMachine(seed=5), _uniform_batch(rng, 4096, 8))
+        probed = [d.plan for d in decisions if d.source == "explore"]
+        first_round = probed[: len(_TRUE_COSTS)]
+        assert sorted(map(str, first_round)) == sorted(str(Plan(*k)) for k in _TRUE_COSTS)
+        # Then again every plan within the cap, each once.
+        second_round = probed[len(_TRUE_COSTS):]
+        assert len(set(second_round)) == len(second_round) >= 2
+        assert all(plan.strategy == "partition-based" for plan in second_round)
 
     def test_a_multicore_plan_must_win_by_the_margin(self, small_hint, rng):
         """A threads plan's best timing needs every core idle; a near tie
@@ -643,9 +517,10 @@ class TestFirstSight:
         batch = _uniform_batch(rng, 64, 8)
         caps = BackendCaps(cpus=2, workers=2, compiled_ok=False)
         for share, backend in ((0.95, "serial"), (MULTICORE_MARGIN - 0.05, "threads")):
-            model = CostModel()
-            model.fit("partition-based|serial|count", [(64, 512, 0.00100)])
-            model.fit("partition-based|threads|count", [(64, 512, 0.00100 * share)])
+            model = _timed_model({
+                "partition-based|serial|count": 0.00100,
+                "partition-based|threads|count": 0.00100 * share,
+            })
             planner = AdaptivePlanner(
                 small_hint, caps=caps, model=model, strategies=("partition-based",)
             )
@@ -654,56 +529,13 @@ class TestFirstSight:
             assert decision.plan == Plan("partition-based", backend)
             assert decision.table[0][0] == "partition-based|threads|count"
 
-    def test_calibration_file_from_before_first_sight_probes_still_loads(
-        self, small_hint, rng, tmp_path
-    ):
-        """The file holds coefficients and no samples, before and after."""
-        import json
-
-        path = tmp_path / "old.json"
-        entries = {
-            Plan(strategy, backend).key("count"): {
-                "fixed_s": fixed, "per_query_s": per_query,
-                "per_extent_s": 0.0, "probes": 3,
-            }
-            for (strategy, backend), (fixed, per_query) in _TRUE_COSTS.items()
-        }
-        path.write_text(json.dumps({
-            "version": 1, "created_at": 1700000000.0, "ewma_alpha": 0.25,
-            "meta": {"index": {"kind": "HintIndex", "size": len(small_hint), "m": 10}},
-            "entries": entries,
-        }))
-        px = PlannedExecutor(small_hint, model_path=str(path), workers=2)
-        try:
-            model = px.planner.model
-            assert model.keys() == sorted(entries)
-            assert model.to_dict()["entries"] == entries  # and saves the same
-            # Its plans count as timed where the probe suite timed them ...
-            px.execute(_uniform_batch(rng, 192, 8), mode="count")
-            assert px.last_decision.source == "model"
-            # ... and a refit keeps the loaded plane under the new point.
-            key = _CHEAPEST.key("count")
-            before = model.predict(key, 192, 0)
-            px.planner.observe(_CHEAPEST, "count", 4096, 0, 0.007)
-            px.planner.observe(_CHEAPEST, "count", 4096, 0, 0.006)
-            assert model.timed_near(key, 4096)
-            assert model.predict(key, 4096, 0) == pytest.approx(0.006, rel=0.05)
-            assert model.predict(key, 192, 0) == pytest.approx(before, rel=0.25)
-        finally:
-            px.close()
-
     def test_decide_fault_on_a_first_sight_batch_degrades_to_the_static_rule(
-        self, small_hint, rng, tmp_path
+        self, small_hint, rng
     ):
         from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan
 
         px = PlannedExecutor(
-            small_hint,
-            model_path=str(tmp_path / "c.json"),
-            calibrate=True,
-            calibration_modes=("count",),
-            calibration_budget_s=30.0,
-            fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE, after=1),
+            small_hint, fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE, after=1)
         )
         calls = []
         real = px.engine.execute
@@ -730,82 +562,202 @@ class TestFirstSight:
 
 
 # --------------------------------------------------------------------- #
-# the executor front (calibration + engine integration)
+# settle once, re-open on drift
+# --------------------------------------------------------------------- #
+
+
+class TestSettle:
+    def test_a_settled_class_is_decided_without_scoring(
+        self, small_hint, rng, monkeypatch
+    ):
+        import repro.planner.planner as planner_module
+
+        machine = _FakeMachine(seed=2)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        _settle(planner, machine, _uniform_batch(rng, 4096, 8))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a settled size class scored the plan space")
+
+        monkeypatch.setattr(planner_module, "plan_space", no_scoring)
+        for n in (4096, 5000, 8000):  # one size class
+            decision = _serve(planner, machine, _uniform_batch(rng, n, 8))
+            assert decision.source == "model" and decision.plan == _CHEAPEST
+            assert decision.predicted_s == pytest.approx(
+                decision.table[0][1] * n / 4096, rel=0.2
+            )
+
+    def test_a_host_that_slows_reopens_and_resettles(self, small_hint, rng):
+        machine = _FakeMachine(seed=7)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        batch = _uniform_batch(rng, 4096, 8)
+        _settle(planner, machine, batch)
+        for _ in range(12):
+            assert _serve(planner, machine, batch).plan == _CHEAPEST
+        assert planner.stats()["reopened"] == 0
+
+        # Everything three times as slow: measured again, same plan.
+        machine.slow = {Plan(*k): 3.0 for k in _TRUE_COSTS}
+        for _ in range(8):
+            assert _serve(planner, machine, batch).source == "model"
+            if planner.stats()["reopened"]:
+                break
+        assert planner.stats()["reopened"] == 1
+        decisions = _settle(planner, machine, batch)
+        assert decisions[-1].plan == _CHEAPEST
+        # Every plan is timed anew; a plan far beyond the best gets one look.
+        joins = [d.plan for d in decisions if d.plan.strategy == "join-based"]
+        assert len(joins) == 2 and len(set(joins)) == 2
+
+        # Only the plan in use slows (a neighbour on its path): the class
+        # re-settles on the plan that is now the cheapest.
+        for _ in range(12):
+            assert _serve(planner, machine, batch).plan == _CHEAPEST
+        machine.slow[_CHEAPEST] = 9.0
+        for _ in range(8):
+            if _serve(planner, machine, batch) and planner.stats()["reopened"] == 2:
+                break
+        assert planner.stats()["reopened"] == 2
+        settled = _settle(planner, machine, batch)[-1]
+        assert settled.plan == Plan("partition-based", "serial")
+
+    def test_a_plan_settled_on_timings_that_do_not_hold_is_timed_again(
+        self, small_hint, rng
+    ):
+        """A multi-core plan timed while the second core was idle wins
+        first sight and then runs 3x slower: within a few batches the
+        class is re-opened and settles on the plan that is cheapest."""
+        machine = _FakeMachine(seed=3)
+        both_cores = Plan("partition-based", "threads+compiled")
+        machine.slow[both_cores] = 0.3
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        batch = _uniform_batch(rng, 4096, 8)
+        assert _settle(planner, machine, batch)[-1].plan == both_cores
+        machine.slow[both_cores] = 1.0
+        for _ in range(4):
+            assert _serve(planner, machine, batch).plan == both_cores
+            if planner.stats()["reopened"]:
+                break
+        assert planner.stats()["reopened"] == 1
+        assert _settle(planner, machine, batch)[-1].plan == _CHEAPEST
+
+    def test_observe_returns_relative_error_and_tracks_drift(self, small_hint, rng):
+        model = _timed_model({
+            "partition-based|serial|count": 0.010,
+            "partition-based|compiled|count": 0.020,
+            "join-based|serial|count": 0.030,
+        })
+        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
+        batch = _uniform_batch(rng, 64, 8)
+        decision = planner.decide(batch, mode="count")
+        assert decision.predicted_s == pytest.approx(0.010)
+        assert planner.observe(decision, 0.020) == pytest.approx(0.5)
+        settled = planner._settled[decision.slot]
+        assert settled.drift == pytest.approx(2.0)
+        # A decision that settled nothing (a first-sight one) moves no drift.
+        assert planner.observe(planner.decide(batch, mode="ids"), 0.5) is None
+
+    def test_concurrent_decide_and_observe_lose_nothing(self, small_hint):
+        """More threads than cores deciding and observing on one planner
+        through first sight, settling and re-opening: no exception, and
+        no decision or exploration goes uncounted."""
+        import sys
+        import threading
+
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
+        errors, per_thread = [], 300
+        explored = [0] * 4
+
+        def worker(tid):
+            local = np.random.default_rng(tid)
+            try:
+                for _ in range(per_thread):
+                    n = int(local.choice([64, 100, 700, 4096]))
+                    batch = QueryBatch(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+                    decision = planner.decide(batch, mode="count")
+                    explored[tid] += decision.source == "explore"
+                    # Timings wide enough apart to re-open settled slots.
+                    planner.observe(decision, 1e-3 * local.choice([0.2, 1.0, 5.0]))
+            except Exception as exc:  # pragma: no cover - the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        stats = planner.stats()
+        assert stats["decisions"] == 4 * per_thread
+        assert stats["explorations"] == sum(explored)
+
+    def test_degenerate_observations_are_ignored(self, small_hint, rng):
+        model = _timed_model({"partition-based|serial|count": 0.010})
+        planner = AdaptivePlanner(
+            small_hint, caps=BackendCaps(cpus=1, workers=1, compiled_ok=False),
+            model=model, strategies=("partition-based",),
+        )
+        decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
+        assert planner.observe(decision, 0.0) is None
+        assert planner._settled[decision.slot].drift is None
+        decision.n = 0
+        assert planner.observe(decision, 0.5) is None
+        assert planner.model.samples("partition-based|serial|count") == [(64, 0.010)]
+
+
+# --------------------------------------------------------------------- #
+# the executor front
 # --------------------------------------------------------------------- #
 
 
 class TestPlannedExecutor:
-    def test_calibration_persists_and_is_reused(self, small_hint, tmp_path):
-        path = str(tmp_path / "cal.json")
-        px = PlannedExecutor(small_hint, model_path=path, calibrate=True)
-        try:
-            assert px.planner.model.calibrated
-            saved = CostModel.load(path)
-            assert saved.to_dict()["entries"] == px.planner.model.to_dict()["entries"]
-        finally:
-            px.close()
-        fresh = PlannedExecutor(small_hint, model_path=path, calibrate=True)
-        try:
-            # Reused, not re-probed: identical coefficients.
-            assert (
-                fresh.planner.model.to_dict()["entries"]
-                == saved.to_dict()["entries"]
-            )
-        finally:
-            fresh.close()
-
-    def test_stale_calibration_for_other_index_is_ignored(
-        self, small_hint, rng, tmp_path
+    def test_nothing_is_probed_or_written_at_start_up(
+        self, small_hint, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "cal.json")
-        model = CostModel(
-            meta={"index": {"kind": "ShardedHint", "size": len(small_hint)}}
-        )
-        model.fit("partition-based|serial|count", [(10, 10, 0.01)])
-        model.save(path)
-        px = PlannedExecutor(small_hint, model_path=path)
+        monkeypatch.chdir(tmp_path)
+        px = PlannedExecutor(small_hint)
         try:
-            assert not px.planner.model.calibrated  # kind mismatch: fresh model
+            assert px.planner.model.keys() == []
+            assert list(tmp_path.iterdir()) == []
         finally:
             px.close()
+        with pytest.raises(TypeError):
+            PlannedExecutor(small_hint, calibrate=True)
 
-    def test_calibration_from_another_machine_is_ignored(
-        self, small_hint, tmp_path
-    ):
-        """A file recorded with other cores lacks (or has extra) legal
-        plans; reusing it would leave every mode on the prior for good."""
-        path = str(tmp_path / "cal.json")
-        model = CostModel(
-            meta={
-                "index": {"kind": "HintIndex", "size": len(small_hint)},
-                "machine": {"cpus": 9999, "workers": 9999},
-            }
-        )
-        model.fit("partition-based|serial|count", [(10, 10, 0.01)])
-        model.save(path)
-        px = PlannedExecutor(small_hint, model_path=path)
-        try:
-            assert not px.planner.model.calibrated
-        finally:
-            px.close()
+    def test_the_join_input_is_built_before_the_first_batch(self, rng):
+        """The raw collection a join-based plan reads is a one-time cost
+        of the index, paid at construction and not by the first join;
+        not built when the executor may not choose the join."""
+        for choose, built in ((False, False), (True, True)):
+            index = HintIndex(random_collection(rng, 400, 1023), m=10)
+            PlannedExecutor(index, choose_strategy=choose).close()
+            assert (getattr(index, "_collection_cache", None) is not None) is built
+        index = HintIndex(random_collection(rng, 400, 1023), m=10)
+        PlannedExecutor(index, planner=AdaptivePlanner(
+            index, strategies=("partition-based",)
+        )).close()
+        assert getattr(index, "_collection_cache", None) is None
 
-    def test_size_drift_invalidates_calibration(self, small_hint, tmp_path):
-        path = str(tmp_path / "cal.json")
-        model = CostModel(
-            meta={"index": {"kind": "HintIndex", "size": len(small_hint) * 10}}
-        )
-        model.fit("partition-based|serial|count", [(10, 10, 0.01)])
-        model.save(path)
-        px = PlannedExecutor(small_hint, model_path=path)
-        try:
-            assert not px.planner.model.calibrated
-        finally:
-            px.close()
+    def test_engine_options_beside_an_engine_are_a_type_error(self, small_hint):
+        """Options for an engine the executor does not build are not
+        silently dropped (the removed calibration arguments included)."""
+        from repro.engine import ExecutionEngine
 
-    def test_pinned_backend_bypasses_planner(self, small_hint, rng, tmp_path):
-        px = PlannedExecutor(
-            small_hint, model_path=str(tmp_path / "c.json"), calibrate=True
-        )
+        with ExecutionEngine(small_hint, backend="auto") as engine:
+            for kwargs in ({"calibrate": True}, {"model_path": None}, {"workers": 2}):
+                with pytest.raises(TypeError, match="engine="):
+                    PlannedExecutor(small_hint, engine=engine, **kwargs)
+            PlannedExecutor(small_hint, engine=engine).close()
+            assert engine.execute(QueryBatch([1], [5]), mode="count") is not None
+
+    def test_pinned_backend_bypasses_planner(self, small_hint, rng):
+        px = PlannedExecutor(small_hint)
         try:
             batch = _uniform_batch(rng, 32, 8)
             px.execute(batch, mode="count", backend="serial")
@@ -813,8 +765,8 @@ class TestPlannedExecutor:
         finally:
             px.close()
 
-    def test_rejects_unknown_strategy_and_mode(self, small_hint, rng, tmp_path):
-        px = PlannedExecutor(small_hint, model_path=str(tmp_path / "c.json"))
+    def test_rejects_unknown_strategy_and_mode(self, small_hint, rng):
+        px = PlannedExecutor(small_hint)
         try:
             batch = _uniform_batch(rng, 8, 8)
             with pytest.raises(ValueError, match="unknown strategy"):
@@ -824,8 +776,8 @@ class TestPlannedExecutor:
         finally:
             px.close()
 
-    def test_empty_batch_short_circuits(self, small_hint, tmp_path):
-        px = PlannedExecutor(small_hint, model_path=str(tmp_path / "c.json"))
+    def test_empty_batch_short_circuits(self, small_hint):
+        px = PlannedExecutor(small_hint)
         try:
             result = px.execute(QueryBatch([], []), mode="ids")
             assert len(result.counts) == 0
@@ -833,47 +785,7 @@ class TestPlannedExecutor:
             px.close()
 
 
-# --------------------------------------------------------------------- #
-# extent summaries (the splitter's statistics)
-# --------------------------------------------------------------------- #
-
-
 class TestExtentSummary:
-    def test_against_numpy_oracle(self, rng):
-        for n in (1, 2, 7, 100, 1023):
-            st = rng.integers(0, 5000, size=n)
-            ext = rng.integers(0, 800, size=n)
-            batch = QueryBatch(st, st + ext)
-            summary = summarize_extents(batch, percentiles=(0, 25, 50, 75, 90, 100))
-            oracle = np.sort(np.asarray(batch.end) - np.asarray(batch.st))
-            assert summary.num_queries == n
-            assert summary.total_extent == int(oracle.sum())
-            assert summary.min_extent == int(oracle[0])
-            assert summary.max_extent == int(oracle[-1])
-            assert summary.mean_extent == pytest.approx(float(oracle.mean()))
-            for p, value in summary.percentiles.items():
-                assert value == int(oracle[(p * (n - 1)) // 100]), (n, p)
-
-    def test_empty_batch(self):
-        summary = summarize_extents(QueryBatch([], []))
-        assert summary.num_queries == 0
-        assert summary.total_extent == 0
-        assert summary.percentiles == {50: 0, 75: 0, 90: 0}
-        assert summary.heterogeneity == 1.0
-
-    def test_heterogeneity_ratio(self, rng):
-        batch = _mixed_batch(rng, 900, 100, 4, 400)
-        summary = summarize_extents(batch)
-        assert summary.heterogeneity == pytest.approx(
-            summary.percentiles[90] / summary.percentiles[50]
-        )
-        flat = _uniform_batch(rng, 1000, 8)
-        assert summarize_extents(flat).heterogeneity == 1.0
-
     def test_extents_match_endpoints(self):
         batch = QueryBatch([10, 20], [10, 30])
         assert batch_extents(batch).tolist() == [0, 10]
-
-    def test_invalid_percentile_rejected(self, rng):
-        with pytest.raises(ValueError, match="outside"):
-            summarize_extents(_uniform_batch(rng, 4, 2), percentiles=(101,))

@@ -1,8 +1,10 @@
 """Differential tests: planner-chosen plans never change results.
 
-Whatever the planner picks — prior, calibrated model, or an extent
-split — the result must be bit-identical to every static plan, across
-result modes and index kinds (single, sharded, dynamic-after-compact).
+Whatever the planner picks — a first-sight batch of any legal plan
+(alone, or on a quarter of the batch beside the cheapest plan), or the
+plan it settled on — the result must be bit-identical to every
+static plan, across result modes and index kinds (single, sharded,
+dynamic-after-compact).
 The fault leg proves the degradation contract: a planner that throws
 mid-decide falls back to the engine's static ``auto`` rule and loses
 no batch, bumping ``repro_planner_fallbacks_total``.
@@ -19,7 +21,7 @@ from repro.engine import ExecutionEngine
 from repro.hint.dynamic import DynamicHint
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
-from repro.planner import CostModel, Plan, PlannedExecutor, SplitPlan
+from repro.planner import PlannedExecutor, plan_space
 from repro.planner.planner import Decision
 from repro.shard import ShardedHint
 from repro.verify.faults import SITE_PLANNER_DECIDE, FaultPlan, InjectedFault
@@ -53,8 +55,8 @@ def reference(collection):
     return index
 
 
-def backends_under_test(collection, tmp_path):
-    """(label, executor, owned) triples over every index kind."""
+def backends_under_test(collection):
+    """(label, executor) pairs over every index kind."""
     single = HintIndex(collection, m=M)
     single.precompute_aux()
     sharded = ShardedHint(collection, k=2, m=M)
@@ -62,105 +64,103 @@ def backends_under_test(collection, tmp_path):
     for st, end, id_ in zip(collection.st, collection.end, collection.ids):
         dyn.insert(int(st), int(end), id=int(id_))
     dyn.compact()
-    yield "HintIndex", PlannedExecutor(
-        single, model_path=str(tmp_path / "single.json"), calibrate=True
-    )
-    yield "ShardedHint", PlannedExecutor(
-        sharded, model_path=str(tmp_path / "sharded.json"), calibrate=True
-    )
-    yield "DynamicHint", PlannedExecutor(
-        dyn.index, model_path=str(tmp_path / "dynamic.json"), calibrate=True
-    )
+    yield "HintIndex", PlannedExecutor(single)
+    yield "ShardedHint", PlannedExecutor(sharded)
+    yield "DynamicHint", PlannedExecutor(dyn.index)
 
 
 class TestPlannerDifferential:
-    def test_planned_equals_every_static_plan(
-        self, rng, collection, reference, tmp_path
-    ):
+    def test_planned_equals_every_static_plan(self, rng, collection, reference):
+        """Through every first-sight batch (each legal plan at least once)
+        and on to the settled plan."""
         batch = mixed_batch(rng)
         expected = {
             (strategy, mode): run_strategy(strategy, reference, batch, mode=mode)
             for strategy in STRATEGIES
             for mode in MODES
         }
-        for label, px in backends_under_test(collection, tmp_path):
+        naive = oracle_result(collection, batch, M)
+        for label, px in backends_under_test(collection):
             try:
+                rounds = 2 * len(plan_space(px.planner.caps)) + 1
                 for mode in MODES:
-                    got = px.execute(batch, mode=mode)
-                    for strategy in STRATEGIES:
-                        assert got == expected[(strategy, mode)], (
-                            f"{label}: planner [{mode}] != {strategy}"
-                        )
+                    ran, beside = set(), 0
+                    for _ in range(rounds):
+                        got = px.execute(batch, mode=mode)
+                        ran.add(px.last_decision.plan)
+                        beside += px.last_decision.beside is not None
+                        for strategy in STRATEGIES:
+                            assert got == expected[(strategy, mode)], (
+                                f"{label}: {px.last_decision.describe()} "
+                                f"[{mode}] != {strategy}"
+                            )
+                    assert ran == set(plan_space(px.planner.caps)), label
+                    # Merged first-sight batches (two plans, one result) ran.
+                    assert beside > 0, label
+                    assert px.last_decision.source == "model"
+                    if mode == "ids":
+                        assert_flat_oracle(got, naive)
             finally:
                 px.close()
 
-    def test_uncalibrated_prior_is_differential_too(
-        self, rng, collection, reference, tmp_path
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_sight_beside_the_cheapest_is_differential(
+        self, rng, collection, reference, mode
     ):
+        """Every ordered pair of legal plans as a first-sight batch: one
+        on the first quarter, the other on the rest, merged back into
+        caller order."""
+        batch = mixed_batch(rng)
+        want = run_strategy("partition-based", reference, batch, mode=mode)
+        index = HintIndex(collection, m=M)
+        index.precompute_aux()
+        px = PlannedExecutor(index)
+        try:
+            plans, n = plan_space(px.planner.caps), len(batch)
+            for plan in plans:
+                for beside in plans:
+                    if beside == plan:
+                        continue
+                    decision = Decision(
+                        plan=plan, mode=mode, source="explore", n=n,
+                        beside=beside, head=n - 3 * (n // 4),
+                    )
+                    px.planner.decide = lambda *a, d=decision, **k: d
+                    got = px.execute(batch, mode=mode)
+                    assert got == want, decision.describe()
+        finally:
+            px.close()
+
+    def test_batches_too_small_to_share_run_whole(self, rng, collection, reference):
+        """Fewer than four queries are never shared between two plans."""
+        index = HintIndex(collection, m=M)
+        index.precompute_aux()
+        px = PlannedExecutor(index)
+        try:
+            for n in (1, 2, 3, 1, 2, 3):
+                batch = mixed_batch(rng, n=8)
+                batch = QueryBatch(batch.st[:n], batch.end[:n])
+                for mode in MODES:
+                    got = px.execute(batch, mode=mode)
+                    assert px.last_decision.beside is None
+                    assert got == run_strategy("partition-based", reference, batch, mode=mode)
+        finally:
+            px.close()
+
+    def test_uncalibrated_prior_is_differential_too(self, rng, collection, reference):
+        """A planner that has timed nothing hands the batch to its first
+        plan at once: nothing is probed before it."""
         batch = mixed_batch(rng)
         index = HintIndex(collection, m=M)
         index.precompute_aux()
-        px = PlannedExecutor(index, model_path=str(tmp_path / "none.json"))
+        px = PlannedExecutor(index)
         try:
-            assert not px.planner.model.calibrated
             for mode in MODES:
                 got = px.execute(batch, mode=mode)
-                assert px.last_decision.source == "prior"
+                assert px.last_decision.source == "explore"
                 assert got == run_strategy(
                     "partition-based", reference, batch, mode=mode
                 )
-        finally:
-            px.close()
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_forced_split_is_differential(
-        self, rng, collection, reference, tmp_path, mode
-    ):
-        """A hand-built SplitPlan (any threshold, different per-side
-        backends) must merge back to exactly the unsplit result."""
-        index = HintIndex(collection, m=M)
-        index.precompute_aux()
-        px = PlannedExecutor(
-            index, model_path=str(tmp_path / "split.json"), calibrate=True
-        )
-        batch = mixed_batch(rng)
-        want = run_strategy("partition-based", reference, batch, mode=mode)
-        naive = oracle_result(collection, batch, M)
-        try:
-            for threshold in (0, 3, 100, 250):
-                split = SplitPlan(
-                    threshold=threshold,
-                    narrow=Plan("partition-based", "compiled"),
-                    wide=Plan("join-based", "serial"),
-                )
-                decision = Decision(
-                    plan=split, mode=mode, source="model", n=len(batch)
-                )
-                got = px._execute_split(batch, decision, None)
-                assert got == want, f"threshold={threshold}"
-                assert_flat_oracle(got, naive)
-        finally:
-            px.close()
-
-    def test_degenerate_split_falls_back_to_single(
-        self, rng, collection, reference, tmp_path
-    ):
-        index = HintIndex(collection, m=M)
-        index.precompute_aux()
-        px = PlannedExecutor(
-            index, model_path=str(tmp_path / "degen.json"), calibrate=True
-        )
-        batch = mixed_batch(rng)
-        want = run_strategy("partition-based", reference, batch, mode="ids")
-        try:
-            # Threshold above every extent: the wide side is empty.
-            split = SplitPlan(
-                threshold=10_000,
-                narrow=Plan("partition-based", "serial"),
-                wide=Plan("join-based", "serial"),
-            )
-            decision = Decision(plan=split, mode="ids", source="model")
-            assert px._execute_split(batch, decision, None) == want
         finally:
             px.close()
 
@@ -171,7 +171,7 @@ class TestDecisionPath:
 
     @pytest.mark.parametrize("kind", ["HintIndex", "ShardedHint"])
     def test_engine_runs_the_backend_the_plan_named(
-        self, rng, collection, tmp_path, monkeypatch, kind
+        self, rng, collection, monkeypatch, kind
     ):
         if kind == "HintIndex":
             index = HintIndex(collection, m=M)
@@ -184,12 +184,7 @@ class TestDecisionPath:
             seen.append((strategy, resolved))
             return real_run(engine, batch, strategy, mode, resolved, executor)
 
-        px = PlannedExecutor(
-            index,
-            model_path=str(tmp_path / "path.json"),
-            calibrate=True,
-            calibration_budget_s=30.0,  # a ceiling: every mode gets probed
-        )
+        px = PlannedExecutor(index)
         monkeypatch.setattr(ExecutionEngine, "_run", spy)
         try:
             for mode in MODES:
@@ -197,17 +192,10 @@ class TestDecisionPath:
                     batch = mixed_batch(rng)
                     got = px.execute(batch, mode=mode)
                     decision = px.last_decision
-                    # 600 queries is no size the probe suite timed: the
-                    # first batches of each mode are first-sight probes.
+                    # The first batches of each mode are first-sight ones.
                     assert decision.source in ("model", "explore"), (kind, mode)
-                    plans = (
-                        [decision.plan.narrow, decision.plan.wide]
-                        if decision.split
-                        else [decision.plan]
-                    )
-                    assert seen[-len(plans):] == [
-                        (p.strategy, p.backend) for p in plans
-                    ]
+                    runs = [decision.plan] + [decision.beside] * (decision.beside is not None)
+                    assert seen[-len(runs):] == [(p.strategy, p.backend) for p in runs]
                     oracle = oracle_result(collection, batch, M)
                     assert np.array_equal(got.counts, oracle.counts)
                     if mode == "ids":
@@ -228,17 +216,14 @@ class TestDecisionPath:
 
 class TestPlannerFaultLeg:
     def test_throwing_planner_degrades_without_losing_the_batch(
-        self, rng, collection, reference, tmp_path
+        self, rng, collection, reference
     ):
         obs.configure(enabled=True)
         try:
             index = HintIndex(collection, m=M)
             index.precompute_aux()
             px = PlannedExecutor(
-                index,
-                model_path=str(tmp_path / "fault.json"),
-                calibrate=True,
-                fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE),
+                index, fault_plan=FaultPlan.once(SITE_PLANNER_DECIDE)
             )
             batch = mixed_batch(rng)
             want = run_strategy("partition-based", reference, batch, mode="ids")
