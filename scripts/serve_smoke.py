@@ -1,6 +1,6 @@
 """Serving-path smoke gate (``make serve-smoke``).
 
-Three phases, all fast enough for tier-1 CI:
+Four phases, all fast enough for tier-1 CI:
 
 1. **Differential over the socket** — an ids-mode server over a random
    collection must return, through the full frame-encode / TCP /
@@ -13,7 +13,13 @@ Three phases, all fast enough for tier-1 CI:
    and every request id must come back exactly once — the oracle's
    count, a typed ``OVERLOAD`` for the window that arrived over quota,
    ``BAD_REQUEST`` for the bad-mode frame.
-3. **Overload burst through the CLI** — launches ``python -m repro.cli
+3. **An idle server does not sleep out its delay** — launches
+   ``python -m repro.cli serve --max-delay-ms 200`` as a real subprocess;
+   after one warm-up request (a fresh service has no batch behind it and
+   waits its delay out) and a pause, a single request must come back in
+   well under those 200 ms: at an arrival rate that cannot fill a batch
+   the flusher sends it at once.
+4. **Overload burst through the CLI** — launches ``python -m repro.cli
    serve`` as a real subprocess (reject backpressure, a deliberately
    tiny in-flight quota and a slow flush deadline so the burst exceeds
    capacity), offers a 200+-query open-loop trace containing a burst
@@ -55,6 +61,8 @@ M = 12
 N_DIFFERENTIAL = 60
 N_BURST = 2_000
 BURST_QUOTA = 512
+IDLE_DELAY_MS = 200.0
+IDLE_LIMIT_MS = 50.0  # a lone request's allowed round trip on an idle server
 
 
 def phase_differential() -> None:
@@ -152,10 +160,10 @@ def phase_pipelined_burst() -> None:
     )
 
 
-def phase_overload() -> None:
+def _start_server(*options: str):
+    """``python -m repro.cli serve`` on an ephemeral port with *options*;
+    returns ``(process, host, port)``."""
     repo = Path(__file__).resolve().parent.parent
-    # Tiny quota + slow flush deadline => the burst window exceeds
-    # capacity and the reject policy must shed, visibly and typed.
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -163,11 +171,7 @@ def phase_overload() -> None:
             "--cardinality", "10000",
             "--m", str(M),
             "--duration", "30",
-            "--backpressure", "reject",
-            "--max-batch", "1000",
-            "--max-delay-ms", "50",
-            "--max-queue", "8",
-            "--max-inflight", "8",
+            *options,
         ],
         cwd=repo,
         env={**os.environ, "PYTHONPATH": "src"},
@@ -175,12 +179,50 @@ def phase_overload() -> None:
         stderr=subprocess.DEVNULL,
         text=True,
     )
+    line = proc.stdout.readline()
+    match = re.search(r"serving on ([\d.]+):(\d+)", line)
+    if not match:
+        proc.terminate()
+        proc.wait(timeout=15)
+        raise SystemExit(f"could not parse server address from {line!r}")
+    return proc, match.group(1), int(match.group(2))
+
+
+def phase_idle_flush() -> None:
+    proc, host, port = _start_server("--max-delay-ms", str(IDLE_DELAY_MS))
     try:
-        line = proc.stdout.readline()
-        match = re.search(r"serving on ([\d.]+):(\d+)", line)
-        if not match:
-            raise SystemExit(f"could not parse server address from {line!r}")
-        host, port = match.group(1), int(match.group(2))
+        with QueryClient(host, port, timeout=30.0) as client:
+            client.query(0, 100)  # the first batch waits: no arrivals known yet
+            time.sleep(0.3)
+            t0 = time.perf_counter()
+            client.query(10, 200)
+            took_ms = (time.perf_counter() - t0) * 1e3
+    finally:
+        proc.terminate()
+        proc.wait(timeout=15)
+    if took_ms >= IDLE_LIMIT_MS:
+        raise SystemExit(
+            f"a lone request to an idle server took {took_ms:.1f} ms "
+            f"(limit {IDLE_LIMIT_MS:g} ms, --max-delay-ms {IDLE_DELAY_MS:g}): "
+            "the flusher waited out a delay that could not fill the batch"
+        )
+    print(
+        f"serve-smoke: idle flush ok (lone request answered in "
+        f"{took_ms:.1f} ms with --max-delay-ms {IDLE_DELAY_MS:g})"
+    )
+
+
+def phase_overload() -> None:
+    # Tiny quota + slow flush deadline => the burst window exceeds
+    # capacity and the reject policy must shed, visibly and typed.
+    proc, host, port = _start_server(
+        "--backpressure", "reject",
+        "--max-batch", "1000",
+        "--max-delay-ms", "50",
+        "--max-queue", "8",
+        "--max-inflight", "8",
+    )
+    try:
         spec = ArrivalSpec(
             duration=2.0,
             rate=100.0,
@@ -226,6 +268,7 @@ def phase_overload() -> None:
 def main() -> int:
     phase_differential()
     phase_pipelined_burst()
+    phase_idle_flush()
     phase_overload()
     print("serve-smoke: PASS")
     return 0

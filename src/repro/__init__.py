@@ -16,7 +16,7 @@ The package provides:
 * :mod:`repro.analysis` — access-pattern traces, the LRU cache
   simulator, and the computation-sharing metric;
 * :mod:`repro.service` — the micro-batching query service that forms
-  batches from single-query traffic (size/deadline admission,
+  batches from single-query traffic (size/deadline/idle admission,
   backpressure, atomic index swaps);
 * :mod:`repro.experiments` — runners regenerating every table and
   figure of the paper's evaluation;

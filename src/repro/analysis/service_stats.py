@@ -5,9 +5,9 @@ also answer "what batches did the admission policy actually form".
 :class:`ServiceMetrics` is the thread-safe instrumentation object
 :class:`~repro.service.BatchingQueryService` feeds: arrival and
 completion counters, flush counts split by trigger (size / deadline /
-forced / drain), a power-of-two batch-size histogram, queue-depth
-tracking, and a bounded window of flush latencies from which p50/p99
-are computed.
+idle / forced / drain), a power-of-two batch-size histogram, queue-depth
+tracking, how long each batch took to form, and a bounded window of
+flush latencies from which p50/p99 are computed.
 
 Since the observability plane (:mod:`repro.obs`) exists, the object is
 an **adapter over a** :class:`~repro.obs.metrics.MetricsRegistry`: every
@@ -42,7 +42,7 @@ from repro.obs.metrics import LATENCY_BUCKETS, POW2_BUCKETS, MetricsRegistry
 __all__ = ["ServiceMetrics", "ServiceSnapshot", "batch_size_bucket"]
 
 #: Flush triggers recorded by :meth:`ServiceMetrics.record_flush`.
-FLUSH_REASONS = ("size", "deadline", "forced", "drain")
+FLUSH_REASONS = ("size", "deadline", "idle", "forced", "drain")
 
 # Registry series names (the export surface of the service layer).
 SUBMITTED = "repro_service_submitted_total"
@@ -56,6 +56,7 @@ QUEUE_DEPTH = "repro_service_queue_depth"
 QUEUE_DEPTH_MAX = "repro_service_queue_depth_max"
 BATCH_SIZE = "repro_service_batch_size"
 FLUSH_SECONDS = "repro_service_flush_seconds"
+FORMATION_WAIT = "repro_service_formation_wait_seconds"
 
 
 def batch_size_bucket(size: int) -> int:
@@ -83,6 +84,7 @@ class ServiceSnapshot:
     mean_batch_size: float = 0.0
     p50_flush_latency: Optional[float] = None
     p99_flush_latency: Optional[float] = None
+    p50_formation_wait: Optional[float] = None
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""
@@ -110,6 +112,10 @@ class ServiceSnapshot:
             lines.append(
                 f"flush lat  p50={self.p50_flush_latency * 1000:.2f}ms "
                 f"p99={self.p99_flush_latency * 1000:.2f}ms"
+            )
+        if self.p50_formation_wait is not None:
+            lines.append(
+                f"formation  wait p50={self.p50_formation_wait * 1000:.2f}ms"
             )
         return "\n".join(lines)
 
@@ -195,6 +201,11 @@ class ServiceMetrics:
             buckets=LATENCY_BUCKETS,
             help="Flush execution latency.",
         )
+        self._h_formation = registry.histogram(
+            FORMATION_WAIT,
+            buckets=LATENCY_BUCKETS,
+            help="Flush start minus the oldest staged query's arrival.",
+        )
         self._batch_total = 0
         self._histogram: Dict[int, int] = {}
 
@@ -224,6 +235,7 @@ class ServiceMetrics:
         *,
         failed: bool = False,
         queue_depth: int = 0,
+        formation_wait: Optional[float] = None,
     ) -> None:
         if reason not in FLUSH_REASONS:
             raise ValueError(
@@ -242,6 +254,8 @@ class ServiceMetrics:
             self._h_flush.observe(latency)
             self._latencies.append(float(latency))
             self._g_depth.set(int(queue_depth))
+            if formation_wait is not None:
+                self._h_formation.observe(formation_wait)
 
     def record_swap(self) -> None:
         with self._lock:
@@ -327,6 +341,7 @@ class ServiceMetrics:
                 mean_batch_size=(batch_total / flushes if flushes else 0.0),
                 p50_flush_latency=p50,
                 p99_flush_latency=p99,
+                p50_formation_wait=self._h_formation.quantile(0.5),
             )
 
     def __repr__(self) -> str:

@@ -5,8 +5,10 @@ independent queries and must *form* the batches.  This package provides
 the threaded admission layer that does so:
 
 * :class:`~repro.service.service.BatchingQueryService` — coalesces
-  single queries into batches flushed by size or deadline, executes
-  them with the batch strategies (optionally parallelized), applies
+  single queries into batches flushed by size or deadline — or at once
+  when the arrival rate cannot fill one in time and the executor is
+  idle — executes them with
+  the batch strategies (optionally parallelized), applies
   bounded-queue backpressure, and supports atomic index swaps under
   live traffic;
 * metrics live in :mod:`repro.analysis.service_stats` and are exposed
@@ -14,7 +16,8 @@ the threaded admission layer that does so:
 
 The single-threaded, poll-driven building block remains
 :class:`~repro.core.accumulator.BatchAccumulator`; this package is the
-thread-safe service around the same admission policy.
+thread-safe service around the same size-or-deadline policy, plus the
+early ``idle`` flush.
 """
 
 from repro.service.service import (

@@ -18,11 +18,28 @@ answered and their slice of the batch result.  Both stage into the same
 columnar queue: a query is a row of one structured array from admission
 to its flush, never an object of its own.
 
-Admission follows the paper's footnote 5 — a batch is closed by
-whichever fires first:
+Admission follows the paper's footnote 5 — a batch is closed on size or
+on waiting time — but the arrivals, not a fixed timer, decide whether
+waiting can pay.  When the flusher is free, the staged batch goes out on
+whichever holds first:
 
 * **size** — ``max_batch`` queries are staged;
-* **deadline** — the oldest staged query has waited ``max_delay_ms``.
+* **deadline** — the oldest staged query has waited ``max_delay_ms``;
+* **idle** — the executor is idle: at the measured arrival rate the
+  batch would not reach ``max_batch`` before that deadline anyway, and
+  the last flush took less than one arrival gap, so a flush now is over
+  before the next query is due.  Waiting would only add latency.
+
+The rate is the smaller of two per-query arrival gaps: the gap inside
+the last batch taken (its ``enqueued_at`` span over ``size - 1``; a batch
+of one raises it to at least the time that query waited alone) and the
+gap before the latest submission (time since the previous one over its
+rows; the service's construction counts as an arrival).  A service with
+no batch behind it yet assumes the batch can fill.  Closed-loop traffic
+that fills batches keeps both gaps small, and traffic fast enough to
+keep the flusher busy fails the flush-cost test, so both still batch up
+to ``max_batch`` or ``max_delay_ms``; at low load ``max_delay_ms`` no
+longer sets the latency.
 
 The staging queue is bounded (``max_queue``); when it is full the
 configured backpressure policy either **blocks** the submitting thread
@@ -140,7 +157,9 @@ class BatchingQueryService:
         Flush as soon as this many queries are staged.
     max_delay_ms:
         Flush when the oldest staged query has waited this long
-        (milliseconds) — the latency bound of the admission policy.
+        (milliseconds) — the latency bound of the admission policy.  A
+        batch the arrival rate cannot fill by then goes out at once
+        while the executor is idle (the ``idle`` flush, see above).
     max_queue:
         Bound on staged queries; at most ``max_queue`` queries wait
         while a flush is in flight.
@@ -245,6 +264,14 @@ class BatchingQueryService:
         #: Calls with positions not reported yet, by their number.
         self._calls: Dict[int, _Call] = {}
         self._last_call = 0
+        #: What the idle rule reads (seconds): the per-query arrival gap
+        #: inside the last batch taken (0 = none taken yet, assume it can
+        #: fill) and before the latest submission (since
+        #: ``_last_arrival``), and how long the last flush executed.
+        self._batch_gap = 0.0
+        self._submit_gap = 0.0
+        self._last_arrival = clock()
+        self._flush_cost = 0.0
         self._force_flush = False
         self._closing = False
         self._closed = False
@@ -354,6 +381,9 @@ class BatchingQueryService:
                 raise ServiceClosedError("service is shut down")
             self._last_call = number = self._last_call + 1
             self._calls[number] = call
+            if len(pos):
+                gap = (now - self._last_arrival) / len(pos)
+                self._submit_gap, self._last_arrival = max(gap, 0.0), now
             lo, exc = 0, None
             while lo < len(pos) and exc is None:
                 hi = min(len(pos), lo + self.max_queue - self._n)
@@ -517,10 +547,24 @@ class BatchingQueryService:
                 if reason is None:
                     return
                 staged = self._in_flight = self._select_staged()
+                at = staged["enqueued_at"]
+                if len(at) > 1:
+                    self._batch_gap = (at.max() - at.min()) / (len(at) - 1)
+                else:  # nothing else arrived while it waited
+                    self._batch_gap = max(self._batch_gap, self._clock() - at[0])
                 depth = self._n
                 self._force_flush = False
                 self._has_room.notify_all()
-            self._execute(staged, reason, depth)
+            try:
+                self._execute(staged, reason, depth)
+            except Exception as exc:
+                # Bookkeeping died outside the flush's own error path (a
+                # metrics sink, the trace scope): answer whoever is still
+                # unanswered and keep the flusher alive.
+                logging.getLogger(__name__).exception(
+                    "flush of %d queries failed outside execution", len(staged)
+                )
+                self._resolve(staged, exc)
             with self._lock:
                 self._in_flight = self._rows[:0]
 
@@ -573,6 +617,14 @@ class BatchingQueryService:
                 deadline = self._rows["enqueued_at"][0] + self.max_delay
                 if now >= deadline:
                     return "deadline"
+                gap = min(self._batch_gap, self._submit_gap)
+                if (
+                    (self.max_batch - self._n) * gap > deadline - now
+                    and self._flush_cost < gap
+                ):
+                    # The wait could not fill the batch, and a flush now
+                    # is over before the next query is due.
+                    return "idle"
                 self._has_work.wait(timeout=deadline - now)
             else:
                 if self._closing:
@@ -613,6 +665,7 @@ class BatchingQueryService:
         self, staged: np.ndarray, reason: str, depth: int, sp
     ) -> None:
         t0 = self._clock()
+        waited = t0 - float(staged["enqueued_at"].min())
         # Deadline propagation: queries whose client deadline already
         # passed are dropped at batch-formation time — their callers
         # fail with DeadlineExceededError and the strategy never sees
@@ -651,18 +704,17 @@ class BatchingQueryService:
         except BaseException as exc:  # route failures to the callers
             if sp is not None:
                 sp.attrs["error"] = type(exc).__name__
-            self.metrics.record_flush(
-                reason,
-                len(staged),
-                self._clock() - t0,
-                failed=True,
-                queue_depth=depth,
-            )
-            self._resolve(staged, exc)
-            return
-        latency = self._clock() - t0
+            result = exc
+        latency = self._flush_cost = self._clock() - t0
         self._resolve(staged, result)
-        self.metrics.record_flush(reason, len(staged), latency, queue_depth=depth)
+        self.metrics.record_flush(
+            reason,
+            len(staged),
+            latency,
+            failed=isinstance(result, BaseException),
+            queue_depth=depth,
+            formation_wait=waited,
+        )
 
     def _resolve(self, rows: np.ndarray, outcome) -> None:
         """Report *outcome* — an exception, or the batch result whose

@@ -126,12 +126,12 @@ class TestServeSimSmoke:
 
         f = re.search(
             r"flushes\s+total=(\d+) deadline=(\d+) drain=(\d+) forced=(\d+) "
-            r"size=(\d+)",
+            r"idle=(\d+) size=(\d+)",
             out,
         )
         assert f, out
-        total, deadline, drain, forced, size = map(int, f.groups())
-        assert total == deadline + drain + forced + size
+        total, deadline, drain, forced, idle, size = map(int, f.groups())
+        assert total == deadline + drain + forced + idle + size
         assert 1 <= total <= n
         # max_batch=16 with 60 queries at this rate must flush on size
         # at least once.

@@ -323,7 +323,8 @@ class TestServiceMetricsConcurrency:
         snap = metrics.snapshot()
         assert snap.flushes == 2 * n_flushes
         assert snap.flushes_by_reason == {
-            "size": n_flushes, "deadline": n_flushes, "forced": 0, "drain": 0,
+            "size": n_flushes, "deadline": n_flushes, "idle": 0, "forced": 0,
+            "drain": 0,
         }
         assert snap.completed == 2 * n_flushes * batch
         assert snap.batch_size_histogram == {8: 2 * n_flushes}

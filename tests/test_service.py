@@ -82,6 +82,189 @@ def test_forced_flush(setup):
     assert svc.metrics.snapshot().flushes_by_reason["forced"] == 1
 
 
+class _Clock:
+    """A service clock that moves only when the test says so."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class _Reports:
+    """``submit_many`` callback that records every report; ``wait(n)``
+    blocks until *n* positions have been reported."""
+
+    def __init__(self):
+        self.positions = []
+        self.outcomes = []
+        self._cond = threading.Condition()
+
+    def __call__(self, positions, outcome):
+        with self._cond:
+            self.positions.extend(int(p) for p in positions)
+            self.outcomes.append(outcome)
+            self._cond.notify_all()
+
+    def wait(self, n, timeout=5.0):
+        with self._cond:
+            return self._cond.wait_for(lambda: len(self.positions) >= n, timeout)
+
+
+class _TimedBackend:
+    """execute()-shaped backend whose flushes take *cost* seconds of the
+    test's clock."""
+
+    def __init__(self, index, clock, cost):
+        self.index, self.clock, self.cost = index, clock, cost
+
+    def execute(self, batch, *, strategy, mode):
+        from repro.core.strategies import run_strategy
+
+        self.clock.now += self.cost
+        return run_strategy(strategy, self.index, batch, mode=mode)
+
+
+def test_idle_flush_does_not_wait_out_the_delay(setup):
+    """A lone query after slow arrivals goes out at once: at that rate
+    the batch could never fill before ``max_delay_ms``."""
+    coll, index = setup
+    clock = _Clock()
+    with BatchingQueryService(
+        index, max_batch=8, max_delay_ms=100, clock=clock
+    ) as svc:
+        first = [svc.submit(0, 5)]
+        clock.now = 0.05  # one query per 50 ms: 7 more need 350 ms
+        first.append(svc.submit(3, 9))
+        svc.flush()
+        assert [f.result(timeout=WAIT) for f in first] == [
+            index.query_count(0, 5), index.query_count(3, 9)
+        ]
+        clock.now = 1.0
+        lone = svc.submit(4, 12)
+        # The clock stays at 1.0, short of the 1.1 deadline.
+        assert lone.result(timeout=5.0) == index.query_count(4, 12)
+        snap = svc.metrics.snapshot()
+    assert snap.flushes_by_reason["forced"] == 1
+    assert snap.flushes_by_reason["idle"] == 1
+    assert snap.flushes_by_reason["deadline"] == 0
+    assert "idle=1" in snap.describe()
+    # Formation wait: 50 ms for the forced pair, nothing for the lone one.
+    wait = svc.metrics.registry.find("repro_service_formation_wait_seconds")
+    assert wait.count == 2
+    assert wait.sum == pytest.approx(0.05)
+    assert snap.p50_formation_wait is not None
+
+
+def test_busy_flusher_still_waits_for_the_deadline(setup):
+    """The same slow arrivals, but each flush takes longer than the gap
+    between them: an early flush would delay the next one, so the lone
+    query waits for its deadline as before."""
+    coll, index = setup
+    clock = _Clock()
+    with BatchingQueryService(
+        _TimedBackend(index, clock, 0.2), max_batch=8, max_delay_ms=100,
+        clock=clock,
+    ) as svc:
+        first = [svc.submit(0, 5)]
+        clock.now = 0.05
+        first.append(svc.submit(3, 9))
+        svc.flush()
+        [f.result(timeout=WAIT) for f in first]
+        clock.now = 1.0
+        lone = svc.submit(4, 12)
+        time.sleep(0.3)
+        assert not lone.done()
+        clock.now = 1.2  # past the deadline
+        assert lone.result(timeout=5.0) == index.query_count(4, 12)
+        snap = svc.metrics.snapshot()
+    assert snap.flushes_by_reason["deadline"] == 1
+    assert snap.flushes_by_reason["idle"] == 0
+
+
+def test_half_batch_after_full_batches_waits_to_fill(setup):
+    """Closed-loop traffic: two 128-row calls made a 256 batch, so the
+    next 128 rows wait for their partner instead of flushing half full."""
+    coll, index = setup
+    clock = _Clock()
+    reports = _Reports()
+    st, end = zip(*_queries(12, 512))
+    st, end = np.asarray(st), np.asarray(end)
+    with BatchingQueryService(
+        index, max_batch=256, max_delay_ms=5, clock=clock
+    ) as svc:
+        for k in range(4):
+            clock.now = 0.001 * (k + 1)
+            rows = slice(128 * k, 128 * (k + 1))
+            svc.submit_many(st[rows], end[rows], on_done=reports)
+            if k == 1:
+                assert reports.wait(256)
+            if k == 2:
+                time.sleep(0.2)  # room for the flusher to go out early
+                assert svc.queue_depth == 128
+                assert len(reports.positions) == 256
+        assert reports.wait(512)
+        snap = svc.metrics.snapshot()
+    assert snap.flushes_by_reason["size"] == 2
+    assert snap.flushes_by_reason["idle"] == 0
+    assert snap.batch_size_histogram == {256: 2}
+    assert snap.completed == 512
+    # Construction at 0, first rows at 1 ms, flushes at 2 ms and 4 ms.
+    wait = svc.metrics.registry.find("repro_service_formation_wait_seconds")
+    assert (wait.count, wait.sum) == (2, pytest.approx(0.002))
+
+
+class _FlakyMetrics(ServiceMetrics):
+    """Metrics whose first ``record_flush`` raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = True
+
+    def record_flush(self, *args, **kwargs):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("metrics sink unavailable")
+        super().record_flush(*args, **kwargs)
+
+
+@pytest.mark.parametrize("flush_fails", [False, True])
+def test_flusher_survives_a_bookkeeping_error(setup, flush_fails):
+    """A raising ``record_flush`` neither strands the batch it was
+    recording nor stops the flusher for the batches after it."""
+    coll, index = setup
+    svc = BatchingQueryService(
+        index, max_batch=4, max_delay_ms=NEVER_MS, metrics=_FlakyMetrics()
+    )
+    try:
+        if flush_fails:
+            svc.swap_index(object())  # the first flush raises too
+        first = _Reports()
+        assert svc.submit_many([0, 1, 2, 3], [5, 6, 7, 8], on_done=first) == 0
+        assert first.wait(4)
+        if flush_fails:
+            assert isinstance(first.outcomes[0], Exception)
+            svc.swap_index(index)
+        later = _Reports()
+        st, end = zip(*_queries(13, 8))
+        assert svc.submit_many(st, end, on_done=later) == 0
+        assert later.wait(8)
+        time.sleep(0.05)  # a duplicate report would land by now
+        assert sorted(first.positions) == [0, 1, 2, 3]
+        assert sorted(later.positions) == list(range(8))
+        counts = np.zeros(8, dtype=np.int64)
+        seen = 0
+        for outcome in later.outcomes:
+            n = len(outcome.counts)
+            counts[later.positions[seen:seen + n]] = outcome.counts
+            seen += n
+        assert counts.tolist() == [index.query_count(s, e) for s, e in zip(st, end)]
+    finally:
+        svc.close()
+    assert svc.metrics.completed == 8
+
+
 # --------------------------------------------------------------------- #
 # backpressure
 # --------------------------------------------------------------------- #
