@@ -14,18 +14,26 @@ build is the computation sharing the strategies enable:
   for every query (Algorithm 2);
 * **level-based** amortizes the per-level prefix/flag arithmetic across
   the whole batch with one vectorized pass per level (Algorithm 3);
-* **partition-based** additionally shares index probes: per occupied
-  level each table contributes one contiguous row run per query, cut for
-  the whole batch by a single vectorized ``searchsorted`` against the
-  table's packed column where a comparison is still owed, and measured
-  with one vectorized offset subtraction (Algorithm 4,
-  :func:`partition_level_sweep`).
+* **partition-based** additionally shares index probes across the
+  batch (Algorithm 4).  Its count and checksum modes need none: the
+  index's domain is ``[0, 2**m - 1]`` and every interval is tiled
+  exactly, so each stored row covers its partition whole and the
+  ``compfirst``/``complast`` comparisons can never drop a row (the
+  comparison-free case of HINT).  A level's answer is the originals of
+  partitions ``f..l`` plus the replicas of ``f``, which is two gathers
+  per level from the index's prefix folds for the whole batch
+  (:func:`fold_batch`).  Its ids mode takes one row run per table per
+  query, cut where the flags still owe a comparison
+  (:func:`partition_level_sweep`, the compiled backend's driver); the
+  serial backend's ids mode instead groups queries per partition:
+  first-anchor partitions in ascending order, then middle ranges, then
+  last-anchor partitions — a reordering of the paper's single ascending
+  sweep that produces identical results.
 
-The ids mode of the serial backend instead groups queries per partition:
-first-anchor partitions in ascending order, then middle ranges, then
-last-anchor partitions — a reordering of the paper's single ascending
-sweep that produces identical results (per-query flags only change
-between levels).
+Query-based and level-based keep Algorithm 1's and Algorithm 3's
+comparisons on purpose: they are the paper's baselines, which is why
+partition-based pulls away from them by more here than in the paper.
+
 The pseudocode-faithful sweep, used for access-pattern traces, lives in
 :meth:`repro.hint.reference.ReferenceHint.batch_partition_based`.
 """
@@ -42,20 +50,21 @@ import repro.obs as obs
 from repro.core.collector import make_collector
 from repro.core.result import BatchResult
 from repro.hint.index import HintIndex
-from repro.hint.tables import LevelData, SubdivisionTable
+from repro.hint.tables import LevelData
 from repro.intervals.batch import QueryBatch
-from repro.kernels.fallback import masked_count_xor_end_geq
 
 __all__ = [
     "query_based",
     "level_based",
     "partition_based",
     "partition_level_sweep",
+    "fold_batch",
     "run_strategy",
     "STRATEGIES",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_FOLD_BLOCK = 131072  # (level, query) pairs per block of fold_batch
 
 
 # --------------------------------------------------------------------- #
@@ -489,61 +498,6 @@ def _last_partition_groups(
                 _grouped_full(table, p, lo, hi, idx[~cl], collector)
 
 
-class _VectorAccumulator:
-    """Counts (+ optional range XOR) accumulator for the vectorized
-    partition-based paths.
-
-    Also the reference implementation of the accumulator protocol
-    :func:`partition_level_sweep` drives: ``prefix_range`` /
-    ``suffix_range`` answer the packed-column probes, ``add_ranges``
-    registers comparison-free row ranges and ``add_masked_ranges`` the
-    ``end >= q.st``-filtered ones.  The compiled backend
-    (:mod:`repro.kernels.compiled`) substitutes kernel-backed
-    accumulators behind the same protocol.
-    """
-
-    def __init__(self, n: int, with_checksum: bool):
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.sums = np.zeros(n, dtype=np.int64) if with_checksum else None
-
-    def prefix_range(self, table: SubdivisionTable, parts, values):
-        """Row range of each partition's prefix with key <= value: one
-        ``searchsorted`` against the packed ``comp`` column answers the
-        probe for the whole query vector at once."""
-        needles = (parts << table.key_bits) | values
-        hi = np.searchsorted(table.comp, needles, side="right")
-        return table.offsets[parts], hi
-
-    def suffix_range(self, table: SubdivisionTable, parts, values):
-        """Row range of each partition's suffix with key >= value."""
-        needles = (parts << table.key_bits) | values
-        lo = np.searchsorted(table.comp, needles, side="left")
-        return lo, table.offsets[parts + 1]
-
-    def add_ranges(self, sel, table: SubdivisionTable, lo, hi) -> None:
-        """Register row ranges ``[lo[i], hi[i])`` of *table* for queries
-        *sel* (``sel`` may be a slice covering all queries)."""
-        self.counts[sel] += hi - lo
-        if self.sums is not None:
-            xp = table.xor_prefix
-            self.sums[sel] ^= xp[hi] ^ xp[lo]
-
-    def add_masked_ranges(self, sel, table, lo, hi, thresholds) -> None:
-        """Register the rows of ``[lo[i], hi[i])`` with
-        ``end >= thresholds[i]`` for queries *sel*."""
-        counts, xors = masked_count_xor_end_geq(
-            table.end, table.ids, lo, hi, thresholds, self.sums is not None
-        )
-        self.counts[sel] += counts
-        if self.sums is not None:
-            self.sums[sel] ^= xors
-
-    def finalize(self, order: np.ndarray) -> BatchResult:
-        mode = "count" if self.sums is None else "checksum"
-        part = (np.arange(order.size), self.counts, self.sums, None)
-        return BatchResult.merge(order.size, mode, [part], order)
-
-
 def _level_flags(index: HintIndex, q_st: np.ndarray, q_end: np.ndarray):
     """Per query, the lowest zero bit of ``q.st`` and the lowest set bit of
     ``q.end`` (bit ``m`` when it has none), as powers of two.
@@ -605,8 +559,6 @@ def partition_level_sweep(
     q_end: np.ndarray,
     acc,
     ob=None,
-    *,
-    label: str = "partition-based",
 ) -> None:
     """Drive Algorithm 4's per-level relevant-range sweep through an
     accumulator.
@@ -618,10 +570,10 @@ def partition_level_sweep(
     and five registrations (``add_ranges``, and ``add_masked_ranges``
     for the first partition of ``O_in``) — no comparison
     :func:`_process_level` does not make, and none at the bottom level.
-    The accumulator decides
-    what a registered range *means* (count, prefix-XOR fold, or a gather
-    plan), which is how the count, checksum and compiled ids paths share
-    this one traversal.  With *ob* set every level is reported
+    The accumulator decides what a registered range *means*; the one in
+    production is the compiled ids path's gather plan
+    (:mod:`repro.kernels.compiled`), as count and checksum need no runs
+    (:func:`fold_batch`).  With *ob* set every level is reported
     (``record_level``), empty ones included, as the access traces expect.
     """
     m = index.m
@@ -643,9 +595,52 @@ def partition_level_sweep(
             )
         if ob is not None:
             ob.record_level(
-                label, level, f=f, l=l,
+                "partition-based", level, f=f, l=l,
                 duration=perf_counter() - t_level,
             )
+
+
+def fold_batch(
+    index: HintIndex, batch: QueryBatch, mode: str, ob=None
+) -> BatchResult:
+    """Count or checksum *batch* from the index's prefix folds.
+
+    On every occupied level a query reads two fold entries,
+    ``O[l + 1]`` and ``D[f]`` (:meth:`HintIndex.fold`, which says why no
+    comparison is owed on this index): one ``(levels x queries)`` gather
+    each, summed (XORed) over the levels.  No cut, no masked range and
+    no start order, so the batch is answered in its own order.  With
+    *ob* set the same computation runs and every level is reported
+    (``record_level``), empty ones included, as the access traces expect.
+    """
+    _, q_st, q_end = _prepare(index, batch, sort=False)
+    shift, o_1, d_0 = index.fold_layout
+    fold = index.fold("count")
+    xfold = index.fold("checksum") if mode == "checksum" else None
+    counts = np.empty(len(batch), dtype=np.int64)
+    sums = None if xfold is None else np.empty_like(counts)
+    # In blocks whose (levels x queries) temporaries stay near 1 MiB: a
+    # 16384-query batch on 17 levels took twice as long in one block.
+    step = max(_FOLD_BLOCK // max(len(shift), 1), 1)
+    for i in range(0, len(batch), step):
+        hi = (q_end[i : i + step] >> shift) + o_1
+        lo = (q_st[i : i + step] >> shift) + d_0
+        counts[i : i + step] = (fold.take(hi) + fold.take(lo)).sum(axis=0)
+        if xfold is not None:
+            sums[i : i + step] = np.bitwise_xor.reduce(
+                xfold.take(hi) ^ xfold.take(lo), axis=0
+            )
+    if ob is not None:
+        shifts = np.arange(index.m + 1)[:, None]
+        f, l = q_st >> shifts, q_end >> shifts
+        touches = ((l - f).sum(axis=1) + len(batch)).tolist()
+        for k, level_touches in enumerate(touches):  # k: the level's shift
+            ob.record_level(
+                "partition-based", index.m - k,
+                f=f[k], l=l[k], touches=level_touches,
+            )
+    part = (np.arange(len(batch)), counts, sums, None)
+    return BatchResult.merge(len(batch), mode, [part], batch.order)
 
 
 def partition_based(
@@ -659,18 +654,18 @@ def partition_based(
     moving to the next partition (Algorithm 4).
 
     Queries anchored at the same partition share probes against that
-    partition's sorted arrays.  In count mode the sharing is total: the
-    packed ``comp`` column turns each table's cut for the *entire batch*
-    into a single ``searchsorted``, and each table's row run per query
-    into one vectorized offset subtraction.  In
-    ids mode, queries grouped per partition share a vectorized prefix
-    probe and then materialize their id slices.
+    partition's sorted arrays.  In count and checksum mode the sharing is
+    total: every row of this index covers its partition whole, so no
+    probe is owed at all, and a level costs the whole batch two gathers
+    from the index's prefix folds (:func:`fold_batch`).  In ids mode,
+    queries grouped per partition share a vectorized prefix probe and
+    then materialize their id slices.
 
     The ``sort`` flag is accepted for registry symmetry but Algorithm
-    4's relevant-query ranges require start order, so an unsorted batch
-    is always sorted internally (results are returned in caller order
-    either way); passing ``sort=False`` with an unsorted batch warns
-    that the request cannot be honored.
+    4's relevant-query ranges require start order, so an unsorted ids
+    batch is always sorted internally (results are returned in caller
+    order either way); passing ``sort=False`` with an unsorted batch
+    warns that the request cannot be honored.
     """
     ob = obs.active()
     if ob is None:
@@ -685,20 +680,18 @@ def _partition_based_run(
     if not sort and not batch.is_sorted:
         warnings.warn(
             "partition_based(sort=False) received an unsorted batch; "
-            "Algorithm 4 requires start order, so the batch is sorted "
-            "internally anyway",
+            "Algorithm 4 requires start order, so the request cannot be "
+            "honored (results come back in caller order either way)",
             UserWarning,
             stacklevel=3,
         )
-    work, q_st, q_end = _prepare(index, batch.sorted_by_start(), sort=False)
     if mode in ("count", "checksum"):
-        acc = _VectorAccumulator(len(work), with_checksum=(mode == "checksum"))
-        partition_level_sweep(index, q_st, q_end, acc, ob)
-        return acc.finalize(work.order)
+        return fold_batch(index, batch, mode, ob)
     if mode != "ids":
         raise ValueError(
             f"unknown result mode {mode!r}; expected 'count', 'ids' or 'checksum'"
         )
+    work, q_st, q_end = _prepare(index, batch.sorted_by_start(), sort=False)
     n = len(work)
     collector = make_collector(mode, n)
     compfirst = np.ones(n, dtype=bool)

@@ -11,11 +11,14 @@ One consequence of the merged per-level layout is worth calling out: the
 partitions ``f .. l`` a query touches on a level are stored back to back,
 so each table answers with one row run, cut at the ends the flags still
 owe a comparison (see :mod:`repro.hint.tables`), and only occupied
-levels are visited.
+levels are visited.  A count or checksum batch needs not even the runs:
+it reads two entries per level of the index's prefix folds
+(:meth:`HintIndex.fold`).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -29,6 +32,10 @@ from repro.intervals.collection import IntervalCollection
 __all__ = ["HintIndex"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# Serializes the lazy fold builds (each index builds each fold once).  Not
+# the tables' lock: a checksum fold reads ``xor_prefix``, which takes that.
+_FOLD_LOCK = threading.Lock()
 
 
 class HintIndex:
@@ -53,11 +60,12 @@ class HintIndex:
     storage_optimized:
         Drop endpoint columns that query processing never reads.
     precompute_aux:
-        Eagerly build the lazy per-table auxiliary arrays
-        (:attr:`~repro.hint.tables.SubdivisionTable.xor_prefix`) at the
-        end of the build.  Off by default — count-only workloads never
-        need them — but build paths feeding checksum-heavy serving
-        should turn it on so no query thread pays the lazy build.
+        Eagerly build the lazy auxiliary arrays (each table's
+        :attr:`~repro.hint.tables.SubdivisionTable.xor_prefix` and the
+        index's two :meth:`fold` arrays) at the end of the build.  Off
+        by default — an ids-only index never reads them — but build
+        paths feeding count or checksum serving should turn it on so no
+        query thread pays the lazy build.
     debug_checks:
         Run the structural invariant validators
         (:func:`repro.verify.invariants.verify_index`) against the
@@ -143,6 +151,16 @@ class HintIndex:
         self.occupied_levels = tuple(
             data.level for data in reversed(levels) if data.total()
         )
+        # Per occupied level, as columns: its shift and where O[1] and D[0]
+        # sit in a fold (2**level + 1 entries of O, then 2**level of D).
+        occupied = np.array(self.occupied_levels, dtype=np.int64)
+        size = (2 << occupied) + 1
+        o_1 = np.cumsum(size) - size + 1
+        self.fold_layout = tuple(
+            column[:, None]
+            for column in (self.m - occupied, o_1, o_1 + (1 << occupied))
+        )
+        self._folds: Dict[str, np.ndarray] = {}
 
     def _build(self, collection: IntervalCollection) -> List[LevelData]:
         placements = assign_collection(self.m, collection.st, collection.end)
@@ -236,15 +254,55 @@ class HintIndex:
         return sum(level.nbytes() for level in self.levels)
 
     def precompute_aux(self) -> None:
-        """Eagerly build every table's lazy auxiliary arrays.
+        """Eagerly build every lazy auxiliary array of the index.
 
-        Build/attach paths call this when checksum-mode traffic is
+        Build/attach paths call this when count or checksum traffic is
         expected (the service warm-up), so the per-table ``xor_prefix``
-        arrays are materialized once, up front, instead of lazily — and
-        racily — on the first checksum flush.  Idempotent and thread-safe.
+        arrays and both folds are materialized once, up front, instead of
+        lazily on the first flush.  Idempotent and thread-safe.
         """
         for level in self.levels:
             level.precompute_aux()
+        self.fold("count")
+        self.fold("checksum")
+
+    def fold(self, mode: str) -> np.ndarray:
+        """The prefix folds a ``"count"`` or ``"checksum"`` batch reads.
+
+        Every row covers its partition whole (the domain is
+        ``[0, 2**m - 1]``, each interval tiled exactly), so on a level a
+        query takes the originals of partitions ``f..l`` and the replicas
+        of ``f``, no comparison owed.  Per occupied level the count fold
+        holds ``O[p]``, the originals before partition ``p``, then
+        ``D[p] = R[p + 1] - R[p] - O[p]`` (``R``: the same over the
+        replicas), so the level's count is ``O[l + 1] + D[f]``
+        (:attr:`fold_layout`); the checksum fold reads each table's
+        ``xor_prefix`` at its offsets, XOR for both signs.  Built once,
+        on first use, under a lock.
+        """
+        fold = self._folds.get(mode)
+        if fold is None:
+            with _FOLD_LOCK:
+                fold = self._folds.get(mode)
+                if fold is None:
+                    fold = self._folds[mode] = self._build_fold(mode)
+        return fold
+
+    def _build_fold(self, mode: str) -> np.ndarray:
+        pieces = [_EMPTY]
+        for level in self.occupied_levels:
+            o_in, o_aft, r_in, r_aft = self.levels[level].tables()
+            if mode == "checksum":
+                orig, rep = (
+                    a.xor_prefix[a.offsets] ^ b.xor_prefix[b.offsets]
+                    for a, b in ((o_in, o_aft), (r_in, r_aft))
+                )
+                pieces += [orig, rep[1:] ^ rep[:-1] ^ orig[:-1]]
+            else:
+                orig = o_in.offsets + o_aft.offsets
+                rep = r_in.offsets + r_aft.offsets
+                pieces += [orig, rep[1:] - rep[:-1] - orig[:-1]]
+        return np.concatenate(pieces)
 
     def level_histogram(self) -> Dict[int, int]:
         """Placements per level — shows where durations put intervals."""

@@ -15,22 +15,17 @@ This layout implements two of the paper's optimizations at once:
   comparison-free partitions are answered from the id array alone.
 
 It also makes a query's share of a level one row run per table: the
-partitions ``f..l`` it touches are stored back to back, so first,
-in-between and last partition need no cases of their own
-(:func:`repro.core.strategies.partition_level_sweep`):
-
-====== ================================= ================================
-class  rows a query takes                comparison still owed
-====== ================================= ================================
-O_in   ``[offsets[f], offsets[l + 1])``  ``complast``: upper end cut at
-                                         ``s.st <= q.end``; ``compfirst``:
-                                         rows of partition ``f`` filtered
-                                         by ``s.end >= q.st``
-O_aft  ``[offsets[f], offsets[l + 1])``  ``complast``: the same upper cut
-R_in   ``[offsets[f], offsets[f + 1])``  ``compfirst``: lower end cut at
-                                         ``s.end >= q.st``
-R_aft  ``[offsets[f], offsets[f + 1])``  none
-====== ================================= ================================
+partitions ``f..l`` it touches are stored back to back, so a query takes
+rows ``[offsets[f], offsets[l + 1])`` of ``O_in``/``O_aft`` and
+``[offsets[f], offsets[f + 1])`` of ``R_in``/``R_aft``.  Every row covers
+its partition whole (the domain is ``[0, 2**m - 1]``, each interval tiled
+exactly), so no comparison can drop one: a count or checksum is read off
+prefix folds of the offsets (:meth:`repro.hint.index.HintIndex.fold`).
+The ids sweep (:func:`repro.core.strategies.partition_level_sweep`)
+keeps Algorithm 4's cuts — ``s.st <= q.end`` at the originals' upper end
+while ``complast`` holds, ``s.end >= q.st`` in partition ``f`` of
+``O_in`` and ``R_in`` while ``compfirst`` does — as dropping them
+measured no better.
 
 Beneficial sort orders (the *sorting* optimization):
 

@@ -3,13 +3,15 @@
 :func:`compiled_run` is a drop-in for
 :func:`repro.core.strategies.run_strategy` — same signature, same
 result and ordering contract — that routes the partition-based
-strategy's per-level sweep through the :mod:`repro.kernels.ops`
-kernels (Numba when available, the NumPy fallback otherwise):
+strategy through the :mod:`repro.kernels.ops` kernels (Numba when
+available, the NumPy fallback otherwise) where a kernel has work to do:
 
-* **count / checksum** — the packed-column cuts, masked probes and
-  prefix-XOR folds all become kernel calls behind the accumulator
-  protocol of :func:`~repro.core.strategies.partition_level_sweep`;
-* **ids** — a two-phase *plan-then-gather* pipeline: phase one runs
+* **count / checksum** — none: both are two gathers per level of the
+  index's prefix folds, :func:`~repro.core.strategies.fold_batch`, the
+  same function the serial path runs;
+* **ids** — the packed-column cuts of
+  :func:`~repro.core.strategies.partition_level_sweep` run on the
+  kernels, inside a two-phase *plan-then-gather* pipeline: phase one runs
   the sweep once, recording every contributing row range and eagerly
   filtering the masked first-partition rows; phase two is
   :meth:`BatchResult.merge <repro.core.result.BatchResult.merge>`, which
@@ -38,6 +40,7 @@ from repro.core.result import MODES, BatchResult
 from repro.core.strategies import (
     STRATEGIES,
     _prepare,
+    fold_batch,
     partition_level_sweep,
     run_strategy,
 )
@@ -47,9 +50,22 @@ from repro.kernels import ops
 __all__ = ["compiled_run"]
 
 
-class _KernelCuts:
-    """Packed-column probe cuts through the kernels (shared by both
-    accumulators below; same contract as ``_VectorAccumulator``'s)."""
+class _IdsPlanAccumulator:
+    """Plan-then-gather ids accumulator.
+
+    The packed-column cuts run on the kernels.  During the sweep every
+    ``add_ranges`` records ``(query slots, ids column, lo, hi)`` — a
+    view, no copy — and every ``add_masked_ranges`` runs the masked
+    gather kernel eagerly keeping its compact flat output.  The records
+    are :meth:`BatchResult.merge` contributions: ``finalize`` hands it
+    the plan, and it sizes one flat array and replays the plan through
+    the scatter kernels, so each result id is written exactly once at
+    its final position.
+    """
+
+    def __init__(self, n: int):
+        self._all = np.arange(n, dtype=np.int64)
+        self._plan: List[tuple] = []
 
     def prefix_range(self, table, parts, values):
         lo = table.offsets[parts]
@@ -59,49 +75,6 @@ class _KernelCuts:
     def suffix_range(self, table, parts, values):
         lo = ops.packed_suffix_cut(table.comp, parts, values, table.key_bits)
         return lo, table.offsets[parts + 1]
-
-
-class _KernelVectorAccumulator(_KernelCuts):
-    """Count/checksum accumulator with kernel-backed probes and folds."""
-
-    def __init__(self, n: int, with_checksum: bool):
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.sums = np.zeros(n, dtype=np.int64) if with_checksum else None
-
-    def add_ranges(self, sel, table, lo, hi) -> None:
-        self.counts[sel] += hi - lo
-        if self.sums is not None:
-            self.sums[sel] ^= ops.xor_ranges(table.xor_prefix, lo, hi)
-
-    def add_masked_ranges(self, sel, table, lo, hi, thresholds) -> None:
-        counts, xors = ops.masked_count_xor_end_geq(
-            table.end, table.ids, lo, hi, thresholds, self.sums is not None
-        )
-        self.counts[sel] += counts
-        if self.sums is not None:
-            self.sums[sel] ^= xors
-
-    def finalize(self, order: np.ndarray) -> BatchResult:
-        mode = "count" if self.sums is None else "checksum"
-        part = (np.arange(order.size), self.counts, self.sums, None)
-        return BatchResult.merge(order.size, mode, [part], order)
-
-
-class _IdsPlanAccumulator(_KernelCuts):
-    """Plan-then-gather ids accumulator.
-
-    During the sweep every ``add_ranges`` records ``(query slots, ids
-    column, lo, hi)`` — a view, no copy — and every ``add_masked_ranges``
-    runs the masked gather kernel eagerly keeping its compact flat output.
-    The records are :meth:`BatchResult.merge` contributions: ``finalize``
-    hands it the plan, and it sizes one flat array and replays the plan
-    through the scatter kernels, so each result id is written exactly once
-    at its final position.
-    """
-
-    def __init__(self, n: int):
-        self._all = np.arange(n, dtype=np.int64)
-        self._plan: List[tuple] = []
 
     def _slots(self, sel) -> np.ndarray:
         if isinstance(sel, slice):
@@ -124,13 +97,10 @@ class _IdsPlanAccumulator(_KernelCuts):
 def _partition_based_compiled(
     index: HintIndex, batch, mode: str, ob
 ) -> BatchResult:
+    if mode != "ids":
+        return fold_batch(index, batch, mode, ob)
     work, q_st, q_end = _prepare(index, batch.sorted_by_start(), sort=False)
-    if mode == "ids":
-        acc = _IdsPlanAccumulator(len(work))
-    else:
-        acc = _KernelVectorAccumulator(
-            len(work), with_checksum=(mode == "checksum")
-        )
+    acc = _IdsPlanAccumulator(len(work))
     partition_level_sweep(index, q_st, q_end, acc, ob)
     return acc.finalize(work.order)
 

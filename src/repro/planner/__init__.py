@@ -27,18 +27,13 @@ would cycle.
 from repro.planner.costmodel import CostModel
 from repro.planner.plan import BackendCaps, Plan, plan_key, plan_space
 from repro.planner.planner import AdaptivePlanner, Decision
-from repro.planner.policy import (
-    GIL_BOUND_STRATEGIES,
-    cold_start_recommendation,
-    static_backend_choice,
-)
+from repro.planner.policy import cold_start_recommendation, static_backend_choice
 
 __all__ = [
     "AdaptivePlanner",
     "BackendCaps",
     "CostModel",
     "Decision",
-    "GIL_BOUND_STRATEGIES",
     "Plan",
     "PlannedExecutor",
     "cold_start_recommendation",

@@ -24,7 +24,10 @@ join-based plan reads (:meth:`~repro.hint.index.HintIndex.as_collection`,
 cached on each index): a one-time cost of the index (50 ms for 200k
 intervals, against 7 ms for a steady 4096-query join), which would
 otherwise be charged to the first join-based batch and price the plan
-out for what it is not.
+out for what it is not.  Before the first count or checksum batch it
+builds that mode's :meth:`~repro.hint.index.HintIndex.fold` for the same
+reason (3–4 ms on a 50k-interval index at m = 17, against 0.6–1 ms for
+a 4096-query count, was enough to price partition-based out).
 
 Any planner failure (including injected faults) degrades the batch to
 the engine's static ``auto`` rule: a possibly slower plan, never a
@@ -43,6 +46,7 @@ import repro.obs as obs
 from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES
 from repro.engine import ExecutionEngine
+from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
 from repro.planner.plan import DEFAULT_STRATEGIES, BackendCaps
 from repro.planner.planner import AdaptivePlanner, Decision
@@ -105,10 +109,12 @@ class PlannedExecutor:
         self.planner = planner if planner is not None else AdaptivePlanner(
             index, caps=BackendCaps.from_index(index, workers=self._engine.workers)
         )
+        self._hints = [s.index for s in getattr(index, "shards", ())] or [index]
+        self._folded = {"ids"}  # modes whose folds are built
         if self.choose_strategy and "join-based" in (
             self.planner.strategies or DEFAULT_STRATEGIES
         ):
-            for hint in [s.index for s in getattr(index, "shards", ())] or [index]:
+            for hint in self._hints:
                 if hasattr(hint, "as_collection"):
                     hint.as_collection()
 
@@ -165,6 +171,11 @@ class PlannedExecutor:
             )
         if len(batch) == 0:
             return BatchResult.empty(mode)
+        if mode not in self._folded:
+            for hint in self._hints:
+                if isinstance(hint, HintIndex):
+                    hint.fold(mode)
+            self._folded.add(mode)
         try:
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_PLANNER_DECIDE)

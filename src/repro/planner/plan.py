@@ -8,9 +8,11 @@ carries the kernel path — ``compiled`` / ``threads+compiled`` run the
 :func:`plan_space` enumerates the *legal* plans for an installed index
 and machine, described by :class:`BackendCaps` — e.g. the compiled
 backends are only enumerated where the kernels genuinely accelerate
-(the partition-based sweep; elsewhere ``compiled_run`` delegates to the
-interpreter, so those plans would duplicate ``serial``), and the
-parallel backends only exist on multi-core machines.
+(the partition-based ids sweep; elsewhere ``compiled_run`` runs what
+``serial`` runs — the interpreted strategy, or the prefix-fold gathers
+of a partition-based count or checksum — so those plans would duplicate
+``serial`` and a planner would trade one for its twin on noise), and
+the parallel backends only exist on multi-core machines.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.hint.index import HintIndex
 
 __all__ = ["Plan", "BackendCaps", "plan_space", "plan_key"]
 
-#: Strategies the compiled kernels accelerate (everything else delegates
-#: to the interpreted strategy — see ``kernels/compiled.py``).
+#: Strategies the compiled kernels accelerate, in ids mode (everything
+#: else runs what ``serial`` runs — see ``kernels/compiled.py``).
 COMPILED_STRATEGIES = frozenset({"partition-based"})
 
 
@@ -81,14 +83,17 @@ class BackendCaps:
             compiled_ok=compiled_ok,
         )
 
-    def backends_for(self, strategy: str) -> List[str]:
-        """Legal engine backends for *strategy* on this machine."""
+    def backends_for(self, strategy: str, mode: Optional[str] = None) -> List[str]:
+        """Legal engine backends for *strategy* in *mode* (any mode when
+        omitted) on this machine."""
+        kernels = self.compiled_ok and strategy in COMPILED_STRATEGIES
+        kernels = kernels and mode in (None, "ids")
         backends = ["serial"]
-        if self.compiled_ok and strategy in COMPILED_STRATEGIES:
+        if kernels:
             backends.append("compiled")
         if self.cpus > 1 and self.workers > 1:
             backends.append("threads")
-            if self.compiled_ok and strategy in COMPILED_STRATEGIES:
+            if kernels:
                 backends.append("threads+compiled")
         return backends
 
@@ -105,8 +110,10 @@ def plan_space(
     caps: BackendCaps,
     *,
     strategies: Optional[Sequence[str]] = None,
+    mode: Optional[str] = None,
 ) -> List[Plan]:
-    """Enumerate the legal plans for *caps*.
+    """Enumerate the legal plans for *caps* in *mode* (any mode when
+    omitted).
 
     *strategies* restricts the strategy dimension (a caller-pinned
     strategy passes a singleton); defaults to
@@ -121,5 +128,5 @@ def plan_space(
     return [
         Plan(strategy=s, backend=b)
         for s in names
-        for b in caps.backends_for(s)
+        for b in caps.backends_for(s, mode)
     ]

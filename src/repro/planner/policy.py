@@ -25,28 +25,16 @@ from typing import Tuple
 from repro.kernels import ops as kernel_ops
 
 __all__ = [
-    "GIL_BOUND_STRATEGIES",
     "NOGIL_CUTOFF",
-    "THREAD_CUTOFF",
     "static_backend_choice",
     "compiled_kernels_nogil",
     "cold_start_recommendation",
 ]
 
-#: Strategies whose per-query work is a Python-level loop: they hold the
-#: GIL, so threads cannot speed them up.  The partition-based strategy
-#: is one vectorized numpy pipeline; its ids mode spends its time
-#: materializing per-query arrays, which the compiled kernels do faster
-#: than the interpreter even on the NumPy fallback.
-GIL_BOUND_STRATEGIES = frozenset(
-    {"query-based", "query-based-sorted", "level-based", "join-based"}
-)
-
-#: The static rule's thresholds (batch sizes), tuned once on the
-#: reference container; the planner's timings replace them, these
-#: remain the prior.
+#: The static rule's threshold (a batch size), tuned once on the
+#: reference container; the planner's timings replace it, it remains
+#: the prior.
 NOGIL_CUTOFF = 512
-THREAD_CUTOFF = 2048
 
 
 def compiled_kernels_nogil() -> bool:
@@ -67,19 +55,16 @@ def static_backend_choice(n: int, strategy: str, mode: str, *, cpus: int) -> str
       every size — on several cores through ``threads+compiled`` once
       the batch reaches :data:`NOGIL_CUTOFF` and the kernels release the
       GIL, otherwise ``compiled`` in the calling thread;
-    * the GIL-bound strategies (:data:`GIL_BOUND_STRATEGIES`) run
-      serial: threads only add dispatch cost to a Python loop;
-    * vectorized work of at least :data:`THREAD_CUTOFF` queries on a
-      multi-core machine uses threads (numpy releases the GIL in the hot
-      loops); anything else runs serial.
+    * everything else runs serial: query-based, level-based and
+      join-based because their per-query work is a Python loop that
+      holds the GIL, partition-based count and checksum because two
+      gathers per level leave a thread nothing worth its hand-off (4096
+      queries on 2 cores: 1.5 ms on threads, 0.56 ms serial).
     """
-    multicore = cpus > 1
     if strategy == "partition-based" and mode == "ids":
-        if multicore and n >= NOGIL_CUTOFF and compiled_kernels_nogil():
+        if cpus > 1 and n >= NOGIL_CUTOFF and compiled_kernels_nogil():
             return "threads+compiled"
         return "compiled"
-    if multicore and n >= THREAD_CUTOFF and strategy not in GIL_BOUND_STRATEGIES:
-        return "threads"
     return "serial"
 
 

@@ -159,8 +159,8 @@ class TestAutoPolicy:
             assert engine._choose(5_000, "join-based", "ids", None) == "serial"
             # ids materialization runs on the kernels
             assert engine._choose(5_000, "partition-based", "ids", None) == "compiled"
-            # vectorized count path: threads once large enough
-            assert engine._choose(5_000, "partition-based", "count", None) == "threads"
+            # the folded count path: serial at every size
+            assert engine._choose(5_000, "partition-based", "count", None) == "serial"
             assert engine._choose(500, "partition-based", "count", None) == "serial"
 
     @pytest.mark.parametrize("n", [64, 256, 1024])

@@ -376,10 +376,10 @@ class TestEngineWiring:
                 engine._choose(5_000, "partition-based", "ids", None)
                 == "threads+compiled"
             )
-            # Vectorized non-ids work is unaffected.
+            # Non-ids work is unaffected: the count fold runs serial.
             assert (
                 engine._choose(5_000, "partition-based", "count", None)
-                == "threads"
+                == "serial"
             )
 
     def test_auto_policy_fallback_kernels_do_not_thread(

@@ -10,6 +10,8 @@ size class, and re-opening a class whose timing drifts.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from repro.planner import (
 )
 from repro.planner.plan import plan_key
 from repro.planner.policy import (
-    GIL_BOUND_STRATEGIES,
     NOGIL_CUTOFF,
     cold_start_recommendation,
     compiled_kernels_nogil,
@@ -104,6 +105,17 @@ class TestPlanSpace:
         # Compiled kernels only accelerate the partition-based sweep.
         assert set(caps.backends_for("join-based")) == {"serial", "threads"}
 
+    def test_count_and_checksum_offer_no_compiled_twin(self):
+        """``compiled_run`` answers a partition-based count or checksum
+        with the serial path's fold, so the planner is not offered the
+        same code under a second name to trade places with on noise."""
+        caps = BackendCaps(cpus=4, workers=4, compiled_ok=True)
+        for mode in ("count", "checksum"):
+            assert caps.backends_for("partition-based", mode) == ["serial", "threads"]
+            plans = plan_space(caps, strategies=("partition-based",), mode=mode)
+            assert {p.backend for p in plans} == {"serial", "threads"}
+        assert "compiled" in caps.backends_for("partition-based", "ids")
+
     def test_compiled_excluded_without_kernel_support(self):
         caps = BackendCaps(cpus=4, workers=4, compiled_ok=False)
         assert "compiled" not in caps.backends_for("partition-based")
@@ -137,13 +149,16 @@ class TestStaticBackendChoice:
         assert static_backend_choice(16, "join-based", "ids", cpus=8) == "serial"
         assert static_backend_choice(100_000, "join-based", "ids", cpus=1) == "serial"
 
-    def test_vectorized_work_uses_threads_above_cutoff(self):
-        choice = static_backend_choice(4096, "partition-based", "count", cpus=8)
-        assert choice == "threads"
-        assert (
-            static_backend_choice(1024, "partition-based", "count", cpus=8)
-            == "serial"
-        )
+    def test_partition_count_and_checksum_stay_serial_at_every_size(self):
+        """Two gathers per level leave a thread nothing worth its
+        hand-off: ``auto`` runs them serial on any number of cores."""
+        for n in (1, 1024, 2048, 4096, 100_000):
+            for mode in ("count", "checksum"):
+                for cpus in (1, 2, 8):
+                    choice = static_backend_choice(
+                        n, "partition-based", mode, cpus=cpus
+                    )
+                    assert choice == "serial", (n, mode, cpus)
 
     def test_gil_bound_with_live_jit_prefers_compiled_threads(self, monkeypatch):
         monkeypatch.setattr(kernel_ops, "jit_available", lambda: True)
@@ -180,10 +195,6 @@ class TestStaticBackendChoice:
                 for mode in ("count", "ids"):
                     choice = static_backend_choice(n, "join-based", mode, cpus=8)
                     assert choice == "serial"
-
-    def test_gil_bound_set(self):
-        assert "partition-based" not in GIL_BOUND_STRATEGIES
-        assert "join-based" in GIL_BOUND_STRATEGIES
 
 
 class TestColdStartRecommendation:
@@ -250,16 +261,16 @@ class TestAdaptivePlanner:
 
     def test_calibrated_decision_picks_cheapest(self, small_hint, rng):
         model = _timed_model({
-            "partition-based|serial|count": 0.010,
-            "partition-based|compiled|count": 0.001,
-            "join-based|serial|count": 0.020,
+            "partition-based|serial|ids": 0.010,
+            "partition-based|compiled|ids": 0.001,
+            "join-based|serial|ids": 0.020,
         })
         planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
-        decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
+        decision = planner.decide(_uniform_batch(rng, 64, 8), mode="ids")
         assert decision.source == "model"
         assert decision.plan == Plan("partition-based", "compiled")
         # The decision table is sorted cheapest-first and covers all plans.
-        assert [k for k, _ in decision.table][0] == "partition-based|compiled|count"
+        assert [k for k, _ in decision.table][0] == "partition-based|compiled|ids"
         assert len(decision.table) == 3
 
     def test_partially_timed_mode_explores_the_rest(self, small_hint, rng):
@@ -368,8 +379,9 @@ class _FakeMachine:
 
 
 def _serve(planner, machine, batch):
-    """One batch through decide -> run -> observe, as the executor does."""
-    decision = planner.decide(batch, mode="count")
+    """One ids batch through decide -> run -> observe, as the executor
+    does (ids: the mode whose plan space holds the compiled backends)."""
+    decision = planner.decide(batch, mode="ids")
     machine.runs.append((decision.plan, decision.timed))
     planner.observe(decision, machine.cost(decision.plan, decision.timed))
     if decision.beside is not None:
@@ -410,7 +422,7 @@ class TestFirstSight:
         first = _serve(planner, _FakeMachine(seed=1), _uniform_batch(rng, 4096, 8))
         strategy, _ = cold_start_recommendation(len(small_hint), 4096)
         assert first.plan == Plan(
-            strategy, static_backend_choice(4096, strategy, "count", cpus=2)
+            strategy, static_backend_choice(4096, strategy, "ids", cpus=2)
         )
 
     def test_sizes_near_a_timed_one_are_never_probed(self, small_hint, rng):
@@ -475,7 +487,7 @@ class TestFirstSight:
              (str(Plan("join-based", "threads")), n - 3 * (n // 4))]
         )
         # The one look a join got is kept, scaled to the batch.
-        key = Plan("join-based", "threads").key("count")
+        key = Plan("join-based", "threads").key("ids")
         assert [q for q, _ in planner.model.samples(key)] == [n]
 
     def test_a_slow_first_batch_is_timed_again(self, small_hint, rng):
@@ -743,6 +755,31 @@ class TestPlannedExecutor:
             index, strategies=("partition-based",)
         )).close()
         assert getattr(index, "_collection_cache", None) is None
+
+    def test_a_modes_fold_is_built_before_its_first_batch_is_timed(
+        self, rng, monkeypatch
+    ):
+        """The count or checksum fold is a one-time cost of the index:
+        built before the first batch of its mode, outside the look the
+        planner keeps, and never for ids batches."""
+        built = []
+        real = HintIndex._build_fold
+
+        def slow(index, mode):
+            built.append(mode)
+            time.sleep(0.2)
+            return real(index, mode)
+
+        monkeypatch.setattr(HintIndex, "_build_fold", slow)
+        index = HintIndex(random_collection(rng, 400, 1023), m=10)
+        with PlannedExecutor(index) as px:
+            px.execute(_uniform_batch(rng, 64, 8), mode="ids")
+            assert built == []
+            for mode in ("count", "checksum"):
+                px.execute(_uniform_batch(rng, 64, 8), mode=mode)
+                key = px.last_decision.plan.key(mode)
+                assert px.planner._first_sight[key][1] < 0.1, mode  # seconds
+        assert built == ["count", "checksum"]
 
     def test_engine_options_beside_an_engine_are_a_type_error(self, small_hint):
         """Options for an engine the executor does not build are not

@@ -94,7 +94,7 @@ class TestPlannerDifferential:
                                 f"{label}: {px.last_decision.describe()} "
                                 f"[{mode}] != {strategy}"
                             )
-                    assert ran == set(plan_space(px.planner.caps)), label
+                    assert ran == set(plan_space(px.planner.caps, mode=mode)), label
                     # Merged first-sight batches (two plans, one result) ran.
                     assert beside > 0, label
                     assert px.last_decision.source == "model"

@@ -106,3 +106,44 @@ def test_single_interval_found_by_every_overlapping_query(case):
     if end < top:
         assert index.query_count(end + 1, top) == 0
         assert index.query_count(end, end + 1) == 1
+
+
+@hs.composite
+def tiled_case(draw):
+    """A collection, which of its rows a merge deletes, and how many of
+    its last rows the merge stages instead of the build."""
+    m = draw(ms)
+    top = (1 << m) - 1
+    n = draw(hs.integers(min_value=0, max_value=50))
+    st = [draw(hs.integers(min_value=0, max_value=top)) for _ in range(n)]
+    end = [draw(hs.integers(min_value=s, max_value=top)) for s in st]
+    staged = draw(hs.integers(min_value=0, max_value=n))
+    dead = [draw(hs.booleans()) for _ in range(n - staged)]
+    return m, st, end, staged, dead
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_case())
+def test_every_row_covers_its_partition_whole(case):
+    """The premise of the comparison-free count and checksum folds
+    (``HintIndex.fold``): built fresh or merged, every row of every table
+    lies inside ``[st, end]`` and covers its partition whole."""
+    m, st, end, staged, dead = case
+    coll = IntervalCollection(st, end) if st else IntervalCollection.empty()
+    keep = np.arange(len(coll)) < len(coll) - staged
+    base = coll.select(keep)
+    fresh = HintIndex(coll, m=m, storage_optimized=False)
+    merged = HintIndex(base, m=m, storage_optimized=False).merged(
+        base.select(np.array(dead, dtype=bool)), coll.select(~keep)
+    )
+    for index in (fresh, merged):
+        for data in index.levels:
+            shift = m - data.level
+            for table in data.tables():
+                if not len(table):
+                    continue
+                parts = np.repeat(
+                    np.arange(table.num_partitions), np.diff(table.offsets)
+                )
+                assert (table.st <= parts << shift).all()
+                assert (table.end >= ((parts + 1) << shift) - 1).all()

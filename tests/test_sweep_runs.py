@@ -5,13 +5,18 @@ Hypothesis drives :func:`repro.core.strategies.partition_level_sweep`
 ``ShardedHint`` with 2 and 3 shards, in all three result modes) against
 the pseudocode-faithful :class:`~repro.hint.reference.ReferenceHint` and
 the naive oracle, on batches built to keep every branch of the run
-arithmetic alive.  A cost spy pins what the fold bought: per occupied
-level at most three packed-column cuts and six registrations, and
-nothing at all on an empty level.
+arithmetic alive.  A cost spy pins what the one-run-per-table sweep of
+the compiled ids plan bought: per occupied level at most three
+packed-column cuts and six registrations, and nothing at all on an
+empty level.  Count and checksum never reach the sweep: they are two
+gathers per level from the index's prefix folds, which make no cut and
+call no kernel, are built once however many threads ask first, and
+answer alike traced or not.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -19,13 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import repro.obs as obs
 from repro import HintIndex, IntervalCollection, QueryBatch
 from repro.core import strategies
 from repro.core.strategies import partition_level_sweep, run_strategy
 from repro.hint.reference import ReferenceHint
-from repro.kernels.compiled import compiled_run
+from repro.kernels import ops
+from repro.kernels.compiled import _IdsPlanAccumulator, compiled_run
 from repro.shard import ShardedHint
-from tests.conftest import assert_flat_oracle, oracle_result
+from tests.conftest import assert_flat_oracle, oracle_result, random_batch
 
 MODES = ("count", "checksum", "ids")
 RUNNERS = {"serial": run_strategy, "compiled": compiled_run}
@@ -124,11 +131,11 @@ def test_flags_in_closed_form_match_the_level_by_level_update():
         complast &= (q_end >> shift) & 1 == 0
 
 
-class _SpyAccumulator(strategies._VectorAccumulator):
-    """Counts the protocol calls of one sweep, by table."""
+class _SpyAccumulator(_IdsPlanAccumulator):
+    """Counts the protocol calls of one ids sweep, by table."""
 
     def __init__(self, n, index):
-        super().__init__(n, with_checksum=False)
+        super().__init__(n)
         self.calls = Counter()
         self._level_of = {
             id(table): data.level
@@ -178,11 +185,11 @@ def test_at_most_three_cuts_and_six_registrations_per_occupied_level(rng):
         assert acc.calls[(level, "add")] <= 6, level
     assert total_searches(index, q_st, q_end) <= 3 * len(occupied)
     want = oracle_result(coll, QueryBatch(q_st, q_end), m)
-    assert acc.counts.tolist() == want.counts.tolist()
+    assert_flat_oracle(acc.finalize(np.arange(256)), want)
 
 
 def total_searches(index, q_st, q_end) -> int:
-    """``np.searchsorted`` calls of one count-mode sweep."""
+    """``np.searchsorted`` calls of one ids-mode sweep."""
     calls = [0]
     real = np.searchsorted
 
@@ -192,11 +199,111 @@ def total_searches(index, q_st, q_end) -> int:
 
     np.searchsorted = counting
     try:
-        acc = strategies._VectorAccumulator(q_st.size, with_checksum=False)
-        partition_level_sweep(index, q_st, q_end, acc)
+        partition_level_sweep(index, q_st, q_end, _IdsPlanAccumulator(q_st.size))
     finally:
         np.searchsorted = real
     return calls[0]
+
+
+def _fold_case(rng, m=12, n=20_000, queries=512):
+    top = (1 << m) - 1
+    st = rng.integers(0, top, size=n)
+    coll = IntervalCollection(st, np.minimum(st + rng.integers(0, 300, n), top))
+    return coll, random_batch(rng, queries, top)
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+@pytest.mark.parametrize("kind", ["hint", "sharded"])
+@pytest.mark.parametrize("mode", ["count", "checksum"])
+def test_count_and_checksum_make_no_cut_and_call_no_kernel(
+    rng, monkeypatch, runner, kind, mode
+):
+    """Fails at the parent, whose sweep cut with ``np.searchsorted`` (the
+    serial path) or ``ops.packed_*``/``ops.masked_*`` (the compiled one).
+    On shards only the shard's own evaluation is watched: routing and
+    the replica/spill probes are the shard layer's, not the fold's."""
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12) if kind == "hint" else ShardedHint(coll, k=2, m=12)
+    searches = [0]
+    real = np.searchsorted
+
+    def counting(*args, **kwargs):
+        searches[0] += 1
+        return real(*args, **kwargs)
+
+    def watched(name, shard_index, sub, *, mode):
+        monkeypatch.setattr(np, "searchsorted", counting)
+        try:
+            return RUNNERS[runner](name, shard_index, sub, mode=mode)
+        finally:
+            monkeypatch.setattr(np, "searchsorted", real)
+
+    before = ops.invocation_counts()
+    if kind == "hint":
+        got = watched("partition-based", index, batch, mode=mode)
+    else:
+        got = index.execute(batch, mode=mode, runner=watched)
+    after = ops.invocation_counts()
+    assert searches[0] == 0
+    assert not [
+        kernel for kernel in after
+        if kernel.startswith(("packed_", "masked_"))
+        and after[kernel] != before.get(kernel, 0)
+    ]
+    assert_flat_oracle(got, oracle_result(coll, batch, 12))
+
+
+def test_eight_threads_build_one_fold(rng, monkeypatch):
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12)
+    builds = []
+    real = HintIndex._build_fold
+
+    def counting(self, mode):
+        builds.append(mode)
+        return real(self, mode)
+
+    monkeypatch.setattr(HintIndex, "_build_fold", counting)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def run(i):
+        start.wait()
+        results[i] = run_strategy("partition-based", index, batch, mode="count")
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert builds == ["count"]
+    assert all(result == results[0] for result in results)
+    assert_flat_oracle(results[0], oracle_result(coll, batch, 12))
+
+
+def test_precompute_aux_builds_both_folds(rng, monkeypatch):
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12, precompute_aux=True)
+    monkeypatch.setattr(HintIndex, "_build_fold", None)  # any build raises
+    for mode in ("count", "checksum"):
+        run_strategy("partition-based", index, batch, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["count", "checksum"])
+def test_traced_fold_equals_the_untraced_one(rng, mode):
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12)
+    plain = run_strategy("partition-based", index, batch, mode=mode)
+    obs.configure(enabled=True, trace_partitions=True)
+    try:
+        traced = run_strategy("partition-based", index, batch, mode=mode)
+    finally:
+        obs.configure(enabled=False)
+    assert traced.mode == plain.mode == mode
+    assert traced.counts.tolist() == plain.counts.tolist()
+    if mode == "checksum":
+        assert traced.checksums.tolist() == plain.checksums.tolist()
+    assert_flat_oracle(traced, oracle_result(coll, batch, 12))
 
 
 @pytest.mark.parametrize("source", ["build", "persist"])
