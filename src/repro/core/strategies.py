@@ -15,20 +15,15 @@ build is the computation sharing the strategies enable:
 * **level-based** amortizes the per-level prefix/flag arithmetic across
   the whole batch with one vectorized pass per level (Algorithm 3);
 * **partition-based** additionally shares index probes across the
-  batch (Algorithm 4).  Its count and checksum modes need none: the
-  index's domain is ``[0, 2**m - 1]`` and every interval is tiled
-  exactly, so each stored row covers its partition whole and the
+  batch (Algorithm 4), and on this index the sharing is total: the
+  domain is ``[0, 2**m - 1]`` and every interval is tiled exactly, so
+  each stored row covers its partition whole and the
   ``compfirst``/``complast`` comparisons can never drop a row (the
   comparison-free case of HINT).  A level's answer is the originals of
-  partitions ``f..l`` plus the replicas of ``f``, which is two gathers
-  per level from the index's prefix folds for the whole batch
-  (:func:`fold_batch`).  Its ids mode takes one row run per table per
-  query, cut where the flags still owe a comparison
-  (:func:`partition_level_sweep`, the compiled backend's driver); the
-  serial backend's ids mode instead groups queries per partition:
-  first-anchor partitions in ascending order, then middle ranges, then
-  last-anchor partitions — a reordering of the paper's single ascending
-  sweep that produces identical results.
+  partitions ``f..l`` plus the replicas of ``f``: two gathers per level
+  from the index's prefix folds for a count or checksum, four row runs
+  per level gathered into the flat result at once for ids
+  (:func:`fold_batch`, in every mode and on every backend).
 
 Query-based and level-based keep Algorithm 1's and Algorithm 3's
 comparisons on purpose: they are the paper's baselines, which is why
@@ -57,14 +52,13 @@ __all__ = [
     "query_based",
     "level_based",
     "partition_based",
-    "partition_level_sweep",
     "fold_batch",
     "run_strategy",
     "STRATEGIES",
 ]
 
-_EMPTY = np.empty(0, dtype=np.int64)
 _FOLD_BLOCK = 131072  # (level, query) pairs per block of fold_batch
+_IDS_BLOCK = 65536  # ids per gather block of fold_batch
 
 
 # --------------------------------------------------------------------- #
@@ -341,279 +335,87 @@ def _level_based_impl(
 # --------------------------------------------------------------------- #
 
 
-def _first_partition_groups(
-    data: LevelData,
-    q_st: np.ndarray,
-    q_end: np.ndarray,
-    f: np.ndarray,
-    l: np.ndarray,
-    compfirst: np.ndarray,
-    complast: np.ndarray,
-    collector,
-) -> None:
-    """Process every query's *first* relevant partition, grouped by
-    partition; queries sharing a partition share one probe per table."""
-    o_in, o_aft, r_in, r_aft = data.tables()
-    parts, starts = np.unique(f, return_index=True)
-    bounds = np.append(starts, f.size)
-    for gi in range(parts.size):
-        p = int(parts[gi])
-        j0, j1 = int(bounds[gi]), int(bounds[gi + 1])
-        idx = np.arange(j0, j1)
-        anchored_last = l[idx] == p
-        cf = compfirst[idx]
-        cl = complast[idx]
-        case_both = cf & cl & anchored_last
-        case_first = cf & ~case_both
-        case_st = ~cf & cl & anchored_last
-        case_none = ~cf & ~(cl & anchored_last)
-
-        # --- O_in -----------------------------------------------------
-        lo, hi = o_in.bounds(p)
-        if hi > lo:
-            if case_both.any():
-                st_slice = o_in.st[lo:hi]
-                end_slice = o_in.end[lo:hi]
-                sel = idx[case_both]
-                ks = np.searchsorted(st_slice, q_end[sel], side="right")
-                for j, k in zip(sel, ks):
-                    if k:
-                        mask = end_slice[:k] >= q_st[j]
-                        if collector.mode == "count":
-                            collector.add_count(int(j), int(np.count_nonzero(mask)))
-                        else:
-                            collector.add_ids(int(j), o_in.ids[lo : lo + int(k)][mask])
-            if case_first.any():
-                end_slice = o_in.end[lo:hi]
-                for j in idx[case_first]:
-                    mask = end_slice >= q_st[j]
-                    if collector.mode == "count":
-                        collector.add_count(int(j), int(np.count_nonzero(mask)))
-                    else:
-                        collector.add_ids(int(j), o_in.ids[lo:hi][mask])
-            if case_st.any():
-                _grouped_st_leq(o_in, p, lo, hi, idx[case_st], q_end, collector)
-            if case_none.any():
-                _grouped_full(o_in, p, lo, hi, idx[case_none], collector)
-
-        # --- O_aft: the q.st side is implied; test s.st <= q.end only
-        # when this partition is also the query's last and complast holds.
-        lo, hi = o_aft.bounds(p)
-        if hi > lo:
-            needs_st = (case_both | case_st)
-            if needs_st.any():
-                _grouped_st_leq(o_aft, p, lo, hi, idx[needs_st], q_end, collector)
-            rest = ~needs_st
-            if rest.any():
-                _grouped_full(o_aft, p, lo, hi, idx[rest], collector)
-
-        # --- R_in: test q.st <= s.end while compfirst holds ------------
-        lo, hi = r_in.bounds(p)
-        if hi > lo:
-            if cf.any():
-                sel = idx[cf]
-                ks = np.searchsorted(r_in.end[lo:hi], q_st[sel], side="left")
-                if collector.mode == "count":
-                    collector.add_counts_vec(sel, (hi - lo) - ks)
-                else:
-                    for j, k in zip(sel, ks):
-                        collector.add_slice(int(j), r_in, lo + int(k), hi)
-            if (~cf).any():
-                _grouped_full(r_in, p, lo, hi, idx[~cf], collector)
-
-        # --- R_aft: never compared -------------------------------------
-        lo, hi = r_aft.bounds(p)
-        if hi > lo:
-            _grouped_full(r_aft, p, lo, hi, idx, collector)
+def _record_levels(index: HintIndex, q_st, q_end, ob) -> None:
+    """Report every level, empty ones included, as the access traces
+    expect: its ``f``/``l`` and partition touches for the whole batch
+    at once (no per-level duration: no level runs on its own)."""
+    shifts = np.arange(index.m + 1)[:, None]
+    f, l = q_st >> shifts, q_end >> shifts
+    touches = ((l - f).sum(axis=1) + q_st.size).tolist()
+    for k, level_touches in enumerate(touches):  # k: the level's shift
+        ob.record_level(
+            "partition-based", index.m - k,
+            f=f[k], l=l[k], touches=level_touches,
+        )
 
 
-def _grouped_st_leq(table, p, lo, hi, sel, q_end, collector) -> None:
-    ks = np.searchsorted(table.st[lo:hi], q_end[sel], side="right")
-    if collector.mode == "count":
-        collector.add_counts_vec(sel, ks)
-    else:
-        for j, k in zip(sel, ks):
-            collector.add_slice(int(j), table, lo, lo + int(k))
+def _gather_ids(index: HintIndex, q_st, q_end) -> BatchResult:
+    """The ids of queries *q_st*/*q_end*, in their order, as four row
+    runs per occupied level (:meth:`HintIndex.id_runs`).
 
-
-def _grouped_full(table, p, lo, hi, sel, collector) -> None:
-    if collector.mode == "count":
-        collector.add_counts_vec(sel, np.full(sel.size, hi - lo, dtype=np.int64))
-    else:
-        for j in sel:
-            collector.add_slice(int(j), table, lo, hi)
-
-
-def _middle_ranges(
-    data: LevelData, f: np.ndarray, l: np.ndarray, positions: np.ndarray, collector
-) -> None:
-    """Comparison-free middles ``f+1 .. l-1``: contiguous row ranges."""
-    sel = l > f + 1
-    if not sel.any():
-        return
-    f_sel = f[sel] + 1
-    l_sel = l[sel]
-    pos_sel = positions[sel]
-    for table in (data.o_in, data.o_aft):
-        if not len(table):
-            continue
-        lows = table.offsets[f_sel]
-        highs = table.offsets[l_sel]
-        if collector.mode == "count":
-            collector.add_counts_vec(pos_sel, highs - lows)
-        else:
-            for j, lo, hi in zip(pos_sel, lows, highs):
-                collector.add_slice(int(j), table, int(lo), int(hi))
-
-
-def _last_partition_groups(
-    data: LevelData,
-    q_end: np.ndarray,
-    f: np.ndarray,
-    l: np.ndarray,
-    complast: np.ndarray,
-    collector,
-) -> None:
-    """Process every query's *last* relevant partition (originals only),
-    grouped by partition."""
-    sel = np.flatnonzero(l > f)
-    if sel.size == 0:
-        return
-    order = sel[np.argsort(l[sel], kind="stable")]
-    l_sorted = l[order]
-    group_starts = np.flatnonzero(np.r_[True, l_sorted[1:] != l_sorted[:-1]])
-    group_bounds = np.append(group_starts, order.size)
-    for gi in range(group_starts.size):
-        g0, g1 = int(group_bounds[gi]), int(group_bounds[gi + 1])
-        idx = order[g0:g1]
-        p = int(l_sorted[g0])
-        cl = complast[idx]
-        for table in (data.o_in, data.o_aft):
-            lo, hi = table.bounds(p)
-            if hi <= lo:
-                continue
-            if cl.any():
-                _grouped_st_leq(table, p, lo, hi, idx[cl], q_end, collector)
-            if (~cl).any():
-                _grouped_full(table, p, lo, hi, idx[~cl], collector)
-
-
-def _level_flags(index: HintIndex, q_st: np.ndarray, q_end: np.ndarray):
-    """Per query, the lowest zero bit of ``q.st`` and the lowest set bit of
-    ``q.end`` (bit ``m`` when it has none), as powers of two.
-
-    ``compfirst`` survives to a level exactly while every bit of ``q.st``
-    below the level's prefix is one, ``complast`` while every such bit of
-    ``q.end`` is zero (Lines 22-25 of Algorithm 1, unrolled), so at shift
-    ``s`` the flags are ``first_zero >> s != 0`` and ``last_one >> s != 0``
-    — no flag state carried from level to level, none kept for the empty
-    levels nobody visits.
+    A query's runs are ``[start[f], start[l + 1])`` of ``O_in`` and
+    ``O_aft`` and ``[start[f], start[f + 1])`` of ``R_in`` and
+    ``R_aft``; its count is the sum of their lengths.  The ids of a
+    block of queries are then one gather,
+    ``ids[repeat(lo - at, len) + arange(total)]`` with ``at`` where each
+    run lands, written straight into the flat result.
     """
-    guarded = q_end | (1 << index.m)
-    return ~q_st & (q_st + 1), guarded & -guarded
-
-
-def _sweep_level(data: LevelData, f, l, q_st, q_end, first, last, acc) -> None:
-    """One level of Algorithm 4 as one row run per table per query.
-
-    *first*/*last* are the positions whose ``compfirst``/``complast``
-    still holds.  Partitions ``f..l`` of a query lie back to back in a
-    table, so the originals are one run ``[offsets[f], offsets[l + 1])``
-    whose upper end the ``s.st <= q.end`` cut replaces for *last*; on
-    ``O_in`` the part of that run inside partition ``f`` is filtered by
-    ``s.end >= q.st`` for *first*.  Replicas count at partition ``f``
-    only, ``R_in`` from the ``s.end >= q.st`` cut on for *first*.
-    """
-    everyone = slice(None)
-    after_f = f + 1
-    after_l = l + 1
-    if last.size:
-        l_last, end_last = l[last], q_end[last]
-    if first.size:
-        f_first, st_first = f[first], q_st[first]
-    for table in (data.o_in, data.o_aft):
-        if not len(table):
-            continue
-        lo = table.offsets[f]
-        hi = table.offsets[after_l]
-        if last.size:
-            hi[last] = acc.prefix_range(table, l_last, end_last)[1]
-        if table is data.o_in and first.size:
-            cut = np.minimum(hi[first], table.offsets[f_first + 1])
-            acc.add_masked_ranges(first, table, lo[first], cut, st_first)
-            lo[first] = cut
-        acc.add_ranges(everyone, table, lo, hi)
-    r_in, r_aft = data.r_in, data.r_aft
-    if len(r_in):
-        lo = r_in.offsets[f]
-        if first.size:
-            lo[first] = acc.suffix_range(r_in, f_first, st_first)[0]
-        acc.add_ranges(everyone, r_in, lo, r_in.offsets[after_f])
-    if len(r_aft):
-        acc.add_ranges(everyone, r_aft, r_aft.offsets[f], r_aft.offsets[after_f])
-
-
-def partition_level_sweep(
-    index: HintIndex,
-    q_st: np.ndarray,
-    q_end: np.ndarray,
-    acc,
-    ob=None,
-) -> None:
-    """Drive Algorithm 4's per-level relevant-range sweep through an
-    accumulator.
-
-    *q_st*/*q_end* are the clipped, **start-sorted** query bounds (see
-    :func:`_prepare`).  Only occupied levels are visited; on each, every
-    table contributes one row run per query (:func:`_sweep_level`): at
-    most three packed-column cuts (``prefix_range``/``suffix_range``)
-    and five registrations (``add_ranges``, and ``add_masked_ranges``
-    for the first partition of ``O_in``) — no comparison
-    :func:`_process_level` does not make, and none at the bottom level.
-    The accumulator decides what a registered range *means*; the one in
-    production is the compiled ids path's gather plan
-    (:mod:`repro.kernels.compiled`), as count and checksum need no runs
-    (:func:`fold_batch`).  With *ob* set every level is reported
-    (``record_level``), empty ones included, as the access traces expect.
-    """
-    m = index.m
-    first_zero, last_one = _level_flags(index, q_st, q_end)
-    occupied = index.occupied_levels
-    for level in occupied if ob is None else range(m, -1, -1):
-        if ob is not None:
-            t_level = perf_counter()
-        shift = m - level
-        f = q_st >> shift
-        l = q_end >> shift
-        if level in occupied:
-            # A bottom-level partition is one cell, so every row it stores
-            # passes both tests: nothing is compared at shift 0.
-            first = (first_zero >> shift).nonzero()[0] if shift else _EMPTY
-            last = (last_one >> shift).nonzero()[0] if shift else _EMPTY
-            _sweep_level(
-                index.levels[level], f, l, q_st, q_end, first, last, acc
-            )
-        if ob is not None:
-            ob.record_level(
-                "partition-based", level, f=f, l=l,
-                duration=perf_counter() - t_level,
-            )
+    ids, starts = index.id_runs()
+    layout = index.runs_layout[None]  # (1, tables, levels)
+    shift = index.fold_layout[0][:, 0]
+    n = q_st.size
+    lo = np.empty((n,) + layout.shape[1:], dtype=np.int64)
+    lens = np.empty_like(lo)
+    step = max(_FOLD_BLOCK // max(layout.size, 1), 1)
+    for i in range(0, n, step):
+        f = q_st[i : i + step, None] >> shift
+        l = q_end[i : i + step, None] >> shift
+        starts.take(layout + f[:, None], out=lo[i : i + step])
+        hi = starts.take(layout + np.stack((l, l, f, f), axis=1) + 1)
+        np.subtract(hi, lo[i : i + step], out=lens[i : i + step])
+    counts = lens.sum(axis=(1, 2))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    lo, lens = lo.reshape(n, layout.size), lens.reshape(n, layout.size)
+    # Queries in blocks of about _IDS_BLOCK ids, so the gather's index
+    # temporaries stay in cache: 540 queries of ~1000 ids each (BOOKS-15k,
+    # m = 16, 2 cores) took 1.7 ms so and 6.2 ms in one block.
+    block = offsets[1:] // _IDS_BLOCK
+    cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+    for i, j in zip([0] + cuts, cuts + [n]):
+        first, total = int(offsets[i]), int(offsets[j] - offsets[i])
+        run_lens = lens[i:j].ravel()
+        at = np.cumsum(run_lens) - run_lens
+        rows = np.repeat(lo[i:j].ravel() - at, run_lens)
+        rows += np.arange(total)
+        ids.take(rows, out=flat[first : first + total])
+    return BatchResult(counts, flat, offsets)
 
 
 def fold_batch(
     index: HintIndex, batch: QueryBatch, mode: str, ob=None
 ) -> BatchResult:
-    """Count or checksum *batch* from the index's prefix folds.
+    """Answer *batch* from the index's prefix folds and id runs.
 
-    On every occupied level a query reads two fold entries,
-    ``O[l + 1]`` and ``D[f]`` (:meth:`HintIndex.fold`, which says why no
-    comparison is owed on this index): one ``(levels x queries)`` gather
-    each, summed (XORed) over the levels.  No cut, no masked range and
-    no start order, so the batch is answered in its own order.  With
-    *ob* set the same computation runs and every level is reported
+    Every row of this index covers its partition whole
+    (:meth:`HintIndex.fold` says why), so no comparison is owed.  A
+    count reads two fold entries per occupied level, ``O[l + 1]`` and
+    ``D[f]``: one ``(levels x queries)`` gather each, summed (XORed for
+    a checksum) over the levels.  Ids are four row runs per occupied
+    level gathered in one go (:func:`_gather_ids`).  No cut, no masked
+    range and no start order: the batch is answered in caller order.
+    With *ob* set the same computation runs and every level is reported
     (``record_level``), empty ones included, as the access traces expect.
     """
     _, q_st, q_end = _prepare(index, batch, sort=False)
+    if ob is not None:
+        _record_levels(index, q_st, q_end, ob)
+    if mode == "ids":
+        # Into caller order first, so the flat ids are written in it.
+        caller = np.empty((2, len(batch)), dtype=np.int64)
+        caller[:, batch.order] = q_st, q_end
+        return _gather_ids(index, *caller)
     shift, o_1, d_0 = index.fold_layout
     fold = index.fold("count")
     xfold = index.fold("checksum") if mode == "checksum" else None
@@ -630,15 +432,6 @@ def fold_batch(
             sums[i : i + step] = np.bitwise_xor.reduce(
                 xfold.take(hi) ^ xfold.take(lo), axis=0
             )
-    if ob is not None:
-        shifts = np.arange(index.m + 1)[:, None]
-        f, l = q_st >> shifts, q_end >> shifts
-        touches = ((l - f).sum(axis=1) + len(batch)).tolist()
-        for k, level_touches in enumerate(touches):  # k: the level's shift
-            ob.record_level(
-                "partition-based", index.m - k,
-                f=f[k], l=l[k], touches=level_touches,
-            )
     part = (np.arange(len(batch)), counts, sums, None)
     return BatchResult.merge(len(batch), mode, [part], batch.order)
 
@@ -654,18 +447,16 @@ def partition_based(
     moving to the next partition (Algorithm 4).
 
     Queries anchored at the same partition share probes against that
-    partition's sorted arrays.  In count and checksum mode the sharing is
-    total: every row of this index covers its partition whole, so no
-    probe is owed at all, and a level costs the whole batch two gathers
-    from the index's prefix folds (:func:`fold_batch`).  In ids mode,
-    queries grouped per partition share a vectorized prefix probe and
-    then materialize their id slices.
+    partition's sorted arrays.  On this index the sharing is total:
+    every row covers its partition whole, so no probe is owed at all,
+    and a level costs the whole batch two gathers from the index's
+    prefix folds (count, checksum) or four row runs per query gathered
+    at once (ids) — :func:`fold_batch`.
 
-    The ``sort`` flag is accepted for registry symmetry but Algorithm
-    4's relevant-query ranges require start order, so an unsorted ids
-    batch is always sorted internally (results are returned in caller
-    order either way); passing ``sort=False`` with an unsorted batch
-    warns that the request cannot be honored.
+    The ``sort`` flag is accepted for registry symmetry; without a
+    probe there is nothing start order could share, so the batch is
+    answered in its own order either way.  Passing ``sort=False`` with
+    an unsorted batch still warns, as Algorithm 4 asks for start order.
     """
     ob = obs.active()
     if ob is None:
@@ -685,40 +476,11 @@ def _partition_based_run(
             UserWarning,
             stacklevel=3,
         )
-    if mode in ("count", "checksum"):
-        return fold_batch(index, batch, mode, ob)
-    if mode != "ids":
+    if mode not in ("count", "checksum", "ids"):
         raise ValueError(
             f"unknown result mode {mode!r}; expected 'count', 'ids' or 'checksum'"
         )
-    work, q_st, q_end = _prepare(index, batch.sorted_by_start(), sort=False)
-    n = len(work)
-    collector = make_collector(mode, n)
-    compfirst = np.ones(n, dtype=bool)
-    complast = np.ones(n, dtype=bool)
-    positions = np.arange(n, dtype=np.int64)
-    m = index.m
-    for level in range(m, -1, -1):
-        if ob is not None:
-            t_level = perf_counter()
-        shift = m - level
-        f = q_st >> shift
-        l = q_end >> shift
-        data = index.levels[level]
-        if level in index.occupied_levels:
-            _first_partition_groups(
-                data, q_st, q_end, f, l, compfirst, complast, collector
-            )
-            _middle_ranges(data, f, l, positions, collector)
-            _last_partition_groups(data, q_end, f, l, complast, collector)
-        if ob is not None:
-            ob.record_level(
-                "partition-based", level, f=f, l=l,
-                duration=perf_counter() - t_level,
-            )
-        compfirst &= (f & 1) == 1
-        complast &= (l & 1) == 0
-    return collector.finalize(work.order)
+    return fold_batch(index, batch, mode, ob)
 
 
 # --------------------------------------------------------------------- #

@@ -14,21 +14,21 @@ to run it:
     of a sharded index) — real parallelism only where the numpy hot
     loops release the GIL.
 ``compiled``
-    The kernel path (:func:`~repro.kernels.compiled.compiled_run`):
-    the partition-based sweep runs on the :mod:`repro.kernels` hot-path
-    kernels — Numba machine code when available, the identical NumPy
-    fallback otherwise — in the calling thread.
+    The kernel path (:func:`~repro.kernels.compiled.compiled_run`) in
+    the calling thread.  The partition-based strategy leaves it no
+    kernel work — it is gathers in every mode, the function ``serial``
+    runs — so it is ``serial`` under another name, kept for callers
+    that pin it.
 ``threads+compiled``
-    The thread path with the compiled runner in every chunk/shard.
-    With numba present the kernels release the GIL, so this is the
-    multi-core backend for GIL-bound work.
+    The thread path with the compiled runner in every chunk/shard: the
+    same for ``threads``.
 ``auto``
-    The static threshold rule
-    (:func:`~repro.planner.policy.static_backend_choice`: batch size,
-    strategy, result mode, kernel availability, core count).  It is the
-    planner's prior and fallback; the engine itself learns nothing —
-    a caller that wants a measured choice pins the backend per batch,
-    which is what :class:`~repro.planner.PlannedExecutor` does.
+    The static rule
+    (:func:`~repro.planner.policy.static_backend_choice`): ``serial``.
+    It is the planner's prior and fallback; the engine itself learns
+    nothing — a caller that wants a measured choice pins the backend
+    per batch, which is what :class:`~repro.planner.PlannedExecutor`
+    does.
 
 Because the surface matches ``ShardedHint.execute``, a
 :class:`~repro.service.BatchingQueryService` installs an engine through

@@ -1,19 +1,22 @@
 """The production (columnar) HINT index and Algorithm 1.
 
 :class:`HintIndex` builds the full hierarchy in one vectorized pass and
-answers single selection queries bottom-up exactly as Algorithm 1 of the
-paper, including the ``compfirst`` / ``complast`` pruning flags, the
-subdivision-aware comparison rules and the duplicate-avoidance rules
-(replicas only at the first relevant partition; only originals at the
-others).
+answers single selection queries bottom-up as Algorithm 1 of the paper,
+with its duplicate-avoidance rules (replicas only at the first relevant
+partition; only originals at the others).
 
 One consequence of the merged per-level layout is worth calling out: the
 partitions ``f .. l`` a query touches on a level are stored back to back,
-so each table answers with one row run, cut at the ends the flags still
-owe a comparison (see :mod:`repro.hint.tables`), and only occupied
-levels are visited.  A count or checksum batch needs not even the runs:
-it reads two entries per level of the index's prefix folds
-(:meth:`HintIndex.fold`).
+so each table answers with one row run (see :mod:`repro.hint.tables`),
+and only occupied levels are visited.  The index's domain is
+``[0, 2**m - 1]`` and every interval is tiled exactly, so every row
+covers its partition whole and the ``compfirst``/``complast``
+comparisons can never drop one: a query's answer is four row runs per
+level, read off the tables' offsets.  A batch reads them for all its
+queries at once: two entries per level of the index's prefix folds for
+a count or checksum (:meth:`HintIndex.fold`), four runs per level of its
+id runs for ids (:meth:`HintIndex.id_runs`).  Only the top-down
+traversal, the ablation of the bottom-up pruning, still compares.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ __all__ = ["HintIndex"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# Serializes the lazy fold builds (each index builds each fold once).  Not
-# the tables' lock: a checksum fold reads ``xor_prefix``, which takes that.
+# Serializes the lazy fold and id-runs builds (each index builds each
+# once).  Not the tables' lock: a checksum fold reads ``xor_prefix``,
+# which takes that.
 _FOLD_LOCK = threading.Lock()
 
 
@@ -160,7 +164,15 @@ class HintIndex:
             column[:, None]
             for column in (self.m - occupied, o_1, o_1 + (1 << occupied))
         )
+        # Per occupied level, as rows: where O_in's, O_aft's, R_in's and
+        # R_aft's offsets start in id_runs()'s run starts (each table of a
+        # level has 2**level + 1 entries, the four back to back).
+        width = (1 << occupied) + 1
+        self.runs_layout = (
+            4 * (np.cumsum(width) - width) + np.arange(4)[:, None] * width
+        )
         self._folds: Dict[str, np.ndarray] = {}
+        self._id_runs: Optional[tuple] = None
 
     def _build(self, collection: IntervalCollection) -> List[LevelData]:
         placements = assign_collection(self.m, collection.st, collection.end)
@@ -254,12 +266,15 @@ class HintIndex:
         return sum(level.nbytes() for level in self.levels)
 
     def precompute_aux(self) -> None:
-        """Eagerly build every lazy auxiliary array of the index.
+        """Eagerly build the lazy auxiliary arrays count and checksum read.
 
         Build/attach paths call this when count or checksum traffic is
         expected (the service warm-up), so the per-table ``xor_prefix``
         arrays and both folds are materialized once, up front, instead of
-        lazily on the first flush.  Idempotent and thread-safe.
+        lazily on the first flush.  The :meth:`id_runs` an ids batch
+        reads are not built here: an index that serves no ids never
+        needs them, and ``PlannedExecutor`` builds them before its first
+        ids batch.  Idempotent and thread-safe.
         """
         for level in self.levels:
             level.precompute_aux()
@@ -303,6 +318,40 @@ class HintIndex:
                 rep = r_in.offsets + r_aft.offsets
                 pieces += [orig, rep[1:] - rep[:-1] - orig[:-1]]
         return np.concatenate(pieces)
+
+    def id_runs(self) -> tuple:
+        """``(ids, starts)``: the row runs an ids batch gathers from.
+
+        ``ids`` holds every occupied level's ``O_in``, ``O_aft``,
+        ``R_in`` and ``R_aft`` ids back to back; ``starts`` holds each
+        of those tables' offsets shifted by where its ids begin in
+        ``ids``, at :attr:`runs_layout`.  As for :meth:`fold`, no
+        comparison is owed, so on a level a query's ids are four runs:
+        ``[start[f], start[l + 1])`` of the originals' tables and
+        ``[start[f], start[f + 1])`` of the replicas'.  Built once, on
+        first use, under the folds' lock: two concatenates, no sort.
+        """
+        runs = self._id_runs
+        if runs is None:
+            with _FOLD_LOCK:
+                runs = self._id_runs
+                if runs is None:
+                    runs = self._id_runs = self._build_id_runs()
+        return runs
+
+    def _build_id_runs(self) -> tuple:
+        tables = [
+            table
+            for level in self.occupied_levels
+            for table in self.levels[level].tables()
+        ]
+        sizes = np.array([table.ids.size for table in tables], dtype=np.int64)
+        bases = (np.cumsum(sizes) - sizes).tolist()
+        ids = np.concatenate([_EMPTY] + [table.ids for table in tables])
+        starts = np.concatenate(
+            [_EMPTY] + [table.offsets + base for table, base in zip(tables, bases)]
+        )
+        return ids, starts
 
     def level_histogram(self) -> Dict[int, int]:
         """Placements per level — shows where durations put intervals."""
@@ -390,39 +439,45 @@ class HintIndex:
     def _run_single(self, q_st: int, q_end: int, top_down: bool) -> List[np.ndarray]:
         """Algorithm 1's level traversal: the answer as pieces of id arrays.
 
-        Bottom-up, only occupied levels are visited and the flags come in
-        closed form: ``compfirst`` holds on a level iff the ``m - level``
-        low bits of ``q_st`` are all ones (every first partition below was
-        odd), ``complast`` iff those of ``q_end`` are all zeros; a
-        bottom-level partition is one cell and owes no comparison.
-        Top-down visits every level from the root with both flags on (the
-        pre-optimization behaviour).
+        Bottom-up, only occupied levels are visited, and each gives four
+        slices of the tables' ids: partitions ``f..l`` of ``O_in`` and
+        ``O_aft`` and partition ``f`` of ``R_in`` and ``R_aft``.  Every
+        row covers its partition whole (see :meth:`fold`), so the
+        ``compfirst``/``complast`` comparisons could not drop one and are
+        not made.  Top-down visits every level from the root and makes
+        them at the first and last relevant partition of each: the
+        pre-optimization behaviour, kept as the ablation of the
+        bottom-up pruning.
         """
         pieces: List[np.ndarray] = []
         m = self.m
-        for level in range(m + 1) if top_down else self.occupied_levels:
+        if not top_down:
+            for level in self.occupied_levels:
+                f = q_st >> (m - level)
+                l = q_end >> (m - level)
+                o_in, o_aft, r_in, r_aft = self.levels[level].tables()
+                for table, last in ((o_in, l), (o_aft, l), (r_in, f), (r_aft, f)):
+                    lo = table.offsets.item(f)
+                    hi = table.offsets.item(last + 1)
+                    if hi > lo:
+                        pieces.append(table.ids[lo:hi])
+            return pieces
+        for level in range(m + 1):
             shift = m - level
-            low = (1 << shift) - 1
             f = q_st >> shift
             l = q_end >> shift
-            compfirst = top_down or (shift and (q_st & low) == low)
-            complast = top_down or (shift and not (q_end & low))
             o_in, o_aft, r_in, r_aft = self.levels[level].tables()
-            # Originals: one run over partitions f..l, whose upper end the
-            # s.st <= q.end cut replaces while complast holds; on O_in the
-            # part inside partition f is filtered by s.end >= q.st while
-            # compfirst holds.
+            # Originals: one run over partitions f..l, cut where s.st <=
+            # q.end fails; on O_in the part inside partition f is
+            # filtered by s.end >= q.st.
             for table in (o_in, o_aft):
                 ids = table.ids
                 if not ids.size:
                     continue
                 lo = table.offsets.item(f)
-                if complast:
-                    key = (l << table.key_bits) | q_end
-                    hi = int(table.comp.searchsorted(key, "right"))
-                else:
-                    hi = table.offsets.item(l + 1)
-                if compfirst and table is o_in:
+                key = (l << table.key_bits) | q_end
+                hi = int(table.comp.searchsorted(key, "right"))
+                if table is o_in:
                     cut = min(hi, table.offsets.item(f + 1))
                     if cut > lo:
                         pieces.append(ids[lo:cut][table.end[lo:cut] >= q_st])
@@ -433,7 +488,7 @@ class HintIndex:
             for table in (r_in, r_aft):
                 if not table.ids.size:
                     continue
-                if compfirst and table is r_in:
+                if table is r_in:
                     key = (f << table.key_bits) | q_st
                     lo = int(table.comp.searchsorted(key, "left"))
                 else:

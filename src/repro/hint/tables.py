@@ -20,12 +20,11 @@ rows ``[offsets[f], offsets[l + 1])`` of ``O_in``/``O_aft`` and
 ``[offsets[f], offsets[f + 1])`` of ``R_in``/``R_aft``.  Every row covers
 its partition whole (the domain is ``[0, 2**m - 1]``, each interval tiled
 exactly), so no comparison can drop one: a count or checksum is read off
-prefix folds of the offsets (:meth:`repro.hint.index.HintIndex.fold`).
-The ids sweep (:func:`repro.core.strategies.partition_level_sweep`)
-keeps Algorithm 4's cuts — ``s.st <= q.end`` at the originals' upper end
-while ``complast`` holds, ``s.end >= q.st`` in partition ``f`` of
-``O_in`` and ``R_in`` while ``compfirst`` does — as dropping them
-measured no better.
+prefix folds of the offsets (:meth:`repro.hint.index.HintIndex.fold`),
+and a batch's ids are those four runs per level gathered at once
+(:meth:`repro.hint.index.HintIndex.id_runs`).  The sort orders below
+serve the comparisons that remain: the paper's query-based and
+level-based baselines and the top-down ablation.
 
 Beneficial sort orders (the *sorting* optimization):
 

@@ -24,10 +24,12 @@ join-based plan reads (:meth:`~repro.hint.index.HintIndex.as_collection`,
 cached on each index): a one-time cost of the index (50 ms for 200k
 intervals, against 7 ms for a steady 4096-query join), which would
 otherwise be charged to the first join-based batch and price the plan
-out for what it is not.  Before the first count or checksum batch it
-builds that mode's :meth:`~repro.hint.index.HintIndex.fold` for the same
-reason (3–4 ms on a 50k-interval index at m = 17, against 0.6–1 ms for
-a 4096-query count, was enough to price partition-based out).
+out for what it is not.  Before the first batch of a mode it builds
+what partition-based reads in that mode, for the same reason: the
+mode's :meth:`~repro.hint.index.HintIndex.fold` for a count or checksum
+(3–4 ms on a 50k-interval index at m = 17, against 0.6–1 ms for a
+4096-query count, was enough to price partition-based out), the
+:meth:`~repro.hint.index.HintIndex.id_runs` for ids.
 
 Any planner failure (including injected faults) degrades the batch to
 the engine's static ``auto`` rule: a possibly slower plan, never a
@@ -110,7 +112,7 @@ class PlannedExecutor:
             index, caps=BackendCaps.from_index(index, workers=self._engine.workers)
         )
         self._hints = [s.index for s in getattr(index, "shards", ())] or [index]
-        self._folded = {"ids"}  # modes whose folds are built
+        self._prebuilt = set()  # modes whose folds or id runs are built
         if self.choose_strategy and "join-based" in (
             self.planner.strategies or DEFAULT_STRATEGIES
         ):
@@ -171,11 +173,11 @@ class PlannedExecutor:
             )
         if len(batch) == 0:
             return BatchResult.empty(mode)
-        if mode not in self._folded:
+        if mode not in self._prebuilt:
             for hint in self._hints:
                 if isinstance(hint, HintIndex):
-                    hint.fold(mode)
-            self._folded.add(mode)
+                    hint.id_runs() if mode == "ids" else hint.fold(mode)
+            self._prebuilt.add(mode)
         try:
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_PLANNER_DECIDE)

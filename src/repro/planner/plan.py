@@ -1,18 +1,15 @@
 """Plans and the plan space.
 
 A :class:`Plan` is one point of the execution cross-product the paper's
-experiments sweep by hand: **strategy × engine backend** (the backend
-carries the kernel path — ``compiled`` / ``threads+compiled`` run the
-:mod:`repro.kernels` hot loops).
+experiments sweep by hand: **strategy × engine backend**.
 
 :func:`plan_space` enumerates the *legal* plans for an installed index
-and machine, described by :class:`BackendCaps` — e.g. the compiled
-backends are only enumerated where the kernels genuinely accelerate
-(the partition-based ids sweep; elsewhere ``compiled_run`` runs what
-``serial`` runs — the interpreted strategy, or the prefix-fold gathers
-of a partition-based count or checksum — so those plans would duplicate
-``serial`` and a planner would trade one for its twin on noise), and
-the parallel backends only exist on multi-core machines.
+and machine, described by :class:`BackendCaps`: every strategy on
+``serial``, and on ``threads`` where the machine has several cores.
+The ``compiled`` backends are not enumerated: ``compiled_run`` runs
+what ``serial`` runs — the interpreted strategy, or the partition-based
+fold and id-run gathers — so a compiled plan would duplicate a serial
+one and a planner would trade one for its twin on noise.
 """
 
 from __future__ import annotations
@@ -21,13 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.strategies import STRATEGIES
-from repro.hint.index import HintIndex
 
 __all__ = ["Plan", "BackendCaps", "plan_space", "plan_key"]
-
-#: Strategies the compiled kernels accelerate, in ids mode (everything
-#: else runs what ``serial`` runs — see ``kernels/compiled.py``).
-COMPILED_STRATEGIES = frozenset({"partition-based"})
 
 
 def plan_key(strategy: str, backend: str, mode: str) -> str:
@@ -56,7 +48,6 @@ class BackendCaps:
     cpus: int = 1
     workers: int = 1
     sharded: bool = False
-    compiled_ok: bool = True
 
     @classmethod
     def from_index(
@@ -71,31 +62,19 @@ class BackendCaps:
         from repro.shard.sharded import ShardedHint
 
         sharded = isinstance(index, ShardedHint)
-        # The kernels only run HINT layouts: a bare HintIndex, or a
-        # sharded one whose per-shard primaries are HintIndexes (the
-        # per-shard runner path).
-        compiled_ok = isinstance(index, HintIndex) or sharded
         ncpu = int(cpus) if cpus is not None else (os.cpu_count() or 1)
         return cls(
             cpus=ncpu,
             workers=int(workers) if workers is not None else ncpu,
             sharded=sharded,
-            compiled_ok=compiled_ok,
         )
 
-    def backends_for(self, strategy: str, mode: Optional[str] = None) -> List[str]:
-        """Legal engine backends for *strategy* in *mode* (any mode when
-        omitted) on this machine."""
-        kernels = self.compiled_ok and strategy in COMPILED_STRATEGIES
-        kernels = kernels and mode in (None, "ids")
-        backends = ["serial"]
-        if kernels:
-            backends.append("compiled")
+    def backends(self) -> List[str]:
+        """Legal engine backends on this machine, for every strategy and
+        mode."""
         if self.cpus > 1 and self.workers > 1:
-            backends.append("threads")
-            if kernels:
-                backends.append("threads+compiled")
-        return backends
+            return ["serial", "threads"]
+        return ["serial"]
 
 
 #: Default strategy candidates the planner scores when the caller does
@@ -110,10 +89,8 @@ def plan_space(
     caps: BackendCaps,
     *,
     strategies: Optional[Sequence[str]] = None,
-    mode: Optional[str] = None,
 ) -> List[Plan]:
-    """Enumerate the legal plans for *caps* in *mode* (any mode when
-    omitted).
+    """Enumerate the legal plans for *caps*, the same in every mode.
 
     *strategies* restricts the strategy dimension (a caller-pinned
     strategy passes a singleton); defaults to
@@ -128,5 +105,5 @@ def plan_space(
     return [
         Plan(strategy=s, backend=b)
         for s in names
-        for b in caps.backends_for(s, mode)
+        for b in caps.backends()
     ]

@@ -219,7 +219,7 @@ class AdaptivePlanner:
             self._record(decision, ob)
             return decision
 
-        plans = plan_space(self.caps, strategies=strategies, mode=mode)
+        plans = plan_space(self.caps, strategies=strategies)
         timed = {plan: self.model.predict(plan.key(mode), n) for plan in plans}
         pending = {}  # plan -> its first look, scaled to n
         for plan in plans:

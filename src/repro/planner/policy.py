@@ -4,14 +4,10 @@ Two things live here, deliberately dependency-light (nothing from
 :mod:`repro.engine` or the rest of :mod:`repro.planner`, so the engine
 can import this module without a cycle):
 
-* :func:`static_backend_choice` — the threshold rule behind the
-  engine's ``auto`` backend: what runs when no plan pins a backend (the
-  planner's fallback on a fault), and the backend of the plan a fresh
-  planner hands its first batch of a size.
-  It consults the *live* kernel state: ``threads+compiled`` is only
-  preferred when the JIT kernels are genuinely available **and not**
-  running on the pure-NumPy fallback — fallback kernels hold the GIL,
-  so threading them only adds dispatch cost to the kernel path.
+* :func:`static_backend_choice` — the rule behind the engine's ``auto``
+  backend: what runs when no plan pins a backend (the planner's
+  fallback on a fault), and the backend of the plan a fresh planner
+  hands its first batch of a size.  It is ``serial`` for every batch.
 * :func:`cold_start_recommendation` — the paper-rule strategy prior
   (Section 4 findings) that :func:`repro.core.advisor.recommend_strategy`
   wraps and the adaptive planner starts from, so the advisor and the
@@ -22,49 +18,25 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.kernels import ops as kernel_ops
-
 __all__ = [
-    "NOGIL_CUTOFF",
     "static_backend_choice",
-    "compiled_kernels_nogil",
     "cold_start_recommendation",
 ]
 
-#: The static rule's threshold (a batch size), tuned once on the
-#: reference container; the planner's timings replace it, it remains
-#: the prior.
-NOGIL_CUTOFF = 512
-
-
-def compiled_kernels_nogil() -> bool:
-    """True when the compiled kernels actually release the GIL.
-
-    ``jit_available()`` alone is not enough: with ``REPRO_KERNELS=off``
-    (or numba missing) the *fallback* NumPy kernels serve the compiled
-    path — correct, but GIL-holding, so ``threads+compiled`` degenerates
-    to serial-with-overhead for GIL-bound batches.
-    """
-    return kernel_ops.jit_available() and not kernel_ops.fallback_active()
-
 
 def static_backend_choice(n: int, strategy: str, mode: str, *, cpus: int) -> str:
-    """The threshold rule (the engine's ``auto`` backend).
+    """The static rule (the engine's ``auto`` backend): ``serial``.
 
-    * partition-based batches in ids mode run on the compiled kernels at
-      every size — on several cores through ``threads+compiled`` once
-      the batch reaches :data:`NOGIL_CUTOFF` and the kernels release the
-      GIL, otherwise ``compiled`` in the calling thread;
-    * everything else runs serial: query-based, level-based and
-      join-based because their per-query work is a Python loop that
-      holds the GIL, partition-based count and checksum because two
-      gathers per level leave a thread nothing worth its hand-off (4096
-      queries on 2 cores: 1.5 ms on threads, 0.56 ms serial).
+    * query-based, level-based and join-based run serial because their
+      per-query work is a Python loop that holds the GIL;
+    * partition-based runs serial in every mode because it is gathers
+      from the index's prefix folds and id runs, which leave a thread
+      nothing worth its hand-off (a 4096-query count on 2 cores: 1.5 ms
+      on threads, 0.56 ms serial); ``compiled`` runs the same function.
+
+    The planner's timings may still pick ``threads`` for a batch where
+    they show it wins.
     """
-    if strategy == "partition-based" and mode == "ids":
-        if cpus > 1 and n >= NOGIL_CUTOFF and compiled_kernels_nogil():
-            return "threads+compiled"
-        return "compiled"
     return "serial"
 
 

@@ -23,6 +23,7 @@ import pytest
 
 from repro import HintIndex, QueryBatch, run_strategy
 from repro.engine import BACKENDS, ExecutionEngine
+from repro.kernels import ops
 from repro.planner import policy
 from repro.shard import ShardedHint
 from tests.conftest import (
@@ -140,16 +141,10 @@ class TestAutoPolicy:
             engine._cpus = 1
             for strategy in ("partition-based", "query-based"):
                 for mode in ("count", "ids"):
-                    want = (
-                        "compiled"
-                        if (strategy, mode) == ("partition-based", "ids")
-                        else "serial"
-                    )
-                    assert engine._choose(100_000, strategy, mode, None) == want
+                    assert engine._choose(100_000, strategy, mode, None) == "serial"
             assert engine._thread_pool is None  # pool never started
 
-    def test_multi_core_routes_gil_bound_work(self, workload, monkeypatch):
-        monkeypatch.setattr(policy.kernel_ops, "jit_available", lambda: False)
+    def test_multi_core_routes_gil_bound_work(self, workload):
         with ExecutionEngine(
             workload["hint"], backend="auto", workers=2
         ) as engine:
@@ -157,21 +152,23 @@ class TestAutoPolicy:
             # a Python-loop strategy gains nothing from threads
             assert engine._choose(5_000, "query-based", "count", None) == "serial"
             assert engine._choose(5_000, "join-based", "ids", None) == "serial"
-            # ids materialization runs on the kernels
-            assert engine._choose(5_000, "partition-based", "ids", None) == "compiled"
-            # the folded count path: serial at every size
+            # the id-run gathers and the folded count: serial at every size
+            assert engine._choose(5_000, "partition-based", "ids", None) == "serial"
             assert engine._choose(5_000, "partition-based", "count", None) == "serial"
             assert engine._choose(500, "partition-based", "count", None) == "serial"
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_partition_ids_run_compiled_without_jit(self, workload, monkeypatch, n):
-        """With the JIT absent the kernels still beat the interpreter on
-        ids materialization, so ``auto`` sends partition-based ids
-        batches of every size to ``compiled``."""
-        monkeypatch.setattr(policy.kernel_ops, "jit_available", lambda: False)
+        """With the JIT absent a partition-based ids batch pinned to
+        ``compiled`` still runs, to the answer ``serial`` gives: both run
+        the id-run gathers, so ``auto`` sends it to ``serial``."""
+        monkeypatch.setattr(ops, "jit_available", lambda: False)
+        batch = QueryBatch(workload["batch"].st[:n], workload["batch"].end[:n])
         with ExecutionEngine(workload["hint"], backend="auto", workers=2) as engine:
             engine._cpus = 2
-            assert engine._choose(n, "partition-based", "ids", None) == "compiled"
+            assert engine._choose(n, "partition-based", "ids", None) == "serial"
+            got = engine.execute(batch, mode="ids", backend="compiled")
+            assert got == engine.execute(batch, mode="ids", backend="serial")
 
     @pytest.mark.parametrize("spelling", ["auto", "auto-static"])
     def test_auto_is_the_static_rule_and_never_drifts(self, workload, spelling):

@@ -1,11 +1,12 @@
 """Unit tests for the adaptive batch planner (``repro.planner``).
 
 Covers the kept timings (predict / timed-near / forget), the plan space
-legality rules, the static backend policy — including the
-kernel-fallback regression where ``threads+compiled`` must not be
-preferred while the pure-NumPy fallback serves the compiled path — and
-the planner's decisions: first sight in rounds, one settled plan per
-size class, and re-opening a class whose timing drifts.
+legality rules (no compiled twin of a serial plan), the static backend
+policy — serial, including the kernel-fallback regression where
+``threads+compiled`` must not be preferred while the pure-NumPy fallback
+serves the compiled path — and the planner's decisions: first sight in
+rounds, one settled plan per size class, and re-opening a class whose
+timing drifts.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from repro.planner import (
 )
 from repro.planner.plan import plan_key
 from repro.planner.policy import (
-    NOGIL_CUTOFF,
     cold_start_recommendation,
-    compiled_kernels_nogil,
     static_backend_choice,
 )
 from tests.conftest import random_collection
@@ -89,37 +88,36 @@ class TestCostModel:
 
 class TestPlanSpace:
     def test_single_core_space(self):
-        caps = BackendCaps(cpus=1, workers=1, compiled_ok=True)
+        caps = BackendCaps(cpus=1, workers=1)
         plans = plan_space(caps, strategies=("partition-based", "join-based"))
         keys = {(p.strategy, p.backend) for p in plans}
         assert keys == {
             ("partition-based", "serial"),
-            ("partition-based", "compiled"),
             ("join-based", "serial"),
         }
 
     def test_multi_core_space_adds_thread_backends(self):
-        caps = BackendCaps(cpus=4, workers=4, compiled_ok=True)
-        backends = set(caps.backends_for("partition-based"))
-        assert backends == {"serial", "compiled", "threads", "threads+compiled"}
-        # Compiled kernels only accelerate the partition-based sweep.
-        assert set(caps.backends_for("join-based")) == {"serial", "threads"}
+        caps = BackendCaps(cpus=4, workers=4)
+        assert caps.backends() == ["serial", "threads"]
+        plans = plan_space(caps, strategies=("partition-based", "join-based"))
+        assert {p.backend for p in plans} == {"serial", "threads"}
+        assert BackendCaps(cpus=4, workers=1).backends() == ["serial"]
 
     def test_count_and_checksum_offer_no_compiled_twin(self):
-        """``compiled_run`` answers a partition-based count or checksum
-        with the serial path's fold, so the planner is not offered the
-        same code under a second name to trade places with on noise."""
-        caps = BackendCaps(cpus=4, workers=4, compiled_ok=True)
-        for mode in ("count", "checksum"):
-            assert caps.backends_for("partition-based", mode) == ["serial", "threads"]
-            plans = plan_space(caps, strategies=("partition-based",), mode=mode)
-            assert {p.backend for p in plans} == {"serial", "threads"}
-        assert "compiled" in caps.backends_for("partition-based", "ids")
+        """``compiled_run`` answers a partition-based batch with the
+        serial path's fold or id-run gathers in every mode, so the
+        planner is not offered the same code under a second name to
+        trade places with on noise."""
+        caps = BackendCaps(cpus=4, workers=4)
+        plans = plan_space(caps, strategies=("partition-based",))
+        assert {p.backend for p in plans} == {"serial", "threads"}
 
     def test_compiled_excluded_without_kernel_support(self):
-        caps = BackendCaps(cpus=4, workers=4, compiled_ok=False)
-        assert "compiled" not in caps.backends_for("partition-based")
-        assert "threads+compiled" not in caps.backends_for("partition-based")
+        """Nor anywhere else: no compiled plan exists on any machine."""
+        for cpus in (1, 4):
+            caps = BackendCaps(cpus=cpus, workers=cpus)
+            backends = {p.backend for p in plan_space(caps)}
+            assert not backends & {"compiled", "threads+compiled"}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -129,7 +127,7 @@ class TestPlanSpace:
         coll = random_collection(rng, 200, 1023)
         index = HintIndex(coll, m=10)
         caps = BackendCaps.from_index(index, cpus=2, workers=2)
-        assert caps.compiled_ok and not caps.sharded
+        assert not caps.sharded
         assert caps.cpus == 2
 
     def test_plan_key_shape(self):
@@ -160,30 +158,31 @@ class TestStaticBackendChoice:
                     )
                     assert choice == "serial", (n, mode, cpus)
 
-    def test_gil_bound_with_live_jit_prefers_compiled_threads(self, monkeypatch):
-        monkeypatch.setattr(kernel_ops, "jit_available", lambda: True)
-        monkeypatch.setattr(kernel_ops, "fallback_active", lambda: False)
-        assert compiled_kernels_nogil()
-        choice = static_backend_choice(1024, "partition-based", "ids", cpus=8)
-        assert choice == "threads+compiled"
-        # Below the cutoff, or on one core, the kernels run in the caller.
-        assert static_backend_choice(
-            NOGIL_CUTOFF - 1, "partition-based", "ids", cpus=8
-        ) == "compiled"
-        assert static_backend_choice(
-            50_000, "partition-based", "ids", cpus=1
-        ) == "compiled"
+    def test_partition_ids_run_serial_whatever_the_kernel_state(
+        self, monkeypatch
+    ):
+        """An ids batch is gathers from the index's id runs, the same
+        function on every backend: ``auto`` runs it serial at every size
+        on any number of cores, live JIT or not."""
+        for jit in (False, True):
+            monkeypatch.setattr(kernel_ops, "jit_available", lambda: jit)
+            monkeypatch.setattr(kernel_ops, "fallback_active", lambda: False)
+            for n in (1, 511, 512, 1024, 50_000):
+                for cpus in (1, 2, 8):
+                    choice = static_backend_choice(
+                        n, "partition-based", "ids", cpus=cpus
+                    )
+                    assert choice == "serial", (jit, n, cpus)
 
     def test_fallback_kernels_must_not_pick_compiled_threads(self, monkeypatch):
         """Regression: the numpy-fallback kernels hold the GIL, so
         threading them only adds dispatch cost — ``auto`` runs a
-        GIL-bound ids batch on the kernels in the calling thread."""
+        partition-based ids batch in the calling thread."""
         monkeypatch.setattr(kernel_ops, "jit_available", lambda: True)
         monkeypatch.setattr(kernel_ops, "fallback_active", lambda: True)
-        assert not compiled_kernels_nogil()
         for n in (64, 1024, 50_000):
             choice = static_backend_choice(n, "partition-based", "ids", cpus=8)
-            assert choice == "compiled"
+            assert choice == "serial"
 
     def test_gil_bound_strategies_run_serial(self, monkeypatch):
         """Threads lose on a Python-loop strategy at every size, and the
@@ -227,7 +226,8 @@ def small_hint(rng):
     return index
 
 
-_ONE_CORE = BackendCaps(cpus=1, workers=1, compiled_ok=True)
+_ONE_CORE = BackendCaps(cpus=1, workers=1)
+_TWO_CORES = BackendCaps(cpus=2, workers=2)
 
 
 def _timed_model(seconds_at_64):
@@ -262,31 +262,31 @@ class TestAdaptivePlanner:
     def test_calibrated_decision_picks_cheapest(self, small_hint, rng):
         model = _timed_model({
             "partition-based|serial|ids": 0.010,
-            "partition-based|compiled|ids": 0.001,
-            "join-based|serial|ids": 0.020,
+            "join-based|serial|ids": 0.001,
         })
         planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
         decision = planner.decide(_uniform_batch(rng, 64, 8), mode="ids")
         assert decision.source == "model"
-        assert decision.plan == Plan("partition-based", "compiled")
+        assert decision.plan == Plan("join-based", "serial")
         # The decision table is sorted cheapest-first and covers all plans.
-        assert [k for k, _ in decision.table][0] == "partition-based|compiled|ids"
-        assert len(decision.table) == 3
+        assert [k for k, _ in decision.table][0] == "join-based|serial|ids"
+        assert len(decision.table) == 2
 
     def test_partially_timed_mode_explores_the_rest(self, small_hint, rng):
         """A model holding only some of a mode's plans does not pin the
         batch to them: the others get the batch first."""
         model = _timed_model({"partition-based|serial|ids": 0.010})
-        planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
+        planner = AdaptivePlanner(small_hint, caps=_TWO_CORES, model=model)
         batch = _uniform_batch(rng, 64, 8)
         decision = planner.decide(batch, mode="ids")
         assert decision.source == "explore"
         assert decision.plan != Plan("partition-based", "serial")
-        model.add("partition-based|compiled|ids", (64, 0.001))
+        model.add("partition-based|threads|ids", (64, 0.001))
         model.add("join-based|serial|ids", (64, 0.020))
+        model.add("join-based|threads|ids", (64, 0.020))
         decision = planner.decide(batch, mode="ids")
         assert decision.source == "model"
-        assert decision.plan == Plan("partition-based", "compiled")
+        assert decision.plan == Plan("partition-based", "threads")
         # Per (mode, strategy set): a pinned strategy needs only its own
         # plans, another mode has timed nothing.
         pinned = planner.decide(batch, mode="ids", strategy="join-based")
@@ -298,8 +298,7 @@ class TestAdaptivePlanner:
         and a slow stretch inside the band keep the same plan."""
         model = _timed_model({
             "partition-based|serial|count": 0.00100,
-            "partition-based|compiled|count": 0.00102,
-            "join-based|serial|count": 0.00150,
+            "join-based|serial|count": 0.00102,
         })
         planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
         batch = _uniform_batch(rng, 64, 8)
@@ -351,16 +350,17 @@ class TestAdaptivePlanner:
 
 _MS, _US = 1e-3, 1e-6
 #: True cost (fixed, per query) of every plan of a 2-core HINT plan space.
+#: The partition plans' fixed costs stay well below their per-query cost
+#: at the sizes timed here, so a timing scaled by up to 2x predicts within
+#: DRIFT_BAND; with 1 ms, a 192-query timing scaled to 96 queries read
+#: ~1.9x low and re-opened the class on half of the noise seeds.
 _TRUE_COSTS = {
-    ("partition-based", "serial"): (1.0 * _MS, 1.0 * _US),
-    ("partition-based", "compiled"): (1.0 * _MS, 0.7 * _US),  # cheapest
-    ("partition-based", "threads"): (1.0 * _MS, 1.3 * _US),
-    ("partition-based", "threads+compiled"): (1.0 * _MS, 1.6 * _US),
+    ("partition-based", "serial"): (0.1 * _MS, 0.7 * _US),  # cheapest
+    ("partition-based", "threads"): (0.1 * _MS, 1.3 * _US),
     ("join-based", "serial"): (200 * _MS, 2.0 * _US),  # far beyond the cap
     ("join-based", "threads"): (200 * _MS, 2.0 * _US),
 }
-_CHEAPEST = Plan("partition-based", "compiled")
-_TWO_CORES = BackendCaps(cpus=2, workers=2, compiled_ok=True)
+_CHEAPEST = Plan("partition-based", "serial")
 
 
 class _FakeMachine:
@@ -380,7 +380,7 @@ class _FakeMachine:
 
 def _serve(planner, machine, batch):
     """One ids batch through decide -> run -> observe, as the executor
-    does (ids: the mode whose plan space holds the compiled backends)."""
+    does."""
     decision = planner.decide(batch, mode="ids")
     machine.runs.append((decision.plan, decision.timed))
     planner.observe(decision, machine.cost(decision.plan, decision.timed))
@@ -527,7 +527,7 @@ class TestFirstSight:
         from repro.planner.planner import MULTICORE_MARGIN
 
         batch = _uniform_batch(rng, 64, 8)
-        caps = BackendCaps(cpus=2, workers=2, compiled_ok=False)
+        caps = BackendCaps(cpus=2, workers=2)
         for share, backend in ((0.95, "serial"), (MULTICORE_MARGIN - 0.05, "threads")):
             model = _timed_model({
                 "partition-based|serial|count": 0.00100,
@@ -631,7 +631,7 @@ class TestSettle:
                 break
         assert planner.stats()["reopened"] == 2
         settled = _settle(planner, machine, batch)[-1]
-        assert settled.plan == Plan("partition-based", "serial")
+        assert settled.plan == Plan("partition-based", "threads")
 
     def test_a_plan_settled_on_timings_that_do_not_hold_is_timed_again(
         self, small_hint, rng
@@ -640,7 +640,7 @@ class TestSettle:
         first sight and then runs 3x slower: within a few batches the
         class is re-opened and settles on the plan that is cheapest."""
         machine = _FakeMachine(seed=3)
-        both_cores = Plan("partition-based", "threads+compiled")
+        both_cores = Plan("partition-based", "threads")
         machine.slow[both_cores] = 0.3
         planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
         batch = _uniform_batch(rng, 4096, 8)
@@ -656,7 +656,6 @@ class TestSettle:
     def test_observe_returns_relative_error_and_tracks_drift(self, small_hint, rng):
         model = _timed_model({
             "partition-based|serial|count": 0.010,
-            "partition-based|compiled|count": 0.020,
             "join-based|serial|count": 0.030,
         })
         planner = AdaptivePlanner(small_hint, caps=_ONE_CORE, model=model)
@@ -712,7 +711,7 @@ class TestSettle:
     def test_degenerate_observations_are_ignored(self, small_hint, rng):
         model = _timed_model({"partition-based|serial|count": 0.010})
         planner = AdaptivePlanner(
-            small_hint, caps=BackendCaps(cpus=1, workers=1, compiled_ok=False),
+            small_hint, caps=BackendCaps(cpus=1, workers=1),
             model=model, strategies=("partition-based",),
         )
         decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
@@ -780,6 +779,32 @@ class TestPlannedExecutor:
                 key = px.last_decision.plan.key(mode)
                 assert px.planner._first_sight[key][1] < 0.1, mode  # seconds
         assert built == ["count", "checksum"]
+
+    def test_the_id_runs_are_built_before_the_first_ids_batch_is_timed(
+        self, rng, monkeypatch
+    ):
+        """The id runs an ids batch gathers from are a one-time cost of
+        the index too: built once, before the first ids batch, outside
+        the look the planner keeps (fails when the executor leaves the
+        build to the first batch, whose look then takes 0.2 s)."""
+        built = []
+        real = HintIndex._build_id_runs
+
+        def slow(index):
+            built.append(index)
+            time.sleep(0.2)
+            return real(index)
+
+        monkeypatch.setattr(HintIndex, "_build_id_runs", slow)
+        index = HintIndex(random_collection(rng, 400, 1023), m=10)
+        with PlannedExecutor(index) as px:
+            px.execute(_uniform_batch(rng, 64, 8), mode="count")
+            assert built == []
+            for _ in range(3):
+                px.execute(_uniform_batch(rng, 64, 8), mode="ids")
+                key = px.last_decision.plan.key("ids")
+                assert px.planner._first_sight[key][1] < 0.1  # seconds
+        assert built == [index]
 
     def test_engine_options_beside_an_engine_are_a_type_error(self, small_hint):
         """Options for an engine the executor does not build are not

@@ -94,7 +94,7 @@ class TestPlannerDifferential:
                                 f"{label}: {px.last_decision.describe()} "
                                 f"[{mode}] != {strategy}"
                             )
-                    assert ran == set(plan_space(px.planner.caps, mode=mode)), label
+                    assert ran == set(plan_space(px.planner.caps)), label
                     # Merged first-sight batches (two plans, one result) ran.
                     assert beside > 0, label
                     assert px.last_decision.source == "model"
@@ -206,7 +206,7 @@ class TestDecisionPath:
                         ] == [
                             oracle.query_checksum(i) for i in range(len(batch))
                         ]
-            concrete = set(px.planner.caps.backends_for("partition-based"))
+            concrete = set(px.planner.caps.backends())
             assert {backend for _, backend in seen} <= concrete
             # Mechanism only: nothing below the planner learns per batch.
             assert not hasattr(px.engine, "backend_policy")

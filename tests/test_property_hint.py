@@ -1,12 +1,17 @@
-"""Property-based tests (hypothesis) for HINT's core data structures."""
+"""Property-based tests (hypothesis) for HINT's core data structures and
+its comparison-free batch answers."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from repro import HintIndex, IntervalCollection, NaiveScan, ReferenceHint
+import repro.obs as obs
+from repro import HintIndex, IntervalCollection, NaiveScan, QueryBatch, ReferenceHint
+from repro.core.strategies import run_strategy
 from repro.hint.assignment import assign_interval
 from repro.hint.bits import partition_range
+from repro.shard import ShardedHint
+from tests.conftest import assert_flat_oracle, oracle_result
 
 # Strategy: an m, a list of intervals within [0, 2^m - 1], and a query.
 ms = hs.integers(min_value=0, max_value=8)
@@ -147,3 +152,67 @@ def test_every_row_covers_its_partition_whole(case):
                 )
                 assert (table.st <= parts << shift).all()
                 assert (table.end >= ((parts + 1) << shift) - 1).all()
+
+
+@hs.composite
+def ids_batch_case(draw):
+    """A collection (empty, one interval or up to 40), a merge over it,
+    and a batch whose queries may reach outside the domain, in one of
+    three orders: as given, sorted by start, or shuffled."""
+    m = draw(ms)
+    top = (1 << m) - 1
+    n = draw(hs.sampled_from([0, 1, 2, 10, 40]))
+    st = [draw(hs.integers(min_value=0, max_value=top)) for _ in range(n)]
+    end = [draw(hs.integers(min_value=s, max_value=top)) for s in st]
+    staged = draw(hs.integers(min_value=0, max_value=n))
+    dead = [draw(hs.booleans()) for _ in range(n - staged)]
+    nq = draw(hs.integers(min_value=0, max_value=12))
+    q_st = [draw(hs.integers(min_value=-3, max_value=top + 3)) for _ in range(nq)]
+    q_end = [draw(hs.integers(min_value=s, max_value=top + 5)) for s in q_st]
+    order = draw(hs.sampled_from(["given", "sorted", "shuffled"]))
+    perm = draw(hs.permutations(range(nq)))
+    return m, st, end, staged, dead, q_st, q_end, order, perm
+
+
+@settings(max_examples=120, deadline=None)
+@given(ids_batch_case())
+def test_ids_batch_equals_the_oracle(case):
+    """The id-run gather (``HintIndex.id_runs``) answers an ids batch in
+    caller order, whatever order the batch arrives in, on a fresh index,
+    a merged one and 2 or 4 shards: the naive oracle's ids, the count
+    fold's counts, and the same flat ids traced or not."""
+    m, st, end, staged, dead, q_st, q_end, order, perm = case
+    coll = IntervalCollection(st, end) if st else IntervalCollection.empty()
+    keep = np.arange(len(coll)) < len(coll) - staged
+    base = coll.select(keep)
+    gone = np.array(dead, dtype=bool)
+    live = base.select(~gone).concat(coll.select(~keep))
+    batch = QueryBatch(q_st, q_end)
+    if order == "sorted":
+        work = batch.sorted_by_start()
+    elif order == "shuffled":
+        perm = np.array(perm, dtype=np.int64)
+        work = QueryBatch(batch.st[perm], batch.end[perm], order=perm)
+    else:
+        work = batch
+    want = oracle_result(live, batch, m)
+
+    fresh = HintIndex(live, m=m)
+    merged = HintIndex(base, m=m).merged(base.select(gone), coll.select(~keep))
+    for index in (fresh, merged):
+        got = run_strategy("partition-based", index, work, mode="ids")
+        assert_flat_oracle(got, want)
+        counts = run_strategy("partition-based", index, work, mode="count").counts
+        assert got.counts.tolist() == counts.tolist()
+    obs.configure(enabled=True, trace_partitions=True)
+    try:
+        traced = run_strategy("partition-based", fresh, work, mode="ids")
+    finally:
+        obs.configure(enabled=False)
+    plain = run_strategy("partition-based", fresh, work, mode="ids")
+    assert traced.offsets.tolist() == plain.offsets.tolist()
+    assert traced.flat_ids.tolist() == plain.flat_ids.tolist()
+    for k in (2, 4):
+        if k <= 1 << m:
+            sharded = ShardedHint(live, k=k, m=m)
+            assert_flat_oracle(sharded.execute(work, mode="ids"), want)

@@ -1,17 +1,16 @@
-"""The partition-based sweep as one row run per table per level.
+"""Partition-based batches on an exactly tiled HINT, in every mode.
 
-Hypothesis drives :func:`repro.core.strategies.partition_level_sweep`
-(through the serial and the compiled backend, on a ``HintIndex`` and on
-``ShardedHint`` with 2 and 3 shards, in all three result modes) against
-the pseudocode-faithful :class:`~repro.hint.reference.ReferenceHint` and
-the naive oracle, on batches built to keep every branch of the run
-arithmetic alive.  A cost spy pins what the one-run-per-table sweep of
-the compiled ids plan bought: per occupied level at most three
-packed-column cuts and six registrations, and nothing at all on an
-empty level.  Count and checksum never reach the sweep: they are two
-gathers per level from the index's prefix folds, which make no cut and
-call no kernel, are built once however many threads ask first, and
-answer alike traced or not.
+Hypothesis drives the partition-based strategy (through the serial and
+the compiled backend, on a ``HintIndex`` and on ``ShardedHint`` with 2
+and 3 shards, in all three result modes) against the pseudocode-faithful
+:class:`~repro.hint.reference.ReferenceHint` and the naive oracle, on
+batches built to keep every case of Algorithm 4's comparisons alive.
+None of those comparisons can drop a row on this index, and cost spies
+pin that none is made: a count or checksum is two gathers per level
+from the index's prefix folds, an ids batch four row runs per level
+gathered at once — no ``np.searchsorted``, no packed cut, no masked
+gather, no scatter, no start sort.  The folds and id runs are built once
+however many threads ask first, and answer alike traced or not.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ from hypothesis import strategies as hs
 
 import repro.obs as obs
 from repro import HintIndex, IntervalCollection, QueryBatch
-from repro.core import strategies
-from repro.core.strategies import partition_level_sweep, run_strategy
+from repro.core.strategies import run_strategy
 from repro.hint.reference import ReferenceHint
 from repro.kernels import ops
-from repro.kernels.compiled import _IdsPlanAccumulator, compiled_run
+from repro.kernels.compiled import compiled_run
 from repro.shard import ShardedHint
 from tests.conftest import assert_flat_oracle, oracle_result, random_batch
 
@@ -115,101 +113,60 @@ def test_folded_sweep_equals_reference_and_oracle(case):
                 assert_flat_oracle(got, want)
 
 
-def test_flags_in_closed_form_match_the_level_by_level_update():
-    """``compfirst``/``complast`` from the trailing ones of ``q.st`` and the
-    trailing zeros of ``q.end`` are the flags Algorithm 1 carries upwards."""
-    m = 6
-    index = HintIndex(IntervalCollection.empty(), m=m)
-    q_st, q_end = np.divmod(np.arange(1 << (2 * m)), 1 << m)
-    first_zero, last_one = strategies._level_flags(index, q_st, q_end)
-    compfirst = np.ones(q_st.size, dtype=bool)
-    complast = np.ones(q_st.size, dtype=bool)
-    for shift in range(m + 1):
-        assert np.array_equal(first_zero >> shift != 0, compfirst)
-        assert np.array_equal(last_one >> shift != 0, complast)
-        compfirst &= (q_st >> shift) & 1 == 1
-        complast &= (q_end >> shift) & 1 == 0
-
-
-class _SpyAccumulator(_IdsPlanAccumulator):
-    """Counts the protocol calls of one ids sweep, by table."""
-
-    def __init__(self, n, index):
-        super().__init__(n)
-        self.calls = Counter()
-        self._level_of = {
-            id(table): data.level
-            for data in index.levels
-            for table in data.tables()
-        }
-
-    def _count(self, kind, table):
-        self.calls[(self._level_of[id(table)], kind)] += 1
-
-    def prefix_range(self, table, parts, values):
-        self._count("cut", table)
-        return super().prefix_range(table, parts, values)
-
-    def suffix_range(self, table, parts, values):
-        self._count("cut", table)
-        return super().suffix_range(table, parts, values)
-
-    def add_ranges(self, sel, table, lo, hi):
-        self._count("add", table)
-        super().add_ranges(sel, table, lo, hi)
-
-    def add_masked_ranges(self, sel, table, lo, hi, thresholds):
-        self._count("add", table)
-        super().add_masked_ranges(sel, table, lo, hi, thresholds)
-
-
-def test_at_most_three_cuts_and_six_registrations_per_occupied_level(rng):
-    """Fails at the parent, whose per-case sweep made up to six cuts and
-    fifteen registrations a level and walked the empty levels too."""
-    m = 14
-    top = (1 << m) - 1
-    # Durations of 1..128 cells: placements reach 8 levels, no higher.
-    st = rng.integers(0, top - 128, size=20_000)
-    coll = IntervalCollection(st, st + rng.integers(1, 129, size=st.size))
-    index = HintIndex(coll, m=m)
-    occupied = [data.level for data in reversed(index.levels) if data.total()]
-    assert len(occupied) == 8
-
-    q_st = np.sort(rng.integers(0, top - 64, size=256))
-    q_end = q_st + rng.integers(0, 65, size=256)
-    acc = _SpyAccumulator(256, index)
-    partition_level_sweep(index, q_st, q_end, acc)
-    assert {level for level, _ in acc.calls} == set(occupied)  # no empty level
-    for level in occupied:
-        assert acc.calls[(level, "cut")] <= 3, level
-        assert acc.calls[(level, "add")] <= 6, level
-    assert total_searches(index, q_st, q_end) <= 3 * len(occupied)
-    want = oracle_result(coll, QueryBatch(q_st, q_end), m)
-    assert_flat_oracle(acc.finalize(np.arange(256)), want)
-
-
-def total_searches(index, q_st, q_end) -> int:
-    """``np.searchsorted`` calls of one ids-mode sweep."""
-    calls = [0]
-    real = np.searchsorted
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    np.searchsorted = counting
-    try:
-        partition_level_sweep(index, q_st, q_end, _IdsPlanAccumulator(q_st.size))
-    finally:
-        np.searchsorted = real
-    return calls[0]
-
-
 def _fold_case(rng, m=12, n=20_000, queries=512):
     top = (1 << m) - 1
     st = rng.integers(0, top, size=n)
     coll = IntervalCollection(st, np.minimum(st + rng.integers(0, 300, n), top))
     return coll, random_batch(rng, queries, top)
+
+
+def _watched(monkeypatch, runner):
+    """*runner* and what its calls cost: ``np.searchsorted`` calls,
+    ``QueryBatch.sorted_by_start`` calls and kernel invocations, counted
+    only while it runs (on shards: the shard's own evaluation, not the
+    routing, the replica/spill probes or the merge, which are the shard
+    layer's)."""
+    calls = Counter()
+    real_search = np.searchsorted
+    real_sort = QueryBatch.sorted_by_start
+
+    def searching(*args, **kwargs):
+        calls["searchsorted"] += 1
+        return real_search(*args, **kwargs)
+
+    def sorting(batch):
+        calls["sorted_by_start"] += 1
+        return real_sort(batch)
+
+    def watched(name, shard_index, sub, *, mode):
+        before = ops.invocation_counts()
+        monkeypatch.setattr(np, "searchsorted", searching)
+        monkeypatch.setattr(QueryBatch, "sorted_by_start", sorting)
+        try:
+            return RUNNERS[runner](name, shard_index, sub, mode=mode)
+        finally:
+            monkeypatch.setattr(np, "searchsorted", real_search)
+            monkeypatch.setattr(QueryBatch, "sorted_by_start", real_sort)
+            after = ops.invocation_counts()
+            calls.update({
+                kernel: after[kernel] - before.get(kernel, 0)
+                for kernel in after
+                if after[kernel] != before.get(kernel, 0)
+            })
+
+    return watched, calls
+
+
+def _run_watched(monkeypatch, rng, runner, kind, mode):
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12) if kind == "hint" else ShardedHint(coll, k=2, m=12)
+    watched, calls = _watched(monkeypatch, runner)
+    if kind == "hint":
+        got = watched("partition-based", index, batch, mode=mode)
+    else:
+        got = index.execute(batch, mode=mode, runner=watched)
+    assert_flat_oracle(got, oracle_result(coll, batch, 12))
+    return calls
 
 
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
@@ -222,35 +179,25 @@ def test_count_and_checksum_make_no_cut_and_call_no_kernel(
     serial path) or ``ops.packed_*``/``ops.masked_*`` (the compiled one).
     On shards only the shard's own evaluation is watched: routing and
     the replica/spill probes are the shard layer's, not the fold's."""
-    coll, batch = _fold_case(rng)
-    index = HintIndex(coll, m=12) if kind == "hint" else ShardedHint(coll, k=2, m=12)
-    searches = [0]
-    real = np.searchsorted
+    calls = _run_watched(monkeypatch, rng, runner, kind, mode)
+    assert calls["searchsorted"] == 0
+    assert not [k for k in calls if k.startswith(("packed_", "masked_"))]
 
-    def counting(*args, **kwargs):
-        searches[0] += 1
-        return real(*args, **kwargs)
 
-    def watched(name, shard_index, sub, *, mode):
-        monkeypatch.setattr(np, "searchsorted", counting)
-        try:
-            return RUNNERS[runner](name, shard_index, sub, mode=mode)
-        finally:
-            monkeypatch.setattr(np, "searchsorted", real)
-
-    before = ops.invocation_counts()
-    if kind == "hint":
-        got = watched("partition-based", index, batch, mode=mode)
-    else:
-        got = index.execute(batch, mode=mode, runner=watched)
-    after = ops.invocation_counts()
-    assert searches[0] == 0
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+@pytest.mark.parametrize("kind", ["hint", "sharded"])
+def test_ids_gather_runs_without_cut_sort_or_scatter(rng, monkeypatch, runner, kind):
+    """An ids batch is four row runs per level gathered at once: no
+    ``np.searchsorted``, no packed cut, masked gather or scatter kernel,
+    and no start sort.  Fails at the parent, whose ids sweep cut on the
+    packed columns (or with ``np.searchsorted``), sorted the batch by
+    start and replayed its plan through the scatter kernels."""
+    calls = _run_watched(monkeypatch, rng, runner, kind, "ids")
+    assert calls["searchsorted"] == 0
+    assert calls["sorted_by_start"] == 0
     assert not [
-        kernel for kernel in after
-        if kernel.startswith(("packed_", "masked_"))
-        and after[kernel] != before.get(kernel, 0)
+        k for k in calls if k.startswith(("packed_", "masked_", "scatter_"))
     ]
-    assert_flat_oracle(got, oracle_result(coll, batch, 12))
 
 
 def test_eight_threads_build_one_fold(rng, monkeypatch):
@@ -281,6 +228,39 @@ def test_eight_threads_build_one_fold(rng, monkeypatch):
     assert_flat_oracle(results[0], oracle_result(coll, batch, 12))
 
 
+def test_eight_threads_build_one_id_runs(rng, monkeypatch):
+    coll, batch = _fold_case(rng)
+    index = HintIndex(coll, m=12)
+    builds = []
+    real = HintIndex._build_id_runs
+
+    def counting(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(HintIndex, "_build_id_runs", counting)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def run(i):
+        start.wait()
+        results[i] = run_strategy("partition-based", index, batch, mode="ids")
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert builds == [index]
+    assert all(
+        result.offsets.tolist() == results[0].offsets.tolist()
+        and result.flat_ids.tolist() == results[0].flat_ids.tolist()
+        for result in results
+    )
+    assert_flat_oracle(results[0], oracle_result(coll, batch, 12))
+
+
 def test_precompute_aux_builds_both_folds(rng, monkeypatch):
     coll, batch = _fold_case(rng)
     index = HintIndex(coll, m=12, precompute_aux=True)
@@ -289,7 +269,7 @@ def test_precompute_aux_builds_both_folds(rng, monkeypatch):
         run_strategy("partition-based", index, batch, mode=mode)
 
 
-@pytest.mark.parametrize("mode", ["count", "checksum"])
+@pytest.mark.parametrize("mode", ["count", "checksum", "ids"])
 def test_traced_fold_equals_the_untraced_one(rng, mode):
     coll, batch = _fold_case(rng)
     index = HintIndex(coll, m=12)
@@ -303,6 +283,8 @@ def test_traced_fold_equals_the_untraced_one(rng, mode):
     assert traced.counts.tolist() == plain.counts.tolist()
     if mode == "checksum":
         assert traced.checksums.tolist() == plain.checksums.tolist()
+    if mode == "ids":
+        assert traced.flat_ids.tolist() == plain.flat_ids.tolist()
     assert_flat_oracle(traced, oracle_result(coll, batch, 12))
 
 
