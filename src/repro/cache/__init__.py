@@ -4,11 +4,12 @@ This package closes the loop from *measuring* batch sharing
 (``repro.analysis.sharing``, ``repro.analysis.cache``) to *exploiting*
 it in the serving path:
 
-* :class:`~repro.cache.result.ResultCache` — LRU per-query answers with
-  a byte residency budget;
+* :class:`~repro.cache.result.ResultCache` — LRU per-query id answers
+  with a byte residency budget;
 * :class:`~repro.cache.executor.CachingExecutor` — the
-  ``run_strategy``-shaped front end that puts the store in front of
-  any backend and owns the never-stale invalidation contract;
+  ``run_strategy``-shaped front end that puts the store in front of any
+  backend for ids batches (count and checksum pass through) and owns the
+  never-stale invalidation contract;
 * :class:`~repro.cache.affinity.AffinityFlushPolicy` — data-driven
   flush selection for the service's pending queue with a starvation
   bound.

@@ -7,8 +7,8 @@ of draining strictly FIFO.  :class:`AffinityFlushPolicy` brings that to
 :class:`~repro.service.BatchingQueryService`: at every flush it picks
 which staged queries to include by **partition affinity** (queries whose
 anchors land in the same partition neighbourhood flush together, so the
-partition-based strategy — and the result cache in front of it — see
-denser sharing), bounded by a **starvation rule**: a query passed
+partition-based strategy — and, for an ids stream, the result cache in
+front of it — see denser sharing), bounded by a **starvation rule**: a query passed
 over ``starvation_bound - 1`` times is force-included in the next flush,
 FIFO-first, so no query ever waits more than ``starvation_bound``
 flushes while it is eligible.
@@ -75,7 +75,8 @@ class AffinityFlushPolicy:
         has already been passed over).  The returned batch is grouped by
         affinity bucket — contiguous runs of same-bucket queries, sorted
         ``(st, end)`` within a bucket so duplicate queries sit adjacent
-        for the result cache — but *not* globally sorted; the
+        for the result cache (which shares them in ids mode only) — but
+        *not* globally sorted; the
         partition-based strategy sorts internally (warning when asked
         not to, see ``tests/test_cache_affinity.py``).
         """

@@ -7,8 +7,12 @@
 :class:`~repro.shard.ShardedHint`, an
 :class:`~repro.engine.ExecutionEngine`, anything with the
 ``run_strategy``-shaped ``execute()`` surface — and answers repeated
-queries from a :class:`~repro.cache.result.ResultCache`: exact per-query
-answers keyed by the normalized query and result mode.
+ids queries from a :class:`~repro.cache.result.ResultCache`: exact
+per-query id arrays keyed by the normalized query.
+
+Count and checksum batches pass straight through to the backend: two
+gathers per level cost less than a probe of the store (docs/caching.md,
+"Count and checksum").  They touch neither the store nor the counters.
 
 Invalidation contract
 ---------------------
@@ -21,9 +25,9 @@ mutability:
   the backend is replaced;
 * a mutable :class:`DynamicHint` exposes a monotonic
   :attr:`~repro.hint.dynamic.DynamicHint.cache_version` plus a bounded
-  mutation log.  Before every batch the executor compares versions; on a
-  change it asks for the mutation deltas and **selectively** drops only
-  cached queries overlapping a mutated interval.  When the deltas are
+  mutation log.  Before every ids batch the executor compares versions;
+  on a change it asks for the mutation deltas and **selectively** drops
+  only cached queries overlapping a mutated interval.  When the deltas are
   unavailable (log overflow) — or when the selective pass itself fails
   (the :data:`~repro.verify.faults.SITE_CACHE_INVALIDATE` injection
   site) — the executor degrades to a **full flush**: strictly more
@@ -106,12 +110,14 @@ class CachingExecutor:
     >>> index = HintIndex(IntervalCollection.from_pairs([(2, 5), (4, 9)]), m=4)
     >>> cached = CachingExecutor(index)
     >>> batch = QueryBatch([0, 8], [3, 12])
-    >>> cached.execute(batch).counts.tolist()
-    [1, 1]
-    >>> cached.execute(batch).counts.tolist()  # served from cache
-    [1, 1]
+    >>> cached.execute(batch, mode="ids").flat_ids.tolist()
+    [0, 1]
+    >>> cached.execute(batch, mode="ids").flat_ids.tolist()  # served from cache
+    [0, 1]
     >>> cached.stats().hits
     2
+    >>> cached.execute(batch, mode="count").counts.tolist()  # passed through
+    [1, 1]
     """
 
     def __init__(
@@ -247,7 +253,8 @@ class CachingExecutor:
         strategy: str = "partition-based",
         mode: str = "count",
     ) -> BatchResult:
-        """Evaluate *batch*; results in caller order, hits served cached.
+        """Evaluate *batch*; results in caller order, ids hits served
+        cached, count and checksum batches passed through to the backend.
 
         Mirrors :func:`~repro.core.strategies.run_strategy` — same
         strategy names, same result modes, same ordering contract — so
@@ -268,20 +275,23 @@ class CachingExecutor:
         n = len(batch)
         if n == 0:
             return BatchResult.empty(mode)
+        if mode != "ids":
+            with self._lock:
+                return self._run(batch, strategy, mode)
         ob = obs.active()
         if ob is None:
-            return self._execute_inner(batch, strategy, mode, None)
+            return self._execute_inner(batch, strategy, None)
         with ob.span(
             "cache.execute", strategy=strategy, queries=n, mode=mode
         ) as sp:
             pre_hits, pre_misses = self._hits, self._misses
-            result = self._execute_inner(batch, strategy, mode, ob)
+            result = self._execute_inner(batch, strategy, ob)
             sp.attrs["entries"] = len(self._results)
             sp.attrs["hits"] = self._hits - pre_hits
             sp.attrs["misses"] = self._misses - pre_misses
             return result
 
-    def _execute_inner(self, batch, strategy, mode, ob) -> BatchResult:
+    def _execute_inner(self, batch, strategy, ob) -> BatchResult:
         n = len(batch)
         with self._lock:
             pre = (self._hits, self._misses, self._shared, self._results.evictions,
@@ -292,12 +302,12 @@ class CachingExecutor:
                 q_end = np.clip(batch.end, 0, self._top)
             else:
                 q_st, q_end = batch.st, batch.end
-            rows = self._results.lookup(q_st, q_end, mode)
+            rows = self._results.lookup(q_st, q_end)
             hit_at = np.flatnonzero(rows >= 0)
             miss_at = np.flatnonzero(rows < 0)
             # Read the hits before the fill below, which may evict or
             # displace one of them.
-            hits = self._results.payloads(rows[hit_at], mode)
+            hits = self._results.payloads(rows[hit_at])
             # One sort puts the batch's repeats of a missed query side by
             # side: the first is the miss, the rest share its execution (no
             # extra backend work — counted as hits), and the sub-batch
@@ -313,19 +323,15 @@ class CachingExecutor:
             self._misses += u_st.size
             self._shared += miss_at.size - u_st.size
             self._hits += n - u_st.size
-            counts, sums, ids = self._answers(QueryBatch(u_st, u_end), strategy, mode)
+            counts, ids = self._answers(QueryBatch(u_st, u_end), strategy)
             # Hits and misses land at their callers' positions in one merge;
             # a repeat reads the answer it shares.
-            result = BatchResult.merge(n, mode, [
+            result = BatchResult.merge(n, "ids", [
                 (batch.order[hit_at], *hits),
-                (
-                    batch.order[miss_at],
-                    counts[answer_of],
-                    None if sums is None else sums[answer_of],
-                    None if ids is None else (ids[answer_of], None, None),
-                ),
+                (batch.order[miss_at], counts[answer_of], None,
+                 (ids[answer_of], None, None)),
             ])
-            self._results.fill(u_st, u_end, mode, counts, sums, ids)
+            self._results.fill(u_st, u_end, counts, ids)
             if ob is not None:
                 ob.record_cache_batch(
                     hits=self._hits - pre[0],
@@ -346,28 +352,33 @@ class CachingExecutor:
             return np.argsort(st * (self._top + 1) + end)
         return np.lexsort((end, st))
 
-    def _answers(self, sub: QueryBatch, strategy: str, mode: str):
-        """The backend's ``(counts, checksums, ids)`` for the missed keys;
-        ids are one array per key, each owning its bytes, for the store to
-        keep and the result to copy from."""
+    def _run(self, batch: QueryBatch, strategy: str, mode: str) -> BatchResult:
+        """The backend's answer to a non-empty *batch*, in caller order."""
+        if self._kind == "execute":
+            return self._backend.execute(batch, strategy=strategy, mode=mode)
+        if self._kind == "index":
+            return run_strategy(strategy, self._backend, batch, mode=mode)
+        answered = BatchResult.from_id_arrays(self._query_each(batch), mode)
+        return BatchResult.merge(len(batch), mode, [answered.as_part(batch.order)])
+
+    def _query_each(self, batch: QueryBatch) -> list:
+        """A :class:`DynamicHint`'s ids for each query of *batch*, one
+        array per query, each owning its bytes."""
+        return [
+            np.asarray(self._backend.query(s, e), dtype=np.int64)
+            for s, e in batch
+        ]
+
+    def _answers(self, sub: QueryBatch, strategy: str):
+        """The backend's ``(counts, ids)`` for the missed keys; ids are
+        one array per key, each owning its bytes, for the store to keep
+        and the result to copy from."""
         if self._kind == "dynamic":
-            arrays = [
-                np.asarray(self._backend.query(s, e), dtype=np.int64)
-                for s, e in sub
-            ]
-            if mode == "ids":
-                counts = np.fromiter(map(len, arrays), np.int64, len(arrays))
-                return counts, None, np.fromiter(arrays, object, len(arrays))
-            answered = BatchResult.from_id_arrays(arrays, mode)
-        elif not len(sub):
-            answered = BatchResult.empty(mode)
-        elif self._kind == "execute":
-            answered = self._backend.execute(sub, strategy=strategy, mode=mode)
-        else:
-            answered = run_strategy(strategy, self._backend, sub, mode=mode)
+            arrays = self._query_each(sub)
+            counts = np.fromiter(map(len, arrays), np.int64, len(arrays))
+            return counts, np.fromiter(arrays, object, len(arrays))
+        answered = self._run(sub, strategy, "ids") if len(sub) else BatchResult.empty("ids")
         counts = answered.counts
-        if mode != "ids":
-            return counts, answered.checksums, None
         # The store lets go of what these answers push out before they
         # are copied, and the backend's flat array goes (with this frame)
         # before the result's is allocated: in this order the copies reuse
@@ -377,7 +388,7 @@ class CachingExecutor:
         self._results.reserve(counts)
         cuts = answered.offsets.tolist()
         owned = (answered.flat_ids[a:b].copy() for a, b in zip(cuts, cuts[1:]))
-        return counts, None, np.fromiter(owned, object, len(answered))
+        return counts, np.fromiter(owned, object, len(answered))
 
     # ------------------------------------------------------------------ #
     # introspection

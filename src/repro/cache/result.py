@@ -1,26 +1,27 @@
-"""The result tier: a columnar store of per-query answers, run a batch at a time.
+"""The result tier: a columnar store of per-query id answers, run a batch at a time.
 
+Only ids batches are cached (count and checksum answers cost less to
+recompute than to look up; see :class:`~repro.cache.executor.CachingExecutor`).
 Entries are keyed by the *normalized* query — endpoints clipped into the
 backend's domain, exactly the normalization every index applies before
-probing — plus the result mode, because the three modes materialize
-different payloads (a count, a ``(count, checksum)`` pair, an id array).
-The strategy name is deliberately **not** part of the key: the
+probing.  The strategy name is deliberately **not** part of the key: the
 repository-wide differential contract (``tests/test_differential.py``)
 guarantees every strategy returns identical answers, so a result cached
 under one strategy is valid for all of them.
 
 Layout: entries are rows of parallel NumPy columns (key hash, key start,
-key end, mode code, count, checksum, payload bytes, last-used batch stamp,
-and an object column for ids payloads), found through a direct-mapped
-index of row numbers that a multiplicative hash of the key addresses.  A
-whole batch is probed, read or filled by a handful of array operations;
-the one per-entry step is the copy that makes an ids entry own its bytes.
+key end, id count, payload bytes — zero in a free row —, last-used batch
+stamp, and an object column holding each entry's id array), found
+through a direct-mapped index of row numbers that a multiplicative hash
+of the key addresses.  A whole batch is probed, read or filled by a
+handful of array operations; the one per-entry step is the copy that
+makes an entry own its bytes.
 Two keys on one index slot do not chain:
 the later one displaces the earlier (counted as an eviction), which is
 kept rare by giving the index :data:`INDEX_SLOTS_PER_ROW` slots per row.
 Rows and index double together as the entries need them.
 
-Residency is bounded in **bytes** (ids-mode payloads dominate, so an entry
+Residency is bounded in **bytes** (the id payloads dominate, so an entry
 count alone would under-control memory) with an optional entry bound on
 top, enforced once per :meth:`ResultCache.fill` by dropping the entries
 whose stamps are oldest — LRU at batch granularity.  The cache itself is a
@@ -36,41 +37,37 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.result import MODES
-
 __all__ = ["ResultCache"]
 
 #: Fixed per-entry residency estimate (a row of every column plus its
-#: share of the index); ids payload bytes are added on top.
+#: share of the index); the id payload's bytes are added on top.
 ENTRY_OVERHEAD_BYTES = 96
 #: Index slots per row: a new key finds its slot taken about one time in
 #: twenty, at four bytes a slot.
 INDEX_SLOTS_PER_ROW = 16
 
-#: column -> (dtype, value in a free row)
+#: column -> (dtype, value in a free row); a live row's ``_nbytes`` is
+#: at least ENTRY_OVERHEAD_BYTES, so ``_nbytes > 0`` marks the live rows.
 _COLUMNS = {
     "_hash": (np.uint64, 0), "_st": (np.int64, 0), "_end": (np.int64, 0),
-    "_mode": (np.int8, -1), "_count": (np.int64, 0), "_checksum": (np.int64, 0),
-    "_nbytes": (np.int64, 0), "_stamp": (np.int64, 0), "_ids": (object, None),
+    "_count": (np.int64, 0), "_nbytes": (np.int64, 0), "_stamp": (np.int64, 0),
+    "_ids": (object, None),
 }
 _MIN_ROWS = 64
-_MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
-_IDS = _MODE_CODE["ids"]
 _MIX_ST = np.uint64(0x9E3779B97F4A7C15)
 _MIX_END = np.uint64(0xC2B2AE3D27D4EB4F)
-_MIX_MODE = np.array([0x165667B19E3779F9 * c % (1 << 64) for c in range(len(MODES))], dtype=np.uint64)
 _HALF = np.uint64(32)
 
 
-def _key_hash(st: np.ndarray, end: np.ndarray, code: int) -> np.ndarray:
-    h = st.view(np.uint64) * _MIX_ST + end.view(np.uint64) * _MIX_END + _MIX_MODE[code]
+def _key_hash(st: np.ndarray, end: np.ndarray) -> np.ndarray:
+    h = st.view(np.uint64) * _MIX_ST + end.view(np.uint64) * _MIX_END
     h ^= h >> _HALF
     h *= _MIX_ST
     return h
 
 
 class ResultCache:
-    """Hashed map ``(st, end, mode) -> payload`` with a byte budget.
+    """Hashed map ``(st, end) -> ids`` with a byte budget.
 
     One batch is one :meth:`lookup` (which starts a new stamp), one
     :meth:`payloads` for the hits and one :meth:`fill` for the answers of
@@ -113,7 +110,7 @@ class ResultCache:
 
     def _resize(self, rows: int) -> None:
         """Extend every column to *rows* (a power of two) and re-index."""
-        old = self._mode.size
+        old = self._nbytes.size
         for name, (dtype, free) in _COLUMNS.items():
             column = np.full(rows, free, dtype=dtype)
             column[:old] = getattr(self, name)
@@ -127,7 +124,7 @@ class ResultCache:
         slots = rows * INDEX_SLOTS_PER_ROW
         self._shift = np.uint64(65 - slots.bit_length())
         self._index = np.full(slots, -1, dtype=np.int32)
-        live = np.flatnonzero(self._mode >= 0)
+        live = np.flatnonzero(self._nbytes)
         # The slot is the hash's top bits, so doubling the index splits a
         # slot's keys and never puts two entries on one.
         self._index[self._slots(self._hash[live])] = live
@@ -144,18 +141,14 @@ class ResultCache:
     def _slots(self, h: np.ndarray) -> np.ndarray:
         return (h >> self._shift).astype(np.intp)
 
-    def lookup(self, st: np.ndarray, end: np.ndarray, mode: str) -> np.ndarray:
+    def lookup(self, st: np.ndarray, end: np.ndarray) -> np.ndarray:
         """The row holding each key of a batch, ``-1`` where absent.
 
         Starts the batch's stamp and marks every hit as used in it.
         """
-        code = _MODE_CODE[mode]
         self._clock += 1
-        rows = self._index[self._slots(_key_hash(st, end, code))]
-        hit = (
-            (rows >= 0) & (self._mode[rows] == code)
-            & (self._st[rows] == st) & (self._end[rows] == end)
-        )
+        rows = self._index[self._slots(_key_hash(st, end))]
+        hit = (rows >= 0) & (self._st[rows] == st) & (self._end[rows] == end)
         found = rows[hit]
         if found.size:
             # A batch can hit one entry twice; log its last use once.
@@ -164,19 +157,14 @@ class ResultCache:
             self._used(found[self._owner[found] == rank])
         return np.where(hit, rows, -1)
 
-    def payloads(self, rows: np.ndarray, mode: str):
-        """``(counts, checksums, ids)`` of occupied *rows*, shaped like a
+    def payloads(self, rows: np.ndarray):
+        """``(counts, None, ids)`` of occupied *rows*, shaped like an ids
         :meth:`BatchResult.merge <repro.core.result.BatchResult.merge>`
         part: ids are ``(the entries' own arrays, None, None)``, to be
-        copied from, not kept; what *mode* does not materialize is
-        ``None``."""
-        return (
-            self._count[rows],
-            self._checksum[rows] if mode == "checksum" else None,
-            (self._ids[rows], None, None) if mode == "ids" else None,
-        )
+        copied from, not kept."""
+        return self._count[rows], None, (self._ids[rows], None, None)
 
-    def fill(self, st, end, mode: str, counts, checksums=None, ids=None) -> None:
+    def fill(self, st, end, counts, ids) -> None:
         """Store one answer per key, then enforce the budgets.
 
         The keys are those :meth:`lookup` reported absent, each once;
@@ -188,19 +176,18 @@ class ResultCache:
         n = len(st)
         if not n:
             return
-        code = _MODE_CODE[mode]
         if self._nfree < n:
-            self._resize(1 << (self._mode.size - self._nfree + n - 1).bit_length())
-        h = _key_hash(st, end, code)
+            self._resize(1 << (self._nbytes.size - self._nfree + n - 1).bit_length())
+        h = _key_hash(st, end)
         slots = self._slots(h)
         held = self._index[slots]
         rank = np.arange(n, dtype=np.int32)
         self._index[slots] = rank  # of two keys on one slot the later stays
         won = self._index[slots] == rank
         if not won.all():
-            slots, held, h, st, end, counts = (a[won] for a in (slots, held, h, st, end, counts))
-            checksums = None if checksums is None else checksums[won]
-            ids = None if ids is None else ids[won]
+            slots, held, h, st, end, counts, ids = (
+                a[won] for a in (slots, held, h, st, end, counts, ids)
+            )
         self._nfree -= slots.size
         # A copy: releasing the displaced rows below rewrites this stretch
         # of the stack.
@@ -209,18 +196,13 @@ class ResultCache:
         displaced = held[held >= 0]
         self.evictions += n - rows.size + int(displaced.size)
         self._release(displaced)
-        nbytes = np.full(rows.size, ENTRY_OVERHEAD_BYTES)
-        if ids is not None:
-            nbytes += 8 * counts  # ids payloads are int64 arrays
-            owned = (a if a.base is None else a.copy() for a in ids)
-            self._ids[rows] = np.fromiter(owned, dtype=object, count=rows.size)
+        nbytes = ENTRY_OVERHEAD_BYTES + 8 * counts  # ids are int64 arrays
+        owned = (a if a.base is None else a.copy() for a in ids)
+        self._ids[rows] = np.fromiter(owned, dtype=object, count=rows.size)
         self._hash[rows] = h
         self._st[rows] = st
         self._end[rows] = end
-        self._mode[rows] = code
         self._count[rows] = counts
-        if checksums is not None:
-            self._checksum[rows] = checksums
         self._nbytes[rows] = nbytes
         self._entries += rows.size
         self._bytes += int(nbytes.sum())
@@ -231,8 +213,8 @@ class ResultCache:
         """Free the *rows* of entries whose index slots the caller has dealt with."""
         self._bytes -= int(self._nbytes[rows].sum())
         self._entries -= int(rows.size)
-        self._ids[rows[self._mode[rows] == _IDS]] = None
-        self._mode[rows] = -1
+        self._ids[rows] = None
+        self._nbytes[rows] = 0
         self._stamp[rows] = 0  # no use-log record matches a free row
         self._free[self._nfree : self._nfree + rows.size] = rows
         self._nfree += int(rows.size)
@@ -246,10 +228,10 @@ class ResultCache:
         self._stamp[rows] = self._clock
         self._log.append((self._clock, rows))
         self._logged += rows.size
-        if self._logged > 4 * self._mode.size:
+        if self._logged > 4 * self._nbytes.size:
             # Mostly stale by now: rebuild from the stamps, one record per
             # stamp, oldest first.
-            live = np.flatnonzero(self._mode >= 0)
+            live = np.flatnonzero(self._nbytes)
             stamps = self._stamp[live]
             order = np.argsort(stamps, kind="stable")
             live, stamps = live[order], stamps[order]
@@ -258,7 +240,7 @@ class ResultCache:
             self._logged = int(live.size)
 
     def reserve(self, id_counts: np.ndarray) -> None:
-        """Evict, least recently used first, until ids entries of
+        """Evict, least recently used first, until entries of
         *id_counts* ids each fit the byte budget (or nothing is left):
         what their :meth:`fill` would evict anyway, done before their
         payloads are allocated, so they reuse the memory this frees
@@ -330,7 +312,7 @@ class ResultCache:
         # furthest-reaching of that prefix does.
         spans = spans[np.argsort(spans[:, 0])]
         reach = np.maximum.accumulate(spans[:, 1])
-        live = np.flatnonzero(self._mode >= 0)
+        live = np.flatnonzero(self._nbytes)
         prefix = np.searchsorted(spans[:, 0], self._end[live], side="right")
         doomed = live[(prefix > 0) & (reach[prefix - 1] >= self._st[live])]
         self._remove(doomed)

@@ -760,8 +760,9 @@ def _cmd_shard_sim(args) -> int:
 
 def _cmd_cache_sim(args) -> int:
     """Replay a skewed query stream uncached and through the caching
-    executor, check every batch agrees exactly, and report the hit rate
-    and speedup; exit 0 iff all modes agree."""
+    executor, check every batch agrees exactly in every mode (count and
+    checksum must pass through without touching the cache), and report
+    the ids stream's hit rate and speedup; exit 0 iff all modes agree."""
     from repro.cache import CachingExecutor
     from repro.workloads.queries import zipfian_queries
     from repro.workloads.synthetic import generate_synthetic
@@ -797,18 +798,24 @@ def _cmd_cache_sim(args) -> int:
     failures = 0
     cached = CachingExecutor(index, max_bytes=args.max_bytes)
     for mode in ("count", "checksum", "ids"):
+        before = cached.stats()
         ok = all(
             cached.execute(b, strategy=args.strategy, mode=mode)
             == run_strategy(args.strategy, index, b, mode=mode)
             for b in batches
         )
+        verdict = "exact" if ok else "MISMATCH"
+        if mode != "ids":
+            through = cached.stats() == before
+            ok = ok and through
+            verdict += ", passed through" if through else ", CACHED"
         failures += 0 if ok else 1
-        print(f"differential[{mode}]: {'exact' if ok else 'MISMATCH'}")
+        print(f"differential[{mode}]: {verdict}")
 
     t_un = min(
         _timed(
             lambda: [
-                run_strategy(args.strategy, index, b, mode=args.mode)
+                run_strategy(args.strategy, index, b, mode="ids")
                 for b in batches
             ]
         )
@@ -821,7 +828,7 @@ def _cmd_cache_sim(args) -> int:
         timings.append(
             _timed(
                 lambda: [
-                    fresh.execute(b, strategy=args.strategy, mode=args.mode)
+                    fresh.execute(b, strategy=args.strategy, mode="ids")
                     for b in batches
                 ]
             )
@@ -829,7 +836,7 @@ def _cmd_cache_sim(args) -> int:
         stats = fresh.stats()
     t_c = min(timings)
     print(
-        f"stream ({args.mode}, best of {args.repeat}): uncached "
+        f"stream (ids, best of {args.repeat}): uncached "
         f"{t_un * 1000:.1f} ms, cached {t_c * 1000:.1f} ms "
         f"-> {t_un / t_c:.2f}x"
     )
@@ -1315,7 +1322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache-sim",
         help="differential + hit-rate/speedup report of the caching "
-        "executor over a skewed query stream",
+        "executor over a skewed ids query stream",
     )
     p_cache.add_argument(
         "--cardinality", type=int, default=100_000, help="synthetic intervals"
@@ -1339,12 +1346,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "--strategy", default="partition-based", choices=sorted(STRATEGIES)
-    )
-    p_cache.add_argument(
-        "--mode",
-        default="ids",
-        choices=("count", "checksum", "ids"),
-        help="result mode of the timed runs",
     )
     p_cache.add_argument(
         "--max-bytes",

@@ -1,10 +1,9 @@
 """repro.kernels — compiled hot-path kernels with a NumPy fallback.
 
-The GIL-bound inner loops of the batch strategies (ids-mode fragment
-gathering, the partition-based relevant-range sweeps over
-:class:`~repro.hint.tables.SubdivisionTable` columns, XOR-checksum
-folding, and the grouped first/last-partition probes) compiled to
-nogil machine code via Numba — an **optional** dependency (the
+The GIL-bound inner loops left under the batch strategies (the ids
+scatter of :meth:`~repro.core.result.BatchResult.merge` and the
+XOR-checksum fold of per-query id segments) compiled to nogil machine
+code via Numba — an **optional** dependency (the
 ``compiled`` install extra).  When ``numba`` is absent, a
 behaviour-identical pure-NumPy implementation is selected at import
 time; nothing else in the repository changes, and the differential

@@ -40,24 +40,14 @@ __all__ = [
     "invocation_counts",
     "scatter_ranges",
     "scatter_segments",
-    "masked_gather_end_geq",
-    "masked_count_xor_end_geq",
-    "xor_ranges",
     "xor_segments",
-    "packed_prefix_cut",
-    "packed_suffix_cut",
 ]
 
 #: Kernel names, in the order they appear in this module.
 KERNELS = (
     "scatter_ranges",
     "scatter_segments",
-    "masked_gather_end_geq",
-    "masked_count_xor_end_geq",
-    "xor_ranges",
     "xor_segments",
-    "packed_prefix_cut",
-    "packed_suffix_cut",
 )
 
 _DISABLE_VALUES = ("numpy", "fallback", "off")
@@ -172,13 +162,7 @@ def _exercise(impl) -> None:
     impl.scatter_ranges(src, lo, hi, sel, out, cursors)
     offsets = np.array([0, 2, 4], dtype=i64)
     impl.scatter_segments(src, offsets, sel, out, np.array([0, 2], dtype=i64))
-    thresholds = np.array([1, 0], dtype=i64)
-    impl.masked_gather_end_geq(src, src, lo, hi, thresholds)
-    impl.masked_count_xor_end_geq(src, src, lo, hi, thresholds, True)
-    impl.xor_ranges(src, lo, hi)
     impl.xor_segments(src, offsets)
-    impl.packed_prefix_cut(src, lo, thresholds, 1)
-    impl.packed_suffix_cut(src, lo, thresholds, 1)
 
 
 def _i64(a) -> np.ndarray:
@@ -200,45 +184,7 @@ def scatter_segments(flat, offsets, sel, out, cursors) -> None:
     _impl.scatter_segments(_i64(flat), _i64(offsets), _i64(sel), out, cursors)
 
 
-def masked_gather_end_geq(end_col, ids_col, lo, hi, thresholds):
-    """Ids of rows in ``[lo[i], hi[i])`` with ``end >= thresholds[i]``
-    as ``(counts, flat, offsets)``."""
-    _counts["masked_gather_end_geq"] = _counts.get("masked_gather_end_geq", 0) + 1
-    return _impl.masked_gather_end_geq(
-        end_col, ids_col, _i64(lo), _i64(hi), _i64(thresholds)
-    )
-
-
-def masked_count_xor_end_geq(end_col, ids_col, lo, hi, thresholds, want_xor):
-    """Counts (and XOR folds when *want_xor*) of rows in
-    ``[lo[i], hi[i])`` with ``end >= thresholds[i]``."""
-    _counts["masked_count_xor_end_geq"] = (
-        _counts.get("masked_count_xor_end_geq", 0) + 1
-    )
-    return _impl.masked_count_xor_end_geq(
-        end_col, ids_col, _i64(lo), _i64(hi), _i64(thresholds), bool(want_xor)
-    )
-
-
-def xor_ranges(xor_prefix, lo, hi):
-    """Per-range id XOR through the prefix-XOR column."""
-    _counts["xor_ranges"] = _counts.get("xor_ranges", 0) + 1
-    return _impl.xor_ranges(xor_prefix, _i64(lo), _i64(hi))
-
-
 def xor_segments(flat, offsets):
     """XOR fold of each flat-layout segment."""
     _counts["xor_segments"] = _counts.get("xor_segments", 0) + 1
     return _impl.xor_segments(_i64(flat), _i64(offsets))
-
-
-def packed_prefix_cut(comp, parts, values, key_bits):
-    """Per-partition prefix cut (key <= value) on the packed column."""
-    _counts["packed_prefix_cut"] = _counts.get("packed_prefix_cut", 0) + 1
-    return _impl.packed_prefix_cut(comp, _i64(parts), _i64(values), key_bits)
-
-
-def packed_suffix_cut(comp, parts, values, key_bits):
-    """Per-partition suffix cut (key >= value) on the packed column."""
-    _counts["packed_suffix_cut"] = _counts.get("packed_suffix_cut", 0) + 1
-    return _impl.packed_suffix_cut(comp, _i64(parts), _i64(values), key_bits)

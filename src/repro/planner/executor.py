@@ -42,8 +42,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-import numpy as np
-
 import repro.obs as obs
 from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES
@@ -213,7 +211,7 @@ class PlannedExecutor:
             QueryBatch(batch.st[k:], batch.end[k:]), decision.beside, mode, executor
         )
         return BatchResult.merge(
-            n, mode, [head.as_part(np.arange(k)), rest.as_part(np.arange(k, n))]
+            n, mode, [head.as_part(batch.order[:k]), rest.as_part(batch.order[k:])]
         )
 
     def _run(self, batch: QueryBatch, plan, mode: str, executor) -> BatchResult:

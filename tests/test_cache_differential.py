@@ -2,17 +2,19 @@
 
 The contract under test: putting :class:`repro.cache.CachingExecutor` in
 front of any backend changes *nothing* observable except latency.  Every
-trial runs the same batch through the cached path **twice** (first pass
-populates, second pass serves hits) and demands bit-identical agreement
-with
+trial runs the same batch through the cached path **twice** (in ids mode
+the first pass populates, the second serves hits; count and checksum
+batches pass through to the backend without touching the store) and
+demands bit-identical agreement with
 
 * the uncached strategy result on an equivalent plain index, and
-* the ``oracle_result`` linear-scan ground truth (ids mode).
+* the ``oracle_result`` linear-scan ground truth.
 
-Below the executor trials, the result tier's columnar store is checked
-on its own: against a dict reference model over random batches, modes and
-budgets, under forced index collisions, across growth, against the scalar
-overlap rule, and for being driven a batch (not a query) at a time.
+Below the executor trials, the result tier's columnar store of id
+answers is checked on its own: against a dict reference model over
+random batches and budgets, under forced index collisions, across
+growth, against the scalar overlap rule, and for being driven a batch
+(not a query) at a time — and not at all by a count or checksum batch.
 
 The matrix: 3 strategies x 3 result modes x {HintIndex, DynamicHint,
 ShardedHint} x {serial, threads, engine-auto} execution backends, plus
@@ -27,6 +29,7 @@ matrix and is documented here rather than silently skipped.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -42,7 +45,7 @@ from repro import (
     ShardedHint,
     run_strategy,
 )
-from repro.cache import ResultCache
+from repro.cache import CacheCounters, ResultCache
 from repro.cache import result as result_store
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES
@@ -124,6 +127,7 @@ def test_cached_path_is_indistinguishable(trial):
     wrapped, cleanup = _make_backend(kind, backend, coll, m)
     try:
         cached = CachingExecutor(wrapped)
+        fresh = cached.stats()
         first = cached.execute(batch, strategy=strategy, mode=mode)
         second = cached.execute(batch, strategy=strategy, mode=mode)
     finally:
@@ -134,6 +138,10 @@ def test_cached_path_is_indistinguishable(trial):
     for result in (first, second):
         assert_flat_oracle(result, naive)
     stats = cached.stats()
+    if mode != "ids":
+        # Passed through: no counter moved and nothing was stored.
+        assert stats == fresh and stats.entries == len(cached._results) == 0
+        return
     assert stats.hits + stats.misses == 2 * len(batch)
     # The second pass of an identical batch must be all hits.
     assert stats.hits >= len(batch)
@@ -170,58 +178,61 @@ def test_cached_dynamic_under_mutation_matches_oracle(trial):
 # --------------------------------------------------------------------- #
 
 
-def _payload_columns(st, end, mode):
-    """A deterministic answer per key, shaped like the store's columns."""
+def _payload_columns(st, end):
+    """A deterministic answer per key: ``(counts, ids)`` as the store's
+    :meth:`~repro.cache.ResultCache.fill` takes them."""
     counts = (st * 7 + end) % 5
-    if mode == "count":
-        return counts, None, None
-    if mode == "checksum":
-        return counts, st ^ end, None
     ids = np.empty(st.size, dtype=object)
     for i, (s, c) in enumerate(zip(st.tolist(), counts.tolist())):
         ids[i] = np.arange(s, s + c, dtype=np.int64)
-    return counts, None, ids
+    return counts, ids
+
+
+def _no_ids(n):
+    """*n* empty answers: entries that cost the fixed overhead alone."""
+    ids = np.empty(n, dtype=object)
+    ids[:] = [np.empty(0, dtype=np.int64) for _ in range(n)]
+    return np.zeros(n, dtype=np.int64), ids
 
 
 def _resident(store):
-    """``{(st, end, mode code): (row, stamp, nbytes)}`` read off the columns."""
-    rows = np.flatnonzero(store._mode >= 0)
+    """``{(st, end): (row, stamp, nbytes)}`` read off the columns (a live
+    row is one with bytes accounted)."""
+    rows = np.flatnonzero(store._nbytes > 0)
     return {
-        (int(store._st[r]), int(store._end[r]), int(store._mode[r])):
+        (int(store._st[r]), int(store._end[r])):
         (int(r), int(store._stamp[r]), int(store._nbytes[r]))
         for r in rows
     }
 
 
 def _slot(store, key):
-    st, end, code = (np.array([v]) for v in key)
-    return int(store._slots(result_store._key_hash(st, end, code[0]))[0])
+    st, end = (np.array([v]) for v in key)
+    return int(store._slots(result_store._key_hash(st, end))[0])
 
 
-def _run_batch(store, st, end, mode):
-    """What ``CachingExecutor`` does with one batch; returns ``(rows, hit
-    payload columns)``."""
-    rows = store.lookup(st, end, mode)
-    hits = store.payloads(rows[rows >= 0], mode)
+def _run_batch(store, st, end):
+    """What ``CachingExecutor`` does with one ids batch; returns ``(rows,
+    hit payload part)``."""
+    rows = store.lookup(st, end)
+    hits = store.payloads(rows[rows >= 0])
     missed = np.unique(np.stack([st[rows < 0], end[rows < 0]]), axis=1)
-    store.fill(missed[0], missed[1], mode, *_payload_columns(missed[0], missed[1], mode))
+    store.fill(missed[0], missed[1], *_payload_columns(missed[0], missed[1]))
     return rows, hits
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "budget",
     [dict(max_bytes=1), dict(max_entries=5), dict(max_bytes=40 * 96), dict()],
     ids=["one-byte", "five-entries", "forty-entries-of-bytes", "ample"],
 )
-def test_store_matches_dict_model(mode, budget):
+def test_store_matches_dict_model(budget):
     """Random batches against a dict that remembers every key's payload
     and the batch it was last used in: a hit returns the model's payload,
     both budgets hold after every batch, and what a batch evicted was not
     used more recently than anything it kept."""
-    rng = np.random.default_rng(hash((mode, *budget)) % 2**32)
+    rng = np.random.default_rng(20240325)
     store = ResultCache(**budget)
-    code = MODES.index(mode)
     last_used = {}  # key -> batch of last use, for keys the store should hold
     for batch_no in range(1, 60):
         n = int(rng.integers(1, 48))
@@ -229,22 +240,19 @@ def test_store_matches_dict_model(mode, budget):
         end = st + rng.integers(0, 3, n)
         before = _resident(store)
         evictions = store.evictions
-        rows, (counts, checksums, ids) = _run_batch(store, st, end, mode)
+        rows, (counts, checksums, (ids, _, _)) = _run_batch(store, st, end)
         hit = rows >= 0
         # hits: exactly the keys resident before the batch, with their payloads
-        assert hit.tolist() == [(s, e, code) in before for s, e in zip(st.tolist(), end.tolist())]
-        want = _payload_columns(st[hit], end[hit], mode)
-        assert counts.tolist() == want[0].tolist()
-        if mode == "checksum":
-            assert checksums.tolist() == want[1].tolist()
-        if mode == "ids":
-            assert all(np.array_equal(a, b) for a, b in zip(ids[0], want[2]))
+        assert hit.tolist() == [(s, e) in before for s, e in zip(st.tolist(), end.tolist())]
+        want = _payload_columns(st[hit], end[hit])
+        assert counts.tolist() == want[0].tolist() and checksums is None
+        assert all(np.array_equal(a, b) for a, b in zip(ids, want[1]))
         # budgets and accounting
         after = _resident(store)
         assert len(store) == len(after) <= (store.max_entries or len(after))
         assert store.bytes_resident == sum(nb for _, _, nb in after.values()) <= store.max_bytes
         # oldest stamps go first
-        last_used.update({(s, e, code): batch_no for s, e in zip(st.tolist(), end.tolist())})
+        last_used.update({(s, e): batch_no for s, e in zip(st.tolist(), end.tolist())})
         gone = {key: last_used.pop(key) for key in list(last_used) if key not in after}
         assert store.evictions - evictions == len(gone)
         assert set(last_used) == set(after)
@@ -267,25 +275,28 @@ def test_store_index_collisions_never_confuse_keys():
     stays exact."""
     store = ResultCache()
     st = np.arange(200_000, dtype=np.int64)
-    slots = store._slots(result_store._key_hash(st, st, MODES.index("count")))
+    slots = store._slots(result_store._key_hash(st, st))
     crowd = st[slots == slots[0]][:6]
     assert crowd.size == 6
     for _ in range(3):
         for one in crowd:
             key = np.array([one])
-            rows = store.lookup(key, key, "count")
+            rows = store.lookup(key, key)
+            want_counts, want_ids = _payload_columns(key, key)
             if rows[0] >= 0:
-                assert store.payloads(rows, "count")[0].tolist() == [int(one) % 5 + 1]
+                counts, _, (ids, _, _) = store.payloads(rows)
+                assert counts.tolist() == want_counts.tolist()
+                assert ids[0].tolist() == want_ids[0].tolist()
             else:
-                store.fill(key, key, "count", key % 5 + 1)
+                store.fill(key, key, want_counts, want_ids)
             assert len(store) == len(_resident(store)) == 1
     assert store.evictions >= len(crowd) - 1
     # two of them in one fill: the later stays, the earlier counts as evicted
     store.clear()
     before = store.evictions
-    store.lookup(crowd[:2], crowd[:2], "count")
-    store.fill(crowd[:2], crowd[:2], "count", crowd[:2] % 5 + 1)
-    assert list(_resident(store)) == [(int(crowd[1]), int(crowd[1]), 0)]
+    store.lookup(crowd[:2], crowd[:2])
+    store.fill(crowd[:2], crowd[:2], *_payload_columns(crowd[:2], crowd[:2]))
+    assert list(_resident(store)) == [(int(crowd[1]), int(crowd[1]))]
     assert store.evictions - before == 1
 
 
@@ -293,21 +304,22 @@ def test_store_growth_keeps_every_entry():
     """Filling far past the initial size: rows and index double, nothing
     is lost that the index had room for, and no earlier row moves."""
     store = ResultCache()
-    small = store._mode.size
+    small = store._nbytes.size
     st = np.arange(0, 3000, dtype=np.int64)
     for lo in range(0, 3000, 500):
         part = st[lo:lo + 500]
-        store.lookup(part, part + 1, "checksum")
-        store.fill(part, part + 1, "checksum", part % 7, part * 3)
-    assert store._mode.size > small and store._index.size == 16 * store._mode.size
+        store.lookup(part, part + 1)
+        store.fill(part, part + 1, *_payload_columns(part, part + 1))
+    assert store._nbytes.size > small and store._index.size == 16 * store._nbytes.size
     assert len(store) + store.evictions == 3000
     assert store.evictions < 3000 // 10  # displaced by index collisions only
-    rows = store.lookup(st, st + 1, "checksum")
+    rows = store.lookup(st, st + 1)
     found = rows >= 0
     assert found.sum() == len(store)
-    counts, checksums, _ = store.payloads(rows[found], "checksum")
-    assert counts.tolist() == (st[found] % 7).tolist()
-    assert checksums.tolist() == (st[found] * 3).tolist()
+    counts, _, (ids, _, _) = store.payloads(rows[found])
+    want_counts, want_ids = _payload_columns(st[found], st[found] + 1)
+    assert counts.tolist() == want_counts.tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(ids, want_ids))
 
 
 def test_store_drop_overlapping_matches_scalar_rule(rng):
@@ -316,8 +328,7 @@ def test_store_drop_overlapping_matches_scalar_rule(rng):
         n = int(rng.integers(1, 120))
         st = rng.integers(0, 500, n)
         end = st + rng.integers(0, 40, n)
-        mode = MODES[trial % 3]
-        _run_batch(store, st, end, mode)
+        _run_batch(store, st, end)
         regions = [
             (int(lo), int(lo + w))
             for lo, w in zip(rng.integers(0, 540, trial % 7), rng.integers(0, 30, trial % 7))
@@ -333,21 +344,26 @@ def test_store_drop_overlapping_matches_scalar_rule(rng):
 
 
 class _CountingBackend:
-    """Answers from a plain index and counts what it was asked."""
+    """Answers from a plain index and remembers what it was asked."""
 
     def __init__(self, index):
         self._index = index
         self.m = index.m
-        self.queries = 0
+        self.batches = []
+
+    @property
+    def queries(self):
+        return sum(map(len, self.batches))
 
     def execute(self, batch, *, strategy, mode):
-        self.queries += len(batch)
-        assert batch.is_sorted
+        self.batches.append(batch)
         return run_strategy(strategy, self._index, batch, mode=mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_in_batch_duplicates_share_one_execution(mode, rng):
+    """Ids repeats share one execution; a count or checksum batch, repeats
+    and all, goes to the backend as the caller gave it."""
     m = 8
     coll = random_collection(rng, 200, (1 << m) - 1)
     index = HintIndex(coll, m=m)
@@ -358,6 +374,13 @@ def test_in_batch_duplicates_share_one_execution(mode, rng):
     batch = QueryBatch(st, end)
     first = cached.execute(batch, mode=mode)
     assert first == run_strategy("partition-based", index, batch, mode=mode)
+    if mode != "ids":
+        again = cached.execute(batch, mode=mode)
+        assert again == first
+        assert backend.batches == [batch, batch]
+        assert cached.stats() == CachingExecutor(backend).stats()
+        return
+    assert all(sub.is_sorted for sub in backend.batches)
     stats = cached.stats()
     assert (backend.queries, stats.misses, stats.hits, stats.shared) == (5, 5, 2, 2)
     again = cached.execute(batch, mode=mode)
@@ -382,7 +405,7 @@ def test_store_owns_its_ids_bytes(rng):
     for seed in range(6):
         cached.execute(uniform_queries(256, 1 << m, 5.0, seed=seed), mode="ids")
     store = cached._results
-    held = store._ids[store._mode >= 0]
+    held = store._ids[store._nbytes > 0]
     assert len(store) == held.size > 0 and store.evictions > 0
     assert all(ids.base is None for ids in held)
     payload = sum(ids.nbytes for ids in held)
@@ -393,9 +416,9 @@ def test_store_owns_its_ids_bytes(rng):
     given = np.empty(2, dtype=object)
     given[:] = [flat[2:5], flat[5:9].copy()]
     keys = np.array([1, 2])
-    store.lookup(keys, keys, "ids")
-    store.fill(keys, keys, "ids", np.array([3, 4]), None, given)
-    kept = store.payloads(store.lookup(keys, keys, "ids"), "ids")[2][0]
+    store.lookup(keys, keys)
+    store.fill(keys, keys, np.array([3, 4]), given)
+    kept = store.payloads(store.lookup(keys, keys))[2][0]
     assert kept[0].base is None and kept[0].tolist() == [2, 3, 4]
     assert kept[1] is given[1]
 
@@ -406,8 +429,8 @@ def test_reserve_evicts_what_the_fill_would():
     store = ResultCache(max_bytes=40 * 96)
     for lo in range(0, 40, 10):
         keys = np.arange(lo, lo + 10)
-        store.lookup(keys, keys, "count")
-        store.fill(keys, keys, "count", keys)
+        store.lookup(keys, keys)
+        store.fill(keys, keys, *_no_ids(10))
     before = _resident(store)  # all 40 but the few an index collision displaced
     short = len(before) + 15 - 40  # entries over budget once 15 more come
     store.reserve(np.zeros(15, dtype=np.int64))  # fifteen empty ids entries
@@ -421,16 +444,20 @@ def test_reserve_evicts_what_the_fill_would():
 
 
 class _Spy:
-    """Counts the calls made on the wrapped store's methods."""
+    """Counts the calls made on the wrapped store's methods, and names
+    every attribute of it that was read at all."""
 
     def __init__(self, store):
         self._store = store
         self.calls = 0
+        self.touched = []
 
     def __len__(self):
+        self.touched.append("__len__")
         return len(self._store)
 
     def __getattr__(self, name):
+        self.touched.append(name)
         attr = getattr(self._store, name)
         if not callable(attr):
             return attr
@@ -444,6 +471,8 @@ class _Spy:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_store_is_driven_once_per_batch_not_once_per_query(mode, rng):
+    """A handful of store calls per ids batch whatever its size; none at
+    all for a count or checksum batch."""
     m = 10
     coll = random_collection(rng, 300, (1 << m) - 1)
     cached = CachingExecutor(HintIndex(coll, m=m))
@@ -455,5 +484,99 @@ def test_store_is_driven_once_per_batch_not_once_per_query(mode, rng):
             spy.calls = 0
             cached.execute(batch, mode=mode)
             per_batch.append(spy.calls)
-    assert max(per_batch) <= 4
+    assert max(per_batch) <= (4 if mode == "ids" else 0)
     assert len(set(per_batch)) == 1
+
+
+def _live(coll):
+    """``{id: (st, end)}`` of *coll*: a model to mutate beside an index."""
+    return {int(i): (int(s), int(e)) for i, s, e in zip(coll.ids, coll.st, coll.end)}
+
+
+def _collection(live):
+    """The collection a :func:`_live` model holds now."""
+    return IntervalCollection.from_records([(i, s, e) for i, (s, e) in sorted(live.items())])
+
+
+def _spied_stack(kind, coll, m):
+    """``(CachingExecutor over a *kind* backend, the spy on its store)``."""
+    if kind == "dynamic":
+        backend = DynamicHint(coll, m=m, rebuild_threshold=16)
+    elif kind == "planner":
+        backend = PlannedExecutor(HintIndex(coll, m=m))
+    elif kind == "sharded":
+        backend = ShardedHint(coll, 2, m=m)
+    else:
+        backend = HintIndex(coll, m=m)
+    cached = CachingExecutor(backend)
+    spy = cached._results = _Spy(cached._results)
+    return cached, spy
+
+
+@pytest.mark.parametrize("kind", ["hint", "sharded", "planner", "dynamic"])
+def test_count_and_checksum_pass_through_untouched(kind):
+    """A count or checksum batch reaches the backend without one read of
+    the store, and its answer is the oracle's, in caller order — on a
+    DynamicHint with inserts and deletes between the batches too."""
+    m = 8
+    top = (1 << m) - 1
+    rng = np.random.default_rng(4242)
+    coll = random_collection(rng, 300, top)
+    live = _live(coll)
+    cached, spy = _spied_stack(kind, coll, m)
+    try:
+        for round_no in range(6):
+            batch = uniform_queries(int(rng.integers(1, 200)), 1 << m, 3.0, seed=round_no)
+            assert not batch.is_sorted or len(batch) < 3
+            naive = oracle_result(_collection(live), batch, m)
+            # The start-sorted copy carries each query's caller position.
+            for mode, given in itertools.product(
+                ("count", "checksum"), (batch, batch.sorted_by_start())
+            ):
+                assert_flat_oracle(cached.execute(given, mode=mode), naive)
+            assert spy.touched == []
+            if kind == "dynamic":
+                dyn = cached.backend
+                for _ in range(5):
+                    s = int(rng.integers(0, top + 1))
+                    e = min(s + int(rng.integers(0, 20)), top)
+                    live[dyn.insert(s, e)] = (s, e)
+                for gone in rng.choice(sorted(live), 3, replace=False).tolist():
+                    dyn.delete(gone)
+                    del live[gone]
+    finally:
+        cached.close()
+    assert cached.stats() == CacheCounters(0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_count_batches_between_mutations_leave_the_ids_batch_exact():
+    """More mutations than the DynamicHint's log holds, with only count
+    batches between them: the next ids batch cannot learn what changed,
+    so it flushes the whole store — and is exact."""
+    m = 8
+    top = (1 << m) - 1
+    rng = np.random.default_rng(1024)
+    coll = random_collection(rng, 200, top)
+    dyn = DynamicHint(coll, m=m, rebuild_threshold=64)
+    cached = CachingExecutor(dyn)
+    batch = uniform_queries(64, 1 << m, 5.0, seed=3)
+    cached.execute(batch, mode="ids")
+    stored = cached.stats().entries
+    assert stored > 0
+    live = _live(coll)
+    for step in range(1100):
+        if step % 2 or len(live) < 50:
+            s = int(rng.integers(0, top + 1))
+            e = min(s + int(rng.integers(0, 10)), top)
+            live[dyn.insert(s, e)] = (s, e)
+        else:
+            gone = int(rng.choice(sorted(live)))
+            dyn.delete(gone)
+            del live[gone]
+        if step % 100 == 0:
+            naive = oracle_result(_collection(live), batch, m)
+            assert_flat_oracle(cached.execute(batch, mode="count"), naive)
+    assert dyn.dirty_since(0) is None  # the log has overflowed
+    assert cached.execute(batch, mode="ids") == oracle_result(_collection(live), batch, m)
+    stats = cached.stats()
+    assert (stats.invalidation_flushes, stats.invalidated_entries) == (1, stored)

@@ -125,92 +125,21 @@ class TestFallbackKernels:
         assert out_a.tolist() == out_b.tolist()
         assert cur_a.tolist() == cur_b.tolist()
 
-    def test_masked_gather_and_count_agree(self):
-        rng = np.random.default_rng(3)
-        n = 120
-        end_col = rng.integers(0, 50, n).astype(np.int64)
-        ids_col = rng.integers(0, 10_000, n).astype(np.int64)
-        q = 25
-        lo = rng.integers(0, n - 1, q).astype(np.int64)
-        hi = np.minimum(lo + rng.integers(0, 30, q), n).astype(np.int64)
-        hi[::5] = lo[::5]
-        thr = rng.integers(0, 50, q).astype(np.int64)
-
-        counts, flat, offsets = fb.masked_gather_end_geq(
-            end_col, ids_col, lo, hi, thr
-        )
-        counts2, xors = fb.masked_count_xor_end_geq(
-            end_col, ids_col, lo, hi, thr, True
-        )
-        assert counts.tolist() == counts2.tolist()
-        for i in range(q):
-            mask = end_col[lo[i]:hi[i]] >= thr[i]
-            expect = ids_col[lo[i]:hi[i]][mask]
-            got = flat[offsets[i]:offsets[i + 1]]
-            assert sorted(got.tolist()) == sorted(expect.tolist())
-            assert counts[i] == expect.size
-            fold = 0
-            for v in expect.tolist():
-                fold ^= v
-            assert xors[i] == fold
-
-    def test_masked_count_without_xor(self):
-        end_col = np.array([5, 1, 9, 3], dtype=np.int64)
-        ids_col = np.array([10, 20, 30, 40], dtype=np.int64)
-        counts, xors = fb.masked_count_xor_end_geq(
-            end_col,
-            ids_col,
-            np.array([0], dtype=np.int64),
-            np.array([4], dtype=np.int64),
-            np.array([4], dtype=np.int64),
-            False,
-        )
-        assert counts.tolist() == [2]
-        assert xors.tolist() == [0]  # untouched when want_xor is false
-
     def test_xor_ranges_and_segments(self):
+        """Each segment's fold equals a loop's and the prefix-XOR rule's
+        for the same range, empty segments included."""
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 1 << 40, 50).astype(np.int64)
         prefix = np.zeros(51, dtype=np.int64)
         np.bitwise_xor.accumulate(ids, out=prefix[1:])
-        lo = np.array([0, 10, 30, 7, 50], dtype=np.int64)
-        hi = np.array([10, 30, 50, 7, 50], dtype=np.int64)
-        got = fb.xor_ranges(prefix, lo, hi)
-        for i in range(5):
-            fold = 0
-            for v in ids[lo[i]:hi[i]].tolist():
-                fold ^= v
-            assert got[i] == fold
-        offsets = np.array([0, 10, 10, 35, 50], dtype=np.int64)
+        offsets = np.array([0, 10, 10, 35, 50, 50], dtype=np.int64)
         seg = fb.xor_segments(ids, offsets)
-        for i in range(4):
+        assert seg.tolist() == (prefix[offsets[1:]] ^ prefix[offsets[:-1]]).tolist()
+        for i in range(5):
             fold = 0
             for v in ids[offsets[i]:offsets[i + 1]].tolist():
                 fold ^= v
             assert seg[i] == fold
-
-    def test_packed_cuts_match_per_partition_searchsorted(self):
-        rng = np.random.default_rng(5)
-        key_bits = 6
-        parts = np.repeat(np.arange(4, dtype=np.int64), 25)
-        keys = np.sort(
-            rng.integers(0, 1 << key_bits, 100).astype(np.int64).reshape(4, 25),
-            axis=1,
-        ).ravel()
-        comp = (parts << key_bits) | keys
-        q_parts = rng.integers(0, 4, 30).astype(np.int64)
-        q_vals = rng.integers(0, 1 << key_bits, 30).astype(np.int64)
-        pre = fb.packed_prefix_cut(comp, q_parts, q_vals, key_bits)
-        suf = fb.packed_suffix_cut(comp, q_parts, q_vals, key_bits)
-        for i in range(30):
-            base = int(q_parts[i]) * 25
-            block = keys[base:base + 25]
-            assert pre[i] == base + np.searchsorted(
-                block, q_vals[i], side="right"
-            )
-            assert suf[i] == base + np.searchsorted(
-                block, q_vals[i], side="left"
-            )
 
 
 # --------------------------------------------------------------------- #
@@ -227,10 +156,10 @@ class TestOpsLayer:
             assert ops.kernel_backend() == "numpy"
 
     def test_invocation_counters_bump(self):
-        before = ops.invocation_counts().get("xor_ranges", 0)
-        prefix = np.array([0, 1, 3], dtype=np.int64)
-        ops.xor_ranges(prefix, np.array([0]), np.array([2]))
-        assert ops.invocation_counts()["xor_ranges"] == before + 1
+        before = ops.invocation_counts().get("xor_segments", 0)
+        flat = np.array([1, 2, 3], dtype=np.int64)
+        assert ops.xor_segments(flat, np.array([0, 2, 3])).tolist() == [3, 3]
+        assert ops.invocation_counts()["xor_segments"] == before + 1
 
     def test_warmup_idempotent(self):
         first = ops.warmup()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.planner.executor as planner_executor
 from repro.core.strategies import STRATEGIES, run_strategy
 from repro.engine import ExecutionEngine
 from repro.hint.dynamic import DynamicHint
@@ -55,6 +56,36 @@ def reference(collection):
     return index
 
 
+#: Synthetic cost (fixed s, s per query) of every plan of a 2-core plan
+#: space, the shape of ``tests/test_planner.py``'s ``_TRUE_COSTS``:
+#: partition-based on serial is the cheapest, join-based is far beyond
+#: the second-look cap.
+_PLAN_COSTS = {
+    ("partition-based", "serial"): (0.1e-3, 0.7e-6),
+    ("partition-based", "threads"): (0.1e-3, 1.3e-6),
+    ("join-based", "serial"): (200e-3, 2.0e-6),
+    ("join-based", "threads"): (200e-3, 2.0e-6),
+}
+
+
+@pytest.fixture
+def synthetic_clock(monkeypatch):
+    """The executor times every plan on a clock that advances by the
+    plan's :data:`_PLAN_COSTS` cost, not the host's: what the planner
+    learns, and so when it settles, cannot move with host load."""
+    now = [0.0]
+    real_run = PlannedExecutor._run
+
+    def run(self, batch, plan, mode, executor):
+        result = real_run(self, batch, plan, mode, executor)
+        fixed, per_query = _PLAN_COSTS[(plan.strategy, plan.backend)]
+        now[0] += fixed + per_query * len(batch)
+        return result
+
+    monkeypatch.setattr(PlannedExecutor, "_run", run)
+    monkeypatch.setattr(planner_executor, "perf_counter", lambda: now[0])
+
+
 def backends_under_test(collection):
     """(label, executor) pairs over every index kind."""
     single = HintIndex(collection, m=M)
@@ -70,7 +101,9 @@ def backends_under_test(collection):
 
 
 class TestPlannerDifferential:
-    def test_planned_equals_every_static_plan(self, rng, collection, reference):
+    def test_planned_equals_every_static_plan(
+        self, rng, collection, reference, synthetic_clock
+    ):
         """Through every first-sight batch (each legal plan at least once)
         and on to the settled plan."""
         batch = mixed_batch(rng)
@@ -109,7 +142,8 @@ class TestPlannerDifferential:
     ):
         """Every ordered pair of legal plans as a first-sight batch: one
         on the first quarter, the other on the rest, merged back into
-        caller order."""
+        caller order — the batch's own, or the positions a start-sorted
+        copy of it carries."""
         batch = mixed_batch(rng)
         want = run_strategy("partition-based", reference, batch, mode=mode)
         index = HintIndex(collection, m=M)
@@ -126,8 +160,9 @@ class TestPlannerDifferential:
                         beside=beside, head=n - 3 * (n // 4),
                     )
                     px.planner.decide = lambda *a, d=decision, **k: d
-                    got = px.execute(batch, mode=mode)
-                    assert got == want, decision.describe()
+                    for given in (batch, batch.sorted_by_start()):
+                        got = px.execute(given, mode=mode)
+                        assert got == want, decision.describe()
         finally:
             px.close()
 
