@@ -82,6 +82,11 @@ class CacheCounters:
         return self.hits / total if total else 0.0
 
 
+def _pairs(batch: QueryBatch):
+    """The batch's ``(st, end)`` as Python ints, in batch order."""
+    return zip(batch.st.tolist(), batch.end.tolist())
+
+
 class CachingExecutor:
     """Result cache in front of an execution backend.
 
@@ -358,15 +363,23 @@ class CachingExecutor:
             return self._backend.execute(batch, strategy=strategy, mode=mode)
         if self._kind == "index":
             return run_strategy(strategy, self._backend, batch, mode=mode)
-        answered = BatchResult.from_id_arrays(self._query_each(batch), mode)
+        if mode == "count":
+            # A DynamicHint counts without building ids.
+            count = self._backend.query_count
+            answered = BatchResult(np.fromiter(
+                (count(s, e) for s, e in _pairs(batch)), np.int64, len(batch)
+            ))
+        else:
+            answered = BatchResult.from_id_arrays(self._query_each(batch), mode)
         return BatchResult.merge(len(batch), mode, [answered.as_part(batch.order)])
 
     def _query_each(self, batch: QueryBatch) -> list:
         """A :class:`DynamicHint`'s ids for each query of *batch*, one
         array per query, each owning its bytes."""
+        query = self._backend.query
         return [
-            np.asarray(self._backend.query(s, e), dtype=np.int64)
-            for s, e in batch
+            np.asarray(query(s, e), dtype=np.int64)
+            for s, e in _pairs(batch)
         ]
 
     def _answers(self, sub: QueryBatch, strategy: str):

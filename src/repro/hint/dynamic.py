@@ -2,23 +2,33 @@
 
 The paper's motivation is OLTP-style systems under query-heavy load;
 those systems also *ingest*.  HINT itself is bulk-built and static, so
-this wrapper stages writes beside an immutable index:
+this wrapper stages writes beside an immutable index, as HINT's delta
+buffer plus tombstones:
 
-* **inserts** land in a columnar staging buffer, scanned linearly at
-  query time (it stays small);
-* **deletes** go into a tombstone id set, filtered out of every result;
+* **inserts** append to columnar staging buffers (``array('q')``
+  columns, one per field);
+* **deletes** tombstone the id; a base row's coordinates are appended to
+  tombstone columns, a staged row's buffer position is recorded;
 * at ``rebuild_threshold`` staged rows, or on :meth:`compact`, both are
   **merged** into a new index (:meth:`~repro.hint.index.HintIndex.merged`:
   dead rows masked out of each table, staged rows inserted at their
   ``searchsorted`` positions), equal table for table to a fresh build at
   a pass of copying and no sort longer than the buffer.  The base
-  collection and its id -> row lookup are kept current the same way.
+  collection and its id -> row lookup are rebuilt the same way, one pass
+  per column and one validation.
 
-A query reads one immutable view — the index, the live staged rows and
-the index's tombstoned rows — exactly once, so a merge committing
+A query reads one immutable view — the index, plus one pair of
+coordinate columns holding the index's tombstoned rows (sorted by id)
+followed by the live staged rows — exactly once, so a merge committing
 mid-query cannot pair the old index with the emptied buffer: it answers
-``(index ∪ buffer) − tombstones`` of one moment.  Writers serialise on
-one lock; the first query after a write builds the next view.
+``(index ∪ buffer) − tombstones`` of one moment.  A miss clips once,
+walks the index (:meth:`~repro.hint.index.HintIndex._run_single`),
+makes one overlap scan of the view's rows and concatenates once; a
+tombstoned id is filtered out only when its row overlaps the query, and
+then it is in the index's answer exactly once — so a count needs no ids
+at all (:meth:`DynamicHint.query_count`).  Writers serialise on one
+lock; the first query after a write builds the next view from the
+columns, sorting nothing longer than the tombstones.
 
 Why not a geometric ladder of delta indexes?  Each delta adds a probe to
 every cache miss, and misses are answered one query at a time; with a
@@ -28,7 +38,9 @@ merge this cheap, one index and one buffer suffice at this scale.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import deque
+from itertools import islice
 from time import perf_counter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -42,17 +54,24 @@ from repro.verify.faults import SITE_REBUILD, FaultPlan
 
 __all__ = ["DynamicHint"]
 
+#: Up to this many tombstoned ids in one answer are dropped by comparing
+#: the answer with each (a pass apiece); more are looked up in one pass.
+#: A pass costs ~1 µs plus the answer's length, a lookup ~8 ns per id, so
+#: the crossover grows with the answer: ~2 ids at 200, ~8 at 2000, above
+#: 48 at 20000 (2 cores).  Passes alone would be quadratic when deletes
+#: pile up between merges (50000 ids with 5000 tombstoned: 91 ms against
+#: 7 ms looked up).
+_FEW_DEAD = 16
+
 
 class _View(NamedTuple):
     """What one query reads: immutable, taken once."""
 
     index: HintIndex
-    buf_ids: np.ndarray  # the live staged rows
-    buf_st: np.ndarray
-    buf_end: np.ndarray
-    dead_ids: np.ndarray  # the tombstoned rows of the index, by id
-    dead_st: np.ndarray
-    dead_end: np.ndarray
+    ids: np.ndarray  # the index's tombstoned rows, by id, then the live staged rows
+    st: np.ndarray
+    end: np.ndarray
+    dead: int  # how many of the rows are tombstoned
 
 
 class DynamicHint:
@@ -99,11 +118,12 @@ class DynamicHint:
         # delete()'s id -> row lookup: the base ids sorted, and their rows.
         self._base_rows = np.argsort(collection.ids, kind="stable")
         self._base_ids_sorted = collection.ids[self._base_rows]
-        self._buf_ids: List[int] = []
-        self._buf_st: List[int] = []
-        self._buf_end: List[int] = []
+        # The staged rows, and the positions among them of the deleted ones.
+        self._buf_ids, self._buf_st, self._buf_end = array("q"), array("q"), array("q")
         self._buf_pos: Dict[int, int] = {}  # staged id -> its row in the buffer
-        self._tombstones: set = set()
+        self._buf_gone = array("q")
+        # The tombstoned rows of the base, in delete order.
+        self._dead_ids, self._dead_st, self._dead_end = array("q"), array("q"), array("q")
         self._lock = threading.Lock()  # held by every write
         self._view: Optional[_View] = None  # built by the first query after a write
         self._live: set = set(collection.ids.tolist())
@@ -144,24 +164,25 @@ class DynamicHint:
         top = (1 << self.m) - 1
         if st < 0 or end > top:
             raise ValueError(f"interval must lie inside [0, {top}]")
+        st, end = int(st), int(end)
         with self._lock:
             if id is None:
                 id = self._next_id
             id = int(id)
             if id in self._live:
                 raise ValueError(f"id {id} is already live")
-            if id in self._tombstones:
+            if self._is_tombstoned(id):
                 raise ValueError(
                     f"id {id} is tombstoned; compact() before re-using it"
                 )
+            self._buf_ids.append(id)  # an id outside int64 raises here, first
+            self._buf_st.append(st)
+            self._buf_end.append(end)
+            self._buf_pos[id] = len(self._buf_ids) - 1
             self._view = None
             self._next_id = max(self._next_id, id + 1)
-            self._buf_pos[id] = len(self._buf_ids)
-            self._buf_ids.append(id)
-            self._buf_st.append(int(st))
-            self._buf_end.append(int(end))
             self._live.add(id)
-            self._record_mutation(int(st), int(end))
+            self._record_mutation(st, end)
             if len(self._buf_ids) >= self.rebuild_threshold:
                 self._rebuild()
         return id
@@ -178,12 +199,20 @@ class DynamicHint:
         with self._lock:
             if id not in self._live:
                 raise KeyError(f"id {id} is not live")
-            span = self._coords_of(id)
+            pos = self._buf_pos.get(id)
+            if pos is not None:
+                span = (self._buf_st[pos], self._buf_end[pos])
+                self._buf_gone.append(pos)
+            else:
+                span = self._coords_of(id)
+                if span is not None:
+                    self._dead_ids.append(id)
+                    self._dead_st.append(span[0])
+                    self._dead_end.append(span[1])
             self._view = None
             self._live.discard(id)
-            self._tombstones.add(id)
             if span is not None:
-                self._record_mutation(span[0], span[1])
+                self._record_mutation(*span)
             else:  # untrackable: force full invalidation downstream
                 self._record_mutation(None, None)
 
@@ -191,15 +220,21 @@ class DynamicHint:
     # cache-invalidation bookkeeping
     # ------------------------------------------------------------------ #
 
+    def _is_tombstoned(self, id: int) -> bool:
+        """Whether *id* was deleted since the last merge.  A stored id
+        that is not live is a tombstone: a staged one deleted, or a base
+        row deleted.  An id from ``_next_id`` up was never stored."""
+        if id in self._live or id >= self._next_id:
+            return False
+        return id in self._buf_pos or self._coords_of(id) is not None
+
     def _coords_of(self, id: int) -> Optional[Tuple[int, int]]:
-        """``(st, end)`` of a live object, buffer or base; None if lost."""
-        pos = self._buf_pos.get(id)
-        if pos is not None:
-            return (self._buf_st[pos], self._buf_end[pos])
-        at = int(np.searchsorted(self._base_ids_sorted, id))
-        if at < self._base_ids_sorted.size and self._base_ids_sorted[at] == id:
-            pos = int(self._base_rows[at])
-            return (int(self._base.st[pos]), int(self._base.end[pos]))
+        """``(st, end)`` of a base row by its id; None if it is not there."""
+        ids = self._base_ids_sorted
+        at = int(ids.searchsorted(id))
+        if at < ids.size and ids.item(at) == id:
+            row = self._base_rows.item(at)
+            return (self._base.st.item(row), self._base.end.item(row))
         return None
 
     def _record_mutation(self, lo: Optional[int], hi: Optional[int]) -> None:
@@ -224,7 +259,9 @@ class DynamicHint:
         version predates the bounded mutation log, or a mutation could
         not be attributed to an interval — and the caller must treat
         *everything* as dirty (full flush).  An empty list means nothing
-        changed.
+        changed.  Versions are consecutive, so the records after
+        *version* are the log's last ``cache_version - version``: only
+        they are read.
         """
         version = int(version)
         with self._lock:
@@ -233,18 +270,16 @@ class DynamicHint:
                     f"version {version} is ahead of cache_version "
                     f"{self._cache_version}"
                 )
-            if version == self._cache_version:
-                return []
-            if not self._mutations or self._mutations[0][0] > version + 1:
+            newer = self._cache_version - version
+            if newer > len(self._mutations):
                 return None  # log truncated: can't prove what changed
-            regions: List[Tuple[int, int]] = []
-            for ver, lo, hi in self._mutations:
-                if ver <= version:
-                    continue
-                if lo is None:
-                    return None
-                regions.append((lo, hi))
-            return regions
+            tail = list(islice(reversed(self._mutations), newer))
+        regions: List[Tuple[int, int]] = []
+        for _, lo, hi in reversed(tail):
+            if lo is None:
+                return None
+            regions.append((lo, hi))
+        return regions
 
     def _rebuild(self) -> None:
         """Merge the buffer into the index and drop the tombstoned rows.
@@ -260,7 +295,7 @@ class DynamicHint:
         with ob.span(
             "dynamic.rebuild",
             buffered=len(self._buf_ids),
-            tombstones=len(self._tombstones),
+            tombstones=len(self._dead_ids) + len(self._buf_gone),
         ) as sp:
             t0 = perf_counter()
             self._rebuild_inner()
@@ -283,36 +318,24 @@ class DynamicHint:
     def _rebuild_inner(self) -> None:
         if self._fault_plan is not None:
             self._fault_plan.fire(SITE_REBUILD)
-        view = self._make_view()
-        staged = IntervalCollection(
-            view.buf_st, view.buf_end, view.buf_ids, copy=False
-        )
+        view = self._view if self._view is not None else self._make_view()
+        d = view.dead
         gone = IntervalCollection(
-            view.dead_st, view.dead_end, view.dead_ids, copy=False
+            view.st[:d], view.end[:d], view.ids[:d], copy=False
+        )
+        staged = IntervalCollection(
+            view.st[d:], view.end[d:], view.ids[d:], copy=False
         )
         index = self._index.merged(gone, staged)
-        at = np.searchsorted(self._base_ids_sorted, gone.ids)
-        rows = self._base_rows[at]
-        # The base and its lookup, by the same mask-and-insert: drop the
-        # dead, renumber the survivors, add the staged.
-        keep = np.ones(len(self._base), dtype=bool)
-        keep[rows] = False
-        base = self._base[keep].concat(staged)
-        ids_sorted = np.delete(self._base_ids_sorted, at)
-        base_rows = np.delete(self._base_rows, at)
-        base_rows -= np.cumsum(~keep)[base_rows]
-        order = np.argsort(staged.ids, kind="stable")
-        slot = np.searchsorted(ids_sorted, staged.ids[order])
-        ids_sorted = np.insert(ids_sorted, slot, staged.ids[order])
-        base_rows = np.insert(base_rows, slot, len(base) - len(staged) + order)
+        base, ids_sorted, base_rows = self._merged_base(gone, staged)
         # ---- commit point: nothing above mutated self ----
-        self._base = base
-        self._index = index
+        self._base, self._index = base, index
         self._base_ids_sorted, self._base_rows = ids_sorted, base_rows
-        self._tombstones.clear()
-        self._buf_ids.clear()
-        self._buf_st.clear()
-        self._buf_end.clear()
+        for column in (
+            self._buf_ids, self._buf_st, self._buf_end, self._buf_gone,
+            self._dead_ids, self._dead_st, self._dead_end,
+        ):
+            del column[:]
         self._buf_pos.clear()
         self._view = None
         self.rebuilds += 1
@@ -320,6 +343,36 @@ class DynamicHint:
             from repro.verify.invariants import verify_index
 
             verify_index(self)
+
+    def _merged_base(self, gone: IntervalCollection, staged: IntervalCollection):
+        """The base collection and its id lookup after a merge: the rows
+        *gone* dropped, the survivors renumbered, the rows
+        *staged* appended.  One masked copy per column, one validation,
+        no sort longer than *staged*."""
+        base = self._base
+        at = self._base_ids_sorted.searchsorted(gone.ids)
+        keep = np.ones(len(base), dtype=bool)
+        keep[self._base_rows[at]] = False
+        kept = len(base) - len(gone)
+        merged = IntervalCollection(
+            *(
+                np.concatenate((old[keep], new))
+                for old, new in (
+                    (base.st, staged.st), (base.end, staged.end), (base.ids, staged.ids)
+                )
+            ),
+            copy=False,
+        )
+        rank = np.empty(keep.size, dtype=np.int64)  # an old row's new row
+        rank[keep] = np.arange(kept)
+        order = np.argsort(staged.ids, kind="stable")
+        ids_sorted = np.delete(self._base_ids_sorted, at)
+        slot = ids_sorted.searchsorted(staged.ids[order])
+        ids_sorted = np.insert(ids_sorted, slot, staged.ids[order])
+        base_rows = np.insert(
+            rank[np.delete(self._base_rows, at)], slot, kept + order
+        )
+        return merged, ids_sorted, base_rows
 
     def compact(self) -> None:
         """Merge the buffer and the tombstones into the index now."""
@@ -330,51 +383,69 @@ class DynamicHint:
 
     def _make_view(self) -> _View:
         """The current state as one view (called with the lock held)."""
-        dead = self._tombstones
-        live = [pos for pos, i in enumerate(self._buf_ids) if i not in dead]
-        buf = [
-            np.array(column, dtype=np.int64)[live]
-            for column in (self._buf_ids, self._buf_st, self._buf_end)
-        ]
-        # A tombstone not staged is an id of the base (and of the index).
-        gone = [i for i in dead if i not in self._buf_pos]
-        gone = np.sort(np.array(gone, dtype=np.int64))
-        rows = self._base_rows[np.searchsorted(self._base_ids_sorted, gone)]
+        staged = [np.array(c) for c in (self._buf_ids, self._buf_st, self._buf_end)]
+        if self._buf_gone:
+            live = np.ones(len(self._buf_ids), dtype=bool)
+            live[np.array(self._buf_gone)] = False
+            staged = [column[live] for column in staged]
+        dead = [np.array(c) for c in (self._dead_ids, self._dead_st, self._dead_end)]
+        by_id = dead[0].argsort()
         return _View(
-            self._index, *buf, gone, self._base.st[rows], self._base.end[rows]
+            self._index,
+            *(np.concatenate((d[by_id], s)) for d, s in zip(dead, staged)),
+            len(self._dead_ids),
         )
 
-    def query(self, q_st: int, q_end: int) -> np.ndarray:
-        """Ids G-overlapping ``[q_st, q_end]`` in the current state."""
+    def _current_view(self) -> _View:
         view = self._view
         if view is None:
             with self._lock:
                 view = self._view
                 if view is None:
                     view = self._view = self._make_view()
+        return view
+
+    def query(self, q_st: int, q_end: int) -> np.ndarray:
+        """Ids G-overlapping ``[q_st, q_end]`` in the current state."""
+        view = self._current_view()
         index = view.index
         q_st, q_end = index._clip(q_st, q_end)
-        ids = index.query(q_st, q_end)
-        # Tombstones are found by their coordinates: only the dead rows
-        # overlapping the query can be among its ids.
-        gone = g_overlaps(view.dead_st, view.dead_end, q_st, q_end)
-        if gone.any():
-            dead = view.dead_ids[gone]
-            at = np.minimum(np.searchsorted(dead, ids), dead.size - 1)
-            ids = ids[dead[at] != ids]
-        if view.buf_ids.size:
-            hit = g_overlaps(view.buf_st, view.buf_end, q_st, q_end)
-            ids = np.concatenate((ids, view.buf_ids[hit]))
+        pieces = index._run_single(q_st, q_end, False)
+        hit = g_overlaps(view.st, view.end, q_st, q_end).nonzero()[0]
+        cut = hit.searchsorted(view.dead)
+        pieces.append(view.ids[hit[cut:]])
+        ids = np.concatenate(pieces)
+        if cut:
+            # The tombstoned rows overlapping the query, by id: each is
+            # in the index's answer exactly once.
+            gone = view.ids[hit[:cut]]
+            if cut <= _FEW_DEAD:
+                keep = ids != gone.item(0)
+                for id in gone[1:].tolist():
+                    keep &= ids != id
+            else:
+                keep = gone.take(gone.searchsorted(ids), mode="clip") != ids
+            ids = ids[keep]
         return ids
 
     def query_count(self, q_st: int, q_end: int) -> int:
-        """Number of current intervals G-overlapping the query."""
-        return int(self.query(q_st, q_end).size)
+        """Number of current intervals G-overlapping the query.
+
+        :meth:`query`'s walk, counted: the index's pieces, minus the
+        tombstoned rows overlapping the query, plus the staged ones.
+        """
+        view = self._current_view()
+        index = view.index
+        q_st, q_end = index._clip(q_st, q_end)
+        count = sum(piece.size for piece in index._run_single(q_st, q_end, False))
+        hit = g_overlaps(view.st, view.end, q_st, q_end)
+        dead = np.count_nonzero(hit[: view.dead])
+        return count + int(np.count_nonzero(hit)) - 2 * int(dead)
 
     def snapshot(self) -> IntervalCollection:
         """The current contents as an immutable collection (compacts)."""
         with self._lock:
-            if self._buf_ids or self._tombstones:
+            if self._buf_ids or self._dead_ids:
                 self._rebuild()
             return self._base
 

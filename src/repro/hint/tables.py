@@ -368,12 +368,21 @@ def _merge_table(table, cls, dead, staged, storage_optimized, key_bits):
     np.subtract.at(offsets, d_parts + 1, 1)
     np.cumsum(offsets, out=offsets)
     offsets += table.offsets
-    at -= np.searchsorted(gone, at)
+    # One plan for every column: the rows kept, and where the staged rows
+    # land among them (``at`` ascends, so the i-th lands i rows later).
+    keep = np.ones(len(table), dtype=bool)
+    keep[gone] = False
+    dest = at - np.searchsorted(gone, at) + np.arange(at.size)
+    kept = np.ones(size, dtype=bool)
+    kept[dest] = False
 
     def splice(column, new):
         if column is None:
             return None
-        return np.insert(np.delete(column, gone), at, new)
+        out = np.empty(size, dtype=column.dtype)
+        out[kept] = column[keep]
+        out[dest] = new
+        return out
 
     return SubdivisionTable(
         offsets=offsets,

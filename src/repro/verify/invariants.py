@@ -730,11 +730,47 @@ def _verify_dynamic(dyn, chk: _Checker, deep: bool) -> VerificationReport:
         "duplicate ids across the base collection and the staging buffer",
     )
     chk.check(
-        dyn._tombstones <= stored,
-        f"tombstones reference ids never stored: "
-        f"{sorted(dyn._tombstones - stored)[:5]}",
+        dyn._buf_pos == {i: pos for pos, i in enumerate(dyn._buf_ids)},
+        "staged id -> buffer row map disagrees with the staging buffer",
     )
-    live = stored - dyn._tombstones
+    lookup = dyn._base_ids_sorted
+    chk.check(
+        lookup.size == len(dyn._base)
+        and bool(np.all(lookup[1:] > lookup[:-1]))
+        and np.array_equal(dyn._base.ids[dyn._base_rows], lookup),
+        "id -> row lookup disagrees with the base collection",
+    )
+    # The tombstone columns: the base's dead rows with its coordinates,
+    # and the buffer rows of the deleted staged ids.
+    dead = [np.array(c) for c in (dyn._dead_ids, dyn._dead_st, dyn._dead_end)]
+    if chk.check(
+        len({c.size for c in dead}) == 1,
+        f"tombstone columns disagree: {dead[0].size} ids, "
+        f"{dead[1].size} starts, {dead[2].size} ends",
+    ):
+        at = lookup.searchsorted(dead[0])
+        found = bool(np.all(at < lookup.size))
+        rows = dyn._base_rows[at] if found else at
+        chk.check(
+            found
+            and np.array_equal(lookup[at], dead[0])
+            and np.array_equal(dyn._base.st[rows], dead[1])
+            and np.array_equal(dyn._base.end[rows], dead[2]),
+            "tombstone rows disagree with the base collection",
+        )
+    gone = [dyn._buf_ids[pos] for pos in dyn._buf_gone if 0 <= pos < nbuf]
+    tombstones = set(dead[0].tolist()) | set(gone)
+    chk.check(
+        tombstones <= stored,
+        f"tombstones reference ids never stored: "
+        f"{sorted(tombstones - stored)[:5]}",
+    )
+    chk.check(
+        len(gone) == len(dyn._buf_gone)
+        and len(tombstones) == dead[0].size + len(gone),
+        "tombstone columns hold a buffer row out of range or an id twice",
+    )
+    live = stored - tombstones
     chk.check(
         dyn._live == live,
         "live-id set disagrees with base ∪ buffer − tombstones",
@@ -753,7 +789,7 @@ def _verify_dynamic(dyn, chk: _Checker, deep: bool) -> VerificationReport:
         num_intervals=len(dyn),
         num_placements=inner.num_placements,
         checks=0,
-        notes=[f"buffered={nbuf}", f"tombstones={len(dyn._tombstones)}"]
+        notes=[f"buffered={nbuf}", f"tombstones={len(tombstones)}"]
         + inner.notes,
     )
     return chk.finish(report)

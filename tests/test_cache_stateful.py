@@ -180,8 +180,11 @@ class CachedStackMachine(RuleBasedStateMachine):
     def live_lifecycle_consistent(self):
         assert self.dyn._live == set(self.model)
         assert len(self.dyn) == len(self.model)
-        # A tombstoned id is never live, and no live id is buffered twice.
-        assert not (self.dyn._live & self.dyn._tombstones)
+        # Every stored id that is not live is tombstoned exactly once,
+        # and no live id is buffered twice.
+        stored = len(self.dyn._base) + len(self.dyn._buf_ids)
+        dead = len(self.dyn._dead_ids) + len(self.dyn._buf_gone)
+        assert stored - dead == len(self.dyn._live)
         assert len(self.dyn._buf_ids) == len(set(self.dyn._buf_ids))
 
     @invariant()

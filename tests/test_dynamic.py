@@ -193,6 +193,15 @@ class TestIdLifecycleRegressions:
         assert rid == 7
         assert set(dyn.query(0, 255).tolist()) == {7}
 
+    def test_insert_of_an_id_outside_int64_raises_and_changes_nothing(self):
+        dyn = DynamicHint(m=8, rebuild_threshold=16)
+        rid = dyn.insert(0, 10)
+        with pytest.raises(OverflowError):
+            dyn.insert(3, 4, id=2**63)
+        assert len(dyn) == 1 and dyn.buffered == 1
+        assert dyn.insert(5, 6) == rid + 1
+        assert sorted(dyn.query(0, 255).tolist()) == [rid, rid + 1]
+
     def test_insert_duplicate_live_id_raises(self):
         coll = IntervalCollection([5], [15], ids=[7])
         dyn = DynamicHint(coll, m=8, rebuild_threshold=16)
@@ -253,3 +262,91 @@ class TestWritePathLookups:
                 dyn.compact()
         check()
         assert dyn.rebuilds > 3
+
+
+class TestDirtySince:
+    """dirty_since reads only the log's tail: the records after *version*."""
+
+    def test_nothing_at_the_current_version(self):
+        dyn = DynamicHint(m=8)
+        dyn.insert(3, 9)
+        assert dyn.dirty_since(dyn.cache_version) == []
+
+    def test_none_once_the_log_is_truncated(self):
+        dyn = DynamicHint(m=8, rebuild_threshold=4096)
+        for i in range(dyn._mutations.maxlen + 1):
+            dyn.insert(i % 200, i % 200 + 5)
+        assert dyn.dirty_since(0) is None
+        assert dyn.dirty_since(1) == [
+            (i % 200, i % 200 + 5) for i in range(1, dyn._mutations.maxlen + 1)
+        ]
+
+    def test_none_when_the_tail_holds_an_untrackable_record(self):
+        dyn = DynamicHint(m=8)
+        dyn.insert(0, 4)
+        before = dyn.cache_version
+        dyn._live.add(77)  # live, yet stored nowhere: its delete has no span
+        dyn.delete(77)
+        dyn.insert(10, 12)
+        assert dyn.dirty_since(before) is None
+        # An untrackable record before the version asked about is not read.
+        assert dyn.dirty_since(before + 1) == [(10, 12)]
+
+    def test_the_regions_in_order(self):
+        coll = IntervalCollection.from_pairs([(0, 5), (20, 30)])
+        dyn = DynamicHint(coll, m=8, rebuild_threshold=2)
+        version = dyn.cache_version
+        dyn.insert(40, 50)
+        dyn.delete(1)
+        dyn.insert(60, 61)  # trips a merge: no record of its own
+        dyn.delete(2)
+        assert dyn.rebuilds == 1
+        assert dyn.dirty_since(version) == [(40, 50), (20, 30), (60, 61), (40, 50)]
+        assert dyn.dirty_since(version + 2) == [(60, 61), (40, 50)]
+
+
+class TestTombstoneFilter:
+    def test_few_and_many_overlapping_tombstones(self):
+        from repro.hint.dynamic import _FEW_DEAD
+
+        many = 2 * _FEW_DEAD + 3
+        st = np.arange(3 * many) % 40
+        base = IntervalCollection(st, st + 30)
+        dyn = DynamicHint(base, m=8, rebuild_threshold=1000)
+        model = Model()
+        model.live = {i: (int(s), int(s) + 30) for i, s in enumerate(st)}
+        for victims in (2, many):  # compared one by one, then looked up
+            for rid in sorted(model.live)[:victims]:
+                dyn.delete(rid)
+                del model.live[rid]
+            staged = dyn.insert(35, 36)
+            model.live[staged] = (35, 36)
+            for a, b in ((0, 255), (35, 35), (0, 5), (70, 80)):
+                got = dyn.query(a, b).tolist()
+                assert len(got) == len(set(got))
+                assert set(got) == model.query(a, b), (victims, a, b)
+                assert dyn.query_count(a, b) == len(got)
+
+
+class TestQueryCount:
+    def test_counts_equal_the_ids_through_writes_merges_and_compact(self):
+        rng = np.random.default_rng(11)
+        st = rng.integers(0, 250, 300)
+        base = IntervalCollection(st, np.minimum(st + rng.integers(0, 40, 300), 255))
+        dyn = DynamicHint(base, m=8, rebuild_threshold=24)
+        live = list(base.ids.tolist())
+        probes = [(0, 255), (17, 17), (40, 90), (250, 255)]
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.45:
+                s = int(rng.integers(0, 250))
+                live.append(dyn.insert(s, min(s + int(rng.integers(0, 30)), 255)))
+            elif roll < 0.9:
+                dyn.delete(live.pop(int(rng.integers(0, len(live)))))
+            elif roll < 0.95:
+                dyn.compact()
+            a, b = sorted(rng.integers(0, 256, 2).tolist())
+            for q in probes + [(a, b)]:
+                assert dyn.query_count(*q) == dyn.query(*q).size, (step, q)
+        assert dyn.rebuilds > 3
+        assert dyn.query_count(-5, 300) == len(dyn) == len(live)

@@ -168,14 +168,35 @@ class TestCorruptionDetected:
     def test_dynamic_tombstone_of_unknown_id(self, rng):
         dyn = DynamicHint(m=8, rebuild_threshold=64)
         dyn.insert(0, 10)
-        dyn._tombstones.add(99_999)  # bypass delete()'s validation
-        self.expect(dyn, "tombstone")
+        # bypass delete()'s validation: a tombstone row for an unknown id
+        dyn._dead_ids.append(99_999)
+        dyn._dead_st.append(0)
+        dyn._dead_end.append(10)
+        self.expect(dyn, "tombstones reference ids never stored")
 
     def test_dynamic_buffer_columns_diverge(self):
         dyn = DynamicHint(m=8, rebuild_threshold=64)
         dyn.insert(0, 10)
         dyn._buf_st.append(3)  # id/end columns not extended
         self.expect(dyn, "buffer")
+
+    def test_dynamic_tombstone_columns_diverge(self):
+        dyn = DynamicHint(IntervalCollection.from_pairs([(0, 10)]), m=8)
+        dyn.delete(0)
+        dyn._dead_st.append(3)  # id/end columns not extended
+        self.expect(dyn, "tombstone columns")
+
+    def test_dynamic_tombstone_row_misplaced(self):
+        dyn = DynamicHint(IntervalCollection.from_pairs([(0, 10), (4, 6)]), m=8)
+        dyn.delete(1)
+        dyn._dead_st[0] = 5  # no longer the base row's start
+        self.expect(dyn, "tombstone rows")
+
+    def test_dynamic_staged_tombstone_recorded_twice(self):
+        dyn = DynamicHint(m=8, rebuild_threshold=64)
+        dyn.delete(dyn.insert(0, 10))
+        dyn._buf_gone.append(dyn._buf_gone[0])
+        self.expect(dyn, "an id twice")
 
     def test_dynamic_live_set_diverges(self):
         dyn = DynamicHint(m=8, rebuild_threshold=64)

@@ -136,9 +136,9 @@ class TestMidChurnSnapshotRoundTrip:
             if len(live) > 5 and rng.random() < 0.35:
                 dyn.delete(live.pop(int(rng.integers(0, len(live)))))
         # The interesting case: snapshot while state is split across the
-        # base index, the staging buffer and the tombstone set.
+        # base index, the staging buffer and the tombstones.
         assert dyn.buffered > 0
-        assert dyn._tombstones
+        assert dyn._dead_ids or dyn._buf_gone
 
         snap = dyn.snapshot()
         index = HintIndex(snap, m=m)

@@ -1,8 +1,10 @@
 """Stateful property-based testing of the dynamic HINT wrapper.
 
 A hypothesis rule-based state machine drives arbitrary interleavings of
-inserts, deletes, compactions and queries, checking every query result
-against a dictionary model.
+inserts, deletes, compactions and queries, checking every query's ids
+and count against a dictionary model.  A second setting narrows the
+domain to eight points and widens the buffer, so one query overlaps many
+tombstoned and staged rows at once.
 """
 
 import numpy as np
@@ -10,21 +12,28 @@ from hypothesis import settings
 from hypothesis import strategies as hs
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro import DynamicHint
+from repro import DynamicHint, IntervalCollection
 
-M = 7
-TOP = (1 << M) - 1
+POINT = hs.integers(0, 127)
 
 
 class DynamicHintMachine(RuleBasedStateMachine):
+    M = 7
+    THRESHOLD = 5
+    BASE = 0  # intervals in the collection the index starts from
+
     def __init__(self):
         super().__init__()
-        self.dyn = DynamicHint(m=M, rebuild_threshold=5)
-        self.model = {}
+        self.top = (1 << self.M) - 1
+        st = np.arange(self.BASE) * 5 % (self.top + 1)
+        base = IntervalCollection(st, np.minimum(st + np.arange(self.BASE) % 4, self.top))
+        self.dyn = DynamicHint(base, m=self.M, rebuild_threshold=self.THRESHOLD)
+        self.model = {rid: (st, end) for rid, st, end in base}
 
-    @rule(st=hs.integers(0, TOP), length=hs.integers(0, TOP))
+    @rule(st=POINT, length=POINT)
     def insert(self, st, length):
-        end = min(st + length, TOP)
+        st %= self.top + 1
+        end = min(st + length, self.top)
         rid = self.dyn.insert(st, end)
         assert rid not in self.model
         self.model[rid] = (st, end)
@@ -40,26 +49,35 @@ class DynamicHintMachine(RuleBasedStateMachine):
     def compact(self):
         self.dyn.compact()
 
-    @rule(a=hs.integers(0, TOP), b=hs.integers(0, TOP))
+    @rule(a=POINT, b=POINT)
     def query(self, a, b):
-        a, b = min(a, b), max(a, b)
-        got = set(self.dyn.query(a, b).tolist())
+        a, b = sorted((a % (self.top + 1), b % (self.top + 1)))
+        got = self.dyn.query(a, b).tolist()
         expected = {
             rid
             for rid, (st, end) in self.model.items()
             if st <= b and a <= end
         }
-        assert got == expected
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        assert self.dyn.query_count(a, b) == len(expected)
 
     @invariant()
     def length_matches_model(self):
         assert len(self.dyn) == len(self.model)
 
 
+class CrowdedDynamicHintMachine(DynamicHintMachine):
+    M = 3
+    THRESHOLD = 40
+    BASE = 48
+
+
+STATEFUL = settings(max_examples=40, stateful_step_count=30, deadline=None)
 TestDynamicHintStateful = DynamicHintMachine.TestCase
-TestDynamicHintStateful.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
-)
+TestDynamicHintStateful.settings = STATEFUL
+TestCrowdedDynamicHintStateful = CrowdedDynamicHintMachine.TestCase
+TestCrowdedDynamicHintStateful.settings = STATEFUL
 
 
 def test_snapshot_roundtrip_after_random_ops(rng):
