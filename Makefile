@@ -6,7 +6,7 @@
 
 PYENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-kernels bench-serve bench-obs bench-planner experiments examples serve-sim clean
+.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-serve bench-obs bench-planner experiments examples serve-sim clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -32,7 +32,7 @@ obs-smoke:
 	$(PYENV) python -m repro.cli stats --json | python scripts/check_stats_schema.py
 
 # Tracing smoke: serve a traced burst over a real socket on a 2-shard
-# index with the threads+compiled backend; every client trace id must
+# index with the threads backend; every client trace id must
 # reconstruct as one parented tree with its pool-thread spans under
 # engine.execute, and its Chrome-trace dump must carry every layer on
 # >= 2 thread lanes (docs/observability.md).
@@ -50,8 +50,8 @@ shard-smoke:
 engine-smoke:
 	$(PYENV) python benchmarks/bench_process_scaling.py --quick --out /tmp/process-scaling-smoke.csv
 
-# Kernel smoke: the compiled-kernel unit + differential suite — the
-# JIT backend (when numba is importable) and the NumPy fallback must be
+# Kernel smoke: the kernel unit + differential suite — the JIT backend
+# (when numba is importable) and the NumPy fallback must be
 # result-identical across strategies, modes and index kinds
 # (docs/kernels.md).
 kernel-smoke:
@@ -95,15 +95,11 @@ plan-smoke:
 bench-shard:
 	$(PYENV) python benchmarks/bench_shard_scaling.py --out results/shard-scaling.csv
 
-# Execution-backend scaling sweep (serial/threads/compiled/
-# threads+compiled/auto × strategy × mode × workers); records
-# results/process-scaling.csv (uploaded as a CI artifact).
+# Execution-backend scaling sweep (serial/threads/auto × strategy ×
+# mode × workers); records results/process-scaling.csv (uploaded as a
+# CI artifact).
 bench-engine:
 	$(PYENV) python benchmarks/bench_process_scaling.py --out results/process-scaling.csv
-
-# Alias focused on the compiled-kernel rows of the same sweep — the
-# bench-kernels CI job uploads the extended CSV (docs/kernels.md).
-bench-kernels: bench-engine
 
 # Serving latency/goodput sweep: open-loop bursty load at multiples of
 # calibrated capacity through both backpressure policies; records

@@ -136,7 +136,7 @@ def run(args) -> list:
     rng = np.random.default_rng(args.seed + 4)
 
     engine = ExecutionEngine(index, backend="auto")
-    statics = plan_space(BackendCaps.from_index(index, workers=engine.workers))
+    statics = plan_space(BackendCaps.from_index(workers=engine.workers))
 
     obs.configure(enabled=True)
     rows = []

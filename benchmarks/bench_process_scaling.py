@@ -1,15 +1,8 @@
 """Backend scaling of :class:`repro.engine.ExecutionEngine`.
 
-Sweeps the execution backends (``serial`` / ``threads`` / ``compiled``
-/ ``threads+compiled`` / ``auto``) over worker counts, strategies, and
-result modes on the repository's default synthetic workload.
-
-The compiled rows also record which kernel backend served them
-(``kernel_backend`` column): ``numba`` for the JIT, ``numpy`` for the
-behaviour-identical fallback.  On a fallback-only host the compiled
-rows measure the plan-then-gather pipeline without nogil code — the
-threads+compiled speedup on GIL-bound (ids-mode) work is only
-meaningful with the JIT present and ``cpu_count`` > 1.
+Sweeps the execution backends (``serial`` / ``threads`` / ``auto``)
+over worker counts, strategies, and result modes on the repository's
+default synthetic workload.
 
 Run standalone to (re)record ``results/process-scaling.csv``::
 
@@ -56,7 +49,6 @@ FIELDS = (
     "median_ms",
     "throughput_qps",
     "speedup_vs_serial",
-    "kernel_backend",
 )
 
 
@@ -73,8 +65,6 @@ def _median_seconds(fn, reps: int) -> float:
 def run(args) -> list:
     from repro import HintIndex
     from repro.engine import ExecutionEngine
-    from repro.kernels import ops as kernel_ops
-
     from repro.workloads import generate_synthetic
     from repro.workloads.queries import data_following_queries
 
@@ -86,12 +76,7 @@ def run(args) -> list:
     )
     index = HintIndex(coll, m=args.m, precompute_aux=True)
     cpus = os.cpu_count() or 1
-    kernel_backend = kernel_ops.kernel_backend()
-    kernel_ops.warmup()  # JIT compile outside the timed region
-    print(
-        f"cpu_count={cpus}, kernels={kernel_backend}, "
-        f"compile {kernel_ops.compile_seconds() * 1e3:.0f} ms"
-    )
+    print(f"cpu_count={cpus}")
 
     rows = []
     for strategy in args.strategies:
@@ -104,7 +89,6 @@ def run(args) -> list:
                 "queries": len(batch),
                 "extent_pct": args.extent,
                 "cpu_count": cpus,
-                "kernel_backend": "",
             }
             with ExecutionEngine(index, backend="serial") as engine:
                 t_serial = _median_seconds(
@@ -122,13 +106,10 @@ def run(args) -> list:
                 )
             )
             print(f"{strategy:>17}/{mode:<8} serial        {t_serial * 1e3:8.1f} ms")
-            for backend in ("threads", "compiled", "threads+compiled", "auto"):
+            for backend in ("threads", "auto"):
                 for workers in args.workers:
-                    if (
-                        backend in ("auto", "compiled")
-                        and workers != args.workers[0]
-                    ):
-                        continue  # workerless backends; one row each
+                    if backend == "auto" and workers != args.workers[0]:
+                        continue  # workerless backend; one row
                     with ExecutionEngine(
                         index, backend=backend, workers=workers
                     ) as engine:
@@ -138,17 +119,16 @@ def run(args) -> list:
                             ),
                             args.reps,
                         )
-                    row = dict(
-                        base,
-                        backend=backend,
-                        workers="" if backend == "compiled" else workers,
-                        median_ms=round(t * 1e3, 3),
-                        throughput_qps=round(len(batch) / t),
-                        speedup_vs_serial=round(t_serial / t, 3),
+                    rows.append(
+                        dict(
+                            base,
+                            backend=backend,
+                            workers=workers,
+                            median_ms=round(t * 1e3, 3),
+                            throughput_qps=round(len(batch) / t),
+                            speedup_vs_serial=round(t_serial / t, 3),
+                        )
                     )
-                    if "compiled" in backend:
-                        row["kernel_backend"] = kernel_backend
-                    rows.append(row)
                     print(
                         f"{strategy:>17}/{mode:<8} {backend:<9} w={workers:<2} "
                         f"{t * 1e3:8.1f} ms   {t_serial / t:5.2f}x"

@@ -1,7 +1,7 @@
 """Distributed-tracing smoke gate (``make trace-smoke``).
 
 One serving burst, two checks — over a real socket, on a 2-shard index
-behind the engine's ``threads+compiled`` backend, so a traced request
+behind the engine's ``threads`` backend, so a traced request
 crosses every thread of the stack: client-stamped trace context →
 protocol-v2 QUERY frame → admission → service staging → flush → engine
 dispatch → shard jobs on the engine's pool threads.
@@ -59,7 +59,7 @@ def main() -> int:
 
     ob = obs.configure(enabled=True)
     engine = ExecutionEngine(
-        ShardedHint(coll, k=2, m=M), backend="threads+compiled", workers=2
+        ShardedHint(coll, k=2, m=M), backend="threads", workers=2
     )
     service = BatchingQueryService(
         engine, mode="count", max_batch=8, max_delay_ms=2.0

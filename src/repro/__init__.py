@@ -33,14 +33,13 @@ The package provides:
   HINT indexes behind the same ``execute`` surface, with exact merge
   of boundary-spanning queries (see ``docs/sharding.md``);
 * :mod:`repro.engine` — :class:`~repro.engine.ExecutionEngine`, the
-  backend-selecting execution engine: serial/threads/compiled/
-  threads+compiled/auto backends over one borrowed index, behind the
-  same ``execute`` surface (see ``docs/parallelism.md``);
+  backend-selecting execution engine: serial/threads/auto backends
+  over one borrowed index, behind the same ``execute`` surface (see
+  ``docs/parallelism.md``);
 * :mod:`repro.kernels` — compiled hot-path kernels for the GIL-bound
-  inner loops (Numba JIT as the optional ``compiled`` extra, with a
-  behaviour-identical pure-NumPy fallback selected at import time),
-  behind :func:`~repro.kernels.compiled.compiled_run` — the same
-  ``run_strategy`` contract (see ``docs/kernels.md``);
+  inner loops of the ids merge and the checksum fold (Numba JIT as the
+  optional ``compiled`` extra, with a behaviour-identical pure-NumPy
+  fallback selected at import time; see ``docs/kernels.md``);
 * :mod:`repro.cache` — :class:`~repro.cache.CachingExecutor`, the live
   result cache in front of any backend (LRU byte budget,
   never-stale invalidation against :class:`~repro.hint.DynamicHint`

@@ -13,7 +13,8 @@ before running anything:
   predictor of partition-based's advantage (each repeated incidence is a
   probe the strategy amortizes).
 
-Used by the strategy advisor and handy for capacity planning.
+A diagnostic for library users and capacity planning
+(``examples/tuning.py``); no execution path reads it.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ together for shell use::
     # reconstruct distributed traces: list them, render one as a text
     # tree, or export Chrome-trace JSON for chrome://tracing / Perfetto
     python -m repro.cli trace --list
-    python -m repro.cli trace --backend threads+compiled --chrome trace.json
+    python -m repro.cli trace --backend threads --chrome trace.json
     python -m repro.cli trace --input run.json --trace-id 0000000000abc123
 
     # live `top`-style dashboard (qps, per-layer p50/p99, cache, SLO)
@@ -451,7 +451,7 @@ def _trace_burst(args) -> list:
 
     The full wire path runs — client-stamped trace context → protocol-v2
     QUERY frame → admission → service staging → flush → engine dispatch
-    (onto the engine's pool threads with ``--backend threads*``) — so the
+    (onto the engine's pool threads with ``--backend threads``) — so the
     returned spans hold complete traces across every thread they touch.
     """
     import repro.obs as obs
@@ -1213,8 +1213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="threads",
         choices=BACKENDS,
-        help="engine backend of the burst (threads and threads+compiled "
-        "put spans on the engine's pool threads)",
+        help="engine backend of the burst (threads puts spans on the "
+        "engine's pool threads)",
     )
     p_trace.add_argument("--workers", type=int, default=2)
     p_trace.add_argument("--seed", type=int, default=0)

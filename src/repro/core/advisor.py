@@ -8,22 +8,53 @@ those findings as a small, documented decision rule so that library
 users who just want "the right default" get one, together with the
 reasoning.
 
-The rule itself lives in :func:`repro.planner.policy.
-cold_start_recommendation` — it doubles as the adaptive planner's
-cold-start strategy prior, so the advisor and the planner can never
-disagree before a batch has been timed; once a :class:`~repro.planner.
-PlannedExecutor` has timed its batches, its measured decisions
-supersede this static advice.
+The rule itself is :func:`cold_start_recommendation` — it doubles as
+the adaptive planner's cold-start strategy prior, so the advisor and the
+planner can never disagree before a batch has been timed; once a
+:class:`~repro.planner.PlannedExecutor` has timed its batches, its
+measured decisions supersede this static advice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.intervals.batch import QueryBatch
-from repro.planner.policy import cold_start_recommendation
 
-__all__ = ["Recommendation", "recommend_strategy"]
+__all__ = ["Recommendation", "cold_start_recommendation", "recommend_strategy"]
+
+
+def cold_start_recommendation(
+    collection_size: int,
+    batch_size: int,
+    *,
+    join_ratio_threshold: float = 0.5,
+) -> Tuple[str, str]:
+    """The paper-rule strategy prior: ``(strategy, reason)``.
+
+    This is the strategy a planner runs first at a size it has not
+    timed, and the single source of truth behind
+    :func:`recommend_strategy`.
+    """
+    if batch_size == 0:
+        return "query-based", "empty batch: any strategy is a no-op"
+    if batch_size == 1:
+        return (
+            "query-based",
+            "single query: batching machinery adds overhead with no sharing",
+        )
+    if collection_size and batch_size / collection_size > join_ratio_threshold:
+        return (
+            "join-based",
+            f"batch is {batch_size / collection_size:.0%} of the collection; "
+            "a plane-sweep join shares one scan of S across all queries",
+        )
+    return (
+        "partition-based",
+        "the paper's overall winner: per-level, per-partition evaluation "
+        "shares partition probes across all relevant queries",
+    )
 
 
 @dataclass(frozen=True)

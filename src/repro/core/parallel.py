@@ -70,7 +70,6 @@ def parallel_batch(
     workers: Optional[int] = None,
     mode: str = "count",
     executor: Optional[ThreadPoolExecutor] = None,
-    runner=None,
 ) -> BatchResult:
     """Evaluate a batch with *strategy*, parallelized over *workers* threads.
 
@@ -94,12 +93,6 @@ def parallel_batch(
     executor:
         Optional externally managed pool (reused across calls); when
         omitted, a pool is created per call.
-    runner:
-        Optional ``run_strategy``-shaped callable
-        (``runner(strategy, index, sub, mode=...)``) evaluating each
-        chunk instead of the sequential strategy function — the hook
-        the ``threads+compiled`` engine backend uses to route chunks
-        through :func:`repro.kernels.compiled.compiled_run`.
     """
     workers = resolve_workers(workers)
     try:
@@ -109,12 +102,9 @@ def parallel_batch(
             f"unknown strategy {strategy!r}; available: {sorted(STRATEGIES)}"
         ) from None
     fn = spec["fn"]
-    if runner is None:
-        def run_fn(idx, sub):
-            return fn(idx, sub, sort=True, mode=mode)
-    else:
-        def run_fn(idx, sub):
-            return runner(strategy, idx, sub, mode=mode)
+
+    def run_fn(idx, sub):
+        return fn(idx, sub, sort=True, mode=mode)
 
     work = batch.sorted_by_start()
     n = len(work)

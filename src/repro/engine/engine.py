@@ -1,4 +1,4 @@
-"""Unified batch-execution engine: serial, threads, or compiled kernels.
+"""Unified batch-execution engine: serial or threads.
 
 :class:`ExecutionEngine` wraps a built index behind the same
 ``run_strategy``-shaped ``execute()`` contract that
@@ -13,22 +13,14 @@ to run it:
     (:func:`~repro.core.parallel.parallel_batch`, or one job per shard
     of a sharded index) — real parallelism only where the numpy hot
     loops release the GIL.
-``compiled``
-    The kernel path (:func:`~repro.kernels.compiled.compiled_run`) in
-    the calling thread.  The partition-based strategy leaves it no
-    kernel work — it is gathers in every mode, the function ``serial``
-    runs — so it is ``serial`` under another name, kept for callers
-    that pin it.
-``threads+compiled``
-    The thread path with the compiled runner in every chunk/shard: the
-    same for ``threads``.
 ``auto``
-    The static rule
-    (:func:`~repro.planner.policy.static_backend_choice`): ``serial``.
-    It is the planner's prior and fallback; the engine itself learns
-    nothing — a caller that wants a measured choice pins the backend
-    per batch, which is what :class:`~repro.planner.PlannedExecutor`
-    does.
+    ``serial`` for every batch: the partition-based strategy is gathers
+    from the index's prefix folds and id runs, which leave a thread
+    nothing worth its hand-off, and the other strategies are Python
+    loops that hold the GIL.  It is the planner's fallback; the engine
+    itself learns nothing — a caller that wants a measured choice pins
+    the backend per batch, which is what
+    :class:`~repro.planner.PlannedExecutor` does.
 
 Because the surface matches ``ShardedHint.execute``, a
 :class:`~repro.service.BatchingQueryService` installs an engine through
@@ -37,7 +29,6 @@ Because the surface matches ``ShardedHint.execute``, a
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
@@ -49,20 +40,12 @@ from repro.core.result import MODES, BatchResult
 from repro.core.strategies import STRATEGIES, run_strategy
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
-from repro.kernels.compiled import compiled_run
-from repro.planner.policy import static_backend_choice
 from repro.shard.sharded import ShardedHint
 
 __all__ = ["ExecutionEngine", "BACKENDS"]
 
 #: Backend names accepted by :class:`ExecutionEngine`.
-BACKENDS = (
-    "auto",
-    "serial",
-    "threads",
-    "compiled",
-    "threads+compiled",
-)
+BACKENDS = ("auto", "serial", "threads")
 
 
 def _check_backend(backend: str) -> None:
@@ -82,7 +65,7 @@ class ExecutionEngine:
         :class:`~repro.shard.ShardedHint`.  The engine borrows it — it
         is not closed by :meth:`close`.
     backend:
-        One of :data:`BACKENDS`; ``"auto"`` (default) picks per call.
+        One of :data:`BACKENDS`; ``"auto"`` (default) runs ``serial``.
         The per-call ``backend=`` argument of :meth:`execute` overrides
         this for one batch (benchmarks measure all backends through one
         engine this way).
@@ -115,7 +98,6 @@ class ExecutionEngine:
         self._is_sharded = isinstance(index, ShardedHint)
         self.backend = backend
         self.workers = resolve_workers(workers)
-        self._cpus = os.cpu_count() or 1
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -148,17 +130,12 @@ class ExecutionEngine:
     # backend selection
     # ------------------------------------------------------------------ #
 
-    def _choose(self, n: int, strategy: str, mode: str, override) -> str:
-        """Resolve the backend for one batch.
-
-        Fixed backends resolve to themselves; ``auto`` is
-        :func:`~repro.planner.policy.static_backend_choice`.
-        """
+    def _choose(self, override) -> str:
+        """Resolve the backend for one batch: fixed backends resolve to
+        themselves, ``auto`` to ``serial``."""
         backend = override if override is not None else self.backend
         _check_backend(backend)
-        if backend != "auto":
-            return backend
-        return static_backend_choice(n, strategy, mode, cpus=self._cpus)
+        return "serial" if backend == "auto" else backend
 
     # ------------------------------------------------------------------ #
     # execution
@@ -171,7 +148,6 @@ class ExecutionEngine:
         strategy: str = "partition-based",
         mode: str = "count",
         backend: Optional[str] = None,
-        executor=None,
     ) -> BatchResult:
         """Evaluate *batch*; results in caller order, any backend.
 
@@ -180,8 +156,7 @@ class ExecutionEngine:
         modes, same ordering contract — so the engine drops into a
         :class:`~repro.service.BatchingQueryService` via ``swap_index``
         unchanged.  ``backend`` overrides the engine's configured
-        backend for this one call; ``executor`` replaces the engine's
-        own pool on the thread path (externally managed pools).
+        backend for this one call.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -199,10 +174,10 @@ class ExecutionEngine:
                 raise RuntimeError("engine is closed")
             self._inflight += 1
         try:
-            resolved = self._choose(n, strategy, mode, backend)
+            resolved = self._choose(backend)
             ob = obs.active()
             if ob is None:
-                return self._run(batch, strategy, mode, resolved, executor)
+                return self._run(batch, strategy, mode, resolved)
             t0 = perf_counter()
             with ob.span(
                 "engine.execute",
@@ -211,7 +186,7 @@ class ExecutionEngine:
                 queries=n,
                 mode=mode,
             ):
-                result = self._run(batch, strategy, mode, resolved, executor)
+                result = self._run(batch, strategy, mode, resolved)
             ob.record_engine_batch(resolved, n, perf_counter() - t0)
             return result
         finally:
@@ -219,42 +194,17 @@ class ExecutionEngine:
                 self._inflight -= 1
                 self._cond.notify_all()
 
-    def _run(self, batch, strategy, mode, resolved, executor) -> BatchResult:
-        if resolved == "compiled":
-            return self._execute_compiled(batch, strategy, mode)
-        if resolved == "threads+compiled":
-            return self._execute_threads(
-                batch, strategy, mode, executor, runner=compiled_run
-            )
+    def _run(self, batch, strategy, mode, resolved) -> BatchResult:
         if resolved == "threads":
-            return self._execute_threads(batch, strategy, mode, executor)
-        return self._execute_serial(batch, strategy, mode)
-
-    def _execute_serial(self, batch, strategy, mode) -> BatchResult:
+            return self._execute_threads(batch, strategy, mode)
         if self._is_sharded:
             return self._index.execute(batch, strategy=strategy, mode=mode)
         return run_strategy(strategy, self._index, batch, mode=mode)
 
-    def _execute_compiled(self, batch, strategy, mode) -> BatchResult:
-        """The kernel path, serially in the calling thread."""
+    def _execute_threads(self, batch, strategy, mode) -> BatchResult:
         if self._is_sharded:
             return self._index.execute(
-                batch, strategy=strategy, mode=mode, runner=compiled_run
-            )
-        return compiled_run(strategy, self._index, batch, mode=mode)
-
-    def _execute_threads(
-        self, batch, strategy, mode, executor=None, runner=None
-    ) -> BatchResult:
-        if executor is None:
-            executor = self._threads()
-        if self._is_sharded:
-            return self._index.execute(
-                batch,
-                strategy=strategy,
-                mode=mode,
-                executor=executor,
-                runner=runner,
+                batch, strategy=strategy, mode=mode, executor=self._threads()
             )
         return parallel_batch(
             self._index,
@@ -262,8 +212,7 @@ class ExecutionEngine:
             strategy=strategy,
             workers=self.workers,
             mode=mode,
-            executor=executor,
-            runner=runner,
+            executor=self._threads(),
         )
 
     def _threads(self) -> ThreadPoolExecutor:

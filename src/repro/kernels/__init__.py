@@ -12,17 +12,17 @@ tests hold the two backends to identical results.
 Layout:
 
 :mod:`repro.kernels.ops`
-    Backend selection (import-time), argument normalization,
-    invocation counters and warm-up/compile accounting.
+    Backend selection (import-time), argument normalization and
+    invocation counters.
 :mod:`repro.kernels.fallback`
     The pure-NumPy contract implementation.
 :mod:`repro.kernels.jit`
     The ``@njit(nogil=True, cache=True)`` twins (import requires
     numba).
 :mod:`repro.kernels.compiled`
-    :func:`~repro.kernels.compiled.compiled_run`, the
-    ``run_strategy``-shaped entry point the ``compiled`` engine
-    backend dispatches to.
+    :func:`~repro.kernels.compiled.compiled_run`, the retired compiled
+    path's entry point, now :func:`~repro.core.strategies.run_strategy`
+    under another name.
 
 Environment switches: ``REPRO_NO_NUMBA=1`` or ``REPRO_KERNELS=numpy``
 force the fallback even when numba is installed (the no-numba CI leg);
@@ -32,33 +32,18 @@ See ``docs/kernels.md``.
 
 from repro.kernels.ops import (
     KERNELS,
-    compile_seconds,
     fallback_active,
     force_backend,
     invocation_counts,
     jit_available,
     kernel_backend,
-    warmup,
 )
 
 __all__ = [
     "KERNELS",
-    "compiled_run",
-    "compile_seconds",
     "fallback_active",
     "force_backend",
     "invocation_counts",
     "jit_available",
     "kernel_backend",
-    "warmup",
 ]
-
-
-def __getattr__(name: str):
-    # compiled_run pulls in the strategy layer; import it lazily so
-    # `import repro.kernels` stays cheap for backend introspection.
-    if name == "compiled_run":
-        from repro.kernels.compiled import compiled_run
-
-        return compiled_run
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,8 @@ load and falls back to :mod:`repro.kernels.fallback` when it fails, so
 production code never imports this module directly.
 
 Every kernel is compiled with ``nogil=True``: once the machine code
-exists, calls release the GIL for their whole run, which is what lets
-the ``threads+compiled`` engine backend scale the Python-loop-bound
-work (ids materialization) across cores.  ``cache=True``
+exists, calls release the GIL for their whole run, so the ids merge
+can run beside other threads.  ``cache=True``
 persists the compiled artifacts on disk (honouring ``NUMBA_CACHE_DIR``),
 so only the first process on a machine pays the compile.
 

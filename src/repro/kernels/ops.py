@@ -10,9 +10,7 @@ process:
 
 The public functions below are thin wrappers that normalize argument
 dtypes (the JIT signatures want contiguous ``int64``), count
-invocations per kernel, and delegate to the selected backend.  The
-counters and the cumulative warm-up time feed the ``repro_kernel_*``
-obs series emitted by :func:`repro.kernels.compiled.compiled_run`.
+invocations per kernel, and delegate to the selected backend.
 
 :func:`force_backend` swaps the implementation at runtime — test
 hook only; production code relies on the import-time choice.
@@ -21,8 +19,6 @@ hook only; production code relies on the import-time choice.
 from __future__ import annotations
 
 import os
-import threading
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,8 +31,6 @@ __all__ = [
     "jit_available",
     "fallback_active",
     "force_backend",
-    "warmup",
-    "compile_seconds",
     "invocation_counts",
     "scatter_ranges",
     "scatter_segments",
@@ -76,9 +70,6 @@ if _requested not in _DISABLE_VALUES and not os.environ.get("REPRO_NO_NUMBA"):
 _impl = _jit_impl if _jit_impl is not None else _numpy_impl
 
 _counts: Dict[str, int] = {}
-_compile_seconds = 0.0
-_warmed = False
-_warm_lock = threading.Lock()
 
 
 def kernel_backend() -> str:
@@ -99,9 +90,8 @@ def fallback_active() -> bool:
 
 def force_backend(name: str) -> str:
     """Swap the live backend (``"numba"``/``"numpy"``); returns the
-    previous backend name.  Test hook — resets the warm-up state so
-    compile accounting matches the newly selected backend."""
-    global _impl, _warmed, _compile_seconds
+    previous backend name.  Test hook."""
+    global _impl
     previous = kernel_backend()
     if name in ("numpy", "fallback"):
         _impl = _numpy_impl
@@ -113,56 +103,12 @@ def force_backend(name: str) -> str:
         _impl = _jit_impl
     else:
         raise ValueError(f"unknown kernel backend {name!r}")
-    with _warm_lock:
-        _warmed = False
-        _compile_seconds = 0.0
     return previous
 
 
 def invocation_counts() -> Dict[str, int]:
     """Per-kernel invocation counters since process start (a copy)."""
     return dict(_counts)
-
-
-def compile_seconds() -> float:
-    """Cumulative seconds spent warming the JIT backend (0.0 on the
-    NumPy fallback)."""
-    return _compile_seconds
-
-
-def warmup() -> float:
-    """Compile every kernel once on tiny inputs; returns the cumulative
-    compile seconds.  Idempotent and thread-safe; a no-op timing-wise
-    on the NumPy fallback."""
-    global _warmed, _compile_seconds
-    if _warmed:
-        return _compile_seconds
-    with _warm_lock:
-        if _warmed:
-            return _compile_seconds
-        impl = _impl
-        t0 = time.perf_counter()
-        _exercise(impl)
-        if impl is not _numpy_impl:
-            _compile_seconds += time.perf_counter() - t0
-        _warmed = True
-    return _compile_seconds
-
-
-def _exercise(impl) -> None:
-    """One tiny call per kernel, directly against *impl* (bypasses the
-    invocation counters — warm-up is not a batch)."""
-    i64 = np.int64
-    src = np.arange(8, dtype=i64)
-    lo = np.array([0, 3], dtype=i64)
-    hi = np.array([2, 5], dtype=i64)
-    sel = np.array([0, 1], dtype=i64)
-    out = np.zeros(4, dtype=i64)
-    cursors = np.array([0, 2], dtype=i64)
-    impl.scatter_ranges(src, lo, hi, sel, out, cursors)
-    offsets = np.array([0, 2, 4], dtype=i64)
-    impl.scatter_segments(src, offsets, sel, out, np.array([0, 2], dtype=i64))
-    impl.xor_segments(src, offsets)
 
 
 def _i64(a) -> np.ndarray:

@@ -128,9 +128,6 @@ SLO_LATENCY_QUANTILE = "repro_slo_latency_quantile_seconds"
 SLO_LATENCY_TARGET = "repro_slo_latency_target_seconds"
 SLO_BURN_RATE = "repro_slo_error_budget_burn_rate"
 SLO_VIOLATIONS = "repro_slo_violations_total"
-KERNEL_INVOCATIONS = "repro_kernel_invocations_total"
-KERNEL_COMPILE_SECONDS = "repro_kernel_compile_seconds"
-KERNEL_FALLBACK_ACTIVE = "repro_kernel_fallback_active"
 PLANNER_DECISIONS = "repro_planner_decisions_total"
 PLANNER_COST_ERROR = "repro_planner_cost_error"
 PLANNER_EXPLORATIONS = "repro_planner_exploration_total"
@@ -415,9 +412,8 @@ class Observability:
     ) -> None:
         """Per-batch accounting of one :class:`~repro.engine.
         ExecutionEngine` execution, labelled by the backend that
-        actually ran it (``serial`` / ``threads`` / ``compiled`` / … —
-        the *resolved* backend, so an ``auto`` engine's policy mix is
-        directly visible)."""
+        actually ran it (``serial`` / ``threads`` — the *resolved*
+        backend, so an ``auto`` engine's batches read ``serial``)."""
         labels = {"backend": backend}
         self.registry.counter(
             ENGINE_BATCHES,
@@ -435,38 +431,6 @@ class Observability:
             labels=labels,
             help="End-to-end engine batch latency, by backend.",
         ).observe(duration)
-
-    def record_kernel_batch(
-        self, backend: str, invocations: Mapping[str, int], compile_seconds: float
-    ) -> None:
-        """Per-batch accounting of one compiled-path execution.
-
-        *invocations* maps kernel name to the number of calls this
-        batch made (a delta, not a running total); *backend* is the
-        live kernel backend (``"numba"`` / ``"numpy"``);
-        *compile_seconds* is the process-cumulative JIT warm-up cost
-        (0.0 on the fallback), published as a gauge so dashboards can
-        subtract the one-time compile from steady-state latency.
-        """
-        reg = self.registry
-        for kernel, calls in invocations.items():
-            if calls:
-                reg.counter(
-                    KERNEL_INVOCATIONS,
-                    labels={"kernel": kernel, "backend": backend},
-                    help="Hot-path kernel invocations, by kernel and "
-                    "backend.",
-                ).inc(int(calls))
-        reg.gauge(
-            KERNEL_COMPILE_SECONDS,
-            help="Cumulative JIT warm-up (compile) seconds of this "
-            "process (0 on the NumPy fallback).",
-        ).set(float(compile_seconds))
-        reg.gauge(
-            KERNEL_FALLBACK_ACTIVE,
-            help="1 while the pure-NumPy fallback kernels serve the "
-            "compiled path (numba absent or disabled), else 0.",
-        ).set(0.0 if backend == "numba" else 1.0)
 
     def record_cache_batch(
         self,

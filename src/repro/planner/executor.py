@@ -71,11 +71,6 @@ class PlannedExecutor:
     planner:
         An existing :class:`AdaptivePlanner`; when omitted, a fresh one
         over *index*, which knows nothing until batches run.
-    choose_strategy:
-        When true (default) the planner may override the caller's
-        ``strategy=`` with a measurably faster one — all strategies are
-        result-identical, so only latency changes.  Set false to treat
-        the caller's strategy as pinned.
     fault_plan:
         Optional :class:`FaultPlan`; :data:`SITE_PLANNER_DECIDE` fires
         before every planning step.
@@ -87,7 +82,6 @@ class PlannedExecutor:
         *,
         engine: Optional[ExecutionEngine] = None,
         planner: Optional[AdaptivePlanner] = None,
-        choose_strategy: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         **engine_kwargs,
     ):
@@ -103,17 +97,14 @@ class PlannedExecutor:
             if engine is not None
             else ExecutionEngine(index, backend="auto", **engine_kwargs)
         )
-        self.choose_strategy = bool(choose_strategy)
         self._fault_plan = fault_plan
         self.last_decision: Optional[Decision] = None
         self.planner = planner if planner is not None else AdaptivePlanner(
-            index, caps=BackendCaps.from_index(index, workers=self._engine.workers)
+            index, caps=BackendCaps.from_index(workers=self._engine.workers)
         )
         self._hints = [s.index for s in getattr(index, "shards", ())] or [index]
         self._prebuilt = set()  # modes whose folds or id runs are built
-        if self.choose_strategy and "join-based" in (
-            self.planner.strategies or DEFAULT_STRATEGIES
-        ):
+        if "join-based" in (self.planner.strategies or DEFAULT_STRATEGIES):
             for hint in self._hints:
                 if hasattr(hint, "as_collection"):
                     hint.as_collection()
@@ -147,14 +138,15 @@ class PlannedExecutor:
         strategy: str = "partition-based",
         mode: str = "count",
         backend: Optional[str] = None,
-        executor=None,
     ) -> BatchResult:
         """Evaluate *batch* on the planner-chosen plan; caller order.
 
-        ``backend=`` pins the engine backend and bypasses the planner
-        (explicit control wins); otherwise the planner decides, and any
-        failure in deciding degrades to the engine's static ``auto``
-        rule without losing the batch.
+        The planner may run a measurably faster strategy than the
+        caller's ``strategy=`` — all strategies are result-identical, so
+        only latency changes.  ``backend=`` pins the engine backend and
+        bypasses the planner (explicit control wins); otherwise the
+        planner decides, and any failure in deciding degrades to the
+        engine's static ``auto`` rule without losing the batch.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -166,8 +158,7 @@ class PlannedExecutor:
             )
         if backend is not None:
             return self._engine.execute(
-                batch, strategy=strategy, mode=mode, backend=backend,
-                executor=executor,
+                batch, strategy=strategy, mode=mode, backend=backend
             )
         if len(batch) == 0:
             return BatchResult.empty(mode)
@@ -179,24 +170,19 @@ class PlannedExecutor:
         try:
             if self._fault_plan is not None:
                 self._fault_plan.fire(SITE_PLANNER_DECIDE)
-            decision = self.planner.decide(
-                batch,
-                mode=mode,
-                strategy=None if self.choose_strategy else strategy,
-            )
+            decision = self.planner.decide(batch, mode=mode)
         except Exception as exc:
             ob = obs.active()
             if ob is not None:
                 ob.record_planner_fallback(type(exc).__name__)
             self.last_decision = None
             return self._engine.execute(
-                batch, strategy=strategy, mode=mode, backend="auto",
-                executor=executor,
+                batch, strategy=strategy, mode=mode, backend="auto"
             )
         self.last_decision = decision
         if decision.beside is None:
             t0 = perf_counter()
-            result = self._run(batch, decision.plan, mode, executor)
+            result = self._run(batch, decision.plan, mode)
             self.planner.observe(decision, perf_counter() - t0)
             return result
         # First sight beside the cheapest plan: the plan being timed
@@ -204,23 +190,19 @@ class PlannedExecutor:
         k, n = decision.timed, len(batch)
         t0 = perf_counter()
         head = self._run(
-            QueryBatch(batch.st[:k], batch.end[:k]), decision.plan, mode, executor
+            QueryBatch(batch.st[:k], batch.end[:k]), decision.plan, mode
         )
         self.planner.observe(decision, perf_counter() - t0)
         rest = self._run(
-            QueryBatch(batch.st[k:], batch.end[k:]), decision.beside, mode, executor
+            QueryBatch(batch.st[k:], batch.end[k:]), decision.beside, mode
         )
         return BatchResult.merge(
             n, mode, [head.as_part(batch.order[:k]), rest.as_part(batch.order[k:])]
         )
 
-    def _run(self, batch: QueryBatch, plan, mode: str, executor) -> BatchResult:
+    def _run(self, batch: QueryBatch, plan, mode: str) -> BatchResult:
         return self._engine.execute(
-            batch,
-            strategy=plan.strategy,
-            mode=mode,
-            backend=plan.backend,
-            executor=executor,
+            batch, strategy=plan.strategy, mode=mode, backend=plan.backend
         )
 
     # ------------------------------------------------------------------ #

@@ -3,17 +3,14 @@
 A :class:`Plan` is one point of the execution cross-product the paper's
 experiments sweep by hand: **strategy × engine backend**.
 
-:func:`plan_space` enumerates the *legal* plans for an installed index
-and machine, described by :class:`BackendCaps`: every strategy on
-``serial``, and on ``threads`` where the machine has several cores.
-The ``compiled`` backends are not enumerated: ``compiled_run`` runs
-what ``serial`` runs — the interpreted strategy, or the partition-based
-fold and id-run gathers — so a compiled plan would duplicate a serial
-one and a planner would trade one for its twin on noise.
+:func:`plan_space` enumerates the *legal* plans for a machine,
+described by :class:`BackendCaps`: every strategy on ``serial``, and on
+``threads`` where the machine has several cores.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,31 +40,23 @@ class Plan:
 
 @dataclass(frozen=True)
 class BackendCaps:
-    """What the installed index and machine can legally run."""
+    """What the machine can legally run."""
 
     cpus: int = 1
     workers: int = 1
-    sharded: bool = False
 
     @classmethod
     def from_index(
         cls,
-        index,
         *,
         cpus: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> "BackendCaps":
-        import os
-
-        from repro.shard.sharded import ShardedHint
-
-        sharded = isinstance(index, ShardedHint)
+        """The caps of this machine: ``os.cpu_count()`` cores unless
+        *cpus* says otherwise, and as many workers unless *workers* does.
+        No property of the installed index enters the plan space."""
         ncpu = int(cpus) if cpus is not None else (os.cpu_count() or 1)
-        return cls(
-            cpus=ncpu,
-            workers=int(workers) if workers is not None else ncpu,
-            sharded=sharded,
-        )
+        return cls(cpus=ncpu, workers=int(workers) if workers is not None else ncpu)
 
     def backends(self) -> List[str]:
         """Legal engine backends on this machine, for every strategy and

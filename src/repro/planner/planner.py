@@ -7,9 +7,11 @@ at start-up and nothing is read from disk.
 
 A plan never timed within a factor of two of the batch in front of it is
 handed that batch (``source="explore"``), in rounds: every such plan
-once — the paper-rule plan of :mod:`repro.planner.policy` first, so a
-fresh process begins where the static rule would — then every one
-within :data:`EXPLORE_CAP` again, the better of its two timings kept.
+once — the paper-rule plan
+(:func:`~repro.core.advisor.cold_start_recommendation` on ``serial``)
+first, so a fresh process begins where the bare engine would — then
+every one within :data:`EXPLORE_CAP` again, the better of its two
+timings kept.
 The first batches of a process are slow for reasons that are no plan's
 price (fresh result pages), and in rounds that falls on every first
 timing and on no kept one.
@@ -48,9 +50,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.intervals.batch import QueryBatch
+from repro.core.advisor import cold_start_recommendation
 from repro.planner.costmodel import CostModel, Sample, near
 from repro.planner.plan import BackendCaps, Plan, plan_space
-from repro.planner.policy import cold_start_recommendation, static_backend_choice
 
 __all__ = [
     "AdaptivePlanner",
@@ -159,7 +161,7 @@ class AdaptivePlanner:
         model: Optional[CostModel] = None,
         strategies: Optional[Sequence[str]] = None,
     ):
-        self.caps = caps if caps is not None else BackendCaps.from_index(index)
+        self.caps = caps if caps is not None else BackendCaps.from_index()
         self.model = model if model is not None else CostModel()
         self.strategies = tuple(strategies) if strategies is not None else None
         self._collection_size = int(getattr(index, "size", None) or len(index))
@@ -252,7 +254,7 @@ class AdaptivePlanner:
         if unseen:
             # Second timings wait until every plan has its first; the
             # paper-rule plan goes first, the cheapest first timing next.
-            prior = self._prior(n, mode, strategy)
+            prior = self._prior(n, strategy)
             plan = min(unseen, key=lambda u: (u[0], u[1], u[3] != prior, u[2]))[3]
             self._explorations += 1
             beside, head = None, 0
@@ -289,11 +291,11 @@ class AdaptivePlanner:
         self._record(decision, ob)
         return decision
 
-    def _prior(self, n: int, mode: str, strategy: Optional[str]) -> Plan:
-        """The paper-rule strategy on the static rule's backend."""
+    def _prior(self, n: int, strategy: Optional[str]) -> Plan:
+        """The paper-rule strategy on ``serial``, the static rule's backend."""
         if strategy is None:
             strategy, _ = cold_start_recommendation(self._collection_size, n)
-        return Plan(strategy, static_backend_choice(n, strategy, mode, cpus=self.caps.cpus))
+        return Plan(strategy, "serial")
 
     def _record(self, decision: Decision, ob) -> None:
         if ob is None:

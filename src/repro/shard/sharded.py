@@ -444,7 +444,6 @@ class ShardedHint:
         strategy: str = "partition-based",
         mode: str = "count",
         executor=None,
-        runner=None,
     ) -> BatchResult:
         """Evaluate *batch* across the shards; results in caller order.
 
@@ -454,11 +453,7 @@ class ShardedHint:
         a sharded backend through ``swap_index`` with zero call-site
         changes.  The shard jobs run on the calling thread unless the
         caller passes an *executor* (anything with ``map``; the engine
-        passes its pool for the thread backends).  *runner* optionally
-        substitutes a ``run_strategy``-shaped callable for each shard's
-        primary-slice evaluation (the ``compiled`` engine backend's
-        hook); replica and spill probes are plain searchsorted cuts
-        either way.
+        passes its pool for the ``threads`` backend).
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -473,15 +468,11 @@ class ShardedHint:
             return BatchResult.empty(mode)
         ob = obs.active()
         if ob is None:
-            return self._execute_inner(
-                batch, strategy, mode, executor, None, runner
-            )
+            return self._execute_inner(batch, strategy, mode, executor, None)
         with ob.span(
             "shard.execute", strategy=strategy, queries=n, mode=mode, k=self.k
         ):
-            return self._execute_inner(
-                batch, strategy, mode, executor, ob, runner
-            )
+            return self._execute_inner(batch, strategy, mode, executor, ob)
 
     def _route(self, batch: QueryBatch):
         """Sort and route *batch*: ``(work, q_st, q_end, jobs)``.
@@ -550,8 +541,7 @@ class ShardedHint:
         return np.searchsorted(shard.orig_st, e_local, side="right")
 
     def _execute_inner(
-        self, batch: QueryBatch, strategy: str, mode: str, executor, ob,
-        runner=None,
+        self, batch: QueryBatch, strategy: str, mode: str, executor, ob
     ) -> BatchResult:
         n = len(batch)
         work, q_st, q_end, jobs = self._route(batch)
@@ -567,12 +557,12 @@ class ShardedHint:
             j, j0, j1, spill = job
             if ob is None:
                 return self._run_shard(
-                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner
+                    j, j0, j1, spill, q_st, q_end, strategy, mode
                 )
             t0 = perf_counter()
             with ob.recorder.trace_scope(trace_ids, parent_id):
                 out = self._run_shard(
-                    j, j0, j1, spill, q_st, q_end, strategy, mode, runner
+                    j, j0, j1, spill, q_st, q_end, strategy, mode
                 )
             ob.record_shard_batch(
                 j, j1 - j0, int(spill.size), perf_counter() - t0,
@@ -587,8 +577,7 @@ class ShardedHint:
 
         return self._merge(partials, work, n, mode)
 
-    def _run_shard(self, j, j0, j1, spill, q_st, q_end, strategy, mode,
-                   runner=None):
+    def _run_shard(self, j, j0, j1, spill, q_st, q_end, strategy, mode):
         """Execute one shard's primary slice, replica probe and spills.
 
         May run on a worker thread; returns contributions only — all
@@ -597,8 +586,7 @@ class ShardedHint:
         primary = rep_ks = sp_ks = None
         if j1 > j0:
             sub = self._primary_local_batch(j, j0, j1, q_st, q_end)
-            exec_fn = runner if runner is not None else run_strategy
-            primary = exec_fn(strategy, self.shards[j].index, sub, mode=mode)
+            primary = run_strategy(strategy, self.shards[j].index, sub, mode=mode)
             rep_ks = self._probe_replicas(j, j0, j1, q_st)
         if spill.size:
             sp_ks = self._probe_spills(j, spill, q_end)

@@ -68,7 +68,6 @@ COMBOS = (
     ("sharded", "serial"),
     ("sharded", "threads"),
     ("sharded", "engine-auto"),
-    ("sharded", "threads+compiled"),
     ("hint", "planner"),
 )
 

@@ -2,11 +2,10 @@
 
 Three pillars:
 
-* **differential** — every backend (serial / threads / compiled /
-  threads+compiled / auto), both index kinds, all strategies × modes,
-  against the sequential strategy oracle;
-* **the auto rule** — ``auto`` resolves exactly
-  :func:`~repro.planner.policy.static_backend_choice`;
+* **differential** — every backend (serial / threads / auto), both
+  index kinds, all strategies × modes, against the sequential strategy
+  oracle;
+* **the auto rule** — ``auto`` resolves to ``serial`` for every batch;
 * **lifecycle** — ``close()`` drains and joins the pool threads, and
   ``swap_index(..., close_old=True)`` leaves no ``repro-engine`` thread.
 
@@ -23,8 +22,6 @@ import pytest
 
 from repro import HintIndex, QueryBatch, run_strategy
 from repro.engine import BACKENDS, ExecutionEngine
-from repro.kernels import ops
-from repro.planner import policy
 from repro.shard import ShardedHint
 from tests.conftest import (
     assert_flat_oracle,
@@ -70,15 +67,10 @@ class TestEngineDifferential:
         ) as sharded_engine:
             yield {"hint": hint_engine, "sharded": sharded_engine}
 
-    #: every strategy on the interpreted backends, plus the one strategy
-    #: the compiled runner does not hand back to them
     CELLS = [
         (backend, strategy)
         for backend in ("serial", "threads")
         for strategy in ("partition-based", "query-based", "level-based")
-    ] + [
-        ("compiled", "partition-based"),
-        ("threads+compiled", "partition-based"),
     ]
 
     @pytest.mark.parametrize("kind", ["hint", "sharded"])
@@ -130,76 +122,71 @@ class TestEngineDifferential:
             ExecutionEngine(workload["hint"], mp_context="fork")
 
 
+def _resolved(engine, batch, **kwargs):
+    """The backend an engine batch ran on, read off its engine series."""
+    import repro.obs as obs
+
+    obs.configure(enabled=True)
+    try:
+        engine.execute(batch, **kwargs)
+        return {
+            c["labels"]["backend"]
+            for c in obs.snapshot()["metrics"]["counters"]
+            if c["name"] == obs.ENGINE_BATCHES
+        }
+    finally:
+        obs.configure(enabled=False)
+
+
 class TestAutoPolicy:
     def test_small_batches_run_serial(self, workload):
         with ExecutionEngine(workload["hint"], backend="auto") as engine:
             small = QueryBatch([5], [50])
-            assert engine._choose(len(small), "query-based", "ids", None) == "serial"
+            assert _resolved(engine, small, strategy="query-based", mode="ids") == {
+                "serial"
+            }
 
     def test_single_core_machine_never_parallelizes(self, workload):
-        with ExecutionEngine(workload["hint"], backend="auto") as engine:
-            engine._cpus = 1
+        with ExecutionEngine(workload["hint"], backend="auto", workers=1) as engine:
             for strategy in ("partition-based", "query-based"):
                 for mode in ("count", "ids"):
-                    assert engine._choose(100_000, strategy, mode, None) == "serial"
+                    engine.execute(workload["batch"], strategy=strategy, mode=mode)
             assert engine._thread_pool is None  # pool never started
 
     def test_multi_core_routes_gil_bound_work(self, workload):
+        """Serial for every strategy and mode: a Python-loop strategy
+        gains nothing from threads, and the id-run gathers and the
+        folded count leave a thread nothing worth its hand-off."""
         with ExecutionEngine(
             workload["hint"], backend="auto", workers=2
         ) as engine:
-            engine._cpus = 8  # pretend; _choose only reads the count
-            # a Python-loop strategy gains nothing from threads
-            assert engine._choose(5_000, "query-based", "count", None) == "serial"
-            assert engine._choose(5_000, "join-based", "ids", None) == "serial"
-            # the id-run gathers and the folded count: serial at every size
-            assert engine._choose(5_000, "partition-based", "ids", None) == "serial"
-            assert engine._choose(5_000, "partition-based", "count", None) == "serial"
-            assert engine._choose(500, "partition-based", "count", None) == "serial"
-
-    @pytest.mark.parametrize("n", [64, 256, 1024])
-    def test_partition_ids_run_compiled_without_jit(self, workload, monkeypatch, n):
-        """With the JIT absent a partition-based ids batch pinned to
-        ``compiled`` still runs, to the answer ``serial`` gives: both run
-        the id-run gathers, so ``auto`` sends it to ``serial``."""
-        monkeypatch.setattr(ops, "jit_available", lambda: False)
-        batch = QueryBatch(workload["batch"].st[:n], workload["batch"].end[:n])
-        with ExecutionEngine(workload["hint"], backend="auto", workers=2) as engine:
-            engine._cpus = 2
-            assert engine._choose(n, "partition-based", "ids", None) == "serial"
-            got = engine.execute(batch, mode="ids", backend="compiled")
-            assert got == engine.execute(batch, mode="ids", backend="serial")
+            for strategy, mode in (
+                ("query-based", "count"),
+                ("join-based", "ids"),
+                ("partition-based", "ids"),
+                ("partition-based", "count"),
+            ):
+                assert _resolved(
+                    engine, workload["batch"], strategy=strategy, mode=mode
+                ) == {"serial"}
+            assert engine._thread_pool is None
 
     @pytest.mark.parametrize("spelling", ["auto", "auto-static"])
     def test_auto_is_the_static_rule_and_never_drifts(self, workload, spelling):
-        """``auto`` resolves exactly ``static_backend_choice`` — before
-        and after the engine has executed batches on other backends (no
-        ledger learns from them) — and the pre-planner ``auto-static``
-        spelling is the same backend."""
-        table = [
-            (n, strategy, mode)
-            for n in (1, 127, 128, 511, 512, 2047, 2048, 50_000)
-            for strategy in ("partition-based", "query-based", "join-based")
-            for mode in ("count", "checksum", "ids")
-        ]
+        """``auto`` resolves to ``serial`` — before and after the engine
+        has executed batches on other backends (no ledger learns from
+        them) — and the pre-planner ``auto-static`` spelling, which the
+        benchmark's stacks construct with, is the same backend."""
         with ExecutionEngine(
             workload["hint"], backend=spelling, workers=2
         ) as engine:
             assert engine.backend == "auto"
-
-            def resolved():
-                return [engine._choose(n, s, m, None) for n, s, m in table]
-
-            rule = [
-                policy.static_backend_choice(n, s, m, cpus=engine._cpus)
-                for n, s, m in table
-            ]
-            assert resolved() == rule
+            assert engine._choose(None) == "serial"
             expected = oracle(workload, "partition-based", "count")
-            for i in range(50):
-                forced = ("serial", "threads", "compiled", "auto")[i % 4]
+            for i in range(30):
+                forced = ("serial", "threads", "auto")[i % 3]
                 assert engine.execute(workload["batch"], backend=forced) == expected
-            assert resolved() == rule
+            assert engine._choose(None) == "serial"
             assert not hasattr(engine, "backend_policy")
 
     def test_override_beats_configured_backend(self, workload):
@@ -298,10 +285,16 @@ class TestEngineObservability:
 
 
 def test_backends_constant_is_exported():
-    assert set(BACKENDS) == {
-        "auto",
-        "serial",
-        "threads",
-        "compiled",
-        "threads+compiled",
-    }
+    assert BACKENDS == ("auto", "serial", "threads")
+
+
+def test_compiled_backend_is_gone(workload):
+    """The compiled twins ran what ``serial``/``threads`` run; naming one
+    now is an error that lists the three legal backends."""
+    with pytest.raises(ValueError) as err:
+        ExecutionEngine(workload["hint"], backend="compiled")
+    for name in BACKENDS:
+        assert repr(name) in str(err.value)
+    with ExecutionEngine(workload["hint"]) as engine:
+        with pytest.raises(ValueError, match="backend"):
+            engine.execute(workload["batch"], backend="compiled")

@@ -6,15 +6,15 @@ Three layers:
   reference on adversarial inputs (empty ranges, ragged segments,
   shared destinations);
 * **differentials** — :func:`~repro.kernels.compiled.compiled_run`
-  must be result-identical to :func:`~repro.core.strategies.run_strategy`
-  across every strategy x mode on :class:`~repro.hint.index.HintIndex`,
-  through the engine on :class:`~repro.shard.ShardedHint`, and on a
-  :class:`~repro.hint.dynamic.DynamicHint`'s inner index after a
-  rebuild — with the backend explicitly forced to the NumPy fallback
-  for one leg (the no-numba guarantee);
-* **wiring** — the ``compiled`` engine backends, the ``auto`` policy
-  rule (serial whatever the JIT state), the ``repro_kernel_*`` obs
-  series, and the environment switches (in subprocesses, since the
+  must return :func:`~repro.core.strategies.run_strategy`'s result
+  across every strategy x mode on :class:`~repro.hint.index.HintIndex`
+  and on a :class:`~repro.hint.dynamic.DynamicHint`'s inner index after
+  a rebuild, and a :class:`~repro.shard.ShardedHint` through the engine
+  must answer as the single index does — with the kernel backend
+  explicitly forced to the NumPy fallback for one leg (the no-numba
+  guarantee);
+* **wiring** — the ``auto`` policy rule (serial whatever the JIT
+  state) and the environment switches (in subprocesses, since the
   backend choice happens at import time).
 """
 
@@ -27,7 +27,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro.core.result import MODES
 from repro.core.strategies import STRATEGIES, run_strategy
 from repro.engine import ExecutionEngine
@@ -143,7 +142,7 @@ class TestFallbackKernels:
 
 
 # --------------------------------------------------------------------- #
-# ops layer: selection, counters, warm-up
+# ops layer: selection, counters
 # --------------------------------------------------------------------- #
 
 
@@ -160,12 +159,6 @@ class TestOpsLayer:
         flat = np.array([1, 2, 3], dtype=np.int64)
         assert ops.xor_segments(flat, np.array([0, 2, 3])).tolist() == [3, 3]
         assert ops.invocation_counts()["xor_segments"] == before + 1
-
-    def test_warmup_idempotent(self):
-        first = ops.warmup()
-        assert ops.warmup() == first
-        if ops.fallback_active():
-            assert first == 0.0
 
     def test_force_backend_roundtrip(self):
         previous = ops.force_backend("numpy")
@@ -185,16 +178,30 @@ class TestOpsLayer:
 
 
 # --------------------------------------------------------------------- #
-# differentials: compiled_run == run_strategy
+# differentials: compiled_run returns run_strategy's result
 # --------------------------------------------------------------------- #
 
 
 class TestCompiledDifferential:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     @pytest.mark.parametrize("mode", MODES)
-    def test_hint_index_all_strategies_modes(self, workload, strategy, mode):
+    def test_hint_index_all_strategies_modes(
+        self, workload, strategy, mode, monkeypatch
+    ):
+        """``compiled_run`` is ``run_strategy`` under its old name: it
+        returns the very result ``run_strategy`` builds."""
+        import repro.kernels.compiled as compiled
+
         ref = run_strategy(strategy, workload["hint"], workload["batch"], mode=mode)
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(run_strategy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(compiled, "run_strategy", spy)
         got = compiled_run(strategy, workload["hint"], workload["batch"], mode=mode)
+        assert built and got is built[0]
         assert got == ref
 
     @pytest.mark.parametrize("mode", MODES)
@@ -220,7 +227,7 @@ class TestCompiledDifferential:
             "partition-based", workload["hint"], workload["batch"], mode=mode
         )
         with ExecutionEngine(workload["sharded"], workers=2) as engine:
-            for backend in ("compiled", "threads+compiled"):
+            for backend in ("serial", "threads"):
                 got = engine.execute(
                     workload["batch"], mode=mode, backend=backend
                 )
@@ -265,90 +272,52 @@ class TestCompiledDifferential:
 
 
 # --------------------------------------------------------------------- #
-# engine wiring: backends, auto policy, obs series
+# engine wiring: the auto policy
 # --------------------------------------------------------------------- #
 
 
 class TestEngineWiring:
-    def test_compiled_backends_on_hint(self, workload):
+    @staticmethod
+    def _runs_serial(workload, cells):
+        """Each (strategy, mode) batch on ``auto`` answers as
+        ``run_strategy`` does without ever starting the engine's pool."""
         with ExecutionEngine(workload["hint"], workers=2) as engine:
-            for strategy in ("partition-based", "query-based"):
-                for mode in MODES:
-                    ref = run_strategy(
-                        strategy, workload["hint"], workload["batch"], mode=mode
-                    )
-                    for backend in ("compiled", "threads+compiled"):
-                        got = engine.execute(
-                            workload["batch"],
-                            strategy=strategy,
-                            mode=mode,
-                            backend=backend,
-                        )
-                        assert got == ref
+            for strategy, mode in cells:
+                got = engine.execute(workload["batch"], strategy=strategy, mode=mode)
+                assert got == run_strategy(
+                    strategy, workload["hint"], workload["batch"], mode=mode
+                )
+            assert engine._thread_pool is None
 
     def test_auto_policy_runs_ids_serial_when_jit(self, workload, monkeypatch):
         """With the JIT *live* (importable and not displaced by the
         NumPy fallback) a partition-based ids batch still runs serial:
         it is the id-run gathers on every backend, so there is nothing
         for the kernels to run; a Python-loop strategy stays serial too."""
-        with ExecutionEngine(workload["hint"], workers=2) as engine:
-            engine._cpus = 8
-            monkeypatch.setattr(ops, "jit_available", lambda: True)
-            monkeypatch.setattr(ops, "fallback_active", lambda: False)
-            for strategy, mode in (
-                ("query-based", "count"),
-                ("partition-based", "ids"),
-                ("partition-based", "count"),
-            ):
-                assert engine._choose(5_000, strategy, mode, None) == "serial"
+        monkeypatch.setattr(ops, "jit_available", lambda: True)
+        monkeypatch.setattr(ops, "fallback_active", lambda: False)
+        self._runs_serial(workload, (
+            ("query-based", "count"),
+            ("partition-based", "ids"),
+            ("partition-based", "count"),
+        ))
 
     def test_auto_policy_fallback_kernels_do_not_thread(
         self, workload, monkeypatch
     ):
         """A numba import that succeeded but was displaced by the NumPy
         fallback (REPRO_KERNELS=off) holds the GIL — auto must run
-        GIL-bound batches in the calling thread, not threads+compiled."""
-        with ExecutionEngine(workload["hint"], workers=2) as engine:
-            engine._cpus = 8
-            monkeypatch.setattr(ops, "jit_available", lambda: True)
-            monkeypatch.setattr(ops, "fallback_active", lambda: True)
-            assert (
-                engine._choose(5_000, "partition-based", "ids", None)
-                == "serial"
-            )
-            assert (
-                engine._choose(5_000, "query-based", "count", None)
-                == "serial"
-            )
+        GIL-bound batches in the calling thread."""
+        monkeypatch.setattr(ops, "jit_available", lambda: True)
+        monkeypatch.setattr(ops, "fallback_active", lambda: True)
+        self._runs_serial(workload, (
+            ("partition-based", "ids"),
+            ("query-based", "count"),
+        ))
 
     def test_auto_policy_without_jit_unchanged(self, workload, monkeypatch):
-        with ExecutionEngine(workload["hint"], workers=2) as engine:
-            engine._cpus = 8
-            monkeypatch.setattr(ops, "jit_available", lambda: False)
-            resolved = engine._choose(5_000, "query-based", "count", None)
-            assert resolved == "serial"
-
-    def test_kernel_obs_series(self, workload):
-        """A compiled partition-based batch reports the kernel gauges, and
-        no kernel invocation: in every mode it is the gathers the serial
-        path runs (the shard merge's scatters are the shard layer's)."""
-        obs.configure(enabled=True)
-        try:
-            for mode in MODES:
-                compiled_run(
-                    "partition-based", workload["hint"], workload["batch"], mode=mode
-                )
-            snap = obs.snapshot()["metrics"]
-            gauges = {g["name"]: g["value"] for g in snap["gauges"]}
-            assert obs.KERNEL_COMPILE_SECONDS in gauges
-            expected_flag = 1.0 if ops.fallback_active() else 0.0
-            assert gauges[obs.KERNEL_FALLBACK_ACTIVE] == expected_flag
-            assert not [
-                c for c in snap["counters"]
-                if c["name"] == obs.KERNEL_INVOCATIONS
-            ]
-        finally:
-            obs.configure(enabled=False)
+        monkeypatch.setattr(ops, "jit_available", lambda: False)
+        self._runs_serial(workload, (("query-based", "count"),))
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,10 @@
 """Unit tests for the adaptive batch planner (``repro.planner``).
 
 Covers the kept timings (predict / timed-near / forget), the plan space
-legality rules (no compiled twin of a serial plan), the static backend
-policy — serial, including the kernel-fallback regression where
-``threads+compiled`` must not be preferred while the pure-NumPy fallback
-serves the compiled path — and the planner's decisions: first sight in
-rounds, one settled plan per size class, and re-opening a class whose
-timing drifts.
+legality rules (``serial``, plus ``threads`` on several cores), the
+cold-start prior shared with the advisor, and the planner's decisions:
+first sight in rounds, one settled plan per size class, and re-opening a
+class whose timing drifts.
 """
 
 from __future__ import annotations
@@ -17,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.batch_stats import batch_extents
+from repro.core.advisor import cold_start_recommendation
+from repro.engine import BACKENDS
 from repro.hint.index import HintIndex
 from repro.intervals.batch import QueryBatch
-from repro.kernels import ops as kernel_ops
 from repro.planner import (
     AdaptivePlanner,
     BackendCaps,
@@ -29,10 +28,6 @@ from repro.planner import (
     plan_space,
 )
 from repro.planner.plan import plan_key
-from repro.planner.policy import (
-    cold_start_recommendation,
-    static_backend_choice,
-)
 from tests.conftest import random_collection
 
 # --------------------------------------------------------------------- #
@@ -104,96 +99,33 @@ class TestPlanSpace:
         assert BackendCaps(cpus=4, workers=1).backends() == ["serial"]
 
     def test_count_and_checksum_offer_no_compiled_twin(self):
-        """``compiled_run`` answers a partition-based batch with the
-        serial path's fold or id-run gathers in every mode, so the
-        planner is not offered the same code under a second name to
-        trade places with on noise."""
+        """A partition-based batch is offered on the two engine
+        backends and nothing else, in every mode."""
         caps = BackendCaps(cpus=4, workers=4)
         plans = plan_space(caps, strategies=("partition-based",))
         assert {p.backend for p in plans} == {"serial", "threads"}
 
     def test_compiled_excluded_without_kernel_support(self):
-        """Nor anywhere else: no compiled plan exists on any machine."""
+        """Nor anywhere else: no plan names a backend the engine lacks."""
         for cpus in (1, 4):
             caps = BackendCaps(cpus=cpus, workers=cpus)
             backends = {p.backend for p in plan_space(caps)}
-            assert not backends & {"compiled", "threads+compiled"}
+            assert backends <= set(BACKENDS) - {"auto"}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             plan_space(BackendCaps(), strategies=("frobnicate",))
 
-    def test_from_index_detects_kind(self, rng):
-        coll = random_collection(rng, 200, 1023)
-        index = HintIndex(coll, m=10)
-        caps = BackendCaps.from_index(index, cpus=2, workers=2)
-        assert not caps.sharded
-        assert caps.cpus == 2
+    def test_from_index_reads_the_machine(self):
+        """The caps are the machine's: no property of the index enters."""
+        assert BackendCaps.from_index(cpus=2, workers=2) == BackendCaps(2, 2)
+        assert BackendCaps.from_index(cpus=3) == BackendCaps(cpus=3, workers=3)
 
     def test_plan_key_shape(self):
         assert plan_key("partition-based", "serial", "ids") == (
             "partition-based|serial|ids"
         )
         assert Plan("a", "b").key("c") == "a|b|c"
-
-
-# --------------------------------------------------------------------- #
-# static policy (incl. the kernel-fallback regression)
-# --------------------------------------------------------------------- #
-
-
-class TestStaticBackendChoice:
-    def test_small_batches_and_single_core_stay_serial(self):
-        assert static_backend_choice(16, "join-based", "ids", cpus=8) == "serial"
-        assert static_backend_choice(100_000, "join-based", "ids", cpus=1) == "serial"
-
-    def test_partition_count_and_checksum_stay_serial_at_every_size(self):
-        """Two gathers per level leave a thread nothing worth its
-        hand-off: ``auto`` runs them serial on any number of cores."""
-        for n in (1, 1024, 2048, 4096, 100_000):
-            for mode in ("count", "checksum"):
-                for cpus in (1, 2, 8):
-                    choice = static_backend_choice(
-                        n, "partition-based", mode, cpus=cpus
-                    )
-                    assert choice == "serial", (n, mode, cpus)
-
-    def test_partition_ids_run_serial_whatever_the_kernel_state(
-        self, monkeypatch
-    ):
-        """An ids batch is gathers from the index's id runs, the same
-        function on every backend: ``auto`` runs it serial at every size
-        on any number of cores, live JIT or not."""
-        for jit in (False, True):
-            monkeypatch.setattr(kernel_ops, "jit_available", lambda: jit)
-            monkeypatch.setattr(kernel_ops, "fallback_active", lambda: False)
-            for n in (1, 511, 512, 1024, 50_000):
-                for cpus in (1, 2, 8):
-                    choice = static_backend_choice(
-                        n, "partition-based", "ids", cpus=cpus
-                    )
-                    assert choice == "serial", (jit, n, cpus)
-
-    def test_fallback_kernels_must_not_pick_compiled_threads(self, monkeypatch):
-        """Regression: the numpy-fallback kernels hold the GIL, so
-        threading them only adds dispatch cost — ``auto`` runs a
-        partition-based ids batch in the calling thread."""
-        monkeypatch.setattr(kernel_ops, "jit_available", lambda: True)
-        monkeypatch.setattr(kernel_ops, "fallback_active", lambda: True)
-        for n in (64, 1024, 50_000):
-            choice = static_backend_choice(n, "partition-based", "ids", cpus=8)
-            assert choice == "serial"
-
-    def test_gil_bound_strategies_run_serial(self, monkeypatch):
-        """Threads lose on a Python-loop strategy at every size, and the
-        kernels do not run it: serial, whatever the kernel state."""
-        for nogil in (False, True):
-            monkeypatch.setattr(kernel_ops, "jit_available", lambda: nogil)
-            monkeypatch.setattr(kernel_ops, "fallback_active", lambda: False)
-            for n in (100, 1024, 4096, 50_000):
-                for mode in ("count", "ids"):
-                    choice = static_backend_choice(n, "join-based", mode, cpus=8)
-                    assert choice == "serial"
 
 
 class TestColdStartRecommendation:
@@ -246,8 +178,7 @@ class TestAdaptivePlanner:
         decision = planner.decide(_uniform_batch(rng, 64, 8), mode="count")
         assert decision.source == "explore"
         strategy, _ = cold_start_recommendation(len(small_hint), 64)
-        backend = static_backend_choice(64, strategy, "count", cpus=1)
-        assert decision.plan == Plan(strategy, backend)
+        assert decision.plan == Plan(strategy, "serial")
 
     def test_pinned_strategy_respected_by_prior(self, small_hint, rng):
         planner = AdaptivePlanner(small_hint, caps=_ONE_CORE)
@@ -421,9 +352,7 @@ class TestFirstSight:
         planner = AdaptivePlanner(small_hint, caps=_TWO_CORES)
         first = _serve(planner, _FakeMachine(seed=1), _uniform_batch(rng, 4096, 8))
         strategy, _ = cold_start_recommendation(len(small_hint), 4096)
-        assert first.plan == Plan(
-            strategy, static_backend_choice(4096, strategy, "ids", cpus=2)
-        )
+        assert first.plan == Plan(strategy, "serial")
 
     def test_sizes_near_a_timed_one_are_never_probed(self, small_hint, rng):
         machine = _FakeMachine(seed=5)
@@ -744,11 +673,10 @@ class TestPlannedExecutor:
     def test_the_join_input_is_built_before_the_first_batch(self, rng):
         """The raw collection a join-based plan reads is a one-time cost
         of the index, paid at construction and not by the first join;
-        not built when the executor may not choose the join."""
-        for choose, built in ((False, False), (True, True)):
-            index = HintIndex(random_collection(rng, 400, 1023), m=10)
-            PlannedExecutor(index, choose_strategy=choose).close()
-            assert (getattr(index, "_collection_cache", None) is not None) is built
+        not built when the planner may not choose the join."""
+        index = HintIndex(random_collection(rng, 400, 1023), m=10)
+        PlannedExecutor(index).close()
+        assert getattr(index, "_collection_cache", None) is not None
         index = HintIndex(random_collection(rng, 400, 1023), m=10)
         PlannedExecutor(index, planner=AdaptivePlanner(
             index, strategies=("partition-based",)

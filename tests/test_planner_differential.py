@@ -76,8 +76,8 @@ def synthetic_clock(monkeypatch):
     now = [0.0]
     real_run = PlannedExecutor._run
 
-    def run(self, batch, plan, mode, executor):
-        result = real_run(self, batch, plan, mode, executor)
+    def run(self, batch, plan, mode):
+        result = real_run(self, batch, plan, mode)
         fixed, per_query = _PLAN_COSTS[(plan.strategy, plan.backend)]
         now[0] += fixed + per_query * len(batch)
         return result
@@ -215,9 +215,9 @@ class TestDecisionPath:
         seen = []
         real_run = ExecutionEngine._run
 
-        def spy(engine, batch, strategy, mode, resolved, executor):
+        def spy(engine, batch, strategy, mode, resolved):
             seen.append((strategy, resolved))
-            return real_run(engine, batch, strategy, mode, resolved, executor)
+            return real_run(engine, batch, strategy, mode, resolved)
 
         px = PlannedExecutor(index)
         monkeypatch.setattr(ExecutionEngine, "_run", spy)

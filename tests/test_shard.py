@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.shard.sharded as sharded_mod
 from repro import (
     BatchingQueryService,
     HintIndex,
@@ -161,7 +162,9 @@ class TestDifferential:
         with ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="test-shard-pool"
         ) as pool:
-            got = sharded.execute(batch, mode="ids", executor=pool, runner=spy)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sharded_mod, "run_strategy", spy)
+                got = sharded.execute(batch, mode="ids", executor=pool)
         assert got == expected
         assert ran_on and all(t.startswith("test-shard-pool") for t in ran_on)
 

@@ -1,8 +1,9 @@
 """Partition-based batches on an exactly tiled HINT, in every mode.
 
-Hypothesis drives the partition-based strategy (through the serial and
-the compiled backend, on a ``HintIndex`` and on ``ShardedHint`` with 2
-and 3 shards, in all three result modes) against the pseudocode-faithful
+Hypothesis drives the partition-based strategy (through
+``run_strategy`` and its old name ``compiled_run``, on a ``HintIndex``
+and inside each shard of a ``ShardedHint`` with 2 and 3 shards, in all
+three result modes) against the pseudocode-faithful
 :class:`~repro.hint.reference.ReferenceHint` and the naive oracle, on
 batches built to keep every case of Algorithm 4's comparisons alive.
 None of those comparisons can drop a row on this index, and cost spies
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import repro.obs as obs
+import repro.shard.sharded as sharded_mod
 from repro import HintIndex, IntervalCollection, QueryBatch
 from repro.core.strategies import run_strategy
 from repro.hint.reference import ReferenceHint
@@ -108,7 +110,9 @@ def test_folded_sweep_equals_reference_and_oracle(case):
                 if isinstance(index, HintIndex):
                     got = runner("partition-based", index, batch, mode=mode)
                 else:
-                    got = index.execute(batch, mode=mode, runner=runner)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(sharded_mod, "run_strategy", runner)
+                        got = index.execute(batch, mode=mode)
                 assert got.mode == mode, (type(index).__name__, name)
                 assert_flat_oracle(got, want)
 
@@ -164,7 +168,8 @@ def _run_watched(monkeypatch, rng, runner, kind, mode):
     if kind == "hint":
         got = watched("partition-based", index, batch, mode=mode)
     else:
-        got = index.execute(batch, mode=mode, runner=watched)
+        monkeypatch.setattr(sharded_mod, "run_strategy", watched)
+        got = index.execute(batch, mode=mode)
     assert_flat_oracle(got, oracle_result(coll, batch, 12))
     return calls
 

@@ -78,8 +78,8 @@ def _walk(node, path=()):
 
 
 class TestTraceEndToEnd:
-    def test_every_layer_tagged_threads_compiled_two_shards(self):
-        ob, trace_ids = _serve_traced_burst("threads+compiled", 10, shards=2)
+    def test_every_layer_tagged_threads_two_shards(self):
+        ob, trace_ids = _serve_traced_burst("threads", 10, shards=2)
         states = [sp.state() for sp in ob.recorder.spans()]
         for tid in trace_ids:
             tree = build_trace_tree(states, tid)
@@ -125,9 +125,7 @@ class TestTraceEndToEnd:
         # trace id does not propagate into the flush scope, so no pool
         # thread tags a span with it — sampling caps the trace cost at
         # one span.
-        ob, trace_ids = _serve_traced_burst(
-            "threads+compiled", 6, sampled=False, shards=2
-        )
+        ob, trace_ids = _serve_traced_burst("threads", 6, sampled=False, shards=2)
         states = [sp.state() for sp in ob.recorder.spans()]
         for tid in trace_ids:
             tree = build_trace_tree(states, tid)
