@@ -6,7 +6,7 @@
 
 PYENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke plan-smoke bench-shard bench-engine bench-serve bench-obs bench-planner experiments examples serve-sim clean
+.PHONY: install test verify bench bench-selftest bench-service obs-smoke trace-smoke shard-smoke engine-smoke kernel-smoke cache-smoke serve-smoke bench-shard bench-engine bench-serve bench-obs experiments examples serve-sim clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -46,9 +46,12 @@ shard-smoke:
 	$(PYENV) python -m repro.cli shard-sim --k 2 --cardinality 5000 --m 12 --queries 2000 --repeat 1
 
 # Engine smoke: quick backend sweep of the execution engine
-# (docs/parallelism.md).
+# (docs/parallelism.md); its CSV goes to a temporary directory that is
+# removed whether the sweep passes or fails.
 engine-smoke:
-	$(PYENV) python benchmarks/bench_process_scaling.py --quick --out /tmp/process-scaling-smoke.csv
+	@dir=$$(mktemp -d); \
+	$(PYENV) python benchmarks/bench_process_scaling.py --quick --out $$dir/process-scaling-smoke.csv; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 # Kernel smoke: the kernel unit + differential suite — the JIT backend
 # (when numba is importable) and the NumPy fallback must be
@@ -81,15 +84,6 @@ serve-smoke:
 bench-selftest:
 	python3 -m bench --selftest
 
-# Planner smoke: nothing probed or written at start-up, a differential
-# sweep through every first-sight batch to the settled plan
-# (result-identical to every static plan, single + sharded index), the
-# planner.decide fault leg — a throwing planner degrades to the static
-# policy without losing the batch — and the settled plan within 1.25x
-# of the fastest forced one (docs/planning.md).
-plan-smoke:
-	$(PYENV) python scripts/plan_smoke.py
-
 # Shard-count scaling sweep on the default synthetic workload; records
 # results/shard-scaling.csv (uploaded as a CI artifact).
 bench-shard:
@@ -113,13 +107,6 @@ bench-serve:
 # obs-off path costs more than 5% over the baseline.
 bench-obs:
 	$(PYENV) python benchmarks/bench_obs_overhead.py --out results/obs-overhead.csv
-
-# Adaptive-planner acceptance sweep: on every batch shape a fresh
-# executor, once settled, must match the best static plan within noise;
-# records results/planner.csv and results/planner-cost-error.csv (CI
-# artifacts).
-bench-planner:
-	$(PYENV) python benchmarks/bench_planner.py --out results/planner.csv
 
 experiments:
 	$(PYENV) python -m repro.experiments all --csv results/ --repeats 3

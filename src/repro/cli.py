@@ -849,69 +849,6 @@ def _cmd_cache_sim(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_plan_sim(args) -> int:
-    """Let a fresh adaptive planner learn a synthetic index from its own
-    batches — one narrow and one wide batch shape — and print, per shape,
-    the plans it timed (kept timing vs a forced re-timing), the plan it
-    settled on, and a differential check of every adaptive answer
-    against the interpreter; exit 0 iff all checks agree."""
-    import numpy as np
-
-    from repro.planner import PlannedExecutor, plan_space
-    from repro.workloads.synthetic import generate_synthetic
-
-    m = args.m
-    domain = 1 << m
-    coll = generate_synthetic(
-        args.cardinality, domain, 1.8, domain / 100, seed=args.seed
-    ).normalized(m)
-    index = HintIndex(coll, m=m)
-    index.precompute_aux()
-    rng = np.random.default_rng(args.seed + 1)
-    failures = 0
-    for name, extent in (
-        ("narrow", max(int(domain * 1e-4), 1)),
-        ("wide", max(int(domain * 0.05), 2)),
-    ):
-        st = rng.integers(0, domain - extent - 1, size=args.batch)
-        batch = QueryBatch(st, st + extent)
-        # One executor per shape: a settled plan is per batch size, and
-        # both shapes have the same size.
-        px = PlannedExecutor(index)
-        plans = len(plan_space(px.planner.caps))
-        for _ in range(2 * plans + 1):  # first-sight batches, then settled
-            got = px.execute(batch, mode=args.mode)
-            if px.last_decision.source != "explore":
-                break
-        chosen = px.last_decision
-        print(f"\n[{name}] {len(batch):,} queries, {plans} legal plans, mode {args.mode}")
-        print("  plan                                     kept         observed")
-        for key, kept in chosen.table[: args.top]:
-            strategy, backend, _ = key.split("|")
-            t = min(
-                _timed(px.execute, batch, strategy=strategy, mode=args.mode,
-                       backend=backend)
-                for _ in range(args.repeat)
-            )
-            print(
-                f"  {strategy + ' on ' + backend:<40}"
-                f" {kept * 1e3:>8.3f}ms {t * 1e3:>9.3f}ms"
-            )
-        t_adaptive = min(
-            _timed(px.execute, batch, mode=args.mode) for _ in range(args.repeat)
-        )
-        print(
-            f"  settled: {chosen.describe()} -> observed {t_adaptive * 1e3:.3f}ms "
-            f"({px.planner.stats()['explorations']} first-sight batches)"
-        )
-        want = run_strategy("partition-based", index, batch, mode=args.mode)
-        ok = got == want and px.execute(batch, mode=args.mode) == want
-        failures += 0 if ok else 1
-        print(f"  differential: {'exact' if ok else 'MISMATCH'}")
-        px.close()
-    return 1 if failures else 0
-
-
 def _timed(fn, *fn_args, **fn_kwargs) -> float:
     t0 = time.perf_counter()
     fn(*fn_args, **fn_kwargs)
@@ -1358,32 +1295,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument("--seed", type=int, default=0)
     p_cache.set_defaults(fn=_cmd_cache_sim)
-
-    p_plan = sub.add_parser(
-        "plan-sim",
-        help="let the adaptive planner learn from its own batches and "
-        "print the plans it timed and the plan it settled on, for a "
-        "narrow and a wide batch shape",
-    )
-    p_plan.add_argument(
-        "--cardinality", type=int, default=50_000, help="synthetic intervals"
-    )
-    p_plan.add_argument("--m", type=int, default=14, help="HINT parameter")
-    p_plan.add_argument("--batch", type=int, default=2_048, help="batch size")
-    p_plan.add_argument(
-        "--mode",
-        default="count",
-        choices=("count", "checksum", "ids"),
-        help="result mode of the planned runs",
-    )
-    p_plan.add_argument(
-        "--top", type=int, default=8, help="rows of the decision table"
-    )
-    p_plan.add_argument(
-        "--repeat", type=int, default=3, help="timing repetitions (best-of)"
-    )
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.set_defaults(fn=_cmd_plan_sim)
 
     p_verify = sub.add_parser(
         "verify",

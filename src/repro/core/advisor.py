@@ -8,11 +8,9 @@ those findings as a small, documented decision rule so that library
 users who just want "the right default" get one, together with the
 reasoning.
 
-The rule itself is :func:`cold_start_recommendation` — it doubles as
-the adaptive planner's cold-start strategy prior, so the advisor and the
-planner can never disagree before a batch has been timed; once a
-:class:`~repro.planner.PlannedExecutor` has timed its batches, its
-measured decisions supersede this static advice.
+The rule itself is :func:`cold_start_recommendation`.  It is advice
+only: every executor (:class:`~repro.planner.PlannedExecutor`, the
+engine, the service) runs the strategy its caller names.
 """
 
 from __future__ import annotations
@@ -33,9 +31,7 @@ def cold_start_recommendation(
 ) -> Tuple[str, str]:
     """The paper-rule strategy prior: ``(strategy, reason)``.
 
-    This is the strategy a planner runs first at a size it has not
-    timed, and the single source of truth behind
-    :func:`recommend_strategy`.
+    The single source of truth behind :func:`recommend_strategy`.
     """
     if batch_size == 0:
         return "query-based", "empty batch: any strategy is a no-op"

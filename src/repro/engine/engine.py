@@ -17,10 +17,8 @@ to run it:
     ``serial`` for every batch: the partition-based strategy is gathers
     from the index's prefix folds and id runs, which leave a thread
     nothing worth its hand-off, and the other strategies are Python
-    loops that hold the GIL.  It is the planner's fallback; the engine
-    itself learns nothing — a caller that wants a measured choice pins
-    the backend per batch, which is what
-    :class:`~repro.planner.PlannedExecutor` does.
+    loops that hold the GIL.  The engine learns nothing; a caller that
+    wants ``threads`` pins it, per engine or per batch.
 
 Because the surface matches ``ShardedHint.execute``, a
 :class:`~repro.service.BatchingQueryService` installs an engine through
@@ -85,8 +83,8 @@ class ExecutionEngine:
         workers: Optional[int] = None,
     ):
         if backend == "auto-static":
-            # The pre-planner name of the static rule, which is all that
-            # "auto" is now; bench/stacks.py still constructs with it.
+            # An older name of the static rule, which is all that "auto"
+            # is now; bench/stacks.py still constructs with it.
             backend = "auto"
         _check_backend(backend)
         if not isinstance(index, (HintIndex, ShardedHint)):

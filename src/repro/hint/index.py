@@ -273,8 +273,8 @@ class HintIndex:
         arrays and both folds are materialized once, up front, instead of
         lazily on the first flush.  The :meth:`id_runs` an ids batch
         reads are not built here: an index that serves no ids never
-        needs them, and ``PlannedExecutor`` builds them before its first
-        ids batch.  Idempotent and thread-safe.
+        needs them, and the first ids batch builds them.  Idempotent and
+        thread-safe.
         """
         for level in self.levels:
             level.precompute_aux()

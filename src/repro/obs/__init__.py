@@ -128,13 +128,6 @@ SLO_LATENCY_QUANTILE = "repro_slo_latency_quantile_seconds"
 SLO_LATENCY_TARGET = "repro_slo_latency_target_seconds"
 SLO_BURN_RATE = "repro_slo_error_budget_burn_rate"
 SLO_VIOLATIONS = "repro_slo_violations_total"
-PLANNER_DECISIONS = "repro_planner_decisions_total"
-PLANNER_COST_ERROR = "repro_planner_cost_error"
-PLANNER_EXPLORATIONS = "repro_planner_exploration_total"
-PLANNER_FALLBACKS = "repro_planner_fallbacks_total"
-
-#: Relative-error buckets of the predicted-vs-observed cost histogram.
-COST_ERROR_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 
 class ObsConfig:
@@ -537,41 +530,6 @@ class Observability:
         self.registry.counter(
             NET_DECODE_ERRORS,
             help="Received frames that failed to decode.",
-        ).inc()
-
-    def record_planner_decision(self, plan_key: str, source: str) -> None:
-        """One planner decision: the chosen plan key and how the plan
-        was picked (``model`` / ``explore``)."""
-        self.registry.counter(
-            PLANNER_DECISIONS,
-            labels={"plan": plan_key, "source": source},
-            help="Planner decisions, by chosen plan and decision source.",
-        ).inc()
-
-    def record_planner_cost_error(self, rel_error: float) -> None:
-        """Predicted-vs-observed relative cost error of one batch."""
-        self.registry.histogram(
-            PLANNER_COST_ERROR,
-            buckets=COST_ERROR_BUCKETS,
-            help="Relative error |observed - predicted| / observed of "
-            "the planner's cost predictions.",
-        ).observe(float(rel_error))
-
-    def record_planner_exploration(self) -> None:
-        self.registry.counter(
-            PLANNER_EXPLORATIONS,
-            help="Planner decisions that handed a batch to a plan never "
-            "timed near its size (first-sight probes).",
-        ).inc()
-
-    def record_planner_fallback(self, reason: str) -> None:
-        """The planner failed to decide and the batch degraded to the
-        engine's static ``auto`` rule (no batch is ever lost)."""
-        self.registry.counter(
-            PLANNER_FALLBACKS,
-            labels={"reason": reason},
-            help="Batches degraded to the engine's static auto rule after "
-            "a planner failure, by reason.",
         ).inc()
 
     def record_fault(self, site: str, action: str) -> None:

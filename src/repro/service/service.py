@@ -6,8 +6,8 @@ queries, the service coalesces them into a
 :class:`~repro.intervals.QueryBatch`, and a background flusher executes
 each batch with a strategy from
 :data:`~repro.core.strategies.STRATEGIES`, through the installed
-backend's own ``execute()`` when it has one (an engine, a planner, a
-cache, a sharded index — how the batch runs is theirs to decide) and
+backend's own ``execute()`` when it has one (an engine, a
+``PlannedExecutor``, a cache, a sharded index) and
 :func:`~repro.core.strategies.run_strategy` otherwise.  A caller with
 one query (:meth:`~BatchingQueryService.submit`) receives a
 :class:`concurrent.futures.Future` resolved with its own result; a
@@ -694,7 +694,7 @@ class BatchingQueryService:
                 self._fault_plan.fire(SITE_STRATEGY)
             execute = getattr(index, "execute", None)
             if execute is not None:
-                # Self-executing backend (engine, planner, cache,
+                # Self-executing backend (engine, PlannedExecutor, cache,
                 # sharded index): how the batch runs is its decision,
                 # so swap_index can install one with zero call-site
                 # changes.

@@ -38,7 +38,6 @@ __all__ = [
     "SITE_FLUSH",
     "SITE_NET_ACCEPT",
     "SITE_NET_DECODE",
-    "SITE_PLANNER_DECIDE",
     "SITE_REBUILD",
     "SITE_STRATEGY",
     "SITE_SWAP",
@@ -69,12 +68,6 @@ SITE_NET_ACCEPT = "net.accept"
 #: client gets a typed ``BAD_REQUEST`` error and the connection is
 #: closed; the server never crashes or leaks the socket.
 SITE_NET_DECODE = "net.decode"
-#: :class:`~repro.planner.PlannedExecutor` is about to ask its
-#: :class:`~repro.planner.AdaptivePlanner` for a plan.  An injected
-#: failure exercises the degrade path: the batch runs under the
-#: engine's static ``auto`` rule instead — a worse plan at most, never a
-#: lost or wrong batch.
-SITE_PLANNER_DECIDE = "planner.decide"
 
 #: All injection sites wired into the production code.
 SITES = (
@@ -85,7 +78,6 @@ SITES = (
     SITE_CACHE_INVALIDATE,
     SITE_NET_ACCEPT,
     SITE_NET_DECODE,
-    SITE_PLANNER_DECIDE,
 )
 
 #: Supported fault actions.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import HintIndex, IntervalCollection, QueryBatch
-from repro.analysis.batch_stats import analyze_batch
+from repro.analysis.batch_stats import analyze_batch, batch_extents
 from tests.conftest import random_batch, random_collection
 
 
@@ -81,3 +81,9 @@ class TestAnalyzeBatch:
         a = analyze_batch(small_index, QueryBatch([-100], [500]))
         b = analyze_batch(small_index, QueryBatch([0], [15]))
         assert a.total_incidences == b.total_incidences
+
+
+class TestExtentSummary:
+    def test_extents_match_endpoints(self):
+        batch = QueryBatch([10, 20], [10, 30])
+        assert batch_extents(batch).tolist() == [0, 10]

@@ -19,7 +19,7 @@ growth, against the scalar overlap rule, and for being driven a batch
 The matrix: 3 strategies x 3 result modes x {HintIndex, DynamicHint,
 ShardedHint} x {serial, threads, engine-auto} execution backends, plus
 one cell each for the other ways a result gets merged below the cache
-(compiled shards on threads, the learning planner's plans), swept
+(compiled shards on threads, ``PlannedExecutor``), swept
 by ``REPRO_CACHE_TRIALS`` seeded trials (default 200; ``make
 cache-smoke`` runs a reduced sweep).  DynamicHint only exists in the
 serial cell — it has no strategy/execute surface, the executor serves it

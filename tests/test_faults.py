@@ -80,7 +80,6 @@ class TestFaultRuleValidation:
             "cache.invalidate",
             "net.accept",
             "net.decode",
-            "planner.decide",
         }
         assert ACTIONS == ("raise", "delay")
 

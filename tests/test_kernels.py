@@ -13,9 +13,10 @@ Three layers:
   must answer as the single index does — with the kernel backend
   explicitly forced to the NumPy fallback for one leg (the no-numba
   guarantee);
-* **wiring** — the ``auto`` policy rule (serial whatever the JIT
-  state) and the environment switches (in subprocesses, since the
-  backend choice happens at import time).
+* **wiring** — the environment switches (in subprocesses, since the
+  backend choice happens at import time).  That ``auto`` runs
+  ``serial`` and starts no pool is ``tests/test_engine.py``'s
+  ``TestAutoPolicy``.
 """
 
 from __future__ import annotations
@@ -269,55 +270,6 @@ class TestCompiledDifferential:
             )
             assert len(got) == 0
             assert got.mode == mode
-
-
-# --------------------------------------------------------------------- #
-# engine wiring: the auto policy
-# --------------------------------------------------------------------- #
-
-
-class TestEngineWiring:
-    @staticmethod
-    def _runs_serial(workload, cells):
-        """Each (strategy, mode) batch on ``auto`` answers as
-        ``run_strategy`` does without ever starting the engine's pool."""
-        with ExecutionEngine(workload["hint"], workers=2) as engine:
-            for strategy, mode in cells:
-                got = engine.execute(workload["batch"], strategy=strategy, mode=mode)
-                assert got == run_strategy(
-                    strategy, workload["hint"], workload["batch"], mode=mode
-                )
-            assert engine._thread_pool is None
-
-    def test_auto_policy_runs_ids_serial_when_jit(self, workload, monkeypatch):
-        """With the JIT *live* (importable and not displaced by the
-        NumPy fallback) a partition-based ids batch still runs serial:
-        it is the id-run gathers on every backend, so there is nothing
-        for the kernels to run; a Python-loop strategy stays serial too."""
-        monkeypatch.setattr(ops, "jit_available", lambda: True)
-        monkeypatch.setattr(ops, "fallback_active", lambda: False)
-        self._runs_serial(workload, (
-            ("query-based", "count"),
-            ("partition-based", "ids"),
-            ("partition-based", "count"),
-        ))
-
-    def test_auto_policy_fallback_kernels_do_not_thread(
-        self, workload, monkeypatch
-    ):
-        """A numba import that succeeded but was displaced by the NumPy
-        fallback (REPRO_KERNELS=off) holds the GIL — auto must run
-        GIL-bound batches in the calling thread."""
-        monkeypatch.setattr(ops, "jit_available", lambda: True)
-        monkeypatch.setattr(ops, "fallback_active", lambda: True)
-        self._runs_serial(workload, (
-            ("partition-based", "ids"),
-            ("query-based", "count"),
-        ))
-
-    def test_auto_policy_without_jit_unchanged(self, workload, monkeypatch):
-        monkeypatch.setattr(ops, "jit_available", lambda: False)
-        self._runs_serial(workload, (("query-based", "count"),))
 
 
 # --------------------------------------------------------------------- #

@@ -1,8 +1,10 @@
 """Tests for the m-selection model and the advisor."""
 
+import numpy as np
 import pytest
 
 from repro import IntervalCollection, QueryBatch, choose_m, recommend_strategy
+from repro.core.advisor import cold_start_recommendation
 from repro.hint.model import tune_m
 from repro.workloads.synthetic import generate_synthetic
 
@@ -78,3 +80,13 @@ class TestAdvisor:
         batch = QueryBatch(list(range(100)), list(range(1, 101)))
         rec = recommend_strategy(150, batch, join_ratio_threshold=0.9)
         assert rec.strategy == "partition-based"
+
+
+class TestColdStartRecommendation:
+    def test_matches_advisor_reasons(self):
+        for size, n in [(1000, 0), (1000, 1), (1000, 100), (100, 90)]:
+            batch = QueryBatch(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+            rec = recommend_strategy(size, batch)
+            strategy, reason = cold_start_recommendation(size, n)
+            assert rec.strategy == strategy
+            assert rec.reason == reason
